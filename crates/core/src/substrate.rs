@@ -47,7 +47,9 @@ pub use crate::batch::{segment_len, LaneBatch, LANES};
 /// the Pareto front on the gate-level substrate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CostClass {
-    /// Pure behavioural model: no timing errors, O(1) per cycle.
+    /// Pure behavioural model: no timing errors, O(1) per cycle. The
+    /// silver stream *is* the golden model's output, which the engine
+    /// relies on to evaluate the model once per shard.
     Behavioural,
     /// Learned per-bit timing-error predictor: approximate timing errors,
     /// forest inference per cycle (the FATE-style fast path).

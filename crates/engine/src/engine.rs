@@ -25,8 +25,8 @@ use std::time::Instant;
 use isa_obs::{Counter, Histogram};
 
 use isa_core::{
-    Adder, BehaviouralSubstrate, BitErrorDistribution, CombinedErrorStats, Design, ExactAdder,
-    OutputTriple, Substrate,
+    Adder, BehaviouralSubstrate, BitErrorDistribution, CombinedErrorStats, CostClass, Design,
+    ExactAdder, OutputTriple, Substrate,
 };
 
 use crate::cache::ArtifactCache;
@@ -491,8 +491,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// plane evaluation), and the golden stream from the model's
 /// [`Adder::add_batch`] — so the behavioural Monte-Carlo inner loop (the
 /// design-characterization table's hot path) advances 64 cycles per plane
-/// pass on both sides. Statistics are accumulated in stream order, so
-/// shard results are independent of how the backends batch their lanes.
+/// pass. On a [`CostClass::Behavioural`] substrate the silver stream is the
+/// golden stream, so the model runs once. Statistics are accumulated in
+/// stream order, so shard results are independent of how the backends
+/// batch their lanes.
 fn run_shard(
     substrate: &dyn Substrate,
     design: &Design,
@@ -504,11 +506,17 @@ fn run_shard(
     let positions = design.width() + 1;
     let silvers = substrate.run_batch(design, clock_ps, inputs);
     debug_assert_eq!(silvers.len(), inputs.len());
-    let golds = gold.add_batch(inputs);
+    let computed;
+    let golds = if substrate.cost_class() == CostClass::Behavioural {
+        &silvers
+    } else {
+        computed = gold.add_batch(inputs);
+        &computed
+    };
     let mut stats = CombinedErrorStats::new();
     let mut structural_bits = BitErrorDistribution::new(positions);
     let mut timing_bits = BitErrorDistribution::new(positions);
-    for ((&(a, b), &silver), &gold_y) in inputs.iter().zip(&silvers).zip(&golds) {
+    for ((&(a, b), &silver), &gold_y) in inputs.iter().zip(&silvers).zip(golds) {
         let triple = OutputTriple::new(exact.add(a, b), gold_y, silver);
         stats.push(&triple);
         structural_bits.record_arithmetic(triple.e_struct());

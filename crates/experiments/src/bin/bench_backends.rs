@@ -58,11 +58,9 @@ struct Counts {
 impl Counts {
     /// Cycle count for the extension pipelines (energy, guardband,
     /// workloads): a fifth of the main axis, floored so every code path
-    /// runs, and capped because the extensions converge long before the
-    /// primary figures do — letting `--cycles` scale fig9/fig10 without
-    /// the (inherently scalar) Razor trace swallowing the suite.
+    /// runs.
     fn extension_cycles(&self) -> usize {
-        (self.cycles / 5).clamp(200, 10_000)
+        (self.cycles / 5).max(200)
     }
 
     /// Reduced counts for untimed warmup passes: a quarter of every axis,

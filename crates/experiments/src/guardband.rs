@@ -21,13 +21,17 @@
 //! relative error, and silent-error rate.
 //!
 //! Backend note: the ISA open-loop and predictor-replay streams run on the
-//! configured [`SimBackend`] (filtered by default); the Razor trace
-//! stays on the scalar event queue on either backend, because shadow-latch
-//! detection and replay stalls are inherently sequential per cycle.
+//! configured [`SimBackend`] (filtered by default), and the predictor
+//! flags the whole stream in 64-lane batches. The Razor trace is the same
+//! on either backend: it replays the one continuous pipeline on the timed
+//! tape in 64 warmed-up lane segments, which is exact under transport
+//! delay, so its detections and replay stalls equal a cycle-by-cycle
+//! scalar run's (see [`isa_timing_sim::razor`]).
 
-use isa_core::{segment_len, Design, ErrorStats, IsaConfig, Substrate};
+use isa_core::{Design, ErrorStats, IsaConfig, Substrate};
 use isa_engine::{
-    Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate, PredictedSubstrate, SimBackend,
+    cycles_with_segment_resets, Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate,
+    PredictedSubstrate, SimBackend,
 };
 use isa_learn::CyclePair;
 use isa_netlist::cell::CellLibrary;
@@ -165,33 +169,24 @@ pub fn run_on(
 
             // 3. ISA + predictor-guided replay.
             let predictor = predicted.predictor(&unit.design, clk);
-            let mut guided_re = ErrorStats::new();
-            let mut guided_wrong = 0usize;
-            let mut flagged = 0usize;
             // On the bit-sliced and filtered backends the circuit
             // restarted from reset at every lane-segment seam: reset the
             // predictor's x[t-1] features at the same positions.
-            let seam = match unit.config.backend {
-                SimBackend::Scalar => None,
-                SimBackend::BitSliced | SimBackend::Filtered => Some(segment_len(trace.len())),
+            let raw: Vec<(u64, u64, u64, u64)> = trace
+                .iter()
+                .map(|&(a, b, gold_y, silver)| (a, b, gold_y, silver ^ gold_y))
+                .collect();
+            let cycles = match unit.config.backend {
+                SimBackend::Scalar => CyclePair::from_stream(&raw),
+                SimBackend::BitSliced | SimBackend::Filtered => cycles_with_segment_resets(&raw),
             };
-            let mut prev = (0u64, 0u64, 0u64);
-            for (i, &(a, b, gold_y, silver)) in trace.iter().enumerate() {
-                if seam.is_some_and(|seg| i % seg == 0) {
-                    prev = (0, 0, 0);
-                }
-                let cycle = CyclePair {
-                    a,
-                    b,
-                    a_prev: prev.0,
-                    b_prev: prev.1,
-                    gold: gold_y,
-                    gold_prev: prev.2,
-                    flips: silver ^ gold_y,
-                };
-                prev = (a, b, gold_y);
+            let predicted = predictor.predict_flips_batch(&cycles);
+            let mut guided_re = ErrorStats::new();
+            let mut guided_wrong = 0usize;
+            let mut flagged = 0usize;
+            for (&(a, b, gold_y, silver), &flips) in trace.iter().zip(&predicted) {
                 // Replay at the safe clock leaves only structural error.
-                let committed = if predictor.predict_flips(&cycle) != 0 {
+                let committed = if flips != 0 {
                     flagged += 1;
                     gold_y
                 } else {

@@ -7,9 +7,10 @@
 //! yRTL_n[t]} -> timing class`; evaluation runs on held-out cycles from an
 //! independently seeded stream.
 
-use isa_core::{segment_len, Design, Substrate};
+use isa_core::{Design, Substrate};
 use isa_engine::{
-    Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate, PredictedSubstrate, SimBackend,
+    cycles_with_segment_resets, Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate,
+    PredictedSubstrate, SimBackend,
 };
 use isa_learn::CyclePair;
 use isa_metrics::{AbperAccumulator, AvpeAccumulator};
@@ -113,37 +114,31 @@ pub fn run_on(
         // from reset at every lane-segment seam; the model's x[t-1]
         // features must follow the *physical* predecessor, so reset them
         // at the same positions.
-        let seam = match unit.config.backend {
-            SimBackend::Scalar => None,
-            SimBackend::BitSliced | SimBackend::Filtered => Some(segment_len(unit.inputs.len())),
+        let raw: Vec<(u64, u64, u64, u64)> = unit
+            .inputs
+            .iter()
+            .zip(&real_silvers)
+            .map(|(&(a, b), &real_silver)| {
+                let gold_y = gold.add(a, b);
+                (a, b, gold_y, real_silver ^ gold_y)
+            })
+            .collect();
+        let cycles = match unit.config.backend {
+            SimBackend::Scalar => CyclePair::from_stream(&raw),
+            SimBackend::BitSliced | SimBackend::Filtered => cycles_with_segment_resets(&raw),
         };
+        let predicted = predictor.predict_flips_batch(&cycles);
         let mut abper = AbperAccumulator::new(unit.design.width() + 1);
         let mut avpe = AvpeAccumulator::new();
         let mut erroneous = 0usize;
-        let mut prev = (0u64, 0u64, 0u64);
-        for (i, &(a, b)) in unit.inputs.iter().enumerate() {
-            if seam.is_some_and(|seg| i % seg == 0) {
-                prev = (0, 0, 0);
-            }
-            let gold_y = gold.add(a, b);
-            let real_silver = real_silvers[i];
-            let real_flips = real_silver ^ gold_y;
-            let cycle = CyclePair {
-                a,
-                b,
-                a_prev: prev.0,
-                b_prev: prev.1,
-                gold: gold_y,
-                gold_prev: prev.2,
-                flips: real_flips,
-            };
-            let predicted_flips = predictor.predict_flips(&cycle);
-            abper.record(predicted_flips, real_flips);
-            avpe.record(gold_y ^ predicted_flips, real_silver);
-            if real_flips != 0 {
+        for ((cycle, &predicted_flips), &real_silver) in
+            cycles.iter().zip(&predicted).zip(&real_silvers)
+        {
+            abper.record(predicted_flips, cycle.flips);
+            avpe.record(cycle.gold ^ predicted_flips, real_silver);
+            if cycle.flips != 0 {
                 erroneous += 1;
             }
-            prev = (a, b, gold_y);
         }
         PredictionPoint {
             cpr: unit.cpr,

@@ -122,6 +122,27 @@ impl RandomForest {
         2 * votes > self.trees.len()
     }
 
+    /// [`Self::predict`] for up to 64 samples at once, over feature planes
+    /// (bit `l` of `planes[f]` is feature `f` of lane `l`): every tree
+    /// routes the `lanes` mask down its splits, and the result holds the
+    /// lanes a strict majority of trees predicts positive.
+    pub(crate) fn predict_lanes(&self, planes: &[u64], lanes: u64) -> u64 {
+        let mut votes = [0usize; 64];
+        let mut stack = Vec::new();
+        for tree in &self.trees {
+            let mut positive = tree.predict_lanes(planes, lanes, &mut stack);
+            while positive != 0 {
+                votes[positive.trailing_zeros() as usize] += 1;
+                positive &= positive - 1;
+            }
+        }
+        votes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| 2 * v > self.trees.len())
+            .fold(0u64, |mask, (lane, _)| mask | 1 << lane)
+    }
+
     /// Number of trees.
     #[must_use]
     pub fn len(&self) -> usize {

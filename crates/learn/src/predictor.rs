@@ -90,42 +90,34 @@ fn feature_count(width: u32) -> usize {
     4 * width as usize + 2
 }
 
-/// Packs the shared features; the two per-bit gold features are appended by
-/// [`bit_features`].
-fn base_features(width: u32, a: u64, b: u64, a_prev: u64, b_prev: u64) -> Vec<bool> {
-    let w = width as usize;
-    let mut f = Vec::with_capacity(feature_count(width));
-    for i in 0..w {
-        f.push((a >> i) & 1 == 1);
-    }
-    for i in 0..w {
-        f.push((b >> i) & 1 == 1);
-    }
-    for i in 0..w {
-        f.push((a_prev >> i) & 1 == 1);
-    }
-    for i in 0..w {
-        f.push((b_prev >> i) & 1 == 1);
-    }
-    f
-}
-
-fn bit_features(base: &[bool], gold_prev_bit: bool, gold_bit: bool) -> Vec<bool> {
-    let mut f = Vec::with_capacity(base.len() + 2);
-    f.extend_from_slice(base);
-    f.push(gold_prev_bit);
-    f.push(gold_bit);
-    f
-}
-
-fn pack(features: &[bool]) -> Vec<u64> {
-    let mut words = vec![0u64; features.len().div_ceil(64)];
-    for (i, &f) in features.iter().enumerate() {
-        if f {
-            words[i / 64] |= 1 << (i % 64);
+/// Transposes a 64×64 bit matrix in place: afterwards bit `l` of word `j`
+/// is what bit `j` of word `l` was. Lane values become bit-planes and back
+/// with the same call (block swaps, `O(64 log 64)` word operations).
+fn transpose64(m: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFFu64;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((m[k] >> j) ^ m[k + j]) & mask;
+            m[k] ^= t << j;
+            m[k + j] ^= t;
+            k = (k + j + 1) & !j;
         }
+        j >>= 1;
+        mask ^= mask << j;
     }
-    words
+}
+
+/// Bit-planes of one `CyclePair` field over a batch of up to 64 cycles
+/// (unused lanes read as zero).
+fn field_planes(cycles: &[CyclePair], field: impl Fn(&CyclePair) -> u64) -> [u64; 64] {
+    let mut m = [0u64; 64];
+    for (lane, c) in m.iter_mut().zip(cycles) {
+        *lane = field(c);
+    }
+    transpose64(&mut m);
+    m
 }
 
 impl TimingErrorPredictor {
@@ -218,28 +210,48 @@ impl TimingErrorPredictor {
     }
 
     /// Predicts the timing-class vector (bit `n` set = predicted
-    /// timing-erroneous) for one cycle.
+    /// timing-erroneous) for one cycle: the one-lane case of
+    /// [`Self::predict_flips_batch`].
     #[must_use]
     pub fn predict_flips(&self, cycle: &CyclePair) -> u64 {
-        let base = base_features(self.width, cycle.a, cycle.b, cycle.a_prev, cycle.b_prev);
-        let mut flips = 0u64;
-        for n in 0..self.out_bits {
-            let erroneous = match &self.models[n as usize] {
-                BitModel::Constant(c) => *c,
-                BitModel::Forest(forest) => {
-                    let features = bit_features(
-                        &base,
-                        (cycle.gold_prev >> n) & 1 == 1,
-                        (cycle.gold >> n) & 1 == 1,
-                    );
-                    forest.predict(&pack(&features))
-                }
-            };
-            if erroneous {
-                flips |= 1 << n;
+        self.predict_flips_batch(std::slice::from_ref(cycle))[0]
+    }
+
+    /// Predicts the timing-class vector of every cycle, 64 cycles per
+    /// pass: each batch is transposed once into the model's feature
+    /// planes (`x[t]`, `x[t-1]`, then per bit `yRTL_n[t-1]`, `yRTL_n[t]`)
+    /// and every bit's forest routes the 64-lane mask down its trees.
+    /// Equal, cycle for cycle, to [`RandomForest::predict`] on each
+    /// cycle's packed feature vector.
+    #[must_use]
+    pub fn predict_flips_batch(&self, cycles: &[CyclePair]) -> Vec<u64> {
+        let w = self.width as usize;
+        let mut planes = vec![0u64; feature_count(self.width)];
+        let mut out = Vec::with_capacity(cycles.len());
+        for batch in cycles.chunks(64) {
+            let lanes = u64::MAX >> (64 - batch.len());
+            let fields: [fn(&CyclePair) -> u64; 4] = [|c| c.a, |c| c.b, |c| c.a_prev, |c| c.b_prev];
+            for (slot, field) in fields.into_iter().enumerate() {
+                planes[slot * w..(slot + 1) * w].copy_from_slice(&field_planes(batch, field)[..w]);
             }
+            let gold = field_planes(batch, |c| c.gold);
+            let gold_prev = field_planes(batch, |c| c.gold_prev);
+            let mut flips = [0u64; 64];
+            for (n, model) in self.models.iter().enumerate() {
+                flips[n] = match model {
+                    BitModel::Constant(true) => lanes,
+                    BitModel::Constant(false) => 0,
+                    BitModel::Forest(forest) => {
+                        planes[4 * w] = gold_prev[n];
+                        planes[4 * w + 1] = gold[n];
+                        forest.predict_lanes(&planes, lanes)
+                    }
+                };
+            }
+            transpose64(&mut flips);
+            out.extend_from_slice(&flips[..batch.len()]);
         }
-        flips
+        out
     }
 
     /// Deduces the predicted overclocked output: the golden output with the

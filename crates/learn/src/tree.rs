@@ -4,6 +4,8 @@
 //! incur overfitting problem" — the forest in [`crate::forest`] addresses
 //! that; this module provides the underlying learner.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -63,6 +65,25 @@ fn gini(pos: f64, total: f64) -> f64 {
     2.0 * p * (1.0 - p)
 }
 
+/// One non-zero word of a node's membership mask.
+#[derive(Debug, Clone, Copy)]
+struct MaskWord {
+    /// Word index into the dataset's bit-planes.
+    word: u32,
+    /// Member samples within that word.
+    bits: u64,
+}
+
+/// State shared by one tree's recursive growth: the member-word list every
+/// node's span indexes into, and the reused candidate-feature buffer.
+struct Growth<'a> {
+    dataset: &'a Dataset,
+    config: &'a TreeConfig,
+    rng: &'a mut StdRng,
+    words: Vec<MaskWord>,
+    candidates: Vec<u32>,
+}
+
 impl DecisionTree {
     /// Fits a tree on the given sample indices of a dataset.
     ///
@@ -70,8 +91,10 @@ impl DecisionTree {
     /// over the dataset, split sides are counted with popcounts against the
     /// dataset's column-major feature planes, and partitioning is two
     /// bitwise ANDs — the same SIMD-within-a-register idea the 64-lane
-    /// gate-level simulator uses. Duplicate indices collapse into the
-    /// membership mask (callers bag without replacement; see
+    /// gate-level simulator uses. A node keeps only the non-zero words of
+    /// its mask, so deep nodes cost their member count rather than the
+    /// dataset length. Duplicate indices collapse into the membership mask
+    /// (callers bag without replacement; see
     /// [`ForestConfig::bootstrap`](crate::ForestConfig)).
     ///
     /// # Panics
@@ -89,33 +112,52 @@ impl DecisionTree {
         for &i in indices {
             mask[i / 64] |= 1u64 << (i % 64);
         }
-        let total: usize = mask.iter().map(|w| w.count_ones() as usize).sum();
+        let words: Vec<MaskWord> = mask
+            .iter()
+            .enumerate()
+            .filter(|&(_, &bits)| bits != 0)
+            .map(|(word, &bits)| MaskWord {
+                word: word as u32,
+                bits,
+            })
+            .collect();
+        let total: usize = words.iter().map(|m| m.bits.count_ones() as usize).sum();
         let mut tree = Self {
             nodes: Vec::new(),
             num_features: dataset.num_features(),
             importances: vec![0.0; dataset.num_features()],
             root_size: total,
         };
-        tree.grow(dataset, &mask, total, 0, config, rng);
+        let root_words = words.len();
+        let mut growth = Growth {
+            dataset,
+            config,
+            rng,
+            words,
+            candidates: Vec::with_capacity(dataset.num_features()),
+        };
+        tree.grow(&mut growth, 0..root_words, total, 0);
         tree
     }
 
-    /// Recursively grows the subtree over the membership mask, returning
-    /// its node id.
+    /// Recursively grows the subtree over the members listed in
+    /// `growth.words[span]`, returning its node id. Children's member
+    /// words are appended past the current end of the shared list and
+    /// truncated away once both subtrees are grown.
     fn grow(
         &mut self,
-        dataset: &Dataset,
-        mask: &[u64],
+        growth: &mut Growth<'_>,
+        span: Range<usize>,
         total: usize,
         depth: u32,
-        config: &TreeConfig,
-        rng: &mut StdRng,
     ) -> u32 {
+        let dataset = growth.dataset;
+        let config = growth.config;
         let labels = dataset.label_plane();
-        let positives: usize = mask
+        let members = &growth.words[span.clone()];
+        let positives: usize = members
             .iter()
-            .zip(labels)
-            .map(|(&m, &l)| (m & l).count_ones() as usize)
+            .map(|m| (m.bits & labels[m.word as usize]).count_ones() as usize)
             .sum();
         let make_leaf = positives == 0
             || positives == total
@@ -125,28 +167,27 @@ impl DecisionTree {
             return self.push_leaf(positives as f64 / total as f64);
         }
 
-        // Candidate features: all, or a random subset (random-forest style).
-        let all: Vec<u32> = (0..dataset.num_features() as u32).collect();
-        let candidates: Vec<u32> = match config.feature_subsample {
-            None => all,
-            Some(k) => {
-                let mut shuffled = all;
-                shuffled.shuffle(rng);
-                shuffled.truncate(k.max(1));
-                shuffled
-            }
-        };
+        // Candidate features: all, or a random subset (random-forest
+        // style). The buffer restarts from `0..F` at every node, so the
+        // shuffle draws and permutes exactly as on a fresh list.
+        let candidates = &mut growth.candidates;
+        candidates.clear();
+        candidates.extend(0..dataset.num_features() as u32);
+        if let Some(k) = config.feature_subsample {
+            candidates.shuffle(growth.rng);
+            candidates.truncate(k.max(1));
+        }
 
         let parent_gini = gini(positives as f64, total as f64);
         let mut best: Option<(f64, u32)> = None;
-        for &f in &candidates {
+        for &f in candidates.iter() {
             let plane = dataset.feature_plane(f as usize);
             let mut high_total = 0usize;
             let mut high_pos = 0usize;
-            for ((&m, &p), &l) in mask.iter().zip(plane).zip(labels) {
-                let high = m & p;
+            for m in members {
+                let high = m.bits & plane[m.word as usize];
                 high_total += high.count_ones() as usize;
-                high_pos += (high & l).count_ones() as usize;
+                high_pos += (high & labels[m.word as usize]).count_ones() as usize;
             }
             let low_total = total - high_total;
             if high_total == 0 || low_total == 0 {
@@ -178,16 +219,34 @@ impl DecisionTree {
         // Mean-decrease-in-impurity importance, weighted by node size.
         self.importances[feature as usize] += gain.max(0.0) * total as f64 / self.root_size as f64;
 
-        // Partition: two bitwise ANDs against the chosen feature's plane.
+        // Partition: two bitwise ANDs against the chosen feature's plane,
+        // keeping each side's non-zero words (low side first).
         let plane = dataset.feature_plane(feature as usize);
-        let high_mask: Vec<u64> = mask.iter().zip(plane).map(|(&m, &p)| m & p).collect();
-        let low_mask: Vec<u64> = mask.iter().zip(plane).map(|(&m, &p)| m & !p).collect();
-        let high_total: usize = high_mask.iter().map(|w| w.count_ones() as usize).sum();
+        let low_start = growth.words.len();
+        for i in span.clone() {
+            let m = growth.words[i];
+            let bits = m.bits & !plane[m.word as usize];
+            if bits != 0 {
+                growth.words.push(MaskWord { bits, ..m });
+            }
+        }
+        let high_start = growth.words.len();
+        let mut high_total = 0usize;
+        for i in span {
+            let m = growth.words[i];
+            let bits = m.bits & plane[m.word as usize];
+            if bits != 0 {
+                high_total += bits.count_ones() as usize;
+                growth.words.push(MaskWord { bits, ..m });
+            }
+        }
+        let high_end = growth.words.len();
         let low_total = total - high_total;
         let id = self.nodes.len() as u32;
         self.nodes.push(Node::Leaf { prob_true: 0.0 }); // placeholder
-        let low = self.grow(dataset, &low_mask, low_total, depth + 1, config, rng);
-        let high = self.grow(dataset, &high_mask, high_total, depth + 1, config, rng);
+        let low = self.grow(growth, low_start..high_start, low_total, depth + 1);
+        let high = self.grow(growth, high_start..high_end, high_total, depth + 1);
+        growth.words.truncate(low_start);
         self.nodes[id as usize] = Node::Split { feature, low, high };
         id
     }
@@ -224,6 +283,44 @@ impl DecisionTree {
     #[must_use]
     pub fn predict(&self, sample: &[u64]) -> bool {
         self.predict_prob(sample) > 0.5
+    }
+
+    /// [`Self::predict`] for up to 64 samples at once: `planes[f]` holds
+    /// feature `f` of every lane (bit `l` = lane `l`) and `lanes` selects
+    /// the lanes to classify. Returns the selected lanes predicted
+    /// positive; `stack` is traversal scratch the caller reuses.
+    ///
+    /// Each split sends its lane mask down both sides with two ANDs, so
+    /// a batch visits every reached node once instead of once per lane.
+    pub(crate) fn predict_lanes(
+        &self,
+        planes: &[u64],
+        lanes: u64,
+        stack: &mut Vec<(u32, u64)>,
+    ) -> u64 {
+        let mut positive = 0u64;
+        stack.clear();
+        if lanes != 0 {
+            stack.push((0, lanes));
+        }
+        while let Some((node, mask)) = stack.pop() {
+            match self.nodes[node as usize] {
+                Node::Leaf { prob_true } => {
+                    if prob_true > 0.5 {
+                        positive |= mask;
+                    }
+                }
+                Node::Split { feature, low, high } => {
+                    let plane = planes[feature as usize];
+                    for (child, side) in [(high, mask & plane), (low, mask & !plane)] {
+                        if side != 0 {
+                            stack.push((child, side));
+                        }
+                    }
+                }
+            }
+        }
+        positive
     }
 
     /// Number of nodes in the tree.

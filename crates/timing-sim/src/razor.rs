@@ -17,13 +17,39 @@
 //!
 //! This gives the overclocking-with-recovery baseline the paper contrasts
 //! with prediction-based guardband reduction.
+//!
+//! # Lane-parallel replay
+//!
+//! The stream is one pipeline: operation `k` launches at edge `k·P`, its
+//! main latch samples at `(k+1)·P` and its shadow at `(k+1)·P + margin`,
+//! after operation `k+1` has launched. The trace replays that timeline on
+//! the timed tape ([`TimedTapeCore`]) with the stream dealt to the 64
+//! lanes in contiguous segments, each lane starting
+//! `W = ⌈(D + margin)/P⌉ + 1` cycles before its segment, where `D` is the
+//! hold-fixed netlist's longest input-to-output path in the simulator's
+//! femtosecond delays.
+//!
+//! The warm-up is exact, not approximate. Under transport delay every net
+//! obeys `out(t) = f(in(t - d))`, so an output at time `t` is a function
+//! of the primary inputs over `[t - D, t]` alone; whatever state a lane
+//! held before that window cannot reach it. A lane that starts settled at
+//! the reset operands and replays the `W` preceding operations therefore
+//! samples its first main latch (`W·P ≥ D + margin + P` after the lane
+//! starts) exactly as the uninterrupted stream does, and every later
+//! sample too. Lanes whose warm-up would begin before the stream replay
+//! the reset state instead, which *is* the stream's history. Each shadow
+//! is read from the waveform after the next operation launched, so
+//! short-path contamination is sampled, never assumed away; `settled` is
+//! the tape's functional value.
 
+use isa_core::batch::{segment_len, LaneBatch, LANES};
 use isa_netlist::builders::AdderNetlist;
 use isa_netlist::cell::CellLibrary;
-use isa_netlist::timing::DelayAnnotation;
+use isa_netlist::tape::InstructionTape;
+use isa_netlist::timing::{ps_to_fs, DelayAnnotation};
 use isa_netlist::transform::pad_min_delay;
 
-use crate::sim::{ps_to_fs, GateLevelSim};
+use crate::timedtape::{TimedTape, TimedTapeCore};
 
 /// Razor operating parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,8 +169,9 @@ impl RazorReport {
 ///
 /// # Panics
 ///
-/// Panics if the period or margin is not positive/finite or the margin
-/// does not fit within the period.
+/// Panics if the period or margin is not positive/finite, the margin
+/// does not fit within the period, or a cell with inputs has a zero
+/// delay (see [`TimedTape::new`]).
 #[must_use]
 pub fn run_razor_trace(
     adder: &AdderNetlist,
@@ -173,39 +200,13 @@ pub fn run_razor_trace(
     let hold_buffers = padded.cell_count() - adder.netlist().cell_count();
     let padded_adder = AdderNetlist::from_netlist(padded, adder.width());
 
-    let period_fs = ps_to_fs(period_ps);
-    let margin_fs = ps_to_fs(config.margin_ps);
-    let netlist = padded_adder.netlist();
-    let mut sim = GateLevelSim::new(netlist, &padded_ann);
-    let mut cycles = Vec::with_capacity(inputs.len());
-
-    // Pipeline the sampling: operation k's inputs are applied at absolute
-    // edge k*P; its main latch samples at edge (k+1)*P; its shadow samples
-    // at (k+1)*P + margin, after operation k+1's inputs have already been
-    // applied at their own edge — safe thanks to hold fixing.
-    for (k, &(a, b)) in inputs.iter().enumerate() {
-        let launch_edge = k as u64 * period_fs;
-        let sample_edge = launch_edge + period_fs;
-        if k == 0 {
-            sim.set_inputs(&padded_adder.input_values(a, b));
-        }
-        sim.run_until(sample_edge);
-        let main = sim.outputs_u64();
-        // The next operation launches exactly at the sampling edge.
-        if let Some(&(na, nb)) = inputs.get(k + 1) {
-            sim.set_inputs(&padded_adder.input_values(na, nb));
-        }
-        sim.run_until(sample_edge + margin_fs);
-        let shadow = sim.outputs_u64();
-        let settled = netlist.evaluate_outputs_u64(&padded_adder.input_values(a, b));
-        cycles.push(RazorCycle {
-            a,
-            b,
-            main,
-            shadow,
-            settled,
-        });
-    }
+    let cycles = sample_lanes(
+        &padded_adder,
+        &padded_ann,
+        period_ps,
+        config.margin_ps,
+        inputs,
+    );
 
     let detections = cycles.iter().filter(|c| c.detected()).count();
     let undetected_errors = cycles.iter().filter(|c| c.undetected_error()).count();
@@ -219,6 +220,77 @@ pub fn run_razor_trace(
         hold_buffers,
     };
     (cycles, report)
+}
+
+/// Samples every operation's main and shadow latch on the timed tape, 64
+/// contiguous lane segments per sweep (see the module docs for why the
+/// warm-up makes each lane exact).
+fn sample_lanes(
+    adder: &AdderNetlist,
+    annotation: &DelayAnnotation,
+    period_ps: f64,
+    margin_ps: f64,
+    inputs: &[(u64, u64)],
+) -> Vec<RazorCycle> {
+    let n = inputs.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let netlist = adder.netlist();
+    let tape = InstructionTape::compile(netlist);
+    let program = TimedTape::new(netlist, &tape, annotation);
+    let margin_fs = ps_to_fs(margin_ps);
+    let warmup = (program.critical_fs() + margin_fs).div_ceil(ps_to_fs(period_ps)) as usize + 1;
+    let seg = segment_len(n);
+    let reset = vec![0u64; 2 * adder.width() as usize];
+    let mut core = TimedTapeCore::with_settled(&program, &tape, period_ps, &reset);
+    let settled = adder.add_batch_with_tape(&tape, inputs);
+    let mut main = vec![0u64; n];
+    let mut shadow = vec![0u64; n];
+    let mut lane_pairs = [(0u64, 0u64); LANES];
+    // Step `t` launches stream position `l·seg + t - W` on lane `l`: the
+    // reset operands before the stream, held operands past its end. Its
+    // main latch belongs to that position, its shadow to the one before.
+    for t in 0..warmup + seg + 1 {
+        for (l, lane) in lane_pairs.iter_mut().enumerate() {
+            match (l * seg + t).checked_sub(warmup) {
+                None => *lane = (0, 0),
+                Some(pos) if pos < n => *lane = inputs[pos],
+                Some(_) => {}
+            }
+        }
+        let batch = LaneBatch::pack(adder.width(), &lane_pairs);
+        let mains = LaneBatch::unpack_lanes(
+            &core.step_planes(&program, &adder.input_planes(&batch)),
+            LANES,
+        );
+        let shadows =
+            LaneBatch::unpack_lanes(&core.sample_after_launch(&program, margin_fs), LANES);
+        for l in 0..LANES {
+            let segment = l * seg..((l + 1) * seg).min(n);
+            let Some(pos) = (l * seg + t).checked_sub(warmup) else {
+                continue;
+            };
+            if segment.contains(&pos) {
+                main[pos] = mains[l];
+            }
+            if pos > 0 && segment.contains(&(pos - 1)) {
+                shadow[pos - 1] = shadows[l];
+            }
+        }
+    }
+    inputs
+        .iter()
+        .zip(main.into_iter().zip(shadow))
+        .zip(settled)
+        .map(|((&(a, b), (main, shadow)), settled)| RazorCycle {
+            a,
+            b,
+            main,
+            shadow,
+            settled,
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -40,7 +40,9 @@
 //! for, so the energy pipeline keeps using the classic [`BitSimCore`](crate::bitsim::BitSimCore)
 //! queue. The filtered runner's slow path only consumes sampled outputs
 //! and switches to this core when a tape is supplied; the figure-clock
-//! parity batteries and the batteries below pin the equivalence.
+//! parity batteries and the batteries below pin the equivalence. Razor
+//! ([`crate::razor`]) also reads the waveforms between edges, for its
+//! shadow latch.
 
 use isa_core::batch::{segment_len, LaneBatch, LANES};
 use isa_netlist::builders::AdderNetlist;
@@ -165,6 +167,24 @@ impl TimedTape {
             inputs: tape.input_slots().to_vec(),
             outputs: tape.output_slots().to_vec(),
         }
+    }
+
+    /// The longest input-to-output path in femtoseconds, summed over the
+    /// same rounded per-op delays the replay uses: no output transition
+    /// can trail the input change that caused it by more.
+    pub(crate) fn critical_fs(&self) -> u64 {
+        let mut arrival = vec![0u64; self.fanout_start.len() - 1];
+        for op in &self.ops {
+            let latest = arrival[op.a as usize]
+                .max(arrival[op.b as usize])
+                .max(arrival[op.c as usize]);
+            arrival[op.out as usize] = latest + op.delay_fs;
+        }
+        self.outputs
+            .iter()
+            .map(|&s| arrival[s as usize])
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -339,6 +359,22 @@ impl TimedTapeCore {
             .collect();
         self.now_fs = edge;
         sampled
+    }
+
+    /// The output planes sampled `offset_fs` after the edge at which the
+    /// last [`Self::step_planes`] applied its inputs, with those inputs
+    /// held — e.g. a shadow latch a margin past the main edge. Same
+    /// strictly-before semantics as the edge sample; any offset is valid,
+    /// since each waveform already holds everything the held inputs
+    /// still cause. Before the first step this reads the settled state.
+    #[must_use]
+    pub(crate) fn sample_after_launch(&self, program: &TimedTape, offset_fs: u64) -> Vec<u64> {
+        let t = self.now_fs.saturating_sub(self.period_fs) + offset_fs;
+        program
+            .outputs
+            .iter()
+            .map(|&s| self.waves[s as usize].sample_before(t))
+            .collect()
     }
 
     /// Recomputes op `o`'s output waveform for the window starting at

@@ -2,7 +2,8 @@
 # Mirrors CI exactly — the same checks, in the same order, as
 # .github/workflows/ci.yml — so local verify and CI cannot disagree:
 #   lint    -> fmt + clippy -D warnings
-#   test    -> release build, tier-1 tests, workspace tests
+#   test    -> release build, tier-1 tests, workspace tests, ledger
+#              self-tests
 #   docs    -> rustdoc with warnings denied
 #   netlint -> full-grid netlist/timing static analysis (fails on Error)
 #   prove   -> symbolic equivalence + false-path STA proofs (fails on any)
@@ -29,6 +30,9 @@ cargo test -q
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> layer-ledger self-tests (own Cargo package)"
+cargo test -q --manifest-path ledger/Cargo.toml
 
 echo "==> wide-tape feature tests (isa-netlist + isa-timing-sim)"
 cargo test -q -p isa-netlist --features wide-tape
