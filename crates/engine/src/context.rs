@@ -65,72 +65,6 @@ impl From<SynthesisError> for BuildError {
     }
 }
 
-/// Which gate-level evaluation engine the experiments run on.
-///
-/// All backends simulate the same delay-annotated netlists with the same
-/// event semantics; they differ in how a run's input stream is evaluated:
-///
-/// * [`Scalar`](SimBackend::Scalar) feeds one event-driven
-///   [`ClockedCore`](isa_timing_sim::ClockedCore) cycle by cycle — the
-///   seed behaviour, kept as the parity/benchmark reference;
-/// * [`BitSliced`](SimBackend::BitSliced) packs 64 contiguous stream
-///   segments into the lanes of a
-///   [`BitClockedCore`](isa_timing_sim::BitClockedCore), advancing all 64
-///   per gate pass. Each lane is bit-for-bit a scalar run of its segment
-///   (property-tested), so aggregate statistics are Monte-Carlo-equivalent;
-///   individual runs differ from scalar runs only in which cycle precedes
-///   which (the at-most-63 segment seams restart from reset);
-/// * [`Filtered`](SimBackend::Filtered) (the default) deals lanes exactly
-///   like the bit-sliced backend, but first proves — per lane per cycle,
-///   with word operations over the operands' carry-propagate structure
-///   ([`isa_netlist::classify`]) — which lanes cannot violate timing;
-///   those take one functional plane evaluation, and only the unsafe
-///   minority is compacted into dense batches of event simulation.
-///   Results are **bit-identical** to the bit-sliced backend on every
-///   stream (conservatism and parity are test-enforced), so the paper's
-///   numbers do not depend on the choice; only the speed does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SimBackend {
-    /// One cycle per event-queue pass (the seed path).
-    Scalar,
-    /// 64 lanes per event-queue pass.
-    BitSliced,
-    /// Bit-sliced with the operand-adaptive timing fast path (default).
-    #[default]
-    Filtered,
-}
-
-impl SimBackend {
-    /// Parses the `--backend` CLI value.
-    #[must_use]
-    pub fn parse(value: &str) -> Option<Self> {
-        match value {
-            "scalar" => Some(Self::Scalar),
-            "bitsliced" | "bit-sliced" | "batched" => Some(Self::BitSliced),
-            "filtered" => Some(Self::Filtered),
-            _ => None,
-        }
-    }
-
-    /// CLI/report label.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Scalar => "scalar",
-            Self::BitSliced => "bitsliced",
-            Self::Filtered => "filtered",
-        }
-    }
-}
-
-impl std::str::FromStr for SimBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse(s).ok_or_else(|| format!("unknown backend {s:?} (scalar|bitsliced|filtered)"))
-    }
-}
-
 /// Shared settings of the paper's evaluation (Section V.A).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
@@ -144,14 +78,6 @@ pub struct ExperimentConfig {
     pub variation_seed: u64,
     /// Seed of the input workload.
     pub workload_seed: u64,
-    /// Gate-level evaluation engine ([`SimBackend::Filtered`] by
-    /// default).
-    pub backend: SimBackend,
-    /// Route the filtered backend's functional evaluations through the
-    /// per-design compiled [`InstructionTape`] (on by default; results are
-    /// bit-identical either way, only speed differs). `false` keeps the
-    /// graph-interpreter path — the benchmark baseline.
-    pub use_tape: bool,
 }
 
 impl Default for ExperimentConfig {
@@ -162,8 +88,6 @@ impl Default for ExperimentConfig {
             variation_sigma: 0.05,
             variation_seed: 0xD1E_5A3D,
             workload_seed: 0x5EED_CAFE,
-            backend: SimBackend::default(),
-            use_tape: true,
         }
     }
 }
@@ -200,7 +124,7 @@ pub struct DesignContext {
     /// context would not exist), possibly warnings, plus the verified
     /// levelization IR and the lint wall-clock time.
     pub lint: LintReport,
-    /// Lazily built timing-safety classifier for the filtered backend
+    /// Lazily built timing-safety classifier for the filtered runner
     /// (period independent — see [`DesignContext::classifier`]).
     classifier: OnceLock<LaneClassifier>,
     /// Lazily compiled instruction tape for the word hot path (see
@@ -280,7 +204,7 @@ impl DesignContext {
             proven_crit_fs: OnceLock::new(),
         };
         // The audit stage reuses the memoized classifier the filtered
-        // backend needs anyway, so its construction cost is not billed to
+        // runner needs anyway, so its construction cost is not billed to
         // the lint budget (and is paid at most once per context).
         let report = lint_adder_with_classifier(
             &ctx.synthesized.adder,
@@ -298,21 +222,21 @@ impl DesignContext {
         })
     }
 
-    /// The design's operand-adaptive timing classifier (for
-    /// [`SimBackend::Filtered`]), built on first use against this die's
-    /// annotation and shared by every clock period — the exposure, chain
-    /// and run-bound tables are period independent.
+    /// The design's operand-adaptive timing classifier (for the filtered
+    /// runner), built on first use against this die's annotation and
+    /// shared by every clock period — the exposure, chain and run-bound
+    /// tables are period independent.
     #[must_use]
     pub fn classifier(&self) -> &LaneClassifier {
         self.classifier
             .get_or_init(|| LaneClassifier::build(&self.synthesized.adder, &self.annotation))
     }
 
-    /// The design's compiled instruction tape (for the filtered backend's
-    /// functional fast path), built on first use from the lint report's
-    /// replay-verified levelization — the compiler consumes the proven
-    /// schedule rather than re-deriving order — and shared by every clock
-    /// period, like the classifier. The lowering itself is re-proven
+    /// The design's compiled instruction tape (the filtered runner's
+    /// functional evaluator and timed-replay schedule), built on first
+    /// use from the lint report's replay-verified levelization — the
+    /// compiler consumes the proven schedule rather than re-deriving
+    /// order — and shared by every clock period, like the classifier. The lowering itself is re-proven
     /// bit-identical to `evaluate_words` by netlint's `tape.replay` rule
     /// at build time.
     #[must_use]

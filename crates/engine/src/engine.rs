@@ -487,13 +487,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// Both streams are batched: the silver stream comes from the substrate's
 /// [`run_batch`](Substrate::run_batch) (the gate-level substrate's
-/// bit-sliced/filtered fast paths, the behavioural substrate's 64-lane
-/// plane evaluation), and the golden stream from the model's
+/// filtered runner, the behavioural substrate's 64-lane plane
+/// evaluation), and the golden stream from the model's
 /// [`Adder::add_batch`] — so the behavioural Monte-Carlo inner loop (the
 /// design-characterization table's hot path) advances 64 cycles per plane
 /// pass. On a [`CostClass::Behavioural`] substrate the silver stream is the
 /// golden stream, so the model runs once. Statistics are accumulated in
-/// stream order, so shard results are independent of how the backends
+/// stream order, so shard results are independent of how the substrates
 /// batch their lanes.
 fn run_shard(
     substrate: &dyn Substrate,
@@ -533,7 +533,7 @@ fn run_shard(
 /// boundaries are aligned to whole 64-lane batches ([`isa_core::LANES`]),
 /// so every shard but the last hands its substrate a whole number of full
 /// batches (no ragged interior tails). Note this does *not* make a
-/// backend's internal lane composition shard-count-independent — a
+/// substrate's internal lane composition shard-count-independent — a
 /// segment-dealing `run_batch` re-derives its segment length from each
 /// shard's length. Sharding is only applied to stateless substrates, whose
 /// sessions are pure per-cycle functions, so per-cycle *values* (and the

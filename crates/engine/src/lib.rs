@@ -59,7 +59,9 @@ pub mod plan;
 pub mod substrates;
 
 pub use cache::ArtifactCache;
-pub use context::{BuildError, DesignContext, ExperimentConfig, SimBackend};
+pub use context::{BuildError, DesignContext, ExperimentConfig};
 pub use engine::{Engine, RunResult, RunUnit};
 pub use plan::{ExperimentPlan, SubstrateChoice, WorkloadSpec};
-pub use substrates::{cycles_with_segment_resets, GateLevelSubstrate, PredictedSubstrate};
+pub use substrates::{
+    cycles_with_segment_resets, GateLevelSubstrate, PredictedSubstrate, GATE_BACKEND_LABEL,
+};

@@ -24,14 +24,25 @@ use isa_core::segment_len;
 use isa_core::substrate::{CostClass, Substrate};
 use isa_core::{Adder, Design};
 use isa_learn::{CyclePair, PredictorConfig, TimingErrorPredictor};
-use isa_timing_sim::{run_clocked_batch, run_filtered_batch, run_filtered_batch_tape, ClockedCore};
+use isa_timing_sim::{run_filtered_batch_tape, ClockedCore};
 use isa_workloads::{take_pairs, UniformWorkload};
 
 use crate::cache::ArtifactCache;
-use crate::context::{DesignContext, ExperimentConfig, SimBackend};
+use crate::context::{DesignContext, ExperimentConfig};
 
-/// The ground-truth substrate: event-driven delay-annotated gate-level
-/// simulation of the synthesized design, sampled at the reduced clock edge.
+/// The label every report prints for the gate-level path (the `backend`
+/// column of the apps and explore CSVs, serve payloads and
+/// `explore --stats-json`): the filtered runner on the compiled tape.
+pub const GATE_BACKEND_LABEL: &str = "filtered";
+
+/// The ground-truth substrate: delay-annotated gate-level simulation of
+/// the synthesized design, sampled at the reduced clock edge.
+///
+/// [`run_batch`](Substrate::run_batch) is the production path: the
+/// filtered runner ([`run_filtered_batch_tape`]) deals the stream to 64
+/// lanes in contiguous segments. [`prepare`](Substrate::prepare) sessions
+/// step the scalar event-driven [`ClockedCore`] instead — the reference
+/// oracle every lane segment of `run_batch` equals bit for bit.
 ///
 /// Synthesis and annotation artifacts are memoized per design in the shared
 /// [`ArtifactCache`], so preparing many sessions for the same design (e.g.
@@ -86,47 +97,20 @@ impl Substrate for GateLevelSubstrate {
         CostClass::GateLevel
     }
 
-    /// Full-stream evaluation on the configured [`SimBackend`]: the
-    /// filtered operand-adaptive path by default (classifier-proven-safe
-    /// lanes take one functional plane evaluation, the unsafe minority a
-    /// compacted 64-lane event simulation — bit-identical to the
-    /// bit-sliced backend), the plain bit-sliced 64-lane simulator, or the
-    /// scalar event queue (the parity/benchmark reference).
+    /// Full-stream evaluation on the filtered runner: classifier-proven
+    /// safe lanes take one functional tape sweep, the unsafe minority a
+    /// compacted 64-lane timed replay. Lane `l` equals a scalar session
+    /// fed stream segment `l` (see [`segment_len`]).
     fn run_batch(&self, design: &Design, clock_ps: f64, inputs: &[(u64, u64)]) -> Vec<u64> {
-        match self.config.backend {
-            SimBackend::Scalar => {
-                let mut session = self.prepare(design, clock_ps);
-                inputs
-                    .iter()
-                    .map(|&(a, b)| session.next_silver(a, b))
-                    .collect()
-            }
-            SimBackend::BitSliced => {
-                let ctx = self.context(design);
-                run_clocked_batch(&ctx.synthesized.adder, &ctx.annotation, clock_ps, inputs)
-            }
-            SimBackend::Filtered => {
-                let ctx = self.context(design);
-                if self.config.use_tape {
-                    run_filtered_batch_tape(
-                        &ctx.synthesized.adder,
-                        &ctx.annotation,
-                        ctx.classifier(),
-                        ctx.tape(),
-                        clock_ps,
-                        inputs,
-                    )
-                } else {
-                    run_filtered_batch(
-                        &ctx.synthesized.adder,
-                        &ctx.annotation,
-                        ctx.classifier(),
-                        clock_ps,
-                        inputs,
-                    )
-                }
-            }
-        }
+        let ctx = self.context(design);
+        run_filtered_batch_tape(
+            &ctx.synthesized.adder,
+            &ctx.annotation,
+            ctx.classifier(),
+            ctx.tape(),
+            clock_ps,
+            inputs,
+        )
     }
 }
 
@@ -206,11 +190,11 @@ impl PredictedSubstrate {
 
     /// Collects a gate-level training trace and fits the per-bit model.
     ///
-    /// On the bit-sliced backend the trace comes from the 64-lane
-    /// simulator; the `x[t-1]` features then follow each *lane's* actual
-    /// predecessor, restarting from the reset state at segment seams (see
-    /// [`cycles_with_segment_resets`]) so features always describe the
-    /// circuit state that physically produced the labels.
+    /// The trace comes from the filtered runner; the `x[t-1]` features
+    /// then follow each *lane's* actual predecessor, restarting from the
+    /// reset state at segment seams (see [`cycles_with_segment_resets`])
+    /// so features always describe the circuit state that physically
+    /// produced the labels.
     fn train(&self, design: &Design, clock_ps: f64) -> TimingErrorPredictor {
         let ctx = self.cache.context(design, &self.config);
         let inputs = take_pairs(
@@ -218,57 +202,25 @@ impl PredictedSubstrate {
             self.train_cycles,
         );
         let adder = &ctx.synthesized.adder;
-        let netlist = adder.netlist();
-        let cycles = match self.config.backend {
-            SimBackend::Scalar => {
-                let mut clocked = ClockedCore::new(netlist, &ctx.annotation, clock_ps);
-                let raw: Vec<(u64, u64, u64, u64)> = inputs
-                    .iter()
-                    .map(|&(a, b)| {
-                        let pins = adder.input_values(a, b);
-                        let sampled = clocked.step(netlist, &pins);
-                        let settled = netlist.evaluate_outputs_u64(&pins);
-                        (a, b, settled, sampled ^ settled)
-                    })
-                    .collect();
-                CyclePair::from_stream(&raw)
-            }
-            // The filtered backend samples bit-identically to the
-            // bit-sliced one (same segment dealing, same values), so the
-            // training trace and its seam handling are shared.
-            SimBackend::BitSliced | SimBackend::Filtered => {
-                let sampled = match self.config.backend {
-                    SimBackend::Filtered if self.config.use_tape => run_filtered_batch_tape(
-                        adder,
-                        &ctx.annotation,
-                        ctx.classifier(),
-                        ctx.tape(),
-                        clock_ps,
-                        &inputs,
-                    ),
-                    SimBackend::Filtered => run_filtered_batch(
-                        adder,
-                        &ctx.annotation,
-                        ctx.classifier(),
-                        clock_ps,
-                        &inputs,
-                    ),
-                    _ => run_clocked_batch(adder, &ctx.annotation, clock_ps, &inputs),
-                };
-                let settled = if self.config.use_tape {
-                    adder.add_batch_with_tape(ctx.tape(), &inputs)
-                } else {
-                    adder.add_batch(&inputs)
-                };
-                let raw: Vec<(u64, u64, u64, u64)> = inputs
-                    .iter()
-                    .zip(sampled.iter().zip(&settled))
-                    .map(|(&(a, b), (&sam, &set))| (a, b, set, sam ^ set))
-                    .collect();
-                cycles_with_segment_resets(&raw)
-            }
-        };
-        TimingErrorPredictor::train(&cycles, design.width(), &self.predictor_config)
+        let sampled = run_filtered_batch_tape(
+            adder,
+            &ctx.annotation,
+            ctx.classifier(),
+            ctx.tape(),
+            clock_ps,
+            &inputs,
+        );
+        let settled = adder.add_batch_with_tape(ctx.tape(), &inputs);
+        let raw: Vec<(u64, u64, u64, u64)> = inputs
+            .iter()
+            .zip(sampled.iter().zip(&settled))
+            .map(|(&(a, b), (&sam, &set))| (a, b, set, sam ^ set))
+            .collect();
+        TimingErrorPredictor::train(
+            &cycles_with_segment_resets(&raw),
+            design.width(),
+            &self.predictor_config,
+        )
     }
 }
 
@@ -282,7 +234,7 @@ impl std::fmt::Debug for PredictedSubstrate {
 }
 
 /// Builds the predictor's cycle stream from stream-ordered `(a, b, gold,
-/// flips)` data produced by the **bit-sliced** backend: like
+/// flips)` data produced by a 64-lane gate-level run: like
 /// [`CyclePair::from_stream`], but the `t-1` features reset to the
 /// all-zero state at every lane-segment seam (`i % segment_len(n) == 0`),
 /// where the 64-lane simulator's circuit state actually restarted from

@@ -1,8 +1,8 @@
 //! The segment-seam contract of batched feature extraction.
 //!
-//! On the bit-sliced backend a run's input stream is dealt to 64 lanes in
-//! contiguous segments, and the simulated circuit restarts from reset at
-//! every segment seam. The predictor's `x[t-1]` features must follow the
+//! On the gate-level production path a run's input stream is dealt to 64
+//! lanes in contiguous segments, and the simulated circuit restarts from
+//! reset at every segment seam. The predictor's `x[t-1]` features must follow the
 //! *physical* predecessor, so the batched extraction
 //! ([`cycles_with_segment_resets`]) has to equal the scalar path —
 //! [`CyclePair::from_stream`] applied to each segment independently — for

@@ -16,7 +16,9 @@ use std::collections::HashMap;
 
 use isa_apps::{run_behavioural, run_exact, run_on_substrate, score, standard_kernels, KernelRun};
 use isa_core::Design;
-use isa_engine::{Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate};
+use isa_engine::{
+    Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate, GATE_BACKEND_LABEL,
+};
 use isa_metrics::QualityStats;
 
 use crate::report::Table;
@@ -58,8 +60,6 @@ pub struct AppsReport {
     pub points: Vec<AppQualityPoint>,
     /// Kernel input scale factor.
     pub scale: usize,
-    /// Gate-level backend label (`scalar` / `bitsliced` / `filtered`).
-    pub backend: &'static str,
 }
 
 /// Runs the sweep on a fresh engine.
@@ -78,7 +78,7 @@ pub fn run(
 /// [`Engine::map`] so (design × clock × kernel) units share the memoized
 /// synthesis artifacts and the worker pool. Within a unit, every
 /// breadth-first kernel pass is one batched `run_batch` call on the
-/// configured backend.
+/// gate-level substrate.
 #[must_use]
 pub fn run_on(
     engine: &Engine,
@@ -139,11 +139,7 @@ pub fn run_on(
             structural_psnr_db: structural_quality.psnr_db(*peak),
         }
     });
-    AppsReport {
-        points,
-        scale,
-        backend: config.backend.label(),
-    }
+    AppsReport { points, scale }
 }
 
 /// Formats a dB value for tables and CSVs (`inf` for error-free runs).
@@ -188,9 +184,8 @@ impl AppsReport {
             ]);
         }
         format!(
-            "Application quality vs clock (scale {}, {} backend)\n{}",
+            "Application quality vs clock (scale {}, {GATE_BACKEND_LABEL} backend)\n{}",
             self.scale,
-            self.backend,
             table.render()
         )
     }
@@ -217,7 +212,7 @@ impl AppsReport {
                 p.design.clone(),
                 format!("{}", p.cpr),
                 format!("{}", p.clock_ps),
-                self.backend.to_owned(),
+                GATE_BACKEND_LABEL.to_owned(),
                 format!("{}", p.adds),
                 format!("{}", p.outputs),
                 format!("{}", p.max_abs_error),

@@ -6,14 +6,14 @@
 //! across the machine.
 //!
 //! Usage: `all_figures [--cycles N] [--train N] [--test N] [--samples N]
-//! [--outdir DIR] [--threads N] [--backend scalar|bitsliced|filtered]`
+//! [--outdir DIR] [--threads N]`
 
 use std::time::Instant;
 
 use isa_core::{paper_designs, Design, IsaConfig};
 use isa_experiments::{
-    apps_quality, arg_value, config_from_args, design_table, energy, engine_from_args, explore,
-    fig10, fig9, guardband, prediction, workload_sensitivity, write_output,
+    apps_quality, arg_value, design_table, energy, engine_from_args, explore, fig10, fig9,
+    guardband, prediction, workload_sensitivity, write_output, ExperimentConfig,
 };
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
     let outdir: String = arg_value(&args, "outdir").unwrap_or_else(|| "results".into());
     std::fs::create_dir_all(&outdir).expect("create output directory");
 
-    let config = config_from_args(&args);
+    let config = ExperimentConfig::default();
     let engine = engine_from_args(&args);
     let designs = paper_designs();
     let started = Instant::now();

@@ -2,18 +2,17 @@
 //! convolution, dot product, histogram) vs clock, per adder design
 //! (extension).
 //!
-//! Usage: `apps [--scale N] [--csv PATH] [--threads N]
-//! [--backend scalar|bitsliced|filtered]`
+//! Usage: `apps [--scale N] [--csv PATH] [--threads N]`
 
 use isa_core::{Design, IsaConfig};
 use isa_experiments::{
-    apps_quality, arg_value, cli_error, config_from_args, engine_from_args, write_output,
+    apps_quality, arg_value, cli_error, engine_from_args, write_output, ExperimentConfig,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = arg_value(&args, "scale").unwrap_or(4);
-    let config = config_from_args(&args);
+    let config = ExperimentConfig::default();
     let engine = engine_from_args(&args);
     let quadruples = [(8, 0, 0, 4), (16, 2, 1, 6)];
     let mut designs = Vec::new();

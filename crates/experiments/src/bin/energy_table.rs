@@ -1,14 +1,14 @@
 //! Regenerates the energy-efficiency characterization (extension: the
 //! paper's reference \[17\] comparison style, from simulated activity).
 //!
-//! Usage: `energy_table [--cycles N] [--csv PATH] [--threads N] [--backend scalar|bitsliced|filtered]`
+//! Usage: `energy_table [--cycles N] [--csv PATH] [--threads N]`
 
-use isa_experiments::{arg_value, config_from_args, energy, engine_from_args, write_output};
+use isa_experiments::{arg_value, energy, engine_from_args, write_output, ExperimentConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cycles = arg_value(&args, "cycles").unwrap_or(5_000);
-    let config = config_from_args(&args);
+    let config = ExperimentConfig::default();
     let engine = engine_from_args(&args);
     let table = energy::run_on(&engine, &config, &isa_core::paper_designs(), cycles);
     print!("{}", table.render());

@@ -7,24 +7,20 @@
 //! `[--kernel NAME --scale N] [--min-quality DB] [--max-clock PS]`
 //! `[--no-prefilter] [--safety F] [--energy-cycles N] [--proven-sta]`
 //! `[--population N] [--generations N] [--csv PATH] [--threads N]`
-//! `[--backend scalar|bitsliced|filtered]`
+//! `[--stats-json PATH]`
 //!
-//! Benchmark mode (`--bench-json PATH [--repeats N] [--min-prefilter-speedup F]`)
-//! times the same exploration with and without the analytical pre-filter,
-//! verifies both produce identical Pareto fronts, and writes an
-//! `isa-explore-bench/v1` JSON report (the BENCH_PR5 CI artifact).
-//!
-//! Plain mode also takes `--stats-json PATH`: a one-run
-//! `isa-explore-run/v1` summary (space size, pruned/simulated counts,
-//! front size, wall time) for runs too large to afford the
-//! without-pre-filter comparison leg — the BENCH_PR8.json full-space
-//! record.
+//! `--stats-json PATH` writes a one-run `isa-explore-run/v1` summary
+//! (space size, pruned/simulated counts, front size, wall time) — the
+//! BENCH_PR8.json full-space record. `--no-prefilter` simulates every
+//! feasible candidate; its Pareto front must equal the pre-filtered
+//! one (CI diffs the `on_front` rows of both CSVs).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use isa_experiments::explore::{run_on, ExploreReport, ExploreSettings};
-use isa_experiments::{arg_value, config_from_args, engine_from_args, write_output};
+use isa_engine::GATE_BACKEND_LABEL;
+use isa_experiments::explore::{run_on, ExploreSettings};
+use isa_experiments::{arg_value, engine_from_args, write_output, ExperimentConfig};
 
 fn settings_from_args(args: &[String]) -> ExploreSettings {
     let defaults = ExploreSettings::default();
@@ -48,36 +44,10 @@ fn settings_from_args(args: &[String]) -> ExploreSettings {
     }
 }
 
-/// Deterministic rendering of a front for cross-run comparison.
-fn front_signature(report: &ExploreReport) -> Vec<String> {
-    report
-        .outcome
-        .front
-        .entries()
-        .iter()
-        .map(|e| {
-            let [a, b, c] = e.objectives.components();
-            format!(
-                "{}:{:x}:{:x}:{:x}",
-                e.key,
-                a.to_bits(),
-                b.to_bits(),
-                c.to_bits()
-            )
-        })
-        .collect()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let settings = settings_from_args(&args);
-
-    if let Some(json_path) = arg_value::<String>(&args, "bench-json") {
-        bench(&args, json_path, &settings);
-        return;
-    }
-
-    let config = config_from_args(&args);
+    let config = ExperimentConfig::default();
     let engine = engine_from_args(&args);
     let started = Instant::now();
     let report = run_on(&engine, &config, &settings);
@@ -94,7 +64,7 @@ fn main() {
         let stats = &report.outcome.stats;
         let mut json = String::from("{\n");
         let _ = writeln!(json, "  \"schema\": \"isa-explore-run/v1\",");
-        let _ = writeln!(json, "  \"backend\": \"{}\",", config.backend.label());
+        let _ = writeln!(json, "  \"backend\": \"{GATE_BACKEND_LABEL}\",");
         let _ = writeln!(json, "  \"space\": \"{}\",", settings.space);
         let _ = writeln!(json, "  \"space_points\": {},", stats.space_points);
         let _ = writeln!(json, "  \"strategy\": \"{}\",", stats.strategy);
@@ -112,114 +82,5 @@ fn main() {
         let _ = writeln!(json, "  \"wall_s\": {wall_s}");
         json.push_str("}\n");
         write_output(&path, &json);
-    }
-}
-
-/// With/without-pre-filter benchmark: best-of-`--repeats` wall times on a
-/// fresh engine each (so memoized synthesis from one mode cannot subsidize
-/// the other's timed run beyond what both share).
-///
-/// The strategy is forced to exhaustive: the with/without comparison (and
-/// the front-equality check) is only apples-to-apples when both runs
-/// traverse the identical candidate set, which an evolutionary search —
-/// whose trajectory legitimately depends on what tier A pruned — does
-/// not guarantee.
-fn bench(args: &[String], json_path: String, settings: &ExploreSettings) {
-    let config = config_from_args(args);
-    let repeats: usize = arg_value(args, "repeats").unwrap_or(2).max(1);
-    let min_speedup: Option<f64> = arg_value(args, "min-prefilter-speedup");
-    if settings.strategy != "exhaustive" {
-        eprintln!(
-            "explore bench: forcing --strategy exhaustive (was {:?}) for an \
-             identical candidate set in both modes",
-            settings.strategy
-        );
-    }
-
-    let run_mode = |prefilter: bool| -> (f64, ExploreReport) {
-        let mode_settings = ExploreSettings {
-            prefilter,
-            strategy: "exhaustive".to_owned(),
-            ..settings.clone()
-        };
-        let mut best = f64::INFINITY;
-        let mut last = None;
-        for _ in 0..repeats {
-            let engine = engine_from_args(args);
-            let started = Instant::now();
-            let report = run_on(&engine, &config, &mode_settings);
-            best = best.min(started.elapsed().as_secs_f64());
-            last = Some(report);
-        }
-        (best, last.expect("at least one repeat"))
-    };
-
-    let (with_s, with_report) = run_mode(true);
-    let (without_s, without_report) = run_mode(false);
-    let fronts_identical = front_signature(&with_report) == front_signature(&without_report);
-    let stats = &with_report.outcome.stats;
-    let pruned_fraction = if stats.considered == 0 {
-        0.0
-    } else {
-        stats.pruned as f64 / stats.considered as f64
-    };
-    let speedup = without_s / with_s;
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"isa-explore-bench/v1\",");
-    let _ = writeln!(json, "  \"backend\": \"{}\",", config.backend.label());
-    let _ = writeln!(json, "  \"space\": \"{}\",", settings.space);
-    let _ = writeln!(json, "  \"strategy\": \"{}\",", stats.strategy);
-    let _ = writeln!(
-        json,
-        "  \"workload\": \"{}\",",
-        with_report.outcome.workload
-    );
-    let _ = writeln!(json, "  \"seed\": {},", settings.seed);
-    let _ = writeln!(json, "  \"cycles\": {},", settings.cycles);
-    let _ = writeln!(json, "  \"budget\": {},", settings.budget);
-    let _ = writeln!(json, "  \"repeats\": {repeats},");
-    let _ = writeln!(json, "  \"candidates\": {},", stats.considered);
-    let _ = writeln!(json, "  \"pruned\": {},", stats.pruned);
-    let _ = writeln!(json, "  \"pruned_fraction\": {pruned_fraction},");
-    let _ = writeln!(json, "  \"simulated_with_prefilter\": {},", stats.simulated);
-    let _ = writeln!(
-        json,
-        "  \"simulated_without_prefilter\": {},",
-        without_report.outcome.stats.simulated
-    );
-    let _ = writeln!(json, "  \"best_with_prefilter_s\": {with_s},");
-    let _ = writeln!(json, "  \"best_without_prefilter_s\": {without_s},");
-    let _ = writeln!(json, "  \"prefilter_speedup\": {speedup},");
-    let _ = writeln!(
-        json,
-        "  \"front_points\": {},",
-        with_report.outcome.front.len()
-    );
-    let _ = writeln!(json, "  \"fronts_identical\": {fronts_identical}");
-    json.push_str("}\n");
-    write_output(&json_path, &json);
-
-    eprintln!(
-        "explore bench: {} candidates, {:.0}% pruned; {with_s:.2}s with pre-filter vs \
-         {without_s:.2}s without ({speedup:.2}x); fronts identical: {fronts_identical}; \
-         wrote {json_path}",
-        stats.considered,
-        pruned_fraction * 100.0,
-    );
-    // `--csv` still works in bench mode: export the with-pre-filter run's
-    // report rather than silently ignoring the flag.
-    if let Some(path) = arg_value::<String>(args, "csv") {
-        write_output(&path, &with_report.to_csv());
-    }
-    assert!(
-        fronts_identical,
-        "pre-filter changed the Pareto front — pruning is supposed to be conservative"
-    );
-    if let Some(min) = min_speedup {
-        assert!(
-            speedup >= min,
-            "pre-filter speedup {speedup:.2}x below the {min:.2}x gate"
-        );
     }
 }

@@ -1,15 +1,15 @@
 //! Compares guardband-reduction strategies: exact+Razor recovery, raw
 //! overclocked ISA, and ISA with predictor-guided replay (extension).
 //!
-//! Usage: `guardband [--cycles N] [--csv PATH] [--threads N] [--backend scalar|bitsliced|filtered]`
+//! Usage: `guardband [--cycles N] [--csv PATH] [--threads N]`
 
 use isa_core::IsaConfig;
-use isa_experiments::{arg_value, config_from_args, engine_from_args, guardband, write_output};
+use isa_experiments::{arg_value, engine_from_args, guardband, write_output, ExperimentConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cycles = arg_value(&args, "cycles").unwrap_or(5_000);
-    let config = config_from_args(&args);
+    let config = ExperimentConfig::default();
     let engine = engine_from_args(&args);
     let isa = IsaConfig::new(32, 8, 0, 0, 4).expect("valid design");
     let report = guardband::run_on(&engine, &config, isa, cycles);

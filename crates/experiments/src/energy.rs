@@ -7,9 +7,9 @@
 //! against each design's structural accuracy.
 
 use isa_core::Design;
-use isa_engine::{Engine, ExperimentConfig, ExperimentPlan, SimBackend};
+use isa_engine::{Engine, ExperimentConfig, ExperimentPlan};
 use isa_netlist::cell::CellLibrary;
-use isa_timing_sim::{measure_activity, measure_clocked_batch, GateLevelSim};
+use isa_timing_sim::measure_clocked_batch;
 use isa_workloads::{take_pairs, UniformWorkload};
 
 use crate::report::{sci, Table};
@@ -69,38 +69,23 @@ pub fn run_on(
         .designs(designs.iter().copied())
         .cprs([0.0])
         .workload("uniform-energy", inputs);
-    let period_fs = (config.period_ps * 1000.0) as u64;
     let rows = engine.map(&plan, |unit| {
         let lib = CellLibrary::industrial_65nm();
         let ctx = unit.context();
-        let adder = &ctx.synthesized.adder;
-        let netlist = adder.netlist();
         let n = unit.inputs.len();
-        // Switching-activity simulation at the safe clock: scalar cycle
-        // loop or the 64-lane bit-sliced core, whose per-net commit counts
-        // already sum transitions over lanes. Leakage is charged over the
-        // sequential-equivalent span (n x period) on both backends. The
-        // filtered backend deliberately shares the bit-sliced path here:
-        // energy needs the *full* per-net switching activity, which the
+        // Switching-activity simulation at the safe clock on the 64-lane
+        // activity core, whose per-net commit counts already sum
+        // transitions over lanes; leakage is charged over the
+        // sequential-equivalent span (n x period). Energy needs the *full*
+        // per-net switching activity, glitches included, which the
         // filtered fast path never materializes for timing-safe lanes.
-        let report = match unit.config.backend {
-            SimBackend::Scalar => {
-                let mut sim = GateLevelSim::new(netlist, &ctx.annotation);
-                for &(a, b) in unit.inputs {
-                    let t0 = sim.now_fs();
-                    sim.set_inputs(&adder.input_values(a, b));
-                    sim.run_until(t0 + period_fs);
-                }
-                measure_activity(sim.net_commit_counts(), n as u64 * period_fs, netlist, &lib)
-            }
-            SimBackend::BitSliced | SimBackend::Filtered => measure_clocked_batch(
-                adder,
-                &ctx.annotation,
-                unit.config.period_ps,
-                unit.inputs,
-                &lib,
-            ),
-        };
+        let report = measure_clocked_batch(
+            &ctx.synthesized.adder,
+            &ctx.annotation,
+            unit.config.period_ps,
+            unit.inputs,
+            &lib,
+        );
         let mut structural = isa_core::ErrorStats::new();
         for &(a, b) in unit.inputs {
             let diamond = (a + b) as f64;

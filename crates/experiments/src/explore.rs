@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use isa_apps::kernel_by_name;
-use isa_engine::{Engine, ExperimentConfig};
+use isa_engine::{Engine, ExperimentConfig, GATE_BACKEND_LABEL};
 use isa_explore::{
     explore, CandidateEval, EvalMode, EvalSettings, EvolutionSettings, Query, SearchOutcome,
     SearchSettings, SpaceSpec, Strategy,
@@ -160,8 +160,6 @@ pub struct ExploreReport {
     pub outcome: SearchOutcome,
     /// The settings used.
     pub settings: ExploreSettings,
-    /// Gate-level backend label.
-    pub backend: &'static str,
 }
 
 /// Runs an exploration on a fresh engine.
@@ -198,7 +196,6 @@ pub fn run_on(
     ExploreReport {
         outcome,
         settings: settings.clone(),
-        backend: config.backend.label(),
     }
 }
 
@@ -224,14 +221,13 @@ impl ExploreReport {
         let stats = &self.outcome.stats;
         let mut out = format!(
             "Design-space exploration: {} space ({} points), {} strategy, \
-             workload {}, seed {} ({} backend)\n\
+             workload {}, seed {} ({GATE_BACKEND_LABEL} backend)\n\
              candidates {} | pruned by structural pre-filter {} | simulated {} | infeasible {}\n",
             self.settings.space,
             stats.space_points,
             stats.strategy,
             self.outcome.workload,
             self.settings.seed,
-            self.backend,
             stats.considered,
             stats.pruned,
             stats.simulated,
@@ -343,7 +339,7 @@ impl ExploreReport {
                 format!("{}", e.point.cpr),
                 format!("{}", e.clock_ps),
                 self.outcome.workload.clone(),
-                self.backend.to_owned(),
+                GATE_BACKEND_LABEL.to_owned(),
                 format!("{}", e.area),
                 format!("{}", e.die_critical_ps),
                 format!("{}", e.timing_safe),

@@ -20,20 +20,19 @@
 //! Reported per strategy: effective throughput (ops/cycle), residual RMS
 //! relative error, and silent-error rate.
 //!
-//! Backend note: the ISA open-loop and predictor-replay streams run on the
-//! configured [`SimBackend`] (filtered by default), and the predictor
-//! flags the whole stream in 64-lane batches. The Razor trace is the same
-//! on either backend: it replays the one continuous pipeline on the timed
-//! tape in 64 warmed-up lane segments, which is exact under transport
-//! delay, so its detections and replay stalls equal a cycle-by-cycle
-//! scalar run's (see [`isa_timing_sim::razor`]).
+//! Simulation note: the ISA open-loop and predictor-replay streams run on
+//! the gate-level substrate's filtered runner, and the predictor flags
+//! the whole stream in 64-lane batches. The Razor trace replays the one
+//! continuous pipeline on the timed tape in 64 warmed-up lane segments,
+//! which is exact under transport delay, so its detections and replay
+//! stalls equal a cycle-by-cycle scalar run's (see
+//! [`isa_timing_sim::razor`]).
 
 use isa_core::{Design, ErrorStats, IsaConfig, Substrate};
 use isa_engine::{
     cycles_with_segment_resets, Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate,
-    PredictedSubstrate, SimBackend,
+    PredictedSubstrate,
 };
-use isa_learn::CyclePair;
 use isa_netlist::cell::CellLibrary;
 use isa_timing_sim::razor::{run_razor_trace, RazorConfig};
 use isa_workloads::{take_pairs, UniformWorkload};
@@ -139,8 +138,7 @@ pub fn run_on(
                 silent_error_rate: razor_silent as f64 / razor_cycles.len() as f64,
             };
 
-            // 2. ISA open loop: one overclocked gate-level run on the
-            // configured backend (filtered, on the tape, by default).
+            // 2. ISA open loop: one overclocked gate-level run.
             let gold = unit.design.behavioural();
             let silvers = gate.run_batch(&unit.design, clk, unit.inputs);
             let trace: Vec<(u64, u64, u64, u64)> = unit
@@ -169,17 +167,14 @@ pub fn run_on(
 
             // 3. ISA + predictor-guided replay.
             let predictor = predicted.predictor(&unit.design, clk);
-            // On the bit-sliced and filtered backends the circuit
-            // restarted from reset at every lane-segment seam: reset the
-            // predictor's x[t-1] features at the same positions.
+            // The circuit restarted from reset at every lane-segment
+            // seam: reset the predictor's x[t-1] features at the same
+            // positions.
             let raw: Vec<(u64, u64, u64, u64)> = trace
                 .iter()
                 .map(|&(a, b, gold_y, silver)| (a, b, gold_y, silver ^ gold_y))
                 .collect();
-            let cycles = match unit.config.backend {
-                SimBackend::Scalar => CyclePair::from_stream(&raw),
-                SimBackend::BitSliced | SimBackend::Filtered => cycles_with_segment_resets(&raw),
-            };
+            let cycles = cycles_with_segment_resets(&raw);
             let predicted = predictor.predict_flips_batch(&cycles);
             let mut guided_re = ErrorStats::new();
             let mut guided_wrong = 0usize;

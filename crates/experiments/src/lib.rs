@@ -53,7 +53,7 @@ pub mod workload_sensitivity;
 
 pub use isa_engine::{
     ArtifactCache, DesignContext, Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate,
-    PredictedSubstrate, RunResult, SimBackend, SubstrateChoice,
+    PredictedSubstrate, RunResult, SubstrateChoice,
 };
 
 /// A malformed command-line option: the flag is present but its value is
@@ -165,26 +165,6 @@ pub fn try_write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
 #[must_use]
 pub fn engine_from_args(args: &[String]) -> Engine {
     arg_value::<usize>(args, "threads").map_or_else(Engine::new, Engine::with_threads)
-}
-
-/// Builds the shared experiment configuration every binary uses: the
-/// paper defaults, with the gate-level evaluation engine overridable via
-/// `--backend scalar|bitsliced|filtered` (the operand-adaptive filtered
-/// backend — bit-identical to bit-sliced — is the default).
-///
-/// An unknown backend name exits with code 2 and a message listing the
-/// valid choices.
-#[must_use]
-pub fn config_from_args(args: &[String]) -> ExperimentConfig {
-    let mut config = ExperimentConfig::default();
-    if let Some(backend) = arg_value::<String>(args, "backend") {
-        config.backend = SimBackend::parse(&backend).unwrap_or_else(|| {
-            cli_error(format_args!(
-                "--backend: unknown backend {backend:?} (scalar|bitsliced|filtered)"
-            ))
-        });
-    }
-    config
 }
 
 #[cfg(test)]

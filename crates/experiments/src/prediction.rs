@@ -10,7 +10,7 @@
 use isa_core::{Design, Substrate};
 use isa_engine::{
     cycles_with_segment_resets, Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate,
-    PredictedSubstrate, SimBackend,
+    PredictedSubstrate,
 };
 use isa_learn::CyclePair;
 use isa_metrics::{AbperAccumulator, AvpeAccumulator};
@@ -106,14 +106,11 @@ pub fn run_on(
     let points = engine.map(&plan, |unit| {
         let predictor = predicted.predictor(&unit.design, unit.clock_ps);
         let gold = unit.design.behavioural();
-        // Ground truth for the whole held-out stream in one batched call:
-        // the filtered tape backend by default, the bit-sliced or scalar
-        // engines when the configuration pins them.
+        // Ground truth for the whole held-out stream in one batched call.
         let real_silvers = gate.run_batch(&unit.design, unit.clock_ps, unit.inputs);
-        // On the bit-sliced and filtered backends the circuit restarts
-        // from reset at every lane-segment seam; the model's x[t-1]
-        // features must follow the *physical* predecessor, so reset them
-        // at the same positions.
+        // The circuit restarts from reset at every lane-segment seam; the
+        // model's x[t-1] features must follow the *physical* predecessor,
+        // so reset them at the same positions.
         let raw: Vec<(u64, u64, u64, u64)> = unit
             .inputs
             .iter()
@@ -123,10 +120,7 @@ pub fn run_on(
                 (a, b, gold_y, real_silver ^ gold_y)
             })
             .collect();
-        let cycles = match unit.config.backend {
-            SimBackend::Scalar => CyclePair::from_stream(&raw),
-            SimBackend::BitSliced | SimBackend::Filtered => cycles_with_segment_resets(&raw),
-        };
+        let cycles = cycles_with_segment_resets(&raw);
         let predicted = predictor.predict_flips_batch(&cycles);
         let mut abper = AbperAccumulator::new(unit.design.width() + 1);
         let mut avpe = AvpeAccumulator::new();

@@ -1,23 +1,18 @@
-//! Backend-parity contracts of the application-quality pipeline.
+//! Parity contracts of the application-quality pipeline.
 //!
-//! Three guarantees keep the apps CSV trustworthy across backends:
+//! Two guarantees keep the apps CSV trustworthy:
 //!
 //! 1. running a kernel through the [`BehaviouralSubstrate`] is exactly the
 //!    structural-only behavioural run (no hidden state in the batched
 //!    executor);
-//! 2. at a genuinely safe clock (no process variation) the scalar and
-//!    bit-sliced gate-level backends produce *identical* quality
-//!    statistics for the whole sweep;
-//! 3. when overclocked, the bit-sliced run of a kernel's operand stream
-//!    equals the scalar simulator fed the same stream in per-lane
-//!    segments — PR 2's lane-parity contract lifted to application
-//!    streams, including the ragged final segment.
+//! 2. when overclocked, the production gate-level `run_batch` of a
+//!    kernel's operand stream equals scalar `prepare` sessions fed the
+//!    same stream in per-lane segments — the lane-parity contract lifted
+//!    to application streams, including the ragged final segment.
 
 use isa_apps::{run_behavioural, run_on_substrate, run_with, standard_kernels, FirKernel};
 use isa_core::{segment_len, BehaviouralSubstrate, Design, IsaConfig, Substrate};
-use isa_experiments::{
-    apps_quality, ArtifactCache, Engine, ExperimentConfig, GateLevelSubstrate, SimBackend,
-};
+use isa_experiments::{ArtifactCache, ExperimentConfig, GateLevelSubstrate};
 use std::sync::Arc;
 
 fn isa_8004() -> Design {
@@ -36,28 +31,7 @@ fn behavioural_substrate_equals_direct_behavioural_run() {
 }
 
 #[test]
-fn scalar_and_bitsliced_sweeps_are_identical_at_safe_clock() {
-    // With variation disabled the safe clock is safe on every die, both
-    // backends are timing-error-free there, and the quality stats must be
-    // bit-identical — not just statistically close.
-    let designs = [isa_8004(), Design::Exact { width: 32 }];
-    let mut config = ExperimentConfig {
-        variation_sigma: 0.0,
-        backend: SimBackend::Scalar,
-        ..ExperimentConfig::default()
-    };
-    let engine = Engine::new();
-    let scalar = apps_quality::run_on(&engine, &config, &designs, &[0.0], 1);
-    config.backend = SimBackend::BitSliced;
-    let bitsliced = apps_quality::run_on(&engine, &config, &designs, &[0.0], 1);
-    assert_eq!(scalar.points.len(), bitsliced.points.len());
-    for (s, b) in scalar.points.iter().zip(&bitsliced.points) {
-        assert_eq!(s, b, "kernel {} design {}", s.kernel, s.design);
-    }
-}
-
-#[test]
-fn overclocked_bitsliced_stream_equals_scalar_per_segment() {
+fn overclocked_run_batch_equals_scalar_sessions_per_segment() {
     // Record the FIR kernel's first reduction pass: a real application
     // operand stream whose length is not a multiple of 64.
     let kernel = FirKernel::new(128, 0x5EED_CAFE ^ 0xF14);
@@ -72,25 +46,14 @@ fn overclocked_bitsliced_stream_equals_scalar_per_segment() {
     assert_ne!(ops.len() % 64, 0, "stream must exercise the ragged tail");
 
     let design = isa_8004();
-    let cache = Arc::new(ArtifactCache::new());
     let config = ExperimentConfig::default();
     let clock_ps = config.clock_ps(0.15);
-    let scalar_config = ExperimentConfig {
-        backend: SimBackend::Scalar,
-        ..config.clone()
-    };
-    let bit_config = ExperimentConfig {
-        backend: SimBackend::BitSliced,
-        ..config
-    };
-    // Shared cache: both substrates simulate the very same annotated die.
-    let scalar_gate = GateLevelSubstrate::new(Arc::clone(&cache), scalar_config);
-    let bit_gate = GateLevelSubstrate::new(Arc::clone(&cache), bit_config);
+    let gate = GateLevelSubstrate::new(Arc::new(ArtifactCache::new()), config);
 
-    let batched = bit_gate.run_batch(&design, clock_ps, &ops);
+    let batched = gate.run_batch(&design, clock_ps, &ops);
     let mut per_segment = Vec::with_capacity(ops.len());
     for chunk in ops.chunks(segment_len(ops.len())) {
-        let mut session = scalar_gate.prepare(&design, clock_ps);
+        let mut session = gate.prepare(&design, clock_ps);
         for &(a, b) in chunk {
             per_segment.push(session.next_silver(a, b));
         }

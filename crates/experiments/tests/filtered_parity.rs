@@ -1,21 +1,32 @@
-//! The filtered backend's results contract: **bit-identical** to the
-//! bit-sliced backend — for every paper design at every Fig. 9 clock
-//! point, and on a real application kernel's operation stream with its
-//! ragged (non-multiple-of-64) passes.
+//! The filtered runner's results contract: **bit-identical** to the
+//! scalar oracle — every lane segment replayed on a fresh `ClockedSim`
+//! from reset — for every paper design at every Fig. 9 clock point, and
+//! on a real application kernel's operation stream with its ragged
+//! (non-multiple-of-64) passes.
 //!
-//! This is what lets `SimBackend::Filtered` be the default without
-//! touching a single golden CSV: the classifier's fast path and the
-//! compacted slow path reproduce `run_clocked_batch` exactly, they are
-//! just cheaper about it.
+//! This is what makes the filtered runner the one production path
+//! without touching a single golden CSV: the classifier's fast path and
+//! the compacted timed slow path reproduce the scalar event simulation
+//! exactly, they are just cheaper about it.
 
 use isa_apps::{kernel_by_name, BatchAdder};
-use isa_core::paper_designs;
+use isa_core::{paper_designs, segment_len};
 use isa_engine::{DesignContext, ExperimentConfig};
-use isa_timing_sim::{run_clocked_batch, run_filtered_batch, run_filtered_batch_with_stats};
+use isa_timing_sim::run_filtered_batch_with_stats_tape;
 use isa_workloads::{take_pairs, UniformWorkload};
 
+/// The scalar oracle: each contiguous lane segment on a fresh
+/// `ClockedSim`, starting from the reset state.
+fn scalar_segments(ctx: &DesignContext, clock_ps: f64, inputs: &[(u64, u64)]) -> Vec<u64> {
+    inputs
+        .chunks(segment_len(inputs.len()))
+        .flat_map(|segment| ctx.trace(clock_ps, segment))
+        .map(|record| record.sampled)
+        .collect()
+}
+
 #[test]
-fn filtered_matches_bitsliced_at_every_fig9_clock_point() {
+fn filtered_matches_scalar_at_every_fig9_clock_point() {
     let config = ExperimentConfig::default();
     let inputs = take_pairs(
         UniformWorkload::new(32, config.workload_seed ^ 0xF11),
@@ -24,20 +35,22 @@ fn filtered_matches_bitsliced_at_every_fig9_clock_point() {
     let mut filtered_cells = 0usize;
     for design in paper_designs() {
         let ctx = DesignContext::build(design, &config);
-        let classifier = ctx.classifier();
         // The safe clock plus all three Fig. 9 overclock points.
         for cpr in [0.0, 0.05, 0.10, 0.15] {
             let clock = config.clock_ps(cpr);
-            let reference =
-                run_clocked_batch(&ctx.synthesized.adder, &ctx.annotation, clock, &inputs);
-            let (got, stats) = run_filtered_batch_with_stats(
+            let (got, stats) = run_filtered_batch_with_stats_tape(
                 &ctx.synthesized.adder,
                 &ctx.annotation,
-                classifier,
+                ctx.classifier(),
+                ctx.tape(),
                 clock,
                 &inputs,
             );
-            assert_eq!(got, reference, "{design} at cpr {cpr}");
+            assert_eq!(
+                got,
+                scalar_segments(&ctx, clock, &inputs),
+                "{design} at cpr {cpr}"
+            );
             if !stats.tier0 && !stats.fell_back {
                 filtered_cells += 1;
             }
@@ -52,7 +65,7 @@ fn filtered_matches_bitsliced_at_every_fig9_clock_point() {
 }
 
 #[test]
-fn filtered_matches_bitsliced_on_app_kernel_stream_with_ragged_tail() {
+fn filtered_matches_scalar_on_app_kernel_stream_with_ragged_tail() {
     // A real kernel lowering produces many short, ragged run_batch calls
     // (one per breadth-first reduction level) — the opposite shape of the
     // long uniform figure streams.
@@ -66,15 +79,20 @@ fn filtered_matches_bitsliced_on_app_kernel_stream_with_ragged_tail() {
         let mut add = |ops: &[(u64, u64)]| -> Vec<u64> {
             passes += 1;
             ragged_passes += usize::from(!ops.len().is_multiple_of(64));
-            let reference = run_clocked_batch(&ctx.synthesized.adder, &ctx.annotation, clock, ops);
-            let got = run_filtered_batch(
+            let (got, _) = run_filtered_batch_with_stats_tape(
                 &ctx.synthesized.adder,
                 &ctx.annotation,
                 ctx.classifier(),
+                ctx.tape(),
                 clock,
                 ops,
             );
-            assert_eq!(got, reference, "pass {passes} ({} ops)", ops.len());
+            assert_eq!(
+                got,
+                scalar_segments(&ctx, clock, ops),
+                "pass {passes} ({} ops)",
+                ops.len()
+            );
             got
         };
         let mut adder = BatchAdder::new(&mut add);

@@ -60,14 +60,13 @@
 //!    streams; the exact-on-stream bound retired both caveats. The
 //!    timing side still rests on assumption 1 — the structural side rests
 //!    on none.) The margin-1.0/margin-2.0 front equality is pinned by a
-//!    test, and the `--bench-json` front-equality check reruns the search
-//!    without the pre-filter and fails on any difference.
+//!    test, and CI reruns an exhaustive search without the pre-filter
+//!    (`explore --no-prefilter`) and fails on any on-front row that
+//!    differs.
 //!
 //! Baseline configurations (anything at the safe clock, and the exact
 //! adder at every clock) are exempt from pruning so quality queries and
-//! the combined-thesis comparison always rest on measured numbers. The
-//! with/without-pre-filter benchmark (`explore --bench-json`) additionally
-//! checks that both paths produce identical fronts.
+//! the combined-thesis comparison always rest on measured numbers.
 
 use std::collections::HashMap;
 use std::sync::Arc;

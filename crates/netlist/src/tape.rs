@@ -18,8 +18,7 @@
 //! The datapath is generic over [`Plane`]: a `u64` carries the classic 64
 //! simulation lanes, while `[u64; 4]` / `[u64; 8]` chunks evaluate 4 or 8
 //! independent plane sets per sweep and compile to 256/512-bit vector
-//! operations. [`CHUNK`] is the build-wide default width (4, or 8 with the
-//! `wide-tape` feature).
+//! operations. [`CHUNK`] is the width production sweeps use (4).
 //!
 //! The schedule normally comes from `isa-netlint`'s replay-verified
 //! `Levelization` via [`InstructionTape::compile_from_levels`]; netlint's
@@ -55,10 +54,10 @@
 use crate::cell::CellKind;
 use crate::graph::{CellId, Netlist};
 
-/// Default chunk width: how many independent 64-lane plane sets one tape
-/// sweep evaluates. 4 chunks auto-vectorize to 256-bit ops on AVX2-class
-/// hardware; the `wide-tape` feature widens to 8 (512-bit).
-pub const CHUNK: usize = if cfg!(feature = "wide-tape") { 8 } else { 4 };
+/// Production chunk width: how many independent 64-lane plane sets one
+/// tape sweep evaluates. 4 chunks auto-vectorize to 256-bit ops on
+/// AVX2-class hardware.
+pub const CHUNK: usize = 4;
 
 /// A word-parallel value plane the tape can evaluate: one or more 64-lane
 /// bit planes combined in lockstep with bitwise ops.

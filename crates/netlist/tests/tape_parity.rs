@@ -1,8 +1,8 @@
 //! Tape-vs-`evaluate_words` bit-identity battery: sampled width-32 grid
 //! designs (plus exact adders across topologies) × random 64-lane planes,
-//! checked at the scalar plane width and at both vector chunk widths
-//! (`[u64; 4]` and `[u64; 8]` — the const-generic executor makes both
-//! testable regardless of the `wide-tape` feature).
+//! checked at the scalar plane width and at two vector chunk widths
+//! (`[u64; 4]`, the production [`CHUNK`](isa_netlist::tape::CHUNK), and
+//! `[u64; 8]` — the executor is generic over the chunk width).
 
 use isa_core::designs::enumerate_quadruples;
 use isa_netlist::builders::{build_exact, isa, AdderTopology};

@@ -7,10 +7,10 @@
 //! conventional cumulative `_bucket{le="…"}` series plus `_sum` and
 //! `_count`; bucket edges are the registry's log₂ edges in nanoseconds.
 //!
-//! [`parse`] is deliberately strict — it is the schema check CI runs on
-//! every exposition file the bench bin writes: unknown line shapes,
-//! samples without a `# TYPE`, non-cumulative buckets, or a `+Inf`
-//! bucket disagreeing with `_count` are all errors.
+//! [`parse`] is deliberately strict — it is the schema check that
+//! `isa-serve`'s metrics test runs on a written exposition file: unknown
+//! line shapes, samples without a `# TYPE`, non-cumulative buckets, or a
+//! `+Inf` bucket disagreeing with `_count` are all errors.
 
 use std::collections::BTreeMap;
 use std::fs::File;

@@ -14,12 +14,20 @@
 //! * **strict parsing** — trailing garbage, unterminated strings, bad
 //!   escapes and malformed numbers are errors, never best-effort values;
 //!   a corrupt request should fail loudly at the protocol boundary.
+//! * **bounded nesting** — arrays and objects nest at most [`MAX_DEPTH`]
+//!   deep. The parser recurses once per level, so a hostile line of
+//!   opening brackets is an error instead of a stack overflow, and no
+//!   parsed value is deep enough for its recursive drop to overflow
+//!   either.
 //!
 //! JSON has no encoding for infinities; callers encode `±inf` quality
 //! figures as the strings `"inf"` / `"-inf"` (see
 //! [`Json::from_db`](Json::from_db)).
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,11 +169,12 @@ impl Json {
     /// # Errors
     ///
     /// Returns a human-readable message pointing at the first offending
-    /// byte offset.
+    /// byte offset, including the first bracket that nests deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -220,12 +229,16 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value whose enclosing containers are `depth` deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -317,7 +330,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -326,7 +339,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -339,7 +352,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -352,7 +365,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -414,6 +427,34 @@ mod tests {
         let v = Json::Str("a\u{1}b".to_owned());
         assert_eq!(v.render(), "\"a\\u0001b\"");
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        // Objects count toward the same cap.
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        let mixed = format!(
+            "{}{}",
+            "{\"a\":[".repeat(MAX_DEPTH / 2),
+            "]}".repeat(MAX_DEPTH / 2)
+        );
+        assert!(Json::parse(&mixed).is_ok());
+    }
+
+    #[test]
+    fn a_bracket_bomb_is_an_error_not_a_stack_overflow() {
+        let bomb = "[".repeat(200_000);
+        let err = Json::parse(&bomb).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!
 //! ```text
 //! isa-serve [--store DIR] [--threads N] [--workers N] [--queue-cap N]
-//!           [--sim-budget ADDS] [--artifact-cap N] [--backend B]
-//!           [--socket PATH] [--metrics-file PATH] [--metrics-period-ms N]
-//!           [--trace PATH] [--quiet]
+//!           [--sim-budget ADDS] [--artifact-cap N] [--socket PATH]
+//!           [--metrics-file PATH] [--metrics-period-ms N] [--trace PATH]
+//!           [--quiet]
 //! ```
 //!
 //! * `--store DIR` — content-addressed on-disk result store (off by
@@ -23,7 +23,6 @@
 //!   costlier requests are answered from the exact structural bound with
 //!   `degraded:true` (default: unlimited);
 //! * `--artifact-cap N` — synthesized-design LRU capacity (default 64);
-//! * `--backend B` — `scalar` | `bitsliced` | `filtered` (default);
 //! * `--socket PATH` — serve a Unix socket instead of stdin/stdout;
 //! * `--metrics-file PATH` — atomically rewrite a Prometheus-style text
 //!   exposition of every metric on a period (plus once at exit);
@@ -48,7 +47,7 @@ use isa_serve::{serve_lines, FaultPlan, ServeConfig, Service};
 fn usage() -> ! {
     eprintln!(
         "usage: isa-serve [--store DIR] [--threads N] [--workers N] [--queue-cap N] \
-         [--sim-budget ADDS] [--artifact-cap N] [--backend B] [--socket PATH] \
+         [--sim-budget ADDS] [--artifact-cap N] [--socket PATH] \
          [--metrics-file PATH] [--metrics-period-ms N] [--trace PATH] [--quiet]"
     );
     exit(2);
@@ -82,7 +81,6 @@ fn main() {
         "--queue-cap",
         "--sim-budget",
         "--artifact-cap",
-        "--backend",
         "--socket",
         "--metrics-file",
         "--metrics-period-ms",
@@ -99,10 +97,6 @@ fn main() {
     let quiet = args.iter().any(|a| a == "--quiet");
     let logger = isa_obs::Logger::new("isa-serve").quiet(quiet);
 
-    let mut config = ExperimentConfig::default();
-    if let Some(backend) = arg::<isa_engine::SimBackend>(&args, "--backend") {
-        config.backend = backend;
-    }
     let faults = match FaultPlan::from_env() {
         Ok(plan) => {
             if plan.is_armed() {
@@ -123,7 +117,7 @@ fn main() {
         artifact_cap: arg(&args, "--artifact-cap").unwrap_or(64),
         sim_budget: arg(&args, "--sim-budget"),
         store_dir: arg::<String>(&args, "--store").map(Into::into),
-        config,
+        config: ExperimentConfig::default(),
         faults,
         quiet,
     };

@@ -39,14 +39,14 @@
 //! Every evaluation query maps to a single-line canonical key that folds
 //! in **all** determinism-relevant configuration (design, cpr bits,
 //! workload, cycles/scale, safe period bits, variation sigma bits, both
-//! seeds, backend, tape flag). Identical keys coalesce in flight and
+//! seeds, gate-level path). Identical keys coalesce in flight and
 //! share one store record; float fields are keyed by their exact bit
 //! patterns so "the same query" means bit-identical configuration.
 
 use std::str::FromStr;
 
 use isa_core::{Design, IsaConfig};
-use isa_engine::ExperimentConfig;
+use isa_engine::{ExperimentConfig, GATE_BACKEND_LABEL};
 
 use crate::json::Json;
 
@@ -269,17 +269,17 @@ fn parse_workload(value: &Json) -> Result<WorkloadSel, String> {
 
 /// The configuration fragment shared by every canonical key: all fields
 /// of [`ExperimentConfig`] that influence an answer, floats by bit
-/// pattern.
+/// pattern. The trailing `backend=filtered tape=true` names the one
+/// gate-level path; it stays in the key so stores written when the
+/// simulation engine was selectable keep hitting.
 #[must_use]
 pub fn config_key_fragment(config: &ExperimentConfig) -> String {
     format!(
-        "period={:016x} sigma={:016x} vseed={:016x} wseed={:016x} backend={} tape={}",
+        "period={:016x} sigma={:016x} vseed={:016x} wseed={:016x} backend={GATE_BACKEND_LABEL} tape=true",
         config.period_ps.to_bits(),
         config.variation_sigma.to_bits(),
         config.variation_seed,
         config.workload_seed,
-        config.backend.label(),
-        config.use_tape
     )
 }
 
@@ -447,6 +447,18 @@ mod tests {
             "bit-exact cpr keying"
         );
         assert_eq!(base, quality_key(&q.clone(), &config.clone()));
+    }
+
+    #[test]
+    fn default_key_fragment_matches_existing_stores() {
+        // Stores written before the gate-level path became fixed keyed
+        // every record with this exact fragment; it must not drift, or
+        // every existing store turns cold.
+        assert_eq!(
+            config_key_fragment(&ExperimentConfig::default()),
+            "period=4072c00000000000 sigma=3fa999999999999a vseed=000000000d1e5a3d \
+             wseed=000000005eedcafe backend=filtered tape=true"
+        );
     }
 
     #[test]

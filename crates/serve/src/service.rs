@@ -46,7 +46,9 @@ use isa_core::{
     paper_designs, structural_errors, Adder as _, CombinedErrorStats, Design, ExactAdder,
     OutputTriple, Substrate as _,
 };
-use isa_engine::{ArtifactCache, Engine, ExperimentConfig, GateLevelSubstrate, WorkloadSpec};
+use isa_engine::{
+    ArtifactCache, Engine, ExperimentConfig, GateLevelSubstrate, WorkloadSpec, GATE_BACKEND_LABEL,
+};
 use isa_workloads::{
     take_pairs, AccumulationWorkload, RandomWalkWorkload, SineWorkload, UniformWorkload,
 };
@@ -487,7 +489,6 @@ impl Service {
                 Ok(stream_payload(
                     query,
                     clock_ps,
-                    config,
                     &[
                         ("rms_re_struct_pct", Json::Num(s_pct)),
                         ("rms_re_timing_pct", Json::Num(t_pct)),
@@ -511,7 +512,6 @@ impl Service {
                 Ok(kernel_payload(
                     query,
                     clock_ps,
-                    config,
                     &data,
                     &[
                         ("psnr_db", Json::from_db(stats.psnr_db(data.peak))),
@@ -544,7 +544,6 @@ impl Service {
                 stream_payload(
                     query,
                     clock_ps,
-                    config,
                     &[
                         ("bound", Json::Str("structural-exact".to_owned())),
                         ("rms_re_struct_pct", Json::Num(s_pct)),
@@ -562,7 +561,6 @@ impl Service {
                 kernel_payload(
                     query,
                     clock_ps,
-                    config,
                     &data,
                     &[
                         ("bound", Json::Str("structural-exact".to_owned())),
@@ -797,12 +795,7 @@ fn render_fields(fields: &[(&str, Json)]) -> String {
 }
 
 /// Shared header + variable tail of a stream-quality payload.
-fn stream_payload(
-    query: &QualityQuery,
-    clock_ps: f64,
-    config: &ExperimentConfig,
-    tail: &[(&str, Json)],
-) -> String {
+fn stream_payload(query: &QualityQuery, clock_ps: f64, tail: &[(&str, Json)]) -> String {
     let WorkloadSel::Stream { name, cycles } = &query.workload else {
         unreachable!("stream payload for a stream workload");
     };
@@ -813,7 +806,7 @@ fn stream_payload(
         ("clock_ps", Json::Num(clock_ps)),
         ("workload", Json::Str(name.clone())),
         ("cycles", Json::Num(*cycles as f64)),
-        ("backend", Json::Str(config.backend.label().to_owned())),
+        ("backend", Json::Str(GATE_BACKEND_LABEL.to_owned())),
     ];
     fields.extend_from_slice(tail);
     render_fields(&fields)
@@ -823,7 +816,6 @@ fn stream_payload(
 fn kernel_payload(
     query: &QualityQuery,
     clock_ps: f64,
-    config: &ExperimentConfig,
     data: &KernelData,
     tail: &[(&str, Json)],
 ) -> String {
@@ -837,7 +829,7 @@ fn kernel_payload(
         ("clock_ps", Json::Num(clock_ps)),
         ("kernel", Json::Str(name.clone())),
         ("scale", Json::Num(*scale as f64)),
-        ("backend", Json::Str(config.backend.label().to_owned())),
+        ("backend", Json::Str(GATE_BACKEND_LABEL.to_owned())),
         ("outputs", Json::Num(data.reference.output.len() as f64)),
         ("adds", Json::Num(data.reference.adds as f64)),
     ];

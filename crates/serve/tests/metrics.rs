@@ -9,7 +9,11 @@
 //!    always-firing SlowEval fault (the leader stalls inside its compute,
 //!    after registering the in-flight slot) plus polling the
 //!    `serve.inflight` gauge before submitting the duplicate.
-//! 2. **Out-of-band observability** — response bytes are byte-identical
+//! 2. **Exposition schema** — the merged service + global registry after
+//!    that script renders to a Prometheus-style file that the strict
+//!    parser accepts after an atomic write and reread, listing the
+//!    simulation and store counters.
+//! 3. **Out-of-band observability** — response bytes are byte-identical
 //!    with tracing enabled or disabled, hot or cold, and the emitted
 //!    trace is well-formed JSONL that the profiler can fold.
 
@@ -207,6 +211,35 @@ fn mixed_script_reports_exact_metric_counts() {
     assert!(metric_counter(&metrics, "sim.filtered.runs") >= 1);
     assert!(metric_counter(&metrics, "sim.filtered.cycles") >= 1);
 
+    // The exposition schema check: render the merged registry, publish
+    // it atomically, reread it, and parse it strictly.
+    let merged = svc
+        .registry()
+        .snapshot()
+        .merge(isa_obs::global().snapshot());
+    let exposition_path = temp_dir("exposition").with_extension("prom");
+    isa_obs::export::write_atomic(&exposition_path, &isa_obs::export::render(&merged))
+        .expect("write exposition");
+    let reread = std::fs::read_to_string(&exposition_path).expect("reread exposition");
+    let parsed = isa_obs::export::parse(&reread).expect("exposition passes the schema check");
+    for name in [
+        "sim.filtered.cycles",
+        "serve.store_hits",
+        "serve.store_misses",
+    ] {
+        assert!(
+            parsed
+                .counters
+                .contains_key(&isa_obs::export::exposition_name(name)),
+            "exposition lacks {name}"
+        );
+    }
+    assert_eq!(
+        parsed.counters[&isa_obs::export::exposition_name("serve.store_hits")],
+        1.0
+    );
+
+    let _ = std::fs::remove_file(&exposition_path);
     let _ = std::fs::remove_dir_all(&store_dir);
 }
 

@@ -204,6 +204,37 @@ fn line_session_answers_in_order() {
     assert!(lines[3].starts_with("{\"id\":\"d\""));
 }
 
+/// A nesting-bomb line gets one error line in place: the session
+/// survives, and the answers around it are byte-identical to the same
+/// script without it.
+#[test]
+fn nesting_bomb_line_is_answered_in_place() {
+    let svc = service();
+    let session = |input: String| -> Vec<String> {
+        let mut output = Vec::new();
+        serve_lines(&svc, input.as_bytes(), &mut output, 2, 16).unwrap();
+        String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(str::to_owned)
+            .collect()
+    };
+    let before = "{\"id\":1,\"op\":\"quality\",\"design\":\"8,2,1,4\",\"cpr\":0.1,\"workload\":\"uniform\",\"cycles\":300}\n";
+    let after = "{\"id\":3,\"op\":\"ping\"}\n";
+    let bomb = "[".repeat(200_000);
+    let with_bomb = session(format!("{before}{bomb}\n{after}"));
+    let without = session(format!("{before}{after}"));
+    assert_eq!(with_bomb.len(), 3, "one response line per request line");
+    assert!(
+        with_bomb[1].contains("\"status\":\"error\"") && with_bomb[1].contains("nesting"),
+        "{}",
+        with_bomb[1]
+    );
+    assert_eq!(without.len(), 2);
+    assert_eq!(with_bomb[0], without[0]);
+    assert_eq!(with_bomb[2], without[1]);
+}
+
 /// The Unix socket transport serves the same bytes as an in-process
 /// line session.
 #[cfg(unix)]

@@ -179,6 +179,23 @@ pub fn run_adder_trace(
     records
 }
 
+/// The scalar oracle the 64-lane runners are pinned to: each contiguous
+/// lane segment of `inputs` ([`segment_len`](isa_core::batch::segment_len)
+/// cycles) replayed on a fresh [`ClockedSim`] from reset.
+#[cfg(test)]
+pub(crate) fn scalar_segments(
+    adder: &AdderNetlist,
+    annotation: &DelayAnnotation,
+    period_ps: f64,
+    inputs: &[(u64, u64)],
+) -> Vec<u64> {
+    inputs
+        .chunks(isa_core::batch::segment_len(inputs.len()))
+        .flat_map(|segment| run_adder_trace(adder, annotation, period_ps, segment))
+        .map(|record| record.sampled)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

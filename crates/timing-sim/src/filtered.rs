@@ -1,42 +1,41 @@
-//! The operand-adaptive **filtered** backend: classify, fast-path, and
-//! simulate only the unsafe minority.
+//! The operand-adaptive **filtered** runner: classify, fast-path, and
+//! simulate only the unsafe minority. This is how every gate-level
+//! `ysilver` is produced.
 //!
-//! The bit-sliced backend ([`run_clocked_batch`]) still pays full
-//! event-driven simulation for all 64 lanes of every cycle, although
-//! overclocking errors are rare events — most operand pairs do not
-//! sensitize a carry chain longer than the clock period. This runner
-//! exploits that:
+//! Timed replay of all 64 lanes of every cycle
+//! ([`run_clocked_batch_timed`]) is wasted work when overclocking errors
+//! are rare events — most operand pairs do not sensitize a carry chain
+//! longer than the clock period. This runner exploits that:
 //!
-//! 1. **Classify** (word ops only): a
-//!    [`LaneClassifier`] proves,
-//!    per lane per cycle, that the sampled outputs will equal the settled
+//! 1. **Classify** (word ops only): a [`LaneClassifier`] proves, per lane
+//!    per cycle, that the sampled outputs will equal the settled
 //!    (functional) outputs — see `isa_netlist::classify` for the
 //!    conservative bounds. The safe/unsafe schedule depends only on the
 //!    input stream, so it is computed in one simulation-free pass.
-//! 2. **Fast path**: safe cycles take a single functional plane
-//!    evaluation ([`Netlist::evaluate_output_planes`](isa_netlist::Netlist::evaluate_output_planes)) — identical by
-//!    construction to the settled event-simulation result.
+//! 2. **Fast path**: safe cycles are settled functionally on the compiled
+//!    [`InstructionTape`], [`CHUNK`] steps per topological sweep on
+//!    `[u64; CHUNK]` vector planes — identical by construction to the
+//!    settled timed result.
 //! 3. **Compacted slow path**: the remaining unsafe cycles form, per
 //!    lane, maximal *runs* of consecutive cycles. Each run starts from a
 //!    proven-settled state (its predecessor cycle was safe, or the lane's
 //!    segment reset), so runs are independent simulation tasks: seed a
-//!    fresh [`BitClockedCore`] lane already settled at the predecessor
-//!    operands ([`BitClockedCore::with_settled_planes`]), then clock the
-//!    run's cycles.
+//!    [`TimedTapeCore`] lane already settled at the predecessor operands
+//!    ([`TimedTapeCore::with_settled`]), then clock the run's cycles.
 //!    Runs from all lanes are packed dense, longest first, into waves of
-//!    up to 64 — the event simulator only ever runs on compacted batches
-//!    of genuinely at-risk lanes.
+//!    up to 64 — timed replay only ever runs on compacted batches of
+//!    genuinely at-risk lanes.
 //!
-//! The composition is **bit-identical** to [`run_clocked_batch`] on every
-//! stream (enforced by parity tests at every figure clock point and an
-//! exhaustive 8-bit conservatism test). Two shortcuts preserve that
+//! The composition is **bit-identical** to [`run_clocked_batch_timed`],
+//! and so to a scalar [`ClockedSim`](crate::ClockedSim) run of every lane
+//! segment (enforced by the parity tests at every figure clock point and
+//! an exhaustive 8-bit conservatism test). Two shortcuts preserve that
 //! contract trivially: when the period exceeds the die's critical delay
 //! no lane can ever violate and the whole stream is one functional
 //! evaluation (tier-0); when the classifier proves too few lanes safe to
-//! amortize the classification, the runner falls back to the plain
-//! bit-sliced event run.
+//! amortize the classification, the runner falls back to plain timed
+//! replay of the whole stream.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use isa_core::batch::{pack_planes_into_slices, segment_len, LaneBatch, LANES};
@@ -46,16 +45,15 @@ use isa_netlist::tape::{InstructionTape, CHUNK};
 use isa_netlist::timing::{ps_to_fs, DelayAnnotation};
 use isa_obs::Counter;
 
-use crate::bitsim::{run_clocked_batch, BitClockedCore};
 use crate::timedtape::{run_clocked_batch_timed, TimedTape, TimedTapeCore};
 
 /// Below this fraction of classifier-proven safe cycles the filtered
-/// two-pass evaluation would only add overhead on top of the event
-/// simulation it cannot avoid; the runner then takes the plain bit-sliced
-/// path (identical results either way).
+/// two-pass evaluation would only add overhead on top of the timed
+/// replay it cannot avoid; the runner then replays the whole stream
+/// (identical results either way).
 const MIN_SAFE_FRACTION: f64 = 0.25;
 
-/// What one filtered run did — the observability half of the backend's
+/// What one filtered run did — the observability half of the runner's
 /// contract (the results half is bit-identity, which needs no reporting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FilterStats {
@@ -68,7 +66,7 @@ pub struct FilterStats {
     pub fast_path: u64,
     /// Whole stream proven safe statically (period above critical delay).
     pub tier0: bool,
-    /// Classifier yield too low — plain bit-sliced run used instead.
+    /// Classifier yield too low — plain timed replay used instead.
     pub fell_back: bool,
     /// Compacted slow-path waves simulated.
     pub waves: u64,
@@ -86,33 +84,10 @@ impl FilterStats {
     }
 }
 
-/// Process-wide accumulation of [`FilterStats`], for benchmark harnesses
-/// that observe pipelines through several layers of engine plumbing
-/// (`bench_backends` resets around each timed component and reports the
-/// safe-lane fraction per pipeline).
-static TOTAL_CYCLES: AtomicU64 = AtomicU64::new(0);
-static FAST_PATH_CYCLES: AtomicU64 = AtomicU64::new(0);
-
-/// Resets the process-wide filtered-backend counters.
-pub fn reset_counters() {
-    TOTAL_CYCLES.store(0, Ordering::Relaxed);
-    FAST_PATH_CYCLES.store(0, Ordering::Relaxed);
-}
-
-/// Snapshot of the process-wide counters: `(fast-path cycles, total
-/// cycles)` accumulated by every filtered run since the last reset.
-#[must_use]
-pub fn counters() -> (u64, u64) {
-    (
-        FAST_PATH_CYCLES.load(Ordering::Relaxed),
-        TOTAL_CYCLES.load(Ordering::Relaxed),
-    )
-}
-
 /// `sim.filtered.*` counters in the global [`isa_obs`] registry — the
-/// per-backend view the metrics exposition and the serve `metrics` op
-/// report. Strictly out-of-band: bumped from [`record`] alongside the
-/// legacy counter pair, never consulted by the simulation itself.
+/// process-wide accumulation of [`FilterStats`] that the metrics
+/// exposition and the serve `metrics` op report. Strictly out-of-band:
+/// bumped once per run, never consulted by the simulation itself.
 struct SimMetrics {
     runs: Counter,
     cycles: Counter,
@@ -140,8 +115,6 @@ fn sim_metrics() -> &'static SimMetrics {
 }
 
 fn record(stats: &FilterStats) {
-    TOTAL_CYCLES.fetch_add(stats.cycles, Ordering::Relaxed);
-    FAST_PATH_CYCLES.fetch_add(stats.fast_path, Ordering::Relaxed);
     let metrics = sim_metrics();
     metrics.runs.inc();
     metrics.cycles.add(stats.cycles);
@@ -156,38 +129,18 @@ fn record(stats: &FilterStats) {
     }
 }
 
-/// Runs an adder's operand stream on the filtered backend, returning the
+/// Runs an adder's operand stream on the filtered runner, returning the
 /// sampled (`ysilver`) outputs in stream order — bit-identical to
-/// [`run_clocked_batch`] with the same arguments.
+/// [`run_clocked_batch_timed`] with the same arguments.
 ///
-/// The classifier must have been built for this `(adder, annotation)`
-/// pair (it is period independent, so callers memoize it per design).
-///
-/// # Panics
-///
-/// Panics if the period is not positive/finite or the annotation does not
-/// cover the netlist.
-#[must_use]
-pub fn run_filtered_batch(
-    adder: &AdderNetlist,
-    annotation: &DelayAnnotation,
-    classifier: &LaneClassifier,
-    period_ps: f64,
-    inputs: &[(u64, u64)],
-) -> Vec<u64> {
-    run_filtered_batch_with_stats(adder, annotation, classifier, period_ps, inputs).0
-}
-
-/// [`run_filtered_batch`] with every functional evaluation — tier-0
-/// batches, the safe-cycle fast path and the wave seeding pass — routed
-/// through a precompiled [`InstructionTape`]. The fast path evaluates
-/// [`CHUNK`] safe steps per topological sweep on `[u64; CHUNK]` vector
-/// planes. Bit-identical to [`run_filtered_batch`] on every stream.
+/// The classifier and the tape must have been built for this
+/// `(adder, annotation)` pair (both are period independent, so callers
+/// memoize them per design).
 ///
 /// # Panics
 ///
-/// Panics like [`run_filtered_batch`]; the tape must have been compiled
-/// from this adder's netlist.
+/// Panics if the period is not positive/finite, the annotation does not
+/// cover the netlist, or the tape was compiled from another netlist.
 #[must_use]
 pub fn run_filtered_batch_tape(
     adder: &AdderNetlist,
@@ -197,7 +150,7 @@ pub fn run_filtered_batch_tape(
     period_ps: f64,
     inputs: &[(u64, u64)],
 ) -> Vec<u64> {
-    filtered_inner(adder, annotation, classifier, Some(tape), period_ps, inputs).0
+    run_filtered_batch_with_stats_tape(adder, annotation, classifier, tape, period_ps, inputs).0
 }
 
 /// Like [`run_filtered_batch_tape`], but also reports what the run did.
@@ -207,29 +160,6 @@ pub fn run_filtered_batch_with_stats_tape(
     annotation: &DelayAnnotation,
     classifier: &LaneClassifier,
     tape: &InstructionTape,
-    period_ps: f64,
-    inputs: &[(u64, u64)],
-) -> (Vec<u64>, FilterStats) {
-    filtered_inner(adder, annotation, classifier, Some(tape), period_ps, inputs)
-}
-
-/// Like [`run_filtered_batch`], but also reports what the run did.
-#[must_use]
-pub fn run_filtered_batch_with_stats(
-    adder: &AdderNetlist,
-    annotation: &DelayAnnotation,
-    classifier: &LaneClassifier,
-    period_ps: f64,
-    inputs: &[(u64, u64)],
-) -> (Vec<u64>, FilterStats) {
-    filtered_inner(adder, annotation, classifier, None, period_ps, inputs)
-}
-
-fn filtered_inner(
-    adder: &AdderNetlist,
-    annotation: &DelayAnnotation,
-    classifier: &LaneClassifier,
-    tape: Option<&InstructionTape>,
     period_ps: f64,
     inputs: &[(u64, u64)],
 ) -> (Vec<u64>, FilterStats) {
@@ -250,11 +180,7 @@ fn filtered_inner(
         stats.classified_safe = n as u64;
         stats.fast_path = n as u64;
         record(&stats);
-        let settled = match tape {
-            Some(tape) => adder.add_batch_with_tape(tape, inputs),
-            None => adder.add_batch(inputs),
-        };
-        return (settled, stats);
+        return (adder.add_batch_with_tape(tape, inputs), stats);
     }
 
     let netlist = adder.netlist();
@@ -264,8 +190,8 @@ fn filtered_inner(
 
     // Pass 1 — classification only. The schedule is a pure function of
     // the input stream; lanes deal the stream in the same contiguous
-    // segments as the bit-sliced backend, exhausted lanes holding their
-    // last operands (no input change, hence no activity).
+    // segments as the timed replay, exhausted lanes holding their last
+    // operands (no input change, hence no activity).
     let mut stream_cls = classifier.stream_classifier(period_ps);
     let mut lane_pairs = [(0u64, 0u64); LANES];
     let mut a_planes = vec![0u64; seg * w];
@@ -297,65 +223,36 @@ fn filtered_inner(
     if (stats.classified_safe as f64) < MIN_SAFE_FRACTION * n as f64 {
         stats.fell_back = true;
         record(&stats);
-        let r = match tape {
-            Some(tape) => {
-                let program = TimedTape::new(netlist, tape, annotation);
-                run_clocked_batch_timed(adder, &program, tape, period_ps, inputs)
-            }
-            None => run_clocked_batch(adder, annotation, period_ps, inputs),
-        };
-        return (r, stats);
+        let program = TimedTape::new(netlist, tape, annotation);
+        let sampled = run_clocked_batch_timed(adder, &program, tape, period_ps, inputs);
+        return (sampled, stats);
     }
     stats.fast_path = stats.classified_safe;
 
-    // Pass 2a — functional fast path for every safe cycle (scratch
-    // buffers reused across steps).
+    // Pass 2a — functional fast path for every safe cycle: gather CHUNK
+    // served steps into `[u64; CHUNK]` vector planes and settle them all
+    // in one topological sweep.
     let mut out = vec![0u64; n];
-    if let Some(tape) = tape {
-        // Tape path: gather CHUNK served steps into `[u64; CHUNK]` vector
-        // planes and settle them all in one topological sweep.
-        let served_steps: Vec<usize> = (0..seg)
-            .filter(|&t| safe_masks[t] & active_masks[t] != 0)
-            .collect();
-        let mut chunk_in = vec![[0u64; CHUNK]; 2 * w];
-        let mut arena: Vec<[u64; CHUNK]> = Vec::new();
-        let mut settled = Vec::with_capacity(w + 1);
-        for group in served_steps.chunks(CHUNK) {
-            chunk_in.fill([0; CHUNK]);
-            for (j, &t) in group.iter().enumerate() {
-                for i in 0..w {
-                    chunk_in[i][j] = a_planes[t * w + i];
-                    chunk_in[w + i][j] = b_planes[t * w + i];
-                }
-            }
-            tape.execute_into(&chunk_in, &mut arena);
-            for (j, &t) in group.iter().enumerate() {
-                settled.clear();
-                settled.extend(tape.output_slots().iter().map(|&s| arena[s as usize][j]));
-                let lanes = LaneBatch::unpack_lanes(&settled, LANES);
-                let mut m = safe_masks[t] & active_masks[t];
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    out[l * seg + t] = lanes[l];
-                    m &= m - 1;
-                }
+    let served_steps: Vec<usize> = (0..seg)
+        .filter(|&t| safe_masks[t] & active_masks[t] != 0)
+        .collect();
+    let mut chunk_in = vec![[0u64; CHUNK]; 2 * w];
+    let mut arena: Vec<[u64; CHUNK]> = Vec::new();
+    let mut settled = Vec::with_capacity(w + 1);
+    for group in served_steps.chunks(CHUNK) {
+        chunk_in.fill([0; CHUNK]);
+        for (j, &t) in group.iter().enumerate() {
+            for i in 0..w {
+                chunk_in[i][j] = a_planes[t * w + i];
+                chunk_in[w + i][j] = b_planes[t * w + i];
             }
         }
-    } else {
-        let mut planes_buf = Vec::with_capacity(2 * w);
-        let mut values_scratch = Vec::new();
-        let mut settled = Vec::new();
-        for t in 0..seg {
-            let served = safe_masks[t] & active_masks[t];
-            if served == 0 {
-                continue;
-            }
-            planes_buf.clear();
-            planes_buf.extend_from_slice(&a_planes[t * w..(t + 1) * w]);
-            planes_buf.extend_from_slice(&b_planes[t * w..(t + 1) * w]);
-            netlist.evaluate_output_planes_into(&planes_buf, &mut values_scratch, &mut settled);
+        tape.execute_into(&chunk_in, &mut arena);
+        for (j, &t) in group.iter().enumerate() {
+            settled.clear();
+            settled.extend(tape.output_slots().iter().map(|&s| arena[s as usize][j]));
             let lanes = LaneBatch::unpack_lanes(&settled, LANES);
-            let mut m = served;
+            let mut m = safe_masks[t] & active_masks[t];
             while m != 0 {
                 let l = m.trailing_zeros() as usize;
                 out[l * seg + t] = lanes[l];
@@ -396,18 +293,11 @@ fn filtered_inner(
     }
     tasks.sort_by_key(|task| std::cmp::Reverse(task.len));
 
-    // With a tape, waves run on the timed replay core (same sampled
-    // outputs, no event-queue constant factors); the flattened program is
-    // period independent and shared by every wave.
-    enum WaveCore<'p> {
-        Event(BitClockedCore),
-        Timed(TimedTapeCore, &'p TimedTape),
-    }
-    let timed_program = match tape {
-        Some(tape) if !tasks.is_empty() => Some(TimedTape::new(netlist, tape, annotation)),
-        _ => None,
-    };
+    // Waves run on the timed replay core; the flattened program is period
+    // independent and shared by every wave.
+    let program = (!tasks.is_empty()).then(|| TimedTape::new(netlist, tape, annotation));
     for wave in tasks.chunks(LANES) {
+        let program = program.as_ref().expect("built when tasks exist");
         stats.waves += 1;
         let mut wave_pairs: Vec<(u64, u64)> = wave
             .iter()
@@ -419,22 +309,10 @@ fn filtered_inner(
                 }
             })
             .collect();
-        let seeds = LaneBatch::pack(width, &wave_pairs);
         // Seeding costs one functional pass, not an event cascade: the
         // settled predecessor state is a pure function of the seed pairs.
-        let seed_planes = adder.input_planes(&seeds);
-        let mut core = match (tape, &timed_program) {
-            (Some(tape), Some(program)) => WaveCore::Timed(
-                TimedTapeCore::with_settled(program, tape, period_ps, &seed_planes),
-                program,
-            ),
-            _ => WaveCore::Event(BitClockedCore::with_settled_planes(
-                netlist,
-                annotation,
-                period_ps,
-                &seed_planes,
-            )),
-        };
+        let seed_planes = adder.input_planes(&LaneBatch::pack(width, &wave_pairs));
+        let mut core = TimedTapeCore::with_settled(program, tape, period_ps, &seed_planes);
         let longest = wave[0].len; // sorted longest-first
         for j in 0..longest {
             for (wl, task) in wave.iter().enumerate() {
@@ -444,11 +322,7 @@ fn filtered_inner(
                 // else: hold the run's last operands (no activity).
             }
             let batch = LaneBatch::pack(width, &wave_pairs);
-            let planes = adder.input_planes(&batch);
-            let sampled = match &mut core {
-                WaveCore::Event(c) => c.step_planes(netlist, &planes),
-                WaveCore::Timed(c, program) => c.step_planes(program, &planes),
-            };
+            let sampled = core.step_planes(program, &adder.input_planes(&batch));
             let lanes = LaneBatch::unpack_lanes(&sampled, wave.len());
             for (wl, task) in wave.iter().enumerate() {
                 if j < task.len {
@@ -465,16 +339,51 @@ fn filtered_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clocked::scalar_segments;
     use isa_netlist::builders::{build_exact, AdderTopology};
     use isa_netlist::cell::CellLibrary;
     use isa_netlist::sta::StaReport;
 
-    fn ripple16() -> (AdderNetlist, DelayAnnotation, f64) {
-        let adder = build_exact(16, AdderTopology::Ripple);
-        let lib = CellLibrary::industrial_65nm();
-        let ann = DelayAnnotation::nominal(adder.netlist(), &lib);
-        let crit = StaReport::analyze(adder.netlist(), &ann).critical_ps();
-        (adder, ann, crit)
+    struct Fixture {
+        adder: AdderNetlist,
+        ann: DelayAnnotation,
+        cls: LaneClassifier,
+        tape: InstructionTape,
+    }
+
+    impl Fixture {
+        fn new(topology: AdderTopology) -> Self {
+            let adder = build_exact(16, topology);
+            let lib = CellLibrary::industrial_65nm();
+            let ann = DelayAnnotation::nominal(adder.netlist(), &lib);
+            let cls = LaneClassifier::build(&adder, &ann);
+            let tape = InstructionTape::compile(adder.netlist());
+            Self {
+                adder,
+                ann,
+                cls,
+                tape,
+            }
+        }
+
+        fn crit(&self) -> f64 {
+            StaReport::analyze(self.adder.netlist(), &self.ann).critical_ps()
+        }
+
+        fn run(&self, period: f64, inputs: &[(u64, u64)]) -> (Vec<u64>, FilterStats) {
+            run_filtered_batch_with_stats_tape(
+                &self.adder,
+                &self.ann,
+                &self.cls,
+                &self.tape,
+                period,
+                inputs,
+            )
+        }
+
+        fn oracle(&self, period: f64, inputs: &[(u64, u64)]) -> Vec<u64> {
+            scalar_segments(&self.adder, &self.ann, period, inputs)
+        }
     }
 
     fn pairs(n: usize, seed: u64) -> Vec<(u64, u64)> {
@@ -490,30 +399,29 @@ mod tests {
     }
 
     #[test]
-    fn tier0_safe_clock_matches_bitsliced() {
-        let (adder, ann, crit) = ripple16();
-        let cls = LaneClassifier::build(&adder, &ann);
+    fn tier0_safe_clock_matches_scalar() {
+        let fx = Fixture::new(AdderTopology::Ripple);
+        let period = fx.crit() + 1.0;
         let inputs = pairs(300, 0xF11);
-        let (got, stats) = run_filtered_batch_with_stats(&adder, &ann, &cls, crit + 1.0, &inputs);
+        let (got, stats) = fx.run(period, &inputs);
         assert!(stats.tier0);
         assert_eq!(stats.fast_path, 300);
-        assert_eq!(got, run_clocked_batch(&adder, &ann, crit + 1.0, &inputs));
+        assert_eq!(got, fx.oracle(period, &inputs));
     }
 
     #[test]
     fn mild_overclock_is_bit_identical_with_real_filtering() {
-        let (adder, ann, crit) = ripple16();
-        let cls = LaneClassifier::build(&adder, &ann);
+        let fx = Fixture::new(AdderTopology::Ripple);
         // Between bound[3] and critical: long runs violate, short ones not.
-        let period = crit * 0.75;
+        let period = fx.crit() * 0.75;
         let inputs = pairs(2000, 0xBEE);
-        let (got, stats) = run_filtered_batch_with_stats(&adder, &ann, &cls, period, &inputs);
-        let reference = run_clocked_batch(&adder, &ann, period, &inputs);
+        let (got, stats) = fx.run(period, &inputs);
+        let reference = fx.oracle(period, &inputs);
         assert_eq!(got, reference);
         assert!(!stats.tier0);
         assert!(!stats.fell_back, "yield should be high at mild overclock");
         assert!(stats.fast_path > 0 && stats.fast_path < 2000);
-        assert!(stats.waves > 0, "some lanes must need event simulation");
+        assert!(stats.waves > 0, "some lanes must need timed replay");
         // The overclock must actually produce timing errors for the test
         // to mean anything.
         let errors = inputs
@@ -533,16 +441,13 @@ mod tests {
         // operands would fall back (log-depth adders leave little slack);
         // propagate-sparse operands (isolated p bits, max run 1) keep
         // most lanes provably safe while periodic full-propagate pairs
-        // force genuine event simulation.
-        let adder = build_exact(16, AdderTopology::KoggeStone);
-        let lib = CellLibrary::industrial_65nm();
-        let ann = DelayAnnotation::nominal(adder.netlist(), &lib);
-        let cls = LaneClassifier::build(&adder, &ann);
+        // force genuine timed replay.
+        let fx = Fixture::new(AdderTopology::KoggeStone);
         assert!(
-            cls.bound_fs(2) < cls.critical_fs(),
+            fx.cls.bound_fs(2) < fx.cls.critical_fs(),
             "span pinning must tighten the prefix bound for this test to bite"
         );
-        let period_fs = (cls.bound_fs(2) + cls.critical_fs()) / 2;
+        let period_fs = (fx.cls.bound_fs(2) + fx.cls.critical_fs()) / 2;
         let period = period_fs as f64 / 1000.0;
         let mut x = 0x1357_9BDFu64;
         let inputs: Vec<(u64, u64)> = (0..2000)
@@ -558,8 +463,8 @@ mod tests {
                 }
             })
             .collect();
-        let (got, stats) = run_filtered_batch_with_stats(&adder, &ann, &cls, period, &inputs);
-        assert_eq!(got, run_clocked_batch(&adder, &ann, period, &inputs));
+        let (got, stats) = fx.run(period, &inputs);
+        assert_eq!(got, fx.oracle(period, &inputs));
         assert!(!stats.tier0 && !stats.fell_back, "{stats:?}");
         assert!(stats.waves > 0, "violating pairs must be simulated");
         assert!(
@@ -570,80 +475,49 @@ mod tests {
 
     #[test]
     fn deep_overclock_falls_back_and_stays_identical() {
-        let (adder, ann, crit) = ripple16();
-        let cls = LaneClassifier::build(&adder, &ann);
-        let period = crit * 0.25;
+        let fx = Fixture::new(AdderTopology::Ripple);
+        let period = fx.crit() * 0.25;
         let inputs = pairs(500, 0xD0E);
-        let (got, stats) = run_filtered_batch_with_stats(&adder, &ann, &cls, period, &inputs);
+        let (got, stats) = fx.run(period, &inputs);
         assert!(stats.fell_back, "hardly anything is safe at 4x overclock");
         assert_eq!(stats.fast_path, 0);
-        assert_eq!(got, run_clocked_batch(&adder, &ann, period, &inputs));
+        assert_eq!(got, fx.oracle(period, &inputs));
     }
 
     #[test]
-    fn ragged_tail_and_tiny_streams_match() {
-        let (adder, ann, crit) = ripple16();
-        let cls = LaneClassifier::build(&adder, &ann);
-        for n in [1usize, 3, 63, 64, 65, 333] {
-            let inputs = pairs(n, 0xA11 + n as u64);
-            for period in [crit * 0.75, crit * 0.9, crit + 1.0] {
-                let got = run_filtered_batch(&adder, &ann, &cls, period, &inputs);
+    fn every_regime_and_ragged_tail_matches_timed_replay() {
+        // Tier-0, mixed fast/slow, fallback, tiny and ragged streams: the
+        // runner must equal plain timed replay of the whole stream, which
+        // `timedtape`'s tests pin to the scalar oracle.
+        let fx = Fixture::new(AdderTopology::Ripple);
+        let crit = fx.crit();
+        let program = TimedTape::new(fx.adder.netlist(), &fx.tape, &fx.ann);
+        for n in [1usize, 3, 63, 64, 65, 333, 2000] {
+            let inputs = pairs(n, 0x7A9E + n as u64);
+            for period in [crit * 0.25, crit * 0.75, crit * 0.9, crit + 1.0] {
+                let (got, _) = fx.run(period, &inputs);
                 assert_eq!(
                     got,
-                    run_clocked_batch(&adder, &ann, period, &inputs),
+                    run_clocked_batch_timed(&fx.adder, &program, &fx.tape, period, &inputs),
                     "n={n} period={period}"
                 );
             }
         }
-        assert!(run_filtered_batch(&adder, &ann, &cls, crit, &[]).is_empty());
+        assert!(fx.run(crit, &[]).0.is_empty());
     }
 
     #[test]
-    fn tape_path_is_bit_identical_across_regimes() {
-        // Same stream, every regime the runner has — tier-0, mixed
-        // fast/slow, fallback, ragged tails — must agree between the
-        // interpreter path and the tape path (which also proves agreement
-        // with run_clocked_batch via the existing parity tests).
-        let (adder, ann, crit) = ripple16();
-        let cls = LaneClassifier::build(&adder, &ann);
-        let tape = InstructionTape::compile(adder.netlist());
-        for n in [1usize, 64, 65, 500, 2000] {
-            let inputs = pairs(n, 0x7A9E + n as u64);
-            for period in [crit * 0.25, crit * 0.75, crit * 0.9, crit + 1.0] {
-                let (legacy, legacy_stats) =
-                    run_filtered_batch_with_stats(&adder, &ann, &cls, period, &inputs);
-                let (tape_out, tape_stats) =
-                    run_filtered_batch_with_stats_tape(&adder, &ann, &cls, &tape, period, &inputs);
-                assert_eq!(tape_out, legacy, "n={n} period={period}");
-                assert_eq!(tape_stats, legacy_stats, "n={n} period={period}");
-            }
-        }
-    }
-
-    #[test]
-    fn tape_path_matches_on_prefix_mixed_regime() {
-        let adder = build_exact(16, AdderTopology::KoggeStone);
-        let lib = CellLibrary::industrial_65nm();
-        let ann = DelayAnnotation::nominal(adder.netlist(), &lib);
-        let cls = LaneClassifier::build(&adder, &ann);
-        let tape = InstructionTape::compile(adder.netlist());
-        let period = (cls.bound_fs(2) + cls.critical_fs()) as f64 / 2000.0;
-        let inputs = pairs(3000, 0x7A9E);
-        assert_eq!(
-            run_filtered_batch_tape(&adder, &ann, &cls, &tape, period, &inputs),
-            run_filtered_batch(&adder, &ann, &cls, period, &inputs),
+    fn registry_counters_accumulate_across_runs() {
+        let fx = Fixture::new(AdderTopology::Ripple);
+        let counter = |name: &str| isa_obs::global().snapshot().counter(name).unwrap_or(0);
+        let (cycles0, fast0) = (
+            counter("sim.filtered.cycles"),
+            counter("sim.filtered.fast_path_cycles"),
         );
-    }
-
-    #[test]
-    fn counters_accumulate_across_runs() {
-        let (adder, ann, crit) = ripple16();
-        let cls = LaneClassifier::build(&adder, &ann);
-        reset_counters();
-        let inputs = pairs(128, 0xC0);
-        let _ = run_filtered_batch(&adder, &ann, &cls, crit + 1.0, &inputs);
-        let (fast, total) = counters();
-        assert_eq!(total, 128);
-        assert_eq!(fast, 128);
+        let _ = fx.run(fx.crit() + 1.0, &pairs(128, 0xC0));
+        // Other tests share the global registry, so only growth by at
+        // least this run's share is pinned.
+        assert!(counter("sim.filtered.cycles") - cycles0 >= 128);
+        assert!(counter("sim.filtered.fast_path_cycles") - fast0 >= 128);
     }
 }

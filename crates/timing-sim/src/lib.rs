@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitsim;
 pub mod clocked;
 pub mod filtered;
 pub mod power;
@@ -37,14 +36,8 @@ pub mod sim;
 pub mod timedtape;
 pub mod waveform;
 
-pub use bitsim::{
-    run_clocked_batch, run_clocked_batch_with_core, violation_mask, BitClockedCore, BitSimCore,
-};
 pub use clocked::{run_adder_trace, ClockedCore, ClockedSim, CycleRecord};
-pub use filtered::{
-    run_filtered_batch, run_filtered_batch_tape, run_filtered_batch_with_stats,
-    run_filtered_batch_with_stats_tape, FilterStats,
-};
+pub use filtered::{run_filtered_batch_tape, run_filtered_batch_with_stats_tape, FilterStats};
 pub use power::{measure as measure_energy, measure_activity, measure_clocked_batch, EnergyReport};
 pub use razor::{run_razor_trace, RazorConfig, RazorCycle, RazorReport};
 pub use sim::{ps_to_fs, GateLevelSim, SettleError, SimCore, FS_PER_PS};

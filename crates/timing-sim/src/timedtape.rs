@@ -1,14 +1,13 @@
-//! Levelized timed replay of a compiled instruction tape: the
-//! event-driven slow path rebuilt as waveform sweeps over the tape's
-//! topological schedule.
+//! Levelized timed replay of a compiled instruction tape: the 64-lane
+//! timed engine behind every gate-level `ysilver`, built as waveform
+//! sweeps over the tape's topological schedule.
 //!
-//! Under the pure transport-delay discipline both simulators share, a
-//! cell's output waveform is an exact function of its input waveforms:
-//! `out(t) = f(in(t - d))` for every `t` past the window it was already
-//! committed to. The classic event queue
-//! ([`BitSimCore`](crate::bitsim::BitSimCore)) computes that composition
-//! one heap-ordered commit at a time — paying a binary-heap push/pop, a
-//! `Vec<NetId>` pin chase and a re-evaluation *per input change per
+//! Under the pure transport-delay discipline it shares with the scalar
+//! event queue ([`SimCore`](crate::SimCore)), a cell's output waveform is
+//! an exact function of its input waveforms: `out(t) = f(in(t - d))` for
+//! every `t` past the window it was already committed to. An event queue
+//! computes that composition one heap-ordered commit at a time — paying a
+//! heap push/pop, a pin chase and a re-evaluation *per input change per
 //! cell*. This core computes the same composition directly:
 //!
 //! * [`TimedTape`] flattens `(tape, annotation)` once into fixed-width
@@ -34,15 +33,14 @@
 //! exactly `T` stay pending into the next step, exactly like events the
 //! queue had not yet committed.
 //!
-//! What this core deliberately does **not** provide are the activity
-//! counters (`net_commit_counts`, `events_processed`): change-only
-//! waveforms erase the zero-width glitch commits those counters bill
-//! for, so the energy pipeline keeps using the classic [`BitSimCore`](crate::bitsim::BitSimCore)
-//! queue. The filtered runner's slow path only consumes sampled outputs
-//! and switches to this core when a tape is supplied; the figure-clock
-//! parity batteries and the batteries below pin the equivalence. Razor
-//! ([`crate::razor`]) also reads the waveforms between edges, for its
-//! shadow latch.
+//! What this core deliberately does **not** provide are activity
+//! counters: change-only waveforms erase the zero-width glitch commits
+//! that energy bills for, so [`measure_clocked_batch`](crate::measure_clocked_batch)
+//! counts activity on its own event-queue core. The filtered runner's
+//! slow path only consumes sampled outputs; the batteries below and the
+//! random-netlist proptest in `tests/bit_parity.rs` pin every lane to a
+//! scalar [`ClockedSim`](crate::ClockedSim) run. Razor ([`crate::razor`])
+//! also reads the waveforms between edges, for its shadow latch.
 
 use isa_core::batch::{segment_len, LaneBatch, LANES};
 use isa_netlist::builders::AdderNetlist;
@@ -173,6 +171,12 @@ impl TimedTape {
     /// same rounded per-op delays the replay uses: no output transition
     /// can trail the input change that caused it by more.
     pub(crate) fn critical_fs(&self) -> u64 {
+        self.output_arrivals_fs().into_iter().max().unwrap_or(0)
+    }
+
+    /// Each output's longest input-to-output path in femtoseconds, in
+    /// output order, over the replay's rounded per-op delays.
+    fn output_arrivals_fs(&self) -> Vec<u64> {
         let mut arrival = vec![0u64; self.fanout_start.len() - 1];
         for op in &self.ops {
             let latest = arrival[op.a as usize]
@@ -180,11 +184,7 @@ impl TimedTape {
                 .max(arrival[op.c as usize]);
             arrival[op.out as usize] = latest + op.delay_fs;
         }
-        self.outputs
-            .iter()
-            .map(|&s| arrival[s as usize])
-            .max()
-            .unwrap_or(0)
+        self.outputs.iter().map(|&s| arrival[s as usize]).collect()
     }
 }
 
@@ -243,9 +243,9 @@ impl<'a> FaninCursor<'a> {
     }
 }
 
-/// 64-lane clocked state over a [`TimedTape`]: the drop-in counterpart of
-/// [`BitClockedCore`](crate::bitsim::BitClockedCore) for consumers that
-/// only read sampled outputs.
+/// 64-lane clocked state over a [`TimedTape`]: lane `l` is, bit for bit,
+/// a scalar [`ClockedCore`](crate::ClockedCore) run of lane `l`'s input
+/// sequence.
 #[derive(Debug, Clone)]
 pub struct TimedTapeCore {
     waves: Vec<SlotWave>,
@@ -262,8 +262,8 @@ pub struct TimedTapeCore {
 impl TimedTapeCore {
     /// Creates clocked state already settled at `input_planes`: every
     /// slot holds its functional word (computed by one tape sweep) and
-    /// nothing is in flight — identical to
-    /// [`BitClockedCore::with_settled_planes`](crate::bitsim::BitClockedCore::with_settled_planes).
+    /// nothing is in flight — the state an event-driven run reaches after
+    /// driving those inputs to quiescence.
     ///
     /// # Panics
     ///
@@ -312,7 +312,7 @@ impl TimedTapeCore {
     /// Applies one input word vector at the current edge, runs one
     /// period, and returns the output planes sampled at the next edge —
     /// same strictly-before sampling semantics as
-    /// [`BitClockedCore::step_planes`](crate::bitsim::BitClockedCore::step_planes).
+    /// [`ClockedCore::step`](crate::ClockedCore::step).
     ///
     /// # Panics
     ///
@@ -456,10 +456,15 @@ impl TimedTapeCore {
 }
 
 /// Runs an adder's full operand stream on the timed tape core and returns
-/// the sampled (`ysilver`) outputs in stream order — bit-identical to
-/// [`run_clocked_batch`](crate::bitsim::run_clocked_batch) with the same
-/// segment-dealing policy (contiguous segments per lane, exhausted lanes
-/// holding their last operands).
+/// the sampled (`ysilver`) outputs in stream order.
+///
+/// The stream is dealt to lanes in **contiguous segments** of
+/// [`segment_len`] cycles (lane `l` carries positions `l*seg ..`), so each
+/// lane equals a scalar [`ClockedSim`](crate::ClockedSim) run of its
+/// segment: consecutive stream cycles stay consecutive everywhere except
+/// the at-most-63 segment seams, where a lane starts from the reset state
+/// exactly like the scalar run's first cycle. Lanes that exhaust their
+/// segment hold their last operands.
 ///
 /// # Panics
 ///
@@ -507,7 +512,8 @@ pub fn run_clocked_batch_timed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitsim::run_clocked_batch;
+    use crate::clocked::scalar_segments;
+    use crate::sim::GateLevelSim;
     use isa_netlist::builders::{build_exact, AdderTopology};
     use isa_netlist::cell::CellLibrary;
     use isa_netlist::sta::StaReport;
@@ -534,11 +540,11 @@ mod tests {
     }
 
     #[test]
-    fn timed_replay_matches_event_core_across_periods() {
-        // The contract in one battery: sampled outputs equal the classic
-        // event queue's on every cycle, from deep overclock (transitions
-        // pending across many edges) to a safe clock (no violations),
-        // on both a ripple and a prefix topology.
+    fn timed_replay_matches_scalar_segments_across_periods() {
+        // The contract in one battery: sampled outputs equal a scalar
+        // clocked run of every lane segment on every cycle, from deep
+        // overclock (transitions pending across many edges) to a safe
+        // clock (no violations), on both a ripple and a prefix topology.
         for (salt, topology) in [AdderTopology::Ripple, AdderTopology::KoggeStone]
             .into_iter()
             .enumerate()
@@ -550,10 +556,45 @@ mod tests {
                 let period = crit * factor;
                 assert_eq!(
                     run_clocked_batch_timed(&adder, &program, &tape, period, &inputs),
-                    run_clocked_batch(&adder, &ann, period, &inputs),
+                    scalar_segments(&adder, &ann, period, &inputs),
                     "{topology:?} at {factor} x critical"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn transitions_landing_exactly_on_the_edge_stay_pending() {
+        // Periods equal to an output's exact arrival time put a
+        // transition precisely on the sampling edge, where the scalar
+        // queue's strictly-before rule samples the old value. Random
+        // periods almost never hit this tie, so pin it directly.
+        let (adder, ann, tape, _) = fixture(AdderTopology::Ripple);
+        let program = TimedTape::new(adder.netlist(), &tape, &ann);
+        let mut edges = program.output_arrivals_fs();
+        edges.sort_unstable();
+        edges.dedup();
+        // Full-carry-chain pairs between random ones sensitize the long
+        // paths the arrival times above belong to.
+        let inputs: Vec<(u64, u64)> = pairs(256, 0xED6E)
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| {
+                if i % 3 == 0 {
+                    (0xFFFF, (i as u64 / 3) & 1)
+                } else {
+                    p
+                }
+            })
+            .collect();
+        for edge_fs in edges {
+            let period = edge_fs as f64 / 1000.0;
+            assert_eq!(ps_to_fs(period), edge_fs);
+            assert_eq!(
+                run_clocked_batch_timed(&adder, &program, &tape, period, &inputs),
+                scalar_segments(&adder, &ann, period, &inputs),
+                "period {edge_fs} fs"
+            );
         }
     }
 
@@ -562,7 +603,7 @@ mod tests {
         // Carry-select (and skip) blocks materialize Const0/Const1 tie
         // cells, which the library annotates at 0 ps. The timed tape
         // must accept them (they never transition, so transport-delay
-        // ordering is moot) and still match the event core — this
+        // ordering is moot) and still match the scalar oracle — this
         // design class is reachable from full-space exploration.
         let (adder, ann, tape, crit) = fixture(AdderTopology::CarrySelect(4));
         assert!(
@@ -579,36 +620,43 @@ mod tests {
             let period = crit * factor;
             assert_eq!(
                 run_clocked_batch_timed(&adder, &program, &tape, period, &inputs),
-                run_clocked_batch(&adder, &ann, period, &inputs),
+                scalar_segments(&adder, &ann, period, &inputs),
                 "carry-select at {factor} x critical"
             );
         }
     }
 
     #[test]
-    fn settled_seed_then_steps_match_event_core() {
-        // Mid-stream seeding parity: both cores settled at the same
-        // operands must sample identically through violating steps.
+    fn settled_seed_then_steps_match_scalar_lanes() {
+        // Mid-stream seeding parity: a core settled at seed operands must
+        // sample, lane by lane, like a scalar run driven to quiescence at
+        // the same operands and then clocked through violating steps.
         let (adder, ann, tape, crit) = fixture(AdderTopology::Ripple);
         let program = TimedTape::new(adder.netlist(), &tape, &ann);
         let period = crit * 0.6;
+        let period_fs = ps_to_fs(period);
         let seed_input = pairs(LANES, 0x5EED);
         let seed_planes = adder.input_planes(&LaneBatch::pack(16, &seed_input));
         let mut timed = TimedTapeCore::with_settled(&program, &tape, period, &seed_planes);
-        let mut event = crate::bitsim::BitClockedCore::with_settled_planes(
-            adder.netlist(),
-            &ann,
-            period,
-            &seed_planes,
-        );
+        let mut scalars: Vec<GateLevelSim<'_>> = seed_input
+            .iter()
+            .map(|&(a, b)| {
+                let mut sim = GateLevelSim::new(adder.netlist(), &ann);
+                sim.set_inputs(&adder.input_values(a, b));
+                sim.run_to_quiescence(1_000_000).unwrap();
+                sim
+            })
+            .collect();
         for step in 0..32 {
             let step_input = pairs(LANES, 0xAB + step);
             let planes = adder.input_planes(&LaneBatch::pack(16, &step_input));
-            assert_eq!(
-                timed.step_planes(&program, &planes),
-                event.step_planes(adder.netlist(), &planes),
-                "step {step}"
-            );
+            let lanes = LaneBatch::unpack_lanes(&timed.step_planes(&program, &planes), LANES);
+            for (l, (sim, &(a, b))) in scalars.iter_mut().zip(&step_input).enumerate() {
+                let edge = sim.now_fs() + period_fs;
+                sim.set_inputs(&adder.input_values(a, b));
+                sim.run_until(edge);
+                assert_eq!(lanes[l], sim.outputs_u64(), "step {step} lane {l}");
+            }
         }
     }
 }

@@ -1,16 +1,18 @@
-//! Lane-vs-scalar parity: every lane of a 64-lane bit-sliced simulation
-//! must equal the scalar `SimCore`/`ClockedCore` result bit-for-bit — at
-//! safe and overclocked settings, over random netlists, random delays and
-//! random input sequences. This is the contract that makes the batched
-//! backend a drop-in replacement for the scalar event queue.
+//! Lane-vs-scalar parity: every lane of the 64-lane timed replay
+//! ([`TimedTapeCore`], the engine behind every gate-level `ysilver`) must
+//! equal a scalar `ClockedSim` run bit-for-bit — at safe and overclocked
+//! periods, over random netlists, random delays and random input
+//! sequences, and over real adder streams dealt in lane segments. This is
+//! the contract that pins the production path to the scalar oracle.
 
 use isa_core::batch::{segment_len, LaneBatch, LANES};
 use isa_netlist::builders::{build_exact, isa, AdderTopology};
 use isa_netlist::cell::{CellKind, CellLibrary};
 use isa_netlist::graph::{Netlist, NetlistBuilder};
 use isa_netlist::sta::StaReport;
+use isa_netlist::tape::InstructionTape;
 use isa_netlist::timing::{DelayAnnotation, VariationModel};
-use isa_timing_sim::{run_clocked_batch, BitSimCore, ClockedSim, GateLevelSim};
+use isa_timing_sim::{run_clocked_batch_timed, ClockedSim, TimedTape, TimedTapeCore};
 use proptest::prelude::*;
 
 /// Recipe for one random cell: kind selector plus input selectors.
@@ -81,44 +83,43 @@ fn lane_vector(seed: u64, lane: usize, pins: usize) -> Vec<bool> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random netlists, random delays, mid-flight sampling at an arbitrary
-    /// time: every lane of the word simulator equals its private scalar
-    /// run — including unsettled (timing-erroneous) intermediate states.
+    /// Random netlists, random delays, random per-lane input sequences,
+    /// periods from deep overclock to safe: every lane of the timed
+    /// replay samples exactly what its private scalar clocked run samples
+    /// — including unsettled (timing-erroneous) edges whose transitions
+    /// stay in flight into later cycles.
     #[test]
-    fn random_netlist_lanes_match_scalar_mid_flight(
+    fn random_netlist_timed_lanes_match_scalar_clocked(
         recipes in prop::collection::vec(any::<CellRecipe>(), 1..50),
-        seeds in prop::collection::vec(any::<u64>(), 1..5),
+        seeds in prop::collection::vec(any::<u64>(), 1..6),
         delay_seed in any::<u64>(),
-        sample_frac in 0.05f64..1.5,
+        period_frac in 0.05f64..1.5,
     ) {
         let nl = build_random(5, &recipes);
         let lib = CellLibrary::industrial_65nm();
         let ann = DelayAnnotation::nominal(&nl, &lib)
             .perturbed(&VariationModel::new(0.08, delay_seed));
-        let crit_fs = isa_timing_sim::ps_to_fs(
-            StaReport::analyze(&nl, &ann).critical_ps().max(1.0));
-        let step_fs = ((crit_fs as f64 * sample_frac) as u64).max(1);
+        let crit = StaReport::analyze(&nl, &ann).critical_ps().max(1.0);
+        let period = crit * period_frac;
         let pins = nl.inputs().len();
+        let tape = InstructionTape::compile(&nl);
+        let program = TimedTape::new(&nl, &tape, &ann);
 
-        let mut word = BitSimCore::new(&nl, &ann);
-        let mut scalars: Vec<GateLevelSim<'_>> =
-            (0..LANES).map(|_| GateLevelSim::new(&nl, &ann)).collect();
+        let mut timed = TimedTapeCore::with_settled(&program, &tape, period, &vec![0; pins]);
+        let mut scalars: Vec<ClockedSim<'_>> =
+            (0..LANES).map(|_| ClockedSim::new(&nl, &ann, period)).collect();
 
         for (round, &seed) in seeds.iter().enumerate() {
             let vectors: Vec<Vec<bool>> =
                 (0..LANES).map(|l| lane_vector(seed, l, pins)).collect();
-            word.set_input_words(&nl, &pack_input_words(&vectors));
-            let t = word.now_fs() + step_fs;
-            word.run_until(&nl, t);
+            let sampled = timed.step_planes(&program, &pack_input_words(&vectors));
             for (l, scalar) in scalars.iter_mut().enumerate() {
-                scalar.set_inputs(&vectors[l]);
-                scalar.run_until(t);
-                for net_idx in 0..nl.net_count() {
-                    let net = isa_netlist::graph::NetId::from_index(net_idx);
+                let expect = scalar.step(&vectors[l]);
+                for (o, &plane) in sampled.iter().enumerate() {
                     prop_assert_eq!(
-                        word.value_word(net) >> l & 1 == 1,
-                        scalar.value(net),
-                        "round {} lane {} net {}", round, l, net_idx
+                        plane >> l & 1,
+                        expect >> o & 1,
+                        "round {} lane {} output {} at {:.2}x crit", round, l, o, period_frac
                     );
                 }
             }
@@ -129,9 +130,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The full batched stream runner vs scalar `ClockedCore` runs of each
+    /// The full timed stream runner vs scalar `ClockedSim` runs of each
     /// contiguous segment, on real adder netlists at safe and overclocked
-    /// periods — the acceptance-criterion parity check.
+    /// periods.
     #[test]
     fn clocked_stream_lanes_match_scalar_at_safe_and_overclocked(
         overclock in prop_oneof![Just(1.05f64), Just(0.7), Just(0.45), Just(0.3)],
@@ -159,7 +160,9 @@ proptest! {
             })
             .collect();
 
-        let sampled = run_clocked_batch(&adder, &ann, period, &inputs);
+        let tape = InstructionTape::compile(adder.netlist());
+        let program = TimedTape::new(adder.netlist(), &tape, &ann);
+        let sampled = run_clocked_batch_timed(&adder, &program, &tape, period, &inputs);
         let seg = segment_len(n);
         for l in 0..LANES {
             let start = l * seg;
@@ -193,7 +196,9 @@ fn batch_packing_round_trip_through_adder_planes() {
     let inputs: Vec<(u64, u64)> = (0..129u64)
         .map(|i| ((i * 509) & 0xFFFF, (i * 263) & 0xFFFF))
         .collect();
-    let sampled = run_clocked_batch(&adder, &ann, crit + 1.0, &inputs);
+    let tape = InstructionTape::compile(adder.netlist());
+    let program = TimedTape::new(adder.netlist(), &tape, &ann);
+    let sampled = run_clocked_batch_timed(&adder, &program, &tape, crit + 1.0, &inputs);
     for (i, &(a, b)) in inputs.iter().enumerate() {
         assert_eq!(sampled[i], a + b, "cycle {i}");
     }

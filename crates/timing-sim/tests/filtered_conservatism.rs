@@ -6,7 +6,9 @@
 //!
 //! The stream is dealt to lanes exactly like the filtered runner deals
 //! it (contiguous segments, exhausted lanes holding their operands), so
-//! the verdicts line up one-to-one with the bit-sliced ground truth.
+//! the verdicts line up one-to-one with the ground truth: plain timed
+//! replay of the whole stream, which `tests/bit_parity.rs` pins lane by
+//! lane to the scalar clocked simulator.
 
 use isa_core::batch::{pack_planes_into, segment_len, LANES};
 use isa_core::IsaConfig;
@@ -14,8 +16,9 @@ use isa_netlist::builders::{build_exact, isa, AdderNetlist, AdderTopology};
 use isa_netlist::cell::CellLibrary;
 use isa_netlist::classify::LaneClassifier;
 use isa_netlist::sta::StaReport;
+use isa_netlist::tape::InstructionTape;
 use isa_netlist::timing::{DelayAnnotation, VariationModel};
-use isa_timing_sim::run_clocked_batch;
+use isa_timing_sim::{run_clocked_batch_timed, TimedTape};
 
 /// Per-cycle classifier verdicts for a stream, using the filtered
 /// runner's lane dealing.
@@ -72,9 +75,11 @@ fn assert_conservative(adder: &AdderNetlist, annotation: &DelayAnnotation, fract
     let crit = StaReport::analyze(adder.netlist(), annotation).critical_ps();
     let inputs = exhaustive_pairs();
     let settled = adder.add_batch(&inputs);
+    let tape = InstructionTape::compile(adder.netlist());
+    let program = TimedTape::new(adder.netlist(), &tape, annotation);
     for &fraction in fractions {
         let period = crit * fraction;
-        let sampled = run_clocked_batch(adder, annotation, period, &inputs);
+        let sampled = run_clocked_batch_timed(adder, &program, &tape, period, &inputs);
         let verdicts = classify_stream(&classifier, adder.width(), period, &inputs);
         let mut violations = 0usize;
         let mut safe = 0usize;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Golden-figures check: runs the experiment binaries at small fixed counts
-# (single-threaded, fixed seeds, default bit-sliced backend) and diffs the
+# (single-threaded, fixed seeds, the one gate-level path) and diffs the
 # CSVs against the checked-in goldens under tests/golden/, so simulation
 # refactors cannot silently change paper numbers.
 #
