@@ -163,10 +163,9 @@ pub fn run_behavioural(kernel: &dyn Kernel, design: &Design) -> KernelRun {
     })
 }
 
-/// Runs a kernel on a substrate session: every breadth-first pass is one
+/// Runs a kernel on a substrate: every breadth-first pass is one
 /// [`Substrate::run_batch`] call for the given (design, clock) pair, so
-/// gate-level backends evaluate it on their configured engine (scalar or
-/// bit-sliced 64-lane).
+/// the gate-level substrate evaluates it 64 lanes at a time.
 #[must_use]
 pub fn run_on_substrate(
     kernel: &dyn Kernel,

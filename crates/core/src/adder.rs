@@ -39,7 +39,7 @@ pub(crate) fn mask(width: u32) -> u64 {
 /// timing errors are defined on top of it.
 ///
 /// `Send + Sync` are required so golden models can be shared across the
-/// engine's shard workers (they are pure, so this costs implementations
+/// engine's worker threads (they are pure, so this costs implementations
 /// nothing).
 pub trait Adder: Debug + Send + Sync {
     /// Operand width in bits.

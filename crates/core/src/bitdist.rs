@@ -121,23 +121,6 @@ impl BitErrorDistribution {
         }
         Some((pos as u32, count as f64 / self.cycles as f64))
     }
-
-    /// Merges another distribution (same shape) into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the distributions track different numbers of positions.
-    pub fn merge(&mut self, other: &BitErrorDistribution) {
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "cannot merge distributions of different widths"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.cycles += other.cycles;
-    }
 }
 
 #[cfg(test)]
@@ -191,25 +174,6 @@ mod tests {
         let (pos, rate) = d.peak().unwrap();
         assert_eq!(pos, 2);
         assert_eq!(rate, 1.0);
-    }
-
-    #[test]
-    fn merge_adds_counts_and_cycles() {
-        let mut a = BitErrorDistribution::new(8);
-        a.record_arithmetic(2);
-        let mut b = BitErrorDistribution::new(8);
-        b.record_arithmetic(2);
-        b.record_arithmetic(0);
-        a.merge(&b);
-        assert_eq!(a.cycles(), 3);
-        assert_eq!(a.counts()[1], 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different widths")]
-    fn merge_rejects_mismatched_widths() {
-        let mut a = BitErrorDistribution::new(8);
-        a.merge(&BitErrorDistribution::new(9));
     }
 
     #[test]

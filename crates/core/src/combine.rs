@@ -3,30 +3,15 @@
 //! For every ISA architecture and every input vector the flow computes
 //! `ydiamond`, `ygold` and `E_struct`; then for every clock period it obtains
 //! `ysilver` from the overclocked circuit, computes `E_timing` and combines
-//! both into `E_joint`. This module implements that loop generically over a
-//! [`SilverSource`] so the gate-level simulator (or, in tests, a synthetic
-//! fault injector) can provide the overclocked outputs.
+//! both into `E_joint`. This module implements that loop over stream-ordered
+//! slices: the gold stream comes from the behavioural model and the silver
+//! stream from any [`Substrate`](crate::Substrate)'s `run_batch` (or, in
+//! tests, a synthetic fault injector).
 
 use crate::adder::{Adder, ExactAdder};
+use crate::batch::LANES;
 use crate::error::OutputTriple;
 use crate::stats::ErrorStats;
-
-/// Provider of overclocked (`ysilver`) outputs for a fixed design and clock
-/// period.
-///
-/// Implementations are stateful on purpose: timing errors depend on the
-/// previous circuit state, so inputs must be presented in stream order. The
-/// gate-level clocked harness implements this trait; tests use closures.
-pub trait SilverSource {
-    /// Returns the overclocked circuit output for the cycle's operands.
-    fn next_silver(&mut self, a: u64, b: u64) -> u64;
-}
-
-impl<F: FnMut(u64, u64) -> u64> SilverSource for F {
-    fn next_silver(&mut self, a: u64, b: u64) -> u64 {
-        self(a, b)
-    }
-}
 
 /// Aggregated error statistics of one (design, clock) run of Fig. 6.
 ///
@@ -65,16 +50,6 @@ impl CombinedErrorStats {
         self.re_joint.push(triple.re_joint());
     }
 
-    /// Merges another aggregate into this one.
-    pub fn merge(&mut self, other: &CombinedErrorStats) {
-        self.e_struct.merge(&other.e_struct);
-        self.e_timing.merge(&other.e_timing);
-        self.e_joint.merge(&other.e_joint);
-        self.re_struct.merge(&other.re_struct);
-        self.re_timing.merge(&other.re_timing);
-        self.re_joint.merge(&other.re_joint);
-    }
-
     /// Number of recorded cycles.
     #[must_use]
     pub fn len(&self) -> u64 {
@@ -101,31 +76,68 @@ impl CombinedErrorStats {
 
 /// Runs the Fig. 6 inner loop for one design at one clock period.
 ///
-/// `gold` is the behavioural model of the implemented design, `silver`
-/// produces the overclocked outputs, and `inputs` is the cycle-ordered
-/// operand stream. An [`ExactAdder`] of the same width provides `ydiamond`.
-pub fn combine_errors<S: SilverSource>(
-    gold: &dyn Adder,
-    silver: &mut S,
-    inputs: impl IntoIterator<Item = (u64, u64)>,
+/// `inputs` is the cycle-ordered operand stream, `golds` the implemented
+/// design's behavioural outputs and `silvers` the overclocked outputs, one
+/// per cycle each. An [`ExactAdder`] of `width` bits provides `ydiamond`.
+///
+/// # Panics
+///
+/// Panics if the three slices differ in length.
+#[must_use]
+pub fn combine_errors(
+    width: u32,
+    inputs: &[(u64, u64)],
+    golds: &[u64],
+    silvers: &[u64],
 ) -> CombinedErrorStats {
-    let exact = ExactAdder::new(gold.width());
     let mut stats = CombinedErrorStats::new();
-    for (a, b) in inputs {
-        let triple = OutputTriple::new(exact.add(a, b), gold.add(a, b), silver.next_silver(a, b));
-        stats.push(&triple);
-    }
+    accumulate(&mut stats, &ExactAdder::new(width), inputs, golds, silvers);
     stats
 }
 
+/// Operand pairs per model evaluation in [`structural_errors`]: whole
+/// 64-lane plane passes, buffered in a chunk whose size does not grow
+/// with the stream.
+const STRUCTURAL_CHUNK: usize = 64 * LANES;
+
 /// Runs the structural-error-only part of Fig. 6 (no overclocking): the
-/// silver output equals the gold output.
+/// silver output equals the gold output, so the model is evaluated once
+/// per cycle, 64 cycles per plane pass ([`Adder::add_batch`]), over
+/// fixed-size chunks of the stream.
 pub fn structural_errors(
     gold: &dyn Adder,
     inputs: impl IntoIterator<Item = (u64, u64)>,
 ) -> CombinedErrorStats {
-    let mut identity = |a, b| gold.add(a, b);
-    combine_errors(gold, &mut identity, inputs)
+    let exact = ExactAdder::new(gold.width());
+    let mut stats = CombinedErrorStats::new();
+    let mut inputs = inputs.into_iter();
+    let mut chunk = Vec::with_capacity(STRUCTURAL_CHUNK);
+    loop {
+        chunk.clear();
+        chunk.extend(inputs.by_ref().take(STRUCTURAL_CHUNK));
+        if chunk.is_empty() {
+            return stats;
+        }
+        let golds = gold.add_batch(&chunk);
+        accumulate(&mut stats, &exact, &chunk, &golds, &golds);
+    }
+}
+
+/// The Fig. 6 loop: one output triple per cycle, pushed in stream order.
+fn accumulate(
+    stats: &mut CombinedErrorStats,
+    exact: &ExactAdder,
+    inputs: &[(u64, u64)],
+    golds: &[u64],
+    silvers: &[u64],
+) {
+    assert!(
+        golds.len() == inputs.len() && silvers.len() == inputs.len(),
+        "one gold and one silver output per input cycle"
+    );
+    for ((&(a, b), &gold), &silver) in inputs.iter().zip(golds).zip(silvers) {
+        stats.push(&OutputTriple::new(exact.add(a, b), gold, silver));
+    }
 }
 
 #[cfg(test)]
@@ -168,18 +180,15 @@ mod tests {
     #[test]
     fn injected_timing_errors_appear_only_in_timing_component() {
         let exact = ExactAdder::new(32);
-        // A silver source that flips bit 20 every fourth cycle.
-        let mut cycle = 0u64;
-        let mut silver = move |a: u64, b: u64| {
-            cycle += 1;
-            let y = a + b;
-            if cycle.is_multiple_of(4) {
-                y ^ (1 << 20)
-            } else {
-                y
-            }
-        };
-        let stats = combine_errors(&exact, &mut silver, inputs());
+        let inputs = inputs();
+        let golds = exact.add_batch(&inputs);
+        // A silver stream that flips bit 20 every fourth cycle.
+        let silvers: Vec<u64> = golds
+            .iter()
+            .enumerate()
+            .map(|(i, &y)| if (i + 1) % 4 == 0 { y ^ (1 << 20) } else { y })
+            .collect();
+        let stats = combine_errors(32, &inputs, &golds, &silvers);
         assert_eq!(stats.e_struct.rms(), 0.0);
         assert!(stats.e_timing.rms() > 0.0);
         assert!((stats.e_timing.error_rate() - 0.25).abs() < 1e-9);
@@ -204,20 +213,37 @@ mod tests {
                 "short-by-two".into()
             }
         }
-        let gold = ShortByTwo;
-        let mut silver = |a: u64, b: u64| gold.add(a, b) + 1;
-        let stats = combine_errors(&gold, &mut silver, inputs());
+        let inputs = inputs();
+        let golds = ShortByTwo.add_batch(&inputs);
+        let silvers: Vec<u64> = golds.iter().map(|&y| y + 1).collect();
+        let stats = combine_errors(32, &inputs, &golds, &silvers);
         assert!(stats.re_joint.rms() < stats.re_struct.rms());
         assert!(stats.re_timing.rms() > 0.0);
     }
 
     #[test]
-    fn merge_combines_cycle_counts() {
+    fn structural_errors_match_the_scalar_model_loop() {
+        // Batched model evaluation over whole chunks and a ragged last
+        // one, silver = gold: bit-identical to pushing scalar `add`
+        // outputs cycle by cycle.
+        let isa = SpeculativeAdder::new(IsaConfig::new(32, 8, 0, 1, 4).unwrap());
+        let inputs: Vec<(u64, u64)> = (0..5).flat_map(|_| inputs()).collect();
+        assert!(
+            inputs.len() > 2 * STRUCTURAL_CHUNK && !inputs.len().is_multiple_of(STRUCTURAL_CHUNK)
+        );
         let exact = ExactAdder::new(32);
-        let s1 = structural_errors(&exact, inputs());
-        let mut s2 = structural_errors(&exact, inputs());
-        s2.merge(&s1);
-        assert_eq!(s2.len(), 4000);
+        let mut scalar = CombinedErrorStats::new();
+        for &(a, b) in &inputs {
+            let gold = isa.add(a, b);
+            scalar.push(&OutputTriple::new(exact.add(a, b), gold, gold));
+        }
+        assert_eq!(structural_errors(&isa, inputs), scalar);
+    }
+
+    #[test]
+    #[should_panic(expected = "one gold and one silver")]
+    fn mismatched_streams_are_rejected() {
+        let _ = combine_errors(32, &[(1, 2)], &[3], &[]);
     }
 
     #[test]

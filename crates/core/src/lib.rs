@@ -13,7 +13,7 @@
 //! * [`ExactAdder`] — the conventional reference (`ydiamond`);
 //! * [`error`] — the signed structural/timing/joint error model (Eq. 2–3);
 //! * [`combine`] — the Fig. 6 flow combining both error types over an input
-//!   stream, generically over any overclocked (`ysilver`) source;
+//!   stream, given its gold and overclocked (`ysilver`) output streams;
 //! * [`ErrorStats`] / [`BitErrorDistribution`] — the statistics behind the
 //!   paper's figures (RMS relative error, per-bit error distributions);
 //! * [`designs`] — the twelve evaluated designs of Section V.
@@ -60,7 +60,7 @@ pub use batch::{
     LANES,
 };
 pub use bitdist::BitErrorDistribution;
-pub use combine::{combine_errors, structural_errors, CombinedErrorStats, SilverSource};
+pub use combine::{combine_errors, structural_errors, CombinedErrorStats};
 pub use config::{ConfigError, IsaConfig, ParseQuadrupleError, SpecGuess};
 pub use designs::{
     enumerate_quadruples, paper_designs, paper_isa_configs, quadruple_grid, Design,
@@ -71,4 +71,4 @@ pub use isa::{Compensation, IsaAddition, PathOutcome, SpeculativeAdder};
 pub use multiplier::{ExactMultiplier, Multiplier, SpeculativeMultiplier};
 pub use plane::{ripple_add_planes_in, PlaneAlgebra, WordPlanes};
 pub use stats::ErrorStats;
-pub use substrate::{BehaviouralSubstrate, CostClass, Substrate};
+pub use substrate::{BehaviouralSubstrate, Substrate};

@@ -60,28 +60,6 @@ impl ErrorStats {
         }
     }
 
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &ErrorStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.nonzero += other.nonzero;
-        self.sum_abs += other.sum_abs;
-        self.sum_sq += other.sum_sq;
-        self.max_abs = self.max_abs.max(other.max_abs);
-    }
-
     /// Number of observations.
     #[must_use]
     pub fn len(&self) -> u64 {
@@ -212,101 +190,6 @@ mod tests {
         let mean = 2.5;
         let var: f64 = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / 4.0;
         assert!((s.variance() - var).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let all = [0.5, -1.5, 2.0, 0.0, 3.25, -0.125, 7.5, 0.0];
-        let mut seq = ErrorStats::new();
-        for v in all {
-            seq.push(v);
-        }
-        let mut left = ErrorStats::new();
-        let mut right = ErrorStats::new();
-        for v in &all[..3] {
-            left.push(*v);
-        }
-        for v in &all[3..] {
-            right.push(*v);
-        }
-        left.merge(&right);
-        assert_eq!(left.len(), seq.len());
-        assert!((left.mean() - seq.mean()).abs() < 1e-12);
-        assert!((left.rms() - seq.rms()).abs() < 1e-12);
-        assert!((left.variance() - seq.variance()).abs() < 1e-12);
-        assert_eq!(left.max_abs(), seq.max_abs());
-        assert_eq!(left.error_rate(), seq.error_rate());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s: ErrorStats = [1.0, 2.0].into_iter().collect();
-        let before = s;
-        s.merge(&ErrorStats::new());
-        assert_eq!(s, before);
-
-        let mut empty = ErrorStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    /// The stream whose single-pass accumulation anchors the bitwise merge
-    /// checks below — values chosen so mean and m2 are inexact floats.
-    fn edge_stream() -> [f64; 5] {
-        [0.1, -2.7, 3.3, 0.0, 19.0 / 7.0]
-    }
-
-    #[test]
-    fn merge_empty_into_nonempty_is_bitwise_single_stream() {
-        // Merging an empty accumulator must be a no-op down to the last
-        // mantissa bit: the moments stay those of the single-stream pass.
-        let seq: ErrorStats = edge_stream().into_iter().collect();
-        let mut merged = seq;
-        merged.merge(&ErrorStats::new());
-        assert_eq!(merged.len(), seq.len());
-        assert_eq!(merged.mean().to_bits(), seq.mean().to_bits());
-        assert_eq!(merged.variance().to_bits(), seq.variance().to_bits());
-        assert_eq!(merged, seq);
-    }
-
-    #[test]
-    fn merge_nonempty_into_empty_is_bitwise_single_stream() {
-        // The empty side must *adopt* the other accumulator verbatim, not
-        // run the combining formula (whose n1 = 0 path would still be
-        // exact here, but adoption is the documented contract).
-        let seq: ErrorStats = edge_stream().into_iter().collect();
-        let mut merged = ErrorStats::new();
-        merged.merge(&seq);
-        assert_eq!(merged.len(), seq.len());
-        assert_eq!(merged.mean().to_bits(), seq.mean().to_bits());
-        assert_eq!(merged.variance().to_bits(), seq.variance().to_bits());
-        assert_eq!(merged, seq);
-    }
-
-    #[test]
-    fn self_merge_clone_doubles_counts_and_keeps_moments_bitwise() {
-        // Merging a clone of itself: delta = 0 exactly, so the mean is
-        // bitwise unchanged and m2/sum_sq/n all double exactly — making
-        // variance, rms and error_rate bitwise-stable too (scaling both
-        // numerator and denominator by 2 is exact in IEEE-754).
-        let seq: ErrorStats = edge_stream().into_iter().collect();
-        let mut merged = seq;
-        merged.merge(&seq.clone());
-        assert_eq!(merged.len(), 2 * seq.len());
-        assert_eq!(merged.mean().to_bits(), seq.mean().to_bits());
-        assert_eq!(merged.variance().to_bits(), seq.variance().to_bits());
-        assert_eq!(merged.rms().to_bits(), seq.rms().to_bits());
-        assert_eq!(merged.error_rate().to_bits(), seq.error_rate().to_bits());
-        assert_eq!(merged.max_abs(), seq.max_abs());
-
-        // Against the doubled single stream the count-sensitive moments
-        // agree to rounding (Welford's running update takes a different
-        // rounding path than the pairwise merge).
-        let doubled: ErrorStats = edge_stream().into_iter().chain(edge_stream()).collect();
-        assert_eq!(merged.len(), doubled.len());
-        assert!((merged.mean() - doubled.mean()).abs() < 1e-12);
-        assert!((merged.variance() - doubled.variance()).abs() < 1e-12);
-        assert_eq!(merged.rms().to_bits(), doubled.rms().to_bits());
     }
 
     #[test]

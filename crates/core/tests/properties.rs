@@ -186,20 +186,6 @@ proptest! {
         prop_assert!((t.re_joint() - (t.re_struct() + t.re_timing())).abs() < 1e-9);
     }
 
-    /// Stats merging is equivalent to sequential accumulation.
-    #[test]
-    fn stats_merge_matches_sequential(values in prop::collection::vec(-1e6f64..1e6, 1..200), split in 0usize..200) {
-        let split = split.min(values.len());
-        let seq: ErrorStats = values.iter().copied().collect();
-        let mut left: ErrorStats = values[..split].iter().copied().collect();
-        let right: ErrorStats = values[split..].iter().copied().collect();
-        left.merge(&right);
-        prop_assert_eq!(left.len(), seq.len());
-        prop_assert!((left.mean() - seq.mean()).abs() < 1e-6);
-        prop_assert!((left.rms() - seq.rms()).abs() < 1e-6);
-        prop_assert!((left.variance() - seq.variance()).abs() < 1e-3);
-    }
-
     /// RMS dominates the absolute mean; max dominates RMS.
     #[test]
     fn stats_ordering(values in prop::collection::vec(-1e6f64..1e6, 1..100)) {
@@ -218,7 +204,7 @@ proptest! {
     }
 
     /// The structural component of the combination flow is independent of
-    /// the silver source.
+    /// the silver stream.
     #[test]
     fn structural_component_independent_of_silver(seed in any::<u64>()) {
         let isa = SpeculativeAdder::new(IsaConfig::new(32, 8, 0, 1, 4).unwrap());
@@ -229,8 +215,9 @@ proptest! {
             })
             .collect();
         let honest = combine::structural_errors(&isa, inputs.clone());
-        let mut chaotic = |a: u64, b: u64| (a ^ b) & 0xFFFF_FFFF;
-        let with_noise = combine::combine_errors(&isa, &mut chaotic, inputs);
+        let golds = isa.add_batch(&inputs);
+        let chaotic: Vec<u64> = inputs.iter().map(|&(a, b)| (a ^ b) & 0xFFFF_FFFF).collect();
+        let with_noise = combine::combine_errors(32, &inputs, &golds, &chaotic);
         prop_assert_eq!(honest.re_struct.rms(), with_noise.re_struct.rms());
     }
 }

@@ -1,22 +1,18 @@
-//! The sharded plan executor.
+//! The plan executor.
 //!
 //! [`Engine::run`] evaluates an [`ExperimentPlan`] — the cross product
 //! `designs × cprs × workloads` — on the plan's substrate, in parallel
-//! across OS threads (`std::thread::scope`, no external executor). Two
-//! levels of parallelism apply:
-//!
-//! * independent **runs** (one (design, cpr, workload) triple each) are
-//!   distributed over a worker pool;
-//! * a single run on a *stateless* substrate (where cycle order cannot
-//!   matter) is additionally split into input **shards**, whose
-//!   [`CombinedErrorStats`] are merged back in deterministic shard order.
+//! across OS threads (`std::thread::scope`, no external executor). One
+//! **run** (a (design, cpr, workload) triple) is the unit of parallelism:
+//! runs are distributed over a worker pool, and each run's stream is
+//! evaluated and accumulated in stream order on one thread, so every
+//! result is identical for every worker count.
 //!
 //! Per-design synthesis/annotation artifacts are memoized in the engine's
 //! [`ArtifactCache`], so a twelve-design seven-figure session synthesizes
 //! each design once instead of once per figure.
 
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -25,8 +21,8 @@ use std::time::Instant;
 use isa_obs::{Counter, Histogram};
 
 use isa_core::{
-    Adder, BehaviouralSubstrate, BitErrorDistribution, CombinedErrorStats, CostClass, Design,
-    ExactAdder, OutputTriple, Substrate,
+    Adder, BehaviouralSubstrate, BitErrorDistribution, CombinedErrorStats, Design, ExactAdder,
+    OutputTriple, Substrate,
 };
 
 use crate::cache::ArtifactCache;
@@ -40,7 +36,6 @@ use crate::substrates::{GateLevelSubstrate, PredictedSubstrate};
 struct EngineMetrics {
     runs: Counter,
     run_ns: Histogram,
-    run_shards: Counter,
     points_mapped: Counter,
     point_panics: Counter,
 }
@@ -52,15 +47,11 @@ fn engine_metrics() -> &'static EngineMetrics {
         EngineMetrics {
             runs: registry.counter("engine.runs"),
             run_ns: registry.histogram("engine.run_ns"),
-            run_shards: registry.counter("engine.run_shards"),
             points_mapped: registry.counter("engine.points_mapped"),
             point_panics: registry.counter("engine.point_panics"),
         }
     })
 }
-
-/// Below this many cycles a stateless run is not worth sharding.
-const MIN_SHARD_CYCLES: usize = 8192;
 
 /// Aggregated outcome of one (design, cpr, workload) run.
 #[derive(Debug, Clone)]
@@ -93,13 +84,6 @@ impl RunResult {
     pub fn timing_error_rate(&self) -> f64 {
         self.stats.e_timing.error_rate()
     }
-}
-
-/// Per-shard accumulator, merged in shard order.
-struct ShardOut {
-    stats: CombinedErrorStats,
-    structural_bits: BitErrorDistribution,
-    timing_bits: BitErrorDistribution,
 }
 
 /// The plan executor: a worker pool plus the shared artifact cache.
@@ -185,8 +169,7 @@ impl Engine {
     }
 
     /// Resolves a plan's substrate choice against this engine's cache.
-    #[must_use]
-    pub fn resolve_substrate(&self, plan: &ExperimentPlan) -> Arc<dyn Substrate> {
+    fn resolve_substrate(&self, plan: &ExperimentPlan) -> Arc<dyn Substrate> {
         match &plan.substrate {
             SubstrateChoice::Behavioural => Arc::new(BehaviouralSubstrate),
             SubstrateChoice::GateLevel => {
@@ -197,103 +180,29 @@ impl Engine {
                 plan.config.clone(),
                 *train_cycles,
             )),
-            SubstrateChoice::Custom(substrate) => Arc::clone(substrate),
         }
     }
 
     /// Executes the plan: every (design × cpr × workload) run on the
-    /// plan's substrate, sharded across the worker pool, results in plan
+    /// plan's substrate, spread over the worker pool, results in plan
     /// order (designs outermost, workloads innermost).
     ///
-    /// Statistics are deterministic for a given plan: shard boundaries
-    /// depend only on the plan and engine thread count, and per-shard
-    /// results are merged in shard order regardless of completion order.
+    /// Each run is evaluated whole on one worker, so the statistics depend
+    /// only on the plan — never on the engine's thread count.
     #[must_use]
     pub fn run(&self, plan: &ExperimentPlan) -> Vec<RunResult> {
         let _span = isa_obs::trace::span("engine.run");
         let started = Instant::now();
         let substrate = self.resolve_substrate(plan);
-        let workloads: Vec<WorkloadSpec> = plan.resolved_workloads();
-        let designs = plan.design_list();
-        let cprs = plan.cpr_list();
-
-        // Enumerate runs and their shards up front.
-        struct Unit {
-            design_idx: usize,
-            cpr_idx: usize,
-            workload_idx: usize,
-            shards: Vec<Range<usize>>,
-        }
-        let mut units = Vec::new();
-        for design_idx in 0..designs.len() {
-            for cpr_idx in 0..cprs.len() {
-                for (workload_idx, workload) in workloads.iter().enumerate() {
-                    let n = workload.inputs.len();
-                    let shard_count = if substrate.is_stateless() {
-                        (n / MIN_SHARD_CYCLES)
-                            .clamp(1, self.threads)
-                            .min(plan.max_shards_per_run)
-                    } else {
-                        1
-                    };
-                    let shards = split_ranges(n, shard_count);
-                    units.push(Unit {
-                        design_idx,
-                        cpr_idx,
-                        workload_idx,
-                        shards,
-                    });
-                }
-            }
-        }
-        let tasks: Vec<(usize, usize)> = units
-            .iter()
-            .enumerate()
-            .flat_map(|(u, unit)| (0..unit.shards.len()).map(move |s| (u, s)))
-            .collect();
-
+        let label = substrate.label();
+        // The behavioural substrate's silver stream is the golden stream,
+        // so the model runs once per run.
+        let silvers_are_golds = matches!(plan.substrate, SubstrateChoice::Behavioural);
         let metrics = engine_metrics();
         metrics.runs.inc();
-        metrics.run_shards.add(tasks.len() as u64);
-        let shard_results: Vec<ShardOut> = self.parallel_indexed(tasks.len(), |t| {
-            let (u, s) = tasks[t];
-            let unit = &units[u];
-            let design = &designs[unit.design_idx];
-            let clock_ps = plan.config.clock_ps(cprs[unit.cpr_idx]);
-            let inputs = &workloads[unit.workload_idx].inputs[unit.shards[s].clone()];
-            run_shard(substrate.as_ref(), design, clock_ps, inputs)
+        let results = self.map(plan, |unit| {
+            run_stream(substrate.as_ref(), silvers_are_golds, &unit, &label)
         });
-
-        // Stitch shards back into runs, merging in shard order.
-        let mut results = Vec::with_capacity(units.len());
-        let mut cursor = 0;
-        for unit in &units {
-            let design = designs[unit.design_idx];
-            let mut shards = shard_results[cursor..cursor + unit.shards.len()].iter();
-            cursor += unit.shards.len();
-            let first = shards.next().expect("every run has at least one shard");
-            let mut stats = first.stats;
-            let mut structural_bits = first.structural_bits.clone();
-            let mut timing_bits = first.timing_bits.clone();
-            for shard in shards {
-                stats.merge(&shard.stats);
-                structural_bits.merge(&shard.structural_bits);
-                timing_bits.merge(&shard.timing_bits);
-            }
-            let cpr = cprs[unit.cpr_idx];
-            results.push(RunResult {
-                design,
-                design_label: design.to_string(),
-                cpr,
-                clock_ps: plan.config.clock_ps(cpr),
-                workload: workloads[unit.workload_idx].name.clone(),
-                substrate: substrate.label(),
-                cycles: stats.len(),
-                stats,
-                structural_bits,
-                timing_bits,
-            });
-        }
         metrics.run_ns.observe_since(started);
         results
     }
@@ -305,9 +214,8 @@ impl Engine {
     /// reduce to combined error statistics (predictor training/evaluation,
     /// energy measurement, Razor comparisons); they still inherit the
     /// engine's memoized artifacts and its worker pool. Parallelism is
-    /// across *units* only — unlike [`Engine::run`], `map` never splits a
-    /// unit's input stream, so each evaluator sees its full stream on one
-    /// thread and a single-unit plan runs sequentially.
+    /// across *units* only: each evaluator sees its full stream on one
+    /// thread, and a single-unit plan runs sequentially.
     pub fn map<T, F>(&self, plan: &ExperimentPlan, f: F) -> Vec<T>
     where
         T: Send,
@@ -482,8 +390,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Evaluates one shard of one run: the Fig. 6 inner loop plus the Fig. 10
-/// bit-position translations.
+/// Evaluates one run: the Fig. 6 inner loop plus the Fig. 10 bit-position
+/// translations, fused into one pass over the stream.
 ///
 /// Both streams are batched: the silver stream comes from the substrate's
 /// [`run_batch`](Substrate::run_batch) (the gate-level substrate's
@@ -491,26 +399,26 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// evaluation), and the golden stream from the model's
 /// [`Adder::add_batch`] — so the behavioural Monte-Carlo inner loop (the
 /// design-characterization table's hot path) advances 64 cycles per plane
-/// pass. On a [`CostClass::Behavioural`] substrate the silver stream is the
-/// golden stream, so the model runs once. Statistics are accumulated in
-/// stream order, so shard results are independent of how the substrates
-/// batch their lanes.
-fn run_shard(
+/// pass. When the silvers are the golds (the behavioural substrate) the
+/// model runs once. Statistics are accumulated in stream order, so results
+/// are independent of how the substrates batch their lanes.
+fn run_stream(
     substrate: &dyn Substrate,
-    design: &Design,
-    clock_ps: f64,
-    inputs: &[(u64, u64)],
-) -> ShardOut {
-    let gold = design.behavioural();
+    silvers_are_golds: bool,
+    unit: &RunUnit<'_>,
+    label: &str,
+) -> RunResult {
+    let design = unit.design;
+    let inputs = unit.inputs;
     let exact = ExactAdder::new(design.width());
     let positions = design.width() + 1;
-    let silvers = substrate.run_batch(design, clock_ps, inputs);
+    let silvers = substrate.run_batch(&design, unit.clock_ps, inputs);
     debug_assert_eq!(silvers.len(), inputs.len());
     let computed;
-    let golds = if substrate.cost_class() == CostClass::Behavioural {
+    let golds = if silvers_are_golds {
         &silvers
     } else {
-        computed = gold.add_batch(inputs);
+        computed = design.behavioural().add_batch(inputs);
         &computed
     };
     let mut stats = CombinedErrorStats::new();
@@ -522,39 +430,18 @@ fn run_shard(
         structural_bits.record_arithmetic(triple.e_struct());
         timing_bits.record_flips(silver, gold_y);
     }
-    ShardOut {
+    RunResult {
+        design,
+        design_label: design.to_string(),
+        cpr: unit.cpr,
+        clock_ps: unit.clock_ps,
+        workload: unit.workload.to_owned(),
+        substrate: label.to_owned(),
+        cycles: stats.len(),
         stats,
         structural_bits,
         timing_bits,
     }
-}
-
-/// Splits `0..n` into `parts` contiguous near-equal ranges whose interior
-/// boundaries are aligned to whole 64-lane batches ([`isa_core::LANES`]),
-/// so every shard but the last hands its substrate a whole number of full
-/// batches (no ragged interior tails). Note this does *not* make a
-/// substrate's internal lane composition shard-count-independent — a
-/// segment-dealing `run_batch` re-derives its segment length from each
-/// shard's length. Sharding is only applied to stateless substrates, whose
-/// sessions are pure per-cycle functions, so per-cycle *values* (and the
-/// stream-order statistics built from them) stay shard-invariant
-/// regardless of lane composition. The final range absorbs the ragged
-/// tail.
-fn split_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
-    let parts = parts.clamp(1, n.max(1));
-    let batches = n.div_ceil(isa_core::LANES).max(1);
-    let parts = parts.min(batches);
-    let base = batches / parts;
-    let extra = batches % parts;
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len_batches = base + usize::from(i < extra);
-        let end = (start + len_batches * isa_core::LANES).min(n);
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
 }
 
 #[cfg(test)]
@@ -564,30 +451,6 @@ mod tests {
 
     fn one_design() -> Design {
         Design::Isa(IsaConfig::new(32, 8, 0, 0, 4).unwrap())
-    }
-
-    #[test]
-    fn split_ranges_covers_everything_in_order() {
-        // Interior boundaries land on whole 64-lane batches.
-        let ranges = split_ranges(300, 3);
-        assert_eq!(ranges, vec![0..128, 128..256, 256..300]);
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].end, w[1].start);
-            assert_eq!(w[0].end % isa_core::LANES, 0, "aligned boundary");
-        }
-        // Fewer batches than requested parts collapses the shard count.
-        assert_eq!(split_ranges(10, 3), vec![0..10]);
-        assert_eq!(split_ranges(130, 8).len(), 3);
-        assert_eq!(split_ranges(0, 3), vec![0..0]);
-        // Everything is covered exactly once regardless of n/parts.
-        for (n, parts) in [(1usize, 1usize), (64, 2), (65, 2), (8192, 7), (10_000, 4)] {
-            let ranges = split_ranges(n, parts);
-            assert_eq!(ranges.first().unwrap().start, 0);
-            assert_eq!(ranges.last().unwrap().end, n);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-            }
-        }
     }
 
     #[test]
@@ -609,26 +472,26 @@ mod tests {
         let gold = design.behavioural();
         let inputs = plan.resolved_workloads()[0].inputs.clone();
         let direct = isa_core::combine::structural_errors(gold.as_ref(), inputs.iter().copied());
-        assert_eq!(result.stats, direct, "unsharded run matches direct loop");
+        assert_eq!(result.stats, direct, "run matches the direct loop");
     }
 
     #[test]
-    fn sharded_stateless_run_matches_sequential_within_tolerance() {
-        let engine_parallel = Engine::with_threads(8);
-        let engine_serial = Engine::with_threads(1);
+    fn run_results_are_identical_on_one_and_eight_workers() {
         let plan = ExperimentPlan::new(ExperimentConfig::default())
-            .designs([one_design()])
+            .designs([one_design(), Design::Exact { width: 32 }])
             .cprs([0.10])
             .cycles(40_000)
             .substrate(SubstrateChoice::Behavioural);
-        let sharded = &engine_parallel.run(&plan)[0];
-        let sequential = &engine_serial.run(&plan.clone().max_shards_per_run(1))[0];
-        assert_eq!(sharded.cycles, sequential.cycles);
-        assert!((sharded.stats.re_joint.rms() - sequential.stats.re_joint.rms()).abs() < 1e-12);
-        assert_eq!(
-            sharded.structural_bits, sequential.structural_bits,
-            "bit counts are integers: sharding must not change them"
-        );
+        let serial = Engine::with_threads(1).run(&plan);
+        let parallel = Engine::with_threads(8).run(&plan);
+        assert_eq!(serial.len(), 2);
+        for (s, p) in serial.iter().zip(&parallel) {
+            assert_eq!(s.cycles, 40_000);
+            assert_eq!(p.design_label, s.design_label);
+            assert_eq!(p.stats, s.stats);
+            assert_eq!(p.structural_bits, s.structural_bits);
+            assert_eq!(p.timing_bits, s.timing_bits);
+        }
     }
 
     #[test]

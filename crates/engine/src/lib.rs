@@ -4,8 +4,9 @@
 //! [`ExperimentPlan`] describes *what* to evaluate (`designs × cprs ×
 //! workloads`), one [`Substrate`](isa_core::Substrate) describes *where*
 //! the overclocked outputs come from, and the [`Engine`] runs the whole
-//! matrix with per-design artifact memoization and multi-threaded
-//! sharding.
+//! matrix with per-design artifact memoization, one (design, cpr,
+//! workload) run per worker task — so every result is identical at every
+//! thread count.
 //!
 //! # The paper's Fig. 6 roles
 //!

@@ -1,7 +1,7 @@
 //! Declarative experiment plans: what to run, on which substrate.
 //!
 //! A plan is the cross product `designs × cprs × workloads` evaluated on
-//! one [`Substrate`] under one [`ExperimentConfig`].
+//! one [`Substrate`](isa_core::Substrate) under one [`ExperimentConfig`].
 //! Build it fluently:
 //!
 //! ```
@@ -18,13 +18,13 @@
 
 use std::sync::Arc;
 
-use isa_core::{paper_designs, Design, Substrate};
+use isa_core::{paper_designs, Design};
 use isa_workloads::{take_pairs, UniformWorkload};
 
 use crate::context::ExperimentConfig;
 
 /// Which `ysilver` backend a plan runs on.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub enum SubstrateChoice {
     /// The structural-only golden model (no timing errors).
     Behavioural,
@@ -36,21 +36,6 @@ pub enum SubstrateChoice {
         /// Training-trace length per (design, clock) pair.
         train_cycles: usize,
     },
-    /// Any user-provided substrate (fault injectors, remote backends, ...).
-    Custom(Arc<dyn Substrate>),
-}
-
-impl std::fmt::Debug for SubstrateChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Behavioural => write!(f, "Behavioural"),
-            Self::GateLevel => write!(f, "GateLevel"),
-            Self::Predicted { train_cycles } => {
-                write!(f, "Predicted {{ train_cycles: {train_cycles} }}")
-            }
-            Self::Custom(s) => write!(f, "Custom({})", s.label()),
-        }
-    }
 }
 
 /// One named input stream of a plan.
@@ -72,14 +57,12 @@ pub struct ExperimentPlan {
     pub(crate) workloads: Vec<WorkloadSpec>,
     pub(crate) cycles: usize,
     pub(crate) substrate: SubstrateChoice,
-    pub(crate) max_shards_per_run: usize,
 }
 
 impl ExperimentPlan {
     /// Creates a plan with the paper's defaults: all twelve designs, the
     /// configuration's CPRs, a uniform workload of 10 000 cycles seeded
-    /// from `config.workload_seed`, on the gate-level substrate, with
-    /// automatic sharding.
+    /// from `config.workload_seed`, on the gate-level substrate.
     #[must_use]
     pub fn new(config: ExperimentConfig) -> Self {
         let cprs = config.cprs.clone();
@@ -90,7 +73,6 @@ impl ExperimentPlan {
             workloads: Vec::new(),
             cycles: 10_000,
             substrate: SubstrateChoice::GateLevel,
-            max_shards_per_run: usize::MAX,
         }
     }
 
@@ -133,15 +115,6 @@ impl ExperimentPlan {
     #[must_use]
     pub fn substrate(mut self, substrate: SubstrateChoice) -> Self {
         self.substrate = substrate;
-        self
-    }
-
-    /// Caps how many shards a single stateless run may be split into
-    /// (`1` forces sequential accumulation, reproducing exact
-    /// sequential-push float behaviour).
-    #[must_use]
-    pub fn max_shards_per_run(mut self, max: usize) -> Self {
-        self.max_shards_per_run = max.max(1);
         self
     }
 

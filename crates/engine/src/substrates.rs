@@ -19,12 +19,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use isa_core::combine::SilverSource;
-use isa_core::segment_len;
-use isa_core::substrate::{CostClass, Substrate};
-use isa_core::{Adder, Design};
+use isa_core::{segment_len, Design, Substrate};
 use isa_learn::{CyclePair, PredictorConfig, TimingErrorPredictor};
-use isa_timing_sim::{run_filtered_batch_tape, ClockedCore};
+use isa_timing_sim::run_filtered_batch_tape;
 use isa_workloads::{take_pairs, UniformWorkload};
 
 use crate::cache::ArtifactCache;
@@ -38,15 +35,16 @@ pub const GATE_BACKEND_LABEL: &str = "filtered";
 /// The ground-truth substrate: delay-annotated gate-level simulation of
 /// the synthesized design, sampled at the reduced clock edge.
 ///
-/// [`run_batch`](Substrate::run_batch) is the production path: the
-/// filtered runner ([`run_filtered_batch_tape`]) deals the stream to 64
-/// lanes in contiguous segments. [`prepare`](Substrate::prepare) sessions
-/// step the scalar event-driven [`ClockedCore`] instead — the reference
-/// oracle every lane segment of `run_batch` equals bit for bit.
+/// [`run_batch`](Substrate::run_batch) runs the filtered runner
+/// ([`run_filtered_batch_tape`]), which deals the stream to 64 lanes in
+/// contiguous segments. Every lane segment equals the scalar oracle — a
+/// fresh [`ClockedSim`](isa_timing_sim::ClockedSim) replaying that
+/// segment from reset ([`scalar_segments`](isa_timing_sim::scalar_segments))
+/// — bit for bit.
 ///
 /// Synthesis and annotation artifacts are memoized per design in the shared
-/// [`ArtifactCache`], so preparing many sessions for the same design (e.g.
-/// one per CPR) synthesizes once.
+/// [`ArtifactCache`], so running many clocks of the same design (e.g. one
+/// per CPR) synthesizes once.
 #[derive(Debug)]
 pub struct GateLevelSubstrate {
     cache: Arc<ArtifactCache>,
@@ -67,40 +65,11 @@ impl GateLevelSubstrate {
     }
 }
 
-/// One gate-level session: owned clocked-simulation state plus the shared
-/// design artifacts, carrying circuit state across cycles.
-struct GateSession {
-    ctx: Arc<DesignContext>,
-    clocked: ClockedCore,
-}
-
-impl SilverSource for GateSession {
-    fn next_silver(&mut self, a: u64, b: u64) -> u64 {
-        let adder = &self.ctx.synthesized.adder;
-        let pins = adder.input_values(a, b);
-        self.clocked.step(adder.netlist(), &pins)
-    }
-}
-
 impl Substrate for GateLevelSubstrate {
-    fn prepare(&self, design: &Design, clock_ps: f64) -> Box<dyn SilverSource + '_> {
-        let ctx = self.context(design);
-        let clocked = ClockedCore::new(ctx.synthesized.adder.netlist(), &ctx.annotation, clock_ps);
-        Box::new(GateSession { ctx, clocked })
-    }
-
-    fn label(&self) -> String {
-        "gate-level".to_owned()
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::GateLevel
-    }
-
     /// Full-stream evaluation on the filtered runner: classifier-proven
     /// safe lanes take one functional tape sweep, the unsafe minority a
-    /// compacted 64-lane timed replay. Lane `l` equals a scalar session
-    /// fed stream segment `l` (see [`segment_len`]).
+    /// compacted 64-lane timed replay. Lane `l` equals a scalar run of
+    /// stream segment `l` (see [`segment_len`]).
     fn run_batch(&self, design: &Design, clock_ps: f64, inputs: &[(u64, u64)]) -> Vec<u64> {
         let ctx = self.context(design);
         run_filtered_batch_tape(
@@ -111,6 +80,10 @@ impl Substrate for GateLevelSubstrate {
             clock_ps,
             inputs,
         )
+    }
+
+    fn label(&self) -> String {
+        "gate-level".to_owned()
     }
 }
 
@@ -125,11 +98,11 @@ struct PredictorKey {
 /// The learned substrate: `ysilver` deduced from the paper's per-bit
 /// timing-error predictor (Section III.A) instead of gate-level simulation.
 ///
-/// On first [`prepare`](Substrate::prepare) of a (design, clock) pair the
-/// substrate collects a gate-level training trace over its own training
-/// workload, trains one Random Forest per output bit, and memoizes the
-/// model; subsequent sessions reuse it. Sessions then run at behavioural
-/// speed: golden output plus forest inference per cycle.
+/// On the first [`run_batch`](Substrate::run_batch) of a (design, clock)
+/// pair the substrate collects a gate-level training trace over its own
+/// training workload, trains one Random Forest per output bit, and
+/// memoizes the model; later runs reuse it. Runs then cost the golden
+/// model plus 64-lane forest inference.
 pub struct PredictedSubstrate {
     cache: Arc<ArtifactCache>,
     config: ExperimentConfig,
@@ -264,48 +237,26 @@ pub fn cycles_with_segment_resets(raw: &[(u64, u64, u64, u64)]) -> Vec<CyclePair
         .collect()
 }
 
-/// One predictor session: golden model plus previous-cycle state (the
-/// model's `x[t-1]` / `yRTL[t-1]` features).
-struct PredictedSession {
-    predictor: Arc<TimingErrorPredictor>,
-    gold: Box<dyn Adder>,
-    prev: (u64, u64, u64),
-}
-
-impl SilverSource for PredictedSession {
-    fn next_silver(&mut self, a: u64, b: u64) -> u64 {
-        let gold = self.gold.add(a, b);
-        let cycle = CyclePair {
-            a,
-            b,
-            a_prev: self.prev.0,
-            b_prev: self.prev.1,
-            gold,
-            gold_prev: self.prev.2,
-            flips: 0,
-        };
-        let silver = self.predictor.predict_silver(&cycle);
-        self.prev = (a, b, gold);
-        silver
-    }
-}
-
 impl Substrate for PredictedSubstrate {
-    fn prepare(&self, design: &Design, clock_ps: f64) -> Box<dyn SilverSource + '_> {
+    /// The golden stream with the predicted flips applied: golds from the
+    /// model's [`add_batch`](isa_core::Adder::add_batch), `x[t-1]` /
+    /// `yRTL[t-1]` features from [`CyclePair::from_stream`] (the first
+    /// cycle's predecessor is the reset state), and
+    /// [`TimingErrorPredictor::predict_flips_batch`] 64 cycles per pass.
+    fn run_batch(&self, design: &Design, clock_ps: f64, inputs: &[(u64, u64)]) -> Vec<u64> {
         let predictor = self.predictor(design, clock_ps);
-        Box::new(PredictedSession {
-            predictor,
-            gold: design.behavioural(),
-            prev: (0, 0, 0),
-        })
+        let golds = design.behavioural().add_batch(inputs);
+        let stream: Vec<(u64, u64, u64, u64)> = inputs
+            .iter()
+            .zip(&golds)
+            .map(|(&(a, b), &gold)| (a, b, gold, 0))
+            .collect();
+        let flips = predictor.predict_flips_batch(&CyclePair::from_stream(&stream));
+        golds.iter().zip(flips).map(|(&gold, f)| gold ^ f).collect()
     }
 
     fn label(&self) -> String {
         "predicted".to_owned()
-    }
-
-    fn cost_class(&self) -> CostClass {
-        CostClass::Predicted
     }
 }
 
@@ -323,24 +274,21 @@ mod tests {
         let (cache, config) = shared();
         let substrate = GateLevelSubstrate::new(cache, config.clone());
         let design = Design::Isa(IsaConfig::new(32, 8, 0, 0, 4).unwrap());
-        let gold = design.behavioural();
-        let mut session = substrate.prepare(&design, config.period_ps);
-        let mut seed = 0x5EEDu64;
-        for _ in 0..100 {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(7);
-            let (a, b) = (seed >> 32, seed & 0xFFFF_FFFF);
-            assert_eq!(session.next_silver(a, b), gold.add(a, b));
-        }
+        let inputs = take_pairs(UniformWorkload::new(32, 0x5EED), 100);
+        assert_eq!(
+            substrate.run_batch(&design, config.period_ps, &inputs),
+            design.behavioural().add_batch(&inputs)
+        );
     }
 
     #[test]
-    fn gate_level_memoizes_synthesis_across_sessions() {
+    fn gate_level_memoizes_synthesis_across_clocks() {
         let (cache, config) = shared();
         let substrate = GateLevelSubstrate::new(Arc::clone(&cache), config.clone());
         let design = Design::Exact { width: 32 };
-        let _s1 = substrate.prepare(&design, config.clock_ps(0.05));
-        let _s2 = substrate.prepare(&design, config.clock_ps(0.15));
-        assert_eq!(cache.len(), 1, "one synthesis for two sessions");
+        let _ = substrate.run_batch(&design, config.clock_ps(0.05), &[(1, 2)]);
+        let _ = substrate.run_batch(&design, config.clock_ps(0.15), &[(1, 2)]);
+        assert_eq!(cache.len(), 1, "one synthesis for two clocks");
     }
 
     #[test]
@@ -355,7 +303,38 @@ mod tests {
         // Error-free design at mild overclock: predictor degenerates to the
         // golden model.
         let gold = design.behavioural();
-        let mut session = substrate.prepare(&design, clk);
-        assert_eq!(session.next_silver(7, 9), gold.add(7, 9));
+        assert_eq!(
+            substrate.run_batch(&design, clk, &[(7, 9)]),
+            [gold.add(7, 9)]
+        );
+    }
+
+    #[test]
+    fn predicted_run_batch_equals_per_cycle_prediction() {
+        // An overclocked exact adder (timing errors on most cycles) over a
+        // stream whose length is not a multiple of 64: the batched path
+        // must equal `ygold ^ predict_flips` cycle by cycle, with the
+        // stream's own predecessor features and a reset-state first cycle.
+        let (cache, config) = shared();
+        let substrate = PredictedSubstrate::new(cache, config.clone(), 600);
+        let design = Design::Exact { width: 32 };
+        let clk = config.clock_ps(0.15);
+        let inputs = take_pairs(UniformWorkload::new(32, 0xF17), 1_000);
+        assert_ne!(inputs.len() % 64, 0);
+        let gold = design.behavioural();
+        let raw: Vec<(u64, u64, u64, u64)> = inputs
+            .iter()
+            .map(|&(a, b)| (a, b, gold.add(a, b), 0))
+            .collect();
+        let predictor = substrate.predictor(&design, clk);
+        let per_cycle: Vec<u64> = CyclePair::from_stream(&raw)
+            .iter()
+            .map(|c| c.gold ^ predictor.predict_flips(c))
+            .collect();
+        assert!(
+            per_cycle.iter().zip(&raw).any(|(&y, r)| y != r.2),
+            "the model must predict some timing errors"
+        );
+        assert_eq!(substrate.run_batch(&design, clk, &inputs), per_cycle);
     }
 }

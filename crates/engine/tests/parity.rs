@@ -3,15 +3,16 @@
 //! it has to — at a safe clock (period above the critical path) the
 //! gate-level circuit settles every cycle, so its joint statistics equal
 //! the behavioural (structural-only) substrate's exactly. And the
-//! gate-level substrate's production `run_batch` must equal its scalar
-//! `prepare` sessions, lane segment by lane segment.
+//! gate-level substrate's production `run_batch` must equal the scalar
+//! oracle ([`scalar_segments`]), lane segment by lane segment.
 
 use std::sync::Arc;
 
-use isa_core::{segment_len, Design, IsaConfig, Substrate};
+use isa_core::{Design, IsaConfig, Substrate};
 use isa_engine::{
     ArtifactCache, Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate, SubstrateChoice,
 };
+use isa_timing_sim::scalar_segments;
 use isa_workloads::{take_pairs, UniformWorkload};
 
 fn paper_subset() -> Vec<Design> {
@@ -29,14 +30,12 @@ fn gate_level_at_safe_clock_matches_behavioural_exactly() {
     // A negative CPR is an *underclock*: -0.2 runs at 360 ps, above even
     // the +3σ-perturbed critical path of the slack-wall exact adder (the
     // variation model clamps at ±3σ = ±15%), so no output bit is ever
-    // sampled before settling. Force one shard so both substrates
-    // accumulate in identical (sequential) push order and the statistics
-    // compare bit-for-bit.
+    // sampled before settling. Both substrates accumulate each run in
+    // stream order, so the statistics compare bit-for-bit.
     let base = ExperimentPlan::new(config)
         .designs(paper_subset())
         .cprs([-0.2])
-        .cycles(600)
-        .max_shards_per_run(1);
+        .cycles(600);
     let gate = engine.run(&base.clone().substrate(SubstrateChoice::GateLevel));
     let behavioural = engine.run(&base.substrate(SubstrateChoice::Behavioural));
 
@@ -61,10 +60,10 @@ fn gate_level_at_safe_clock_matches_behavioural_exactly() {
 }
 
 #[test]
-fn production_run_batch_equals_scalar_sessions_per_segment() {
+fn production_run_batch_equals_scalar_segments() {
     // The production path deals the stream to 64 lanes in contiguous
-    // segments, each starting from reset; every lane must equal a scalar
-    // `prepare` session fed that segment, bit for bit, at a safe clock
+    // segments, each starting from reset; every lane must equal a fresh
+    // scalar `ClockedSim` fed that segment, bit for bit, at a safe clock
     // and overclocked — including which cycles err.
     let config = ExperimentConfig::default();
     let substrate = GateLevelSubstrate::new(Arc::new(ArtifactCache::new()), config.clone());
@@ -72,15 +71,12 @@ fn production_run_batch_equals_scalar_sessions_per_segment() {
     let mut timing_errors = 0usize;
     for design in paper_subset() {
         let gold = design.behavioural();
+        let ctx = substrate.context(&design);
         for cpr in [-0.2, 0.15] {
             let clock = config.clock_ps(cpr);
             let batched = substrate.run_batch(&design, clock, &inputs);
-            let mut per_segment = Vec::with_capacity(inputs.len());
-            for segment in inputs.chunks(segment_len(inputs.len())) {
-                let mut session = substrate.prepare(&design, clock);
-                per_segment.extend(segment.iter().map(|&(a, b)| session.next_silver(a, b)));
-            }
-            assert_eq!(batched, per_segment, "{design} at cpr {cpr}");
+            let oracle = scalar_segments(&ctx.synthesized.adder, &ctx.annotation, clock, &inputs);
+            assert_eq!(batched, oracle, "{design} at cpr {cpr}");
             timing_errors += inputs
                 .iter()
                 .zip(&batched)
@@ -121,8 +117,7 @@ fn predicted_substrate_tracks_gate_level_on_aggregate() {
     let quiet = ExperimentPlan::new(config.clone())
         .designs([Design::Isa(IsaConfig::new(32, 16, 0, 0, 0).unwrap())])
         .cprs([0.05])
-        .cycles(400)
-        .max_shards_per_run(1);
+        .cycles(400);
     let gate = &engine.run(&quiet.clone().substrate(SubstrateChoice::GateLevel))[0];
     let predicted =
         &engine.run(&quiet.substrate(SubstrateChoice::Predicted { train_cycles: 400 }))[0];

@@ -62,17 +62,6 @@ pub struct AppsReport {
     pub scale: usize,
 }
 
-/// Runs the sweep on a fresh engine.
-#[must_use]
-pub fn run(
-    config: &ExperimentConfig,
-    designs: &[Design],
-    cprs: &[f64],
-    scale: usize,
-) -> AppsReport {
-    run_on(&Engine::new(), config, designs, cprs, scale)
-}
-
 /// Runs the sweep on a shared engine: one [`ExperimentPlan`] whose
 /// workload axis carries the kernel suite, evaluated with
 /// [`Engine::map`] so (design × clock × kernel) units share the memoized

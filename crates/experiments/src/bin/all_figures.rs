@@ -2,7 +2,7 @@
 //! under `results/`.
 //!
 //! One engine is shared by every pipeline, so the twelve designs are
-//! synthesized exactly once and all (design × CPR × workload) runs shard
+//! synthesized exactly once and all (design × CPR × workload) runs spread
 //! across the machine.
 //!
 //! Usage: `all_figures [--cycles N] [--train N] [--test N] [--samples N]

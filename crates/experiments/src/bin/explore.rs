@@ -5,7 +5,7 @@
 //! `explore [--space paper|compact|full] [--strategy auto|exhaustive|evolutionary]`
 //! `[--seed N] [--budget N] [--cycles N] [--workload uniform|walk|sine|accumulate]`
 //! `[--kernel NAME --scale N] [--min-quality DB] [--max-clock PS]`
-//! `[--no-prefilter] [--safety F] [--energy-cycles N] [--proven-sta]`
+//! `[--no-prefilter] [--energy-cycles N] [--proven-sta]`
 //! `[--population N] [--generations N] [--csv PATH] [--threads N]`
 //! `[--stats-json PATH]`
 //!
@@ -34,7 +34,6 @@ fn settings_from_args(args: &[String]) -> ExploreSettings {
         kernel: arg_value(args, "kernel"),
         scale: arg_value(args, "scale").unwrap_or(defaults.scale),
         prefilter: !args.iter().any(|a| a == "--no-prefilter"),
-        safety: arg_value(args, "safety").unwrap_or(defaults.safety),
         energy_cycles: arg_value(args, "energy-cycles").unwrap_or(defaults.energy_cycles),
         proven_sta: args.iter().any(|a| a == "--proven-sta"),
         population: arg_value(args, "population").unwrap_or(defaults.population),
@@ -71,7 +70,6 @@ fn main() {
         let _ = writeln!(json, "  \"workload\": \"{}\",", report.outcome.workload);
         let _ = writeln!(json, "  \"seed\": {},", settings.seed);
         let _ = writeln!(json, "  \"cycles\": {},", settings.cycles);
-        let _ = writeln!(json, "  \"safety\": {},", settings.safety);
         let _ = writeln!(json, "  \"proven_sta\": {},", settings.proven_sta);
         let _ = writeln!(json, "  \"candidates\": {},", stats.considered);
         let _ = writeln!(json, "  \"pruned\": {},", stats.pruned);

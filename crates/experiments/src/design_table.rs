@@ -41,19 +41,13 @@ pub struct DesignTable {
     pub samples: usize,
 }
 
-/// Characterizes all twelve designs: synthesis metrics plus structural
-/// accuracy over `samples` behavioural additions (the paper uses 10⁷), on
-/// a fresh engine.
-#[must_use]
-pub fn run(config: &ExperimentConfig, samples: usize) -> DesignTable {
-    run_on(&Engine::new(), config, &isa_core::paper_designs(), samples)
-}
-
-/// Runs on a shared engine for an explicit design list.
+/// Characterizes an explicit design list on a shared engine: synthesis
+/// metrics plus structural accuracy over `samples` behavioural additions
+/// (the paper uses 10⁷).
 ///
-/// The structural-accuracy columns run on the behavioural substrate (so a
-/// single design's sample stream is sharded across workers and merged);
-/// the synthesis columns come from the engine's memoized artifacts.
+/// The structural-accuracy columns run on the behavioural substrate, one
+/// design per worker; the synthesis columns come from the engine's
+/// memoized artifacts.
 #[must_use]
 pub fn run_on(
     engine: &Engine,
@@ -165,7 +159,7 @@ mod tests {
         // structural RMS RE must be (weakly) decreasing along the row
         // order, with the exact adder at zero.
         let config = ExperimentConfig::default();
-        let table = run(&config, 30_000);
+        let table = run_on(&Engine::new(), &config, &isa_core::paper_designs(), 30_000);
         assert_eq!(table.rows.len(), 12);
         let rms: Vec<f64> = table.rows.iter().map(|r| r.rms_re_struct_pct).collect();
         assert_eq!(rms[11], 0.0, "exact adder has no structural error");
@@ -182,7 +176,7 @@ mod tests {
     #[test]
     fn every_design_meets_the_constraint() {
         let config = ExperimentConfig::default();
-        let table = run(&config, 1000);
+        let table = run_on(&Engine::new(), &config, &isa_core::paper_designs(), 1000);
         for r in &table.rows {
             assert!(
                 r.critical_ps <= config.period_ps,
@@ -196,7 +190,7 @@ mod tests {
     #[test]
     fn render_includes_topologies() {
         let config = ExperimentConfig::default();
-        let table = run(&config, 500);
+        let table = run_on(&Engine::new(), &config, &isa_core::paper_designs(), 500);
         let text = table.render();
         assert!(text.contains("ripple"));
         assert!(text.contains("exact"));

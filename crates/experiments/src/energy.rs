@@ -45,15 +45,10 @@ pub struct EnergyTable {
     pub cycles: usize,
 }
 
-/// Runs the energy characterization at the safe clock on a fresh engine.
-#[must_use]
-pub fn run(config: &ExperimentConfig, cycles: usize) -> EnergyTable {
-    run_on(&Engine::new(), config, &isa_core::paper_designs(), cycles)
-}
-
-/// Runs on a shared engine for an explicit design list: per-design
-/// activity simulations are sharded across the engine's workers and reuse
-/// its memoized synthesis artifacts.
+/// Runs the energy characterization at the safe clock on a shared engine
+/// for an explicit design list: per-design activity simulations are
+/// spread over the engine's workers and reuse its memoized synthesis
+/// artifacts.
 #[must_use]
 pub fn run_on(
     engine: &Engine,

@@ -17,9 +17,7 @@ use isa_explore::{
     explore, CandidateEval, EvalMode, EvalSettings, EvolutionSettings, Query, SearchOutcome,
     SearchSettings, SpaceSpec, Strategy,
 };
-use isa_workloads::{
-    take_pairs, AccumulationWorkload, RandomWalkWorkload, SineWorkload, UniformWorkload,
-};
+use isa_workloads::{named_stream, STREAM_NAMES};
 
 use crate::report::Table;
 
@@ -36,8 +34,8 @@ pub struct ExploreSettings {
     pub budget: usize,
     /// Stream workload length in cycles.
     pub cycles: usize,
-    /// Stream workload name (`uniform`, `walk`, `sine`, `accumulate`) —
-    /// ignored when a kernel is selected.
+    /// Stream workload name (one of [`STREAM_NAMES`]) — ignored when a
+    /// kernel is selected.
     pub workload: String,
     /// Application kernel name (e.g. `conv2d-sobel`); switches the error
     /// objective to negated PSNR.
@@ -46,9 +44,6 @@ pub struct ExploreSettings {
     pub scale: usize,
     /// Run the structural pre-filter.
     pub prefilter: bool,
-    /// Stream-mode pruning safety factor (the bound is exact, so 1.0 is
-    /// already sound; raising it only makes pruning more conservative).
-    pub safety: f64,
     /// Cycles of the per-design energy characterization.
     pub energy_cycles: usize,
     /// Tighten each die's critical delay with the symbolic false-path
@@ -76,7 +71,6 @@ impl Default for ExploreSettings {
             kernel: None,
             scale: 1,
             prefilter: true,
-            safety: 1.0,
             energy_cycles: 512,
             proven_sta: false,
             population: 48,
@@ -135,16 +129,14 @@ impl ExploreSettings {
                 kernel: Arc::from(kernel),
             };
         }
-        let seed = config.workload_seed;
-        let inputs = match self.workload.as_str() {
-            "uniform" => take_pairs(UniformWorkload::new(32, seed), self.cycles),
-            "walk" => take_pairs(RandomWalkWorkload::new(32, 4096, seed), self.cycles),
-            "sine" => take_pairs(SineWorkload::new(32, 0.013, 0.029, 0.05, seed), self.cycles),
-            "accumulate" => take_pairs(AccumulationWorkload::new(32, 24, seed), self.cycles),
-            other => {
-                panic!("unknown --workload {other:?} (uniform|walk|sine|accumulate)")
-            }
-        };
+        let inputs = named_stream(&self.workload, 32, config.workload_seed, self.cycles)
+            .unwrap_or_else(|| {
+                panic!(
+                    "unknown --workload {:?} ({})",
+                    self.workload,
+                    STREAM_NAMES.join("|")
+                )
+            });
         EvalMode::Stream {
             name: self.workload.clone(),
             inputs: Arc::new(inputs),
@@ -162,12 +154,6 @@ pub struct ExploreReport {
     pub settings: ExploreSettings,
 }
 
-/// Runs an exploration on a fresh engine.
-#[must_use]
-pub fn run(config: &ExperimentConfig, settings: &ExploreSettings) -> ExploreReport {
-    run_on(&Engine::new(), config, settings)
-}
-
 /// Runs an exploration on a shared engine (memoized synthesis artifacts,
 /// tier-B scoring parallel across its workers).
 #[must_use]
@@ -183,7 +169,6 @@ pub fn run_on(
         settings.eval_mode(config),
         EvalSettings {
             prefilter: settings.prefilter,
-            safety: settings.safety,
             energy_cycles: settings.energy_cycles,
             proven_sta: settings.proven_sta,
         },

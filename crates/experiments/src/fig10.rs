@@ -10,7 +10,7 @@
 //! errors are irregular and concentrated on the compensation logic rather
 //! than the global MSBs.
 
-use isa_core::{BitErrorDistribution, Design, IsaConfig};
+use isa_core::{BitErrorDistribution, Design};
 use isa_engine::{Engine, ExperimentConfig, ExperimentPlan, SubstrateChoice};
 
 use crate::report::Table;
@@ -28,27 +28,10 @@ pub struct Fig10Report {
     pub timing: BitErrorDistribution,
 }
 
-/// Runs the distribution experiment for the paper's configuration:
-/// ISA (8,0,0,4) at 15 % CPR.
-///
-/// # Panics
-///
-/// Panics if the hard-coded paper design fails validation (it cannot).
-#[must_use]
-pub fn run(config: &ExperimentConfig, cycles: usize) -> Fig10Report {
-    let cfg = IsaConfig::new(32, 8, 0, 0, 4).expect("paper design is valid");
-    run_for(config, Design::Isa(cfg), 0.15, cycles)
-}
-
-/// Runs the distribution experiment for any design and CPR on a fresh
-/// engine.
-#[must_use]
-pub fn run_for(config: &ExperimentConfig, design: Design, cpr: f64, cycles: usize) -> Fig10Report {
-    run_on(&Engine::new(), config, design, cpr, cycles)
-}
-
-/// Runs on a shared engine: one gate-level run whose per-bit distributions
-/// come straight from the engine's [`RunResult`](isa_engine::RunResult).
+/// Runs the distribution experiment for a design and CPR (the paper's is
+/// ISA (8,0,0,4) at 15 % CPR) on a shared engine: one gate-level run whose
+/// per-bit distributions come straight from the engine's
+/// [`RunResult`](isa_engine::RunResult).
 #[must_use]
 pub fn run_on(
     engine: &Engine,
@@ -134,11 +117,18 @@ impl Fig10Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isa_core::IsaConfig;
+
+    /// The paper's Fig. 10 point: ISA (8,0,0,4) at 15 % CPR.
+    fn paper_point(config: &ExperimentConfig, cycles: usize) -> Fig10Report {
+        let design = Design::Isa(IsaConfig::new(32, 8, 0, 0, 4).unwrap());
+        run_on(&Engine::new(), config, design, 0.15, cycles)
+    }
 
     #[test]
     fn structural_distribution_matches_paper_shape() {
         let config = ExperimentConfig::default();
-        let report = run(&config, 4000);
+        let report = paper_point(&config, 4000);
         let s = report.structural.rates();
 
         // The first speculative path (bits 0..8 minus the reduction overlap
@@ -164,7 +154,7 @@ mod tests {
     #[test]
     fn timing_errors_do_not_concentrate_on_global_msbs() {
         let config = ExperimentConfig::default();
-        let report = run(&config, 4000);
+        let report = paper_point(&config, 4000);
         let t = report.timing.rates();
         let msb_mass: f64 = t[28..33].iter().sum();
         let total: f64 = t.iter().sum();
@@ -179,7 +169,7 @@ mod tests {
     #[test]
     fn render_and_csv_cover_all_positions() {
         let config = ExperimentConfig::default();
-        let report = run(&config, 500);
+        let report = paper_point(&config, 500);
         let text = report.render();
         assert!(text.contains("Fig. 10"));
         assert_eq!(report.to_csv().lines().count(), 1 + 33);

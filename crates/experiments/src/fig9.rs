@@ -3,7 +3,7 @@
 //!
 //! Implements the Fig. 6 flow end to end through the engine: `ydiamond`
 //! from exact addition, `ygold` from the behavioural ISA model, `ysilver`
-//! from the gate-level substrate's overclocked event-driven sessions.
+//! from the gate-level substrate's `run_batch` at the reduced clock.
 
 use isa_core::Design;
 use isa_engine::{Engine, ExperimentConfig, ExperimentPlan, SubstrateChoice};
@@ -45,19 +45,13 @@ pub struct Fig9Report {
     pub cycles: usize,
 }
 
-/// Runs the error-combination experiment over all twelve designs on a
-/// fresh engine.
+/// Runs the error-combination experiment on a shared engine (memoized
+/// synthesis artifacts, runs spread over its worker pool) for an explicit
+/// design list.
 ///
 /// `cycles` is the gate-level sample count per (design, CPR) pair; the
 /// paper uses ten million behavioural samples — see the README for the
 /// counts used in the reproduction and their convergence check.
-#[must_use]
-pub fn run(config: &ExperimentConfig, cycles: usize) -> Fig9Report {
-    run_on(&Engine::new(), config, &isa_core::paper_designs(), cycles)
-}
-
-/// Runs the experiment on a shared engine (memoized synthesis artifacts,
-/// sharded across its worker pool) for an explicit design list.
 #[must_use]
 pub fn run_on(
     engine: &Engine,

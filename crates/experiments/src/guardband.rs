@@ -67,17 +67,12 @@ pub struct GuardbandReport {
 pub const RECOVERY_CYCLES: u32 = 5;
 
 /// Runs the comparison for the given ISA design (the paper's balanced
-/// (8,0,0,4) is the natural choice) on a fresh engine.
-#[must_use]
-pub fn run(config: &ExperimentConfig, isa_cfg: IsaConfig, cycles: usize) -> GuardbandReport {
-    run_on(&Engine::new(), config, isa_cfg, cycles)
-}
-
-/// Runs on a shared engine: the per-CPR evaluations parallelize across its
-/// workers and both designs' synthesis artifacts come from its cache. The
-/// ISA's overclocked stream comes from a gate-level substrate session; the
-/// replay strategy's model from the predictor substrate (trained on an
-/// independently seeded stream).
+/// (8,0,0,4) is the natural choice) on a shared engine: the per-CPR
+/// evaluations parallelize across its workers and both designs' synthesis
+/// artifacts come from its cache. The ISA's overclocked stream comes from
+/// the gate-level substrate's `run_batch`; the replay strategy's model
+/// from the predictor substrate (trained on an independently seeded
+/// stream).
 #[must_use]
 pub fn run_on(
     engine: &Engine,
@@ -273,7 +268,7 @@ mod tests {
             ..ExperimentConfig::default()
         };
         let isa = IsaConfig::new(32, 8, 0, 0, 4).unwrap();
-        let report = run(&config, isa, 800);
+        let report = run_on(&Engine::new(), &config, isa, 800);
         assert_eq!(report.points.len(), 3);
         let razor = &report.points[0];
         let open = &report.points[1];
@@ -295,7 +290,7 @@ mod tests {
             ..ExperimentConfig::default()
         };
         let isa = IsaConfig::new(32, 8, 0, 0, 2).unwrap();
-        let report = run(&config, isa, 300);
+        let report = run_on(&Engine::new(), &config, isa, 300);
         assert!(report.render().contains("exact+razor"));
         assert_eq!(report.to_csv().lines().count(), 1 + 3);
     }

@@ -24,10 +24,9 @@
 //! energy) via [`isa_explore`]'s two-tier analytical + gate-level
 //! evaluator.
 //!
-//! Each module exposes a `run(...)` entry point (fresh engine) plus a
-//! `run_on(&Engine, ...)` variant for sharing one engine — and hence one
-//! set of memoized synthesis artifacts and one worker pool — across
-//! pipelines, as `all_figures` does. Reports keep their
+//! Each module exposes one `run_on(&Engine, ...)` entry point, so callers
+//! share one engine — and hence one set of memoized synthesis artifacts
+//! and one worker pool — across pipelines, as `all_figures` does. Reports keep their
 //! `render()`/`to_csv()` methods; the `fig7`, `fig8`, `fig9`, `fig10`,
 //! `design_table`, `energy_table`, `guardband`, `workloads` and
 //! `all_figures` binaries drive them from the command line.

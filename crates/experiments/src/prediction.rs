@@ -66,26 +66,14 @@ pub struct PredictionReport {
     pub test_cycles: usize,
 }
 
-/// Runs model training + evaluation for all twelve designs on a fresh
-/// engine.
-#[must_use]
-pub fn run(config: &ExperimentConfig, train_cycles: usize, test_cycles: usize) -> PredictionReport {
-    run_on(
-        &Engine::new(),
-        config,
-        &isa_core::paper_designs(),
-        train_cycles,
-        test_cycles,
-    )
-}
-
-/// Runs on a shared engine for an explicit design list.
+/// Runs model training + evaluation on a shared engine for an explicit
+/// design list.
 ///
 /// Training goes through the engine's [`PredictedSubstrate`] (which
 /// memoizes one trained model per (design, clock) against the shared
 /// artifact cache); ground truth comes from independent
-/// [`GateLevelSubstrate`] sessions over the held-out stream. The
-/// (design × CPR) evaluations are sharded across the engine's workers.
+/// [`GateLevelSubstrate`] runs over the held-out stream. The
+/// (design × CPR) evaluations are spread over the engine's workers.
 #[must_use]
 pub fn run_on(
     engine: &Engine,

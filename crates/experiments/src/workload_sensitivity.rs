@@ -70,7 +70,7 @@ fn workloads(seed: u64, cycles: usize) -> Vec<(&'static str, Vec<(u64, u64)>)> {
 
 /// Runs the sensitivity study for given designs at one CPR on a shared
 /// engine: one gate-level plan whose workload axis carries the whole
-/// suite, sharded across the engine's workers.
+/// suite, spread over the engine's workers.
 #[must_use]
 pub fn run_on(
     engine: &Engine,

@@ -6,13 +6,14 @@
 //!    structural-only behavioural run (no hidden state in the batched
 //!    executor);
 //! 2. when overclocked, the production gate-level `run_batch` of a
-//!    kernel's operand stream equals scalar `prepare` sessions fed the
-//!    same stream in per-lane segments — the lane-parity contract lifted
-//!    to application streams, including the ragged final segment.
+//!    kernel's operand stream equals the scalar oracle fed the same
+//!    stream in per-lane segments — the lane-parity contract lifted to
+//!    application streams, including the ragged final segment.
 
 use isa_apps::{run_behavioural, run_on_substrate, run_with, standard_kernels, FirKernel};
-use isa_core::{segment_len, BehaviouralSubstrate, Design, IsaConfig, Substrate};
+use isa_core::{BehaviouralSubstrate, Design, IsaConfig, Substrate};
 use isa_experiments::{ArtifactCache, ExperimentConfig, GateLevelSubstrate};
+use isa_timing_sim::scalar_segments;
 use std::sync::Arc;
 
 fn isa_8004() -> Design {
@@ -31,7 +32,7 @@ fn behavioural_substrate_equals_direct_behavioural_run() {
 }
 
 #[test]
-fn overclocked_run_batch_equals_scalar_sessions_per_segment() {
+fn overclocked_run_batch_equals_scalar_segments() {
     // Record the FIR kernel's first reduction pass: a real application
     // operand stream whose length is not a multiple of 64.
     let kernel = FirKernel::new(128, 0x5EED_CAFE ^ 0xF14);
@@ -51,12 +52,7 @@ fn overclocked_run_batch_equals_scalar_sessions_per_segment() {
     let gate = GateLevelSubstrate::new(Arc::new(ArtifactCache::new()), config);
 
     let batched = gate.run_batch(&design, clock_ps, &ops);
-    let mut per_segment = Vec::with_capacity(ops.len());
-    for chunk in ops.chunks(segment_len(ops.len())) {
-        let mut session = gate.prepare(&design, clock_ps);
-        for &(a, b) in chunk {
-            per_segment.push(session.next_silver(a, b));
-        }
-    }
-    assert_eq!(batched, per_segment, "lane-parity contract on app streams");
+    let ctx = gate.context(&design);
+    let oracle = scalar_segments(&ctx.synthesized.adder, &ctx.annotation, clock_ps, &ops);
+    assert_eq!(batched, oracle, "lane-parity contract on app streams");
 }

@@ -10,20 +10,10 @@
 //! exactly, they are just cheaper about it.
 
 use isa_apps::{kernel_by_name, BatchAdder};
-use isa_core::{paper_designs, segment_len};
+use isa_core::paper_designs;
 use isa_engine::{DesignContext, ExperimentConfig};
-use isa_timing_sim::run_filtered_batch_with_stats_tape;
+use isa_timing_sim::{run_filtered_batch_with_stats_tape, scalar_segments};
 use isa_workloads::{take_pairs, UniformWorkload};
-
-/// The scalar oracle: each contiguous lane segment on a fresh
-/// `ClockedSim`, starting from the reset state.
-fn scalar_segments(ctx: &DesignContext, clock_ps: f64, inputs: &[(u64, u64)]) -> Vec<u64> {
-    inputs
-        .chunks(segment_len(inputs.len()))
-        .flat_map(|segment| ctx.trace(clock_ps, segment))
-        .map(|record| record.sampled)
-        .collect()
-}
 
 #[test]
 fn filtered_matches_scalar_at_every_fig9_clock_point() {
@@ -48,7 +38,7 @@ fn filtered_matches_scalar_at_every_fig9_clock_point() {
             );
             assert_eq!(
                 got,
-                scalar_segments(&ctx, clock, &inputs),
+                scalar_segments(&ctx.synthesized.adder, &ctx.annotation, clock, &inputs),
                 "{design} at cpr {cpr}"
             );
             if !stats.tier0 && !stats.fell_back {
@@ -89,7 +79,7 @@ fn filtered_matches_scalar_on_app_kernel_stream_with_ragged_tail() {
             );
             assert_eq!(
                 got,
-                scalar_segments(&ctx, clock, ops),
+                scalar_segments(&ctx.synthesized.adder, &ctx.annotation, clock, ops),
                 "pass {passes} ({} ops)",
                 ops.len()
             );

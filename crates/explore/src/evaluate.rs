@@ -36,11 +36,9 @@
 //!   at deep clock-period reductions.
 //! * **Cross design:** a certain reference whose exact structural bound
 //!   is no worse than the candidate's, no slower and no more energy
-//!   (with at least one strict), optionally widened by the
-//!   [`EvalSettings::safety`] margin. Because the bounds are computed on
-//!   the *actual* workload, this rule applies to every stream —
-//!   narrow-operand streams (sine/walk/accumulate) included — where the
-//!   old analytical bound was only validated for uniform operands.
+//!   (with at least one strict). Because the bounds are computed on the
+//!   *actual* workload, this rule applies to every workload —
+//!   narrow-operand streams (sine/walk/accumulate) and kernels included.
 //!
 //! A pruned candidate can never reach the Pareto front, under **one**
 //! documented assumption:
@@ -53,16 +51,12 @@
 //!    objective *equals* its structural bound; a candidate's measured
 //!    objective is at least its structural bound. Reference bound ≤
 //!    candidate bound therefore implies reference measurement ≤ candidate
-//!    measurement — no model margin is needed, and the default
-//!    [`EvalSettings::safety`] is 1.0. (The pre-PR8 evaluator bounded
-//!    streams with the *approximate* analytical RMS instead, which forced
-//!    a ≥ 2× margin and restricted cross-design pruning to uniform
-//!    streams; the exact-on-stream bound retired both caveats. The
-//!    timing side still rests on assumption 1 — the structural side rests
-//!    on none.) The margin-1.0/margin-2.0 front equality is pinned by a
-//!    test, and CI reruns an exhaustive search without the pre-filter
-//!    (`explore --no-prefilter`) and fails on any on-front row that
-//!    differs.
+//!    measurement — no model margin is needed. The structural side rests
+//!    on no assumption; only the timing side rests on assumption 1.
+//!    Soundness is pinned by tests (every pruned candidate is dominated
+//!    by a simulated one), and CI reruns an exhaustive search without the
+//!    pre-filter (`explore --no-prefilter`) and fails on any on-front row
+//!    that differs.
 //!
 //! Baseline configurations (anything at the safe clock, and the exact
 //! adder at every clock) are exempt from pruning so quality queries and
@@ -72,11 +66,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use isa_apps::{run_behavioural, run_exact, run_on_substrate, score, Kernel, KernelRun};
-use isa_core::{
-    structural_errors, Adder, CombinedErrorStats, Design, ExactAdder, OutputTriple, Substrate,
-};
+use isa_core::{combine_errors, structural_errors, Design, Substrate};
 use isa_engine::{Engine, ExperimentConfig, GateLevelSubstrate, WorkloadSpec};
-use isa_metrics::ObjectiveVector;
+use isa_metrics::{snr_db_of_rms_pct, ObjectiveVector};
 use isa_netlist::cell::CellLibrary;
 use isa_prove::ErrorDistribution;
 use isa_timing_sim::measure_clocked_batch;
@@ -128,12 +120,6 @@ pub struct EvalSettings {
     /// Run the structural pre-filter (tier A pruning). Disabling it
     /// simulates every candidate — same front, more wall time.
     pub prefilter: bool,
-    /// Stream-mode pruning margin: a certain reference must beat a
-    /// candidate's structural bound by this factor to prune it. Must be
-    /// ≥ 1. The bound is exact on the workload (see the module docs), so
-    /// 1.0 — the default — is already sound; raising it only makes the
-    /// pre-filter more conservative.
-    pub safety: f64,
     /// Cycles of the switching-activity run characterizing each design's
     /// energy per addition.
     pub energy_cycles: usize,
@@ -149,7 +135,6 @@ impl Default for EvalSettings {
     fn default() -> Self {
         Self {
             prefilter: true,
-            safety: 1.0,
             energy_cycles: 512,
             proven_sta: false,
         }
@@ -265,11 +250,6 @@ pub struct Evaluator<'e> {
 
 impl<'e> Evaluator<'e> {
     /// Creates an evaluator over one workload context.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `settings.safety < 1.0` (a sub-unity margin would prune
-    /// candidates the model cannot rule out).
     #[must_use]
     pub fn new(
         engine: &'e Engine,
@@ -277,7 +257,6 @@ impl<'e> Evaluator<'e> {
         mode: EvalMode,
         settings: EvalSettings,
     ) -> Self {
-        assert!(settings.safety >= 1.0, "pruning safety factor must be >= 1");
         let kernel_reference = match &mode {
             EvalMode::Kernel { kernel } => {
                 let reference = run_exact(kernel.as_ref());
@@ -352,15 +331,6 @@ impl<'e> Evaluator<'e> {
         // Tier A pruning against certain references (previous batches and
         // this one).
         if self.settings.prefilter {
-            // The stream bound is a nonnegative RMS percent, where a
-            // user-raised margin is a meaningful conservatism knob; the
-            // kernel bound is a negated-dB scale where scaling has no
-            // meaning (and a sign flip would invert it) — there the exact
-            // comparison is used directly.
-            let safety = match &self.mode {
-                EvalMode::Kernel { .. } => 1.0,
-                EvalMode::Stream { .. } => self.settings.safety,
-            };
             for e in &evals {
                 if e.timing_safe {
                     self.certain_refs.push(CertainRef {
@@ -392,12 +362,12 @@ impl<'e> Evaluator<'e> {
                     // bound dominance — equality included — carries over
                     // to the measured objectives. Requires strictness in
                     // at least one dimension, like Pareto dominance.
-                    r.model_error * safety <= e.model_error
+                    r.model_error <= e.model_error
                         && r.clock_ps <= e.clock_ps
                         && r.energy_fj <= e.energy_fj
                         && (r.clock_ps < e.clock_ps
                             || r.energy_fj < e.energy_fj
-                            || r.model_error * safety < e.model_error)
+                            || r.model_error < e.model_error)
                 });
                 if prunable {
                     e.pruned = true;
@@ -431,13 +401,8 @@ impl<'e> Evaluator<'e> {
                     EvalMode::Stream { .. } => {
                         let silvers = gate.run_batch(&unit.design, unit.clock_ps, unit.inputs);
                         let golds = unit.context().gold.add_batch(unit.inputs);
-                        let exact = ExactAdder::new(unit.design.width());
-                        let mut stats = CombinedErrorStats::new();
-                        for ((&(a, b), &silver), &gold) in
-                            unit.inputs.iter().zip(&silvers).zip(&golds)
-                        {
-                            stats.push(&OutputTriple::new(exact.add(a, b), gold, silver));
-                        }
+                        let stats =
+                            combine_errors(unit.design.width(), unit.inputs, &golds, &silvers);
                         let (_, _, joint_pct) = stats.rms_re_percent();
                         (joint_pct, snr_db_of_rms_pct(joint_pct))
                     }
@@ -532,17 +497,6 @@ impl<'e> Evaluator<'e> {
             model_error,
             exact_struct_rms,
         })
-    }
-}
-
-/// SNR (dB) of a joint RMS relative error expressed in percent; infinite
-/// when error-free.
-#[must_use]
-pub fn snr_db_of_rms_pct(rms_pct: f64) -> f64 {
-    if rms_pct <= 0.0 {
-        f64::INFINITY
-    } else {
-        isa_metrics::snr_db(rms_pct / 100.0)
     }
 }
 
@@ -775,11 +729,11 @@ mod tests {
     }
 
     #[test]
-    fn margin_one_prunes_at_least_as_much_and_keeps_the_front() {
-        // The exactness claim behind the PR: dropping the old 2x model
-        // margin to the default 1.0 can only prune MORE (a superset), and
-        // everything it prunes is still strictly dominated by a simulated
-        // candidate — the front is unchanged.
+    fn pruned_candidates_are_dominated_and_unpruned_errors_unchanged() {
+        // The bound needs no margin: everything the pre-filter prunes is
+        // still strictly dominated by a simulated candidate — the front is
+        // unchanged — and every candidate it keeps scores exactly as in a
+        // run without the pre-filter.
         let engine = Engine::with_threads(1);
         let config = ExperimentConfig::default();
         let points: Vec<DesignPoint> = [(8, 0, 0, 0), (8, 0, 0, 4), (16, 7, 0, 8)]
@@ -788,50 +742,37 @@ mod tests {
             .collect();
         let mode = EvalMode::uniform_stream(32, 800, config.workload_seed);
 
-        let run = |safety: f64, prefilter: bool| {
+        let run = |prefilter: bool| {
             let mut eval = Evaluator::new(
                 &engine,
                 config.clone(),
                 mode.clone(),
                 EvalSettings {
                     prefilter,
-                    safety,
                     ..EvalSettings::default()
                 },
             );
             let evals = eval.evaluate(&points);
             (evals, eval.pruned_count)
         };
-        let (tight, pruned_tight) = run(1.0, true);
-        let (wide, pruned_wide) = run(2.0, true);
-        let (unpruned, zero) = run(1.0, false);
+        let (pruned, pruned_count) = run(true);
+        let (unpruned, zero) = run(false);
         assert_eq!(zero, 0);
+        assert!(pruned_count > 0, "the pre-filter must prune something");
 
-        // Margin 1.0 pruning is a superset of margin 2.0 pruning.
-        assert!(pruned_tight >= pruned_wide);
-        for (t, w) in tight.iter().zip(&wide) {
-            assert_eq!(t.point.label(), w.point.label());
-            assert!(
-                t.pruned || !w.pruned,
-                "{} pruned at margin 2 but not at margin 1",
-                t.point.label()
-            );
-        }
-        // Soundness at margin 1.0: every pruned candidate's simulated
-        // objectives (from the no-prefilter run) are strictly dominated
-        // by some simulated candidate — the front is identical.
         let all_objectives: Vec<ObjectiveVector> =
             unpruned.iter().map(|e| e.objectives().unwrap()).collect();
-        for (t, u) in tight.iter().zip(&unpruned) {
-            if t.pruned {
+        for (p, u) in pruned.iter().zip(&unpruned) {
+            assert_eq!(p.point.label(), u.point.label());
+            if p.pruned {
                 let objectives = u.objectives().unwrap();
                 assert!(
                     all_objectives.iter().any(|o| o.dominates(&objectives)),
                     "pruned {} would reach the front",
-                    t.point.label()
+                    p.point.label()
                 );
             } else {
-                assert_eq!(t.error, u.error, "{}", t.point.label());
+                assert_eq!(p.error, u.error, "{}", p.point.label());
             }
         }
     }
@@ -861,11 +802,5 @@ mod tests {
         assert!(proven.die_critical_ps <= topo.die_critical_ps);
         assert!(proven.die_critical_ps > 0.0);
         assert_eq!(proven.error, topo.error);
-    }
-
-    #[test]
-    fn snr_conversion_handles_error_free() {
-        assert_eq!(snr_db_of_rms_pct(0.0), f64::INFINITY);
-        assert!((snr_db_of_rms_pct(1.0) - 40.0).abs() < 1e-9);
     }
 }

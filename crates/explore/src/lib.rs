@@ -55,8 +55,8 @@ pub mod pareto;
 pub mod search;
 pub mod space;
 
-pub use evaluate::{snr_db_of_rms_pct, CandidateEval, EvalMode, EvalSettings, Evaluator};
-pub use isa_metrics::ObjectiveVector;
+pub use evaluate::{CandidateEval, EvalMode, EvalSettings, Evaluator};
+pub use isa_metrics::{snr_db_of_rms_pct, ObjectiveVector};
 pub use pareto::{FrontEntry, ParetoFront};
 pub use search::{
     explore, EvolutionSettings, Query, SearchOutcome, SearchSettings, SearchStats, Strategy,

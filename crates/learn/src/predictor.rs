@@ -9,7 +9,8 @@
 //! The model "does not directly generate arithmetic values, it only
 //! generates timing-class vectors" ([`TimingErrorPredictor::predict_flips`])
 //! "and deduces the corresponding ysilver compared to the expected output
-//! ygold" ([`TimingErrorPredictor::predict_silver`]).
+//! ygold": `ysilver = ygold ^ flips`, which the engine's predicted
+//! substrate applies to whole streams.
 
 use crate::dataset::Dataset;
 use crate::forest::{ForestConfig, RandomForest};
@@ -254,13 +255,6 @@ impl TimingErrorPredictor {
         out
     }
 
-    /// Deduces the predicted overclocked output: the golden output with the
-    /// predicted flips applied.
-    #[must_use]
-    pub fn predict_silver(&self, cycle: &CyclePair) -> u64 {
-        cycle.gold ^ self.predict_flips(cycle)
-    }
-
     /// Serializes the whole per-bit model as plain text: a header plus one
     /// `bit <n> constant <0|1>` line or `bit <n> forest` + forest block per
     /// output position.
@@ -456,7 +450,6 @@ mod tests {
         assert_eq!(predictor.trained_bits(), 0);
         for c in &cycles {
             assert_eq!(predictor.predict_flips(c), 0);
-            assert_eq!(predictor.predict_silver(c), c.gold);
         }
     }
 
@@ -489,18 +482,6 @@ mod tests {
         assert!(errors_seen > 0, "test set must contain errors");
         let acc = correct as f64 / test.len() as f64;
         assert!(acc > 0.97, "cycle-level accuracy {acc}");
-    }
-
-    #[test]
-    fn predicted_silver_applies_flips_to_gold() {
-        let cycles = synthetic_stream(2000, 16);
-        let predictor = TimingErrorPredictor::train(&cycles, 16, &PredictorConfig::default());
-        for c in cycles.iter().take(50) {
-            assert_eq!(
-                predictor.predict_silver(c),
-                c.gold ^ predictor.predict_flips(c)
-            );
-        }
     }
 
     #[test]

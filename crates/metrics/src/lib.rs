@@ -8,8 +8,8 @@
 //!   arithmetic-impact metric of Fig. 8;
 //! * [`floor`] — the paper's 10⁻⁶ display floor for error-free points on
 //!   logarithmic axes;
-//! * [`snr_db`] — signal-to-noise helper relating RMS relative error to SNR
-//!   (the paper's motivation for using RMS RE);
+//! * [`snr_db`] / [`snr_db_of_rms_pct`] — signal-to-noise helpers relating
+//!   RMS relative error to SNR (the paper's motivation for using RMS RE);
 //! * [`quality`](mod@quality) — application-level quality
 //!   ([`QualityStats`]: MSE, SNR/PSNR in dB, max absolute error) for
 //!   kernels executed through inexact overclocked adders;
@@ -71,6 +71,25 @@ pub fn floor(value: f64) -> f64 {
 pub fn snr_db(rms_re: f64) -> f64 {
     assert!(rms_re > 0.0, "SNR undefined for non-positive RMS RE");
     -20.0 * rms_re.log10()
+}
+
+/// SNR (dB) of a joint RMS relative error expressed in percent; infinite
+/// when error-free. The quality figure of explorer reports and served
+/// stream answers.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(isa_metrics::snr_db_of_rms_pct(0.0), f64::INFINITY);
+/// assert!((isa_metrics::snr_db_of_rms_pct(1.0) - 40.0).abs() < 1e-9);
+/// ```
+#[must_use]
+pub fn snr_db_of_rms_pct(rms_pct: f64) -> f64 {
+    if rms_pct <= 0.0 {
+        f64::INFINITY
+    } else {
+        snr_db(rms_pct / 100.0)
+    }
 }
 
 #[cfg(test)]

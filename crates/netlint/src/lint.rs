@@ -65,35 +65,6 @@ impl Default for LintOptions {
     }
 }
 
-impl LintOptions {
-    /// The deeper configuration the `netlint` sweep binary uses: more
-    /// batteries everywhere (this is offline verification, not a
-    /// synthesis-time budget).
-    #[must_use]
-    pub fn thorough() -> Self {
-        Self {
-            replay_batteries: 4,
-            tape_batteries: 4,
-            audit_batteries: 4,
-            functional_batteries: 4,
-            classifier_audit: true,
-            prove_equiv: false,
-            prove_sta: false,
-        }
-    }
-
-    /// [`Self::thorough`] plus both symbolic proof stages — what the
-    /// `prove` sweep binary runs.
-    #[must_use]
-    pub fn proven() -> Self {
-        Self {
-            prove_equiv: true,
-            prove_sta: true,
-            ..Self::thorough()
-        }
-    }
-}
-
 fn no_errors(diagnostics: &[Diagnostic]) -> bool {
     diagnostics.iter().all(|d| d.severity != Severity::Error)
 }

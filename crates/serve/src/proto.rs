@@ -45,30 +45,26 @@
 
 use std::str::FromStr;
 
+use isa_apps::kernels::KERNEL_NAMES;
 use isa_core::{Design, IsaConfig};
 use isa_engine::{ExperimentConfig, GATE_BACKEND_LABEL};
+use isa_workloads::STREAM_NAMES;
 
 use crate::json::Json;
-
-/// Stream workload names, in `workload=` CLI/report order.
-pub const STREAM_WORKLOADS: [&str; 4] = ["uniform", "walk", "sine", "accumulate"];
-
-/// Kernel workload names (the standard kernel set of `isa-apps`).
-pub const KERNEL_WORKLOADS: [&str; 5] = ["fir", "conv2d-blur", "conv2d-sobel", "dot", "histogram"];
 
 /// What a quality query evaluates on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkloadSel {
     /// A named operand stream of `cycles` pairs.
     Stream {
-        /// One of [`STREAM_WORKLOADS`].
+        /// One of [`STREAM_NAMES`].
         name: String,
         /// Stream length in cycles.
         cycles: u64,
     },
     /// A named application kernel at a size scale.
     Kernel {
-        /// One of [`KERNEL_WORKLOADS`].
+        /// One of [`KERNEL_NAMES`].
         name: String,
         /// Kernel size multiplier (1 = the standard size).
         scale: u64,
@@ -229,7 +225,7 @@ fn parse_workload(value: &Json) -> Result<WorkloadSel, String> {
         .get("workload")
         .and_then(Json::as_str)
         .ok_or("missing string \"workload\"")?;
-    if STREAM_WORKLOADS.contains(&name) {
+    if STREAM_NAMES.contains(&name) {
         let cycles = match value.get("cycles") {
             None => 10_000,
             Some(v) => v
@@ -246,7 +242,7 @@ fn parse_workload(value: &Json) -> Result<WorkloadSel, String> {
             name: name.to_owned(),
             cycles,
         })
-    } else if KERNEL_WORKLOADS.contains(&name) {
+    } else if KERNEL_NAMES.contains(&name) {
         let scale = match value.get("scale") {
             None => 1,
             Some(v) => v
@@ -262,7 +258,7 @@ fn parse_workload(value: &Json) -> Result<WorkloadSel, String> {
         })
     } else {
         Err(format!(
-            "unknown workload {name:?} (streams: {STREAM_WORKLOADS:?}; kernels: {KERNEL_WORKLOADS:?})"
+            "unknown workload {name:?} (streams: {STREAM_NAMES:?}; kernels: {KERNEL_NAMES:?})"
         ))
     }
 }

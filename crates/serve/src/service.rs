@@ -42,16 +42,12 @@ use std::time::Instant;
 
 use isa_obs::{Counter, Gauge, Histogram, Logger, Registry};
 
-use isa_core::{
-    paper_designs, structural_errors, Adder as _, CombinedErrorStats, Design, ExactAdder,
-    OutputTriple, Substrate as _,
-};
+use isa_core::{combine_errors, paper_designs, structural_errors, Design, Substrate as _};
 use isa_engine::{
     ArtifactCache, Engine, ExperimentConfig, GateLevelSubstrate, WorkloadSpec, GATE_BACKEND_LABEL,
 };
-use isa_workloads::{
-    take_pairs, AccumulationWorkload, RandomWalkWorkload, SineWorkload, UniformWorkload,
-};
+use isa_metrics::snr_db_of_rms_pct;
+use isa_workloads::named_stream;
 
 use crate::faults::{FaultPlan, FaultPoint};
 use crate::json::Json;
@@ -480,11 +476,7 @@ impl Service {
                 let inputs = self.stream_inputs(name, *cycles);
                 let silvers = self.substrate.run_batch(&query.design, clock_ps, &inputs);
                 let golds = ctx.gold.add_batch(&inputs);
-                let exact = ExactAdder::new(query.design.width());
-                let mut stats = CombinedErrorStats::new();
-                for ((&(a, b), &silver), &gold) in inputs.iter().zip(&silvers).zip(&golds) {
-                    stats.push(&OutputTriple::new(exact.add(a, b), gold, silver));
-                }
+                let stats = combine_errors(query.design.width(), &inputs, &golds, &silvers);
                 let (s_pct, t_pct, j_pct) = stats.rms_re_percent();
                 Ok(stream_payload(
                     query,
@@ -494,7 +486,7 @@ impl Service {
                         ("rms_re_timing_pct", Json::Num(t_pct)),
                         ("rms_re_joint_pct", Json::Num(j_pct)),
                         ("timing_error_rate", Json::Num(stats.e_timing.error_rate())),
-                        ("quality_db", Json::from_db(db_of_rms_pct(j_pct))),
+                        ("quality_db", Json::from_db(snr_db_of_rms_pct(j_pct))),
                     ],
                 ))
             }
@@ -550,7 +542,7 @@ impl Service {
                         ("rms_re_timing_pct", Json::Null),
                         ("rms_re_joint_pct", Json::Null),
                         ("timing_error_rate", Json::Null),
-                        ("quality_db", Json::from_db(db_of_rms_pct(s_pct))),
+                        ("quality_db", Json::from_db(snr_db_of_rms_pct(s_pct))),
                     ],
                 )
             }
@@ -690,16 +682,11 @@ impl Service {
                 return Arc::clone(inputs);
             }
         }
-        let seed = self.cfg.config.workload_seed;
         #[allow(clippy::cast_possible_truncation)]
-        let n = cycles as usize;
-        let inputs = Arc::new(match name {
-            "uniform" => take_pairs(UniformWorkload::new(32, seed), n),
-            "walk" => take_pairs(RandomWalkWorkload::new(32, 4096, seed), n),
-            "sine" => take_pairs(SineWorkload::new(32, 0.013, 0.029, 0.05, seed), n),
-            "accumulate" => take_pairs(AccumulationWorkload::new(32, 24, seed), n),
-            other => unreachable!("workload {other:?} rejected at parse time"),
-        });
+        let inputs = Arc::new(
+            named_stream(name, 32, self.cfg.config.workload_seed, cycles as usize)
+                .unwrap_or_else(|| unreachable!("workload {name:?} rejected at parse time")),
+        );
         let mut streams = self.streams.lock().expect("stream memo lock");
         if streams.len() >= 8 && !streams.contains_key(&key) {
             streams.clear();
@@ -835,16 +822,6 @@ fn kernel_payload(
     ];
     fields.extend_from_slice(tail);
     render_fields(&fields)
-}
-
-/// Quality in dB of an RMS relative error in percent (the explorer's
-/// convention); infinite when error-free.
-fn db_of_rms_pct(rms_pct: f64) -> f64 {
-    if rms_pct <= 0.0 {
-        f64::INFINITY
-    } else {
-        isa_metrics::snr_db(rms_pct / 100.0)
-    }
 }
 
 /// Extracts the comparable quality figure from a quality payload
@@ -1028,6 +1005,18 @@ impl Frontend {
         }
     }
 
+    /// Answers a line that cannot be a request (over-long, or not UTF-8)
+    /// in its own output slot without admitting it: `id` null and not
+    /// retriable, since resending the same bytes cannot succeed.
+    fn reject(&mut self, cause: &str) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.out.note_submission();
+        self.service.counters.requests.inc();
+        self.out
+            .insert(seq, error_response(&Json::Null, false, cause));
+    }
+
     /// Opens the gate (if still closed), stops admissions, joins the
     /// workers and seals the reorder buffer — without consuming any
     /// responses, so a concurrent drainer (the [`serve_lines`] writer
@@ -1056,16 +1045,78 @@ impl Frontend {
     }
 }
 
+/// Longest request line read, in bytes (line terminator excluded). A
+/// longer line is answered with an error and skipped up to its newline,
+/// so no line can make the reader buffer without bound.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Reads the next request line (the last one may lack its newline),
+/// buffering at most [`MAX_LINE_BYTES`]. `Ok(None)` at end of input;
+/// `Ok(Some(Err(cause)))` for a line that cannot be a request, whose
+/// remaining bytes have been consumed so the next read starts on the
+/// following line.
+fn read_request_line<R: BufRead>(
+    reader: &mut R,
+    buf: &mut Vec<u8>,
+) -> io::Result<Option<Result<String, &'static str>>> {
+    buf.clear();
+    let mut overlong = false;
+    let mut read_any = false;
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            if !read_any {
+                return Ok(None);
+            }
+            break;
+        }
+        read_any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let content = &chunk[..newline.unwrap_or(chunk.len())];
+        if !overlong {
+            overlong = buf.len() + content.len() > MAX_LINE_BYTES;
+            if overlong {
+                buf.clear();
+            } else {
+                buf.extend_from_slice(content);
+            }
+        }
+        let used = newline.map_or(chunk.len(), |i| i + 1);
+        reader.consume(used);
+        if newline.is_some() {
+            // Strip the `\r` of a CRLF terminator, as `BufRead::lines` does.
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            break;
+        }
+    }
+    if overlong {
+        return Ok(Some(Err("request line longer than 65536 bytes")));
+    }
+    Ok(Some(match std::str::from_utf8(buf) {
+        Ok(line) => Ok(line.to_owned()),
+        Err(_) => Err("request line is not valid UTF-8"),
+    }))
+}
+
 /// Serves a line-delimited session: requests read from `reader`, ordered
 /// responses written (and flushed) to `writer` as they become available.
 /// Returns at end of input, after every admitted request is answered.
+///
+/// A line longer than 64 KiB or not valid UTF-8 gets one error response
+/// in its own slot, and the session goes on with the next line.
 ///
 /// # Errors
 ///
 /// Returns the first reader/writer I/O error.
 pub fn serve_lines<R: BufRead, W: Write + Send>(
     service: &Arc<Service>,
-    reader: R,
+    mut reader: R,
     mut writer: W,
     workers: usize,
     queue_cap: usize,
@@ -1085,13 +1136,16 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
             Ok(())
         });
         let mut read_error = None;
-        for line in reader.lines() {
-            match line {
-                Ok(line) => {
+        let mut buf = Vec::new();
+        loop {
+            match read_request_line(&mut reader, &mut buf) {
+                Ok(None) => break,
+                Ok(Some(Ok(line))) => {
                     if !line.trim().is_empty() {
                         frontend.submit(&line);
                     }
                 }
+                Ok(Some(Err(cause))) => frontend.reject(cause),
                 Err(e) => {
                     read_error = Some(e);
                     break;

@@ -221,7 +221,9 @@ fn nesting_bomb_line_is_answered_in_place() {
     };
     let before = "{\"id\":1,\"op\":\"quality\",\"design\":\"8,2,1,4\",\"cpr\":0.1,\"workload\":\"uniform\",\"cycles\":300}\n";
     let after = "{\"id\":3,\"op\":\"ping\"}\n";
-    let bomb = "[".repeat(200_000);
+    // Deep enough to overflow a recursive parser, short enough to pass
+    // the 64 KiB line cap and reach the nesting check.
+    let bomb = "[".repeat(60_000);
     let with_bomb = session(format!("{before}{bomb}\n{after}"));
     let without = session(format!("{before}{after}"));
     assert_eq!(with_bomb.len(), 3, "one response line per request line");
@@ -233,6 +235,49 @@ fn nesting_bomb_line_is_answered_in_place() {
     assert_eq!(without.len(), 2);
     assert_eq!(with_bomb[0], without[0]);
     assert_eq!(with_bomb[2], without[1]);
+}
+
+/// A line that cannot be a request — not UTF-8, or over the 64 KiB cap —
+/// gets one error line in its own slot (`id` null, not retriable) and the
+/// session goes on: the answers around it are byte-identical to the
+/// script without it. A final unterminated over-long line gets one error
+/// line and the session ends cleanly.
+#[test]
+fn unreadable_lines_are_answered_in_place() {
+    let svc = service();
+    let session = |input: &[u8]| -> Vec<String> {
+        let mut output = Vec::new();
+        serve_lines(&svc, input, &mut output, 2, 16).expect("session ends cleanly");
+        String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(str::to_owned)
+            .collect()
+    };
+    let first: &[u8] = b"{\"id\":1,\"op\":\"ping\"}\n";
+    let last: &[u8] = b"{\"id\":4,\"op\":\"ping\"}\n";
+    let not_utf8: &[u8] = b"{\"id\":2,\"op\":\"pi\xffng\"}\n";
+    let mut long = vec![b'x'; 100 * 1024];
+    long.push(b'\n');
+    let with_bad = session(&[first, not_utf8, &long, last].concat());
+    let without = session(&[first, last].concat());
+    assert_eq!(with_bad.len(), 4, "one response line per request line");
+    assert_eq!(without.len(), 2);
+    assert_eq!(with_bad[0], without[0]);
+    assert_eq!(with_bad[3], without[1]);
+    for (line, cause) in [(&with_bad[1], "UTF-8"), (&with_bad[2], "longer than")] {
+        assert!(
+            line.starts_with("{\"id\":null,\"status\":\"error\",\"retriable\":false")
+                && line.contains(cause),
+            "{line}"
+        );
+    }
+
+    let unterminated = vec![b'y'; 1 << 20];
+    let tail = session(&[first, &unterminated].concat());
+    assert_eq!(tail.len(), 2);
+    assert_eq!(tail[0], without[0]);
+    assert!(tail[1].contains("longer than"), "{}", tail[1]);
 }
 
 /// The Unix socket transport serves the same bytes as an in-process

@@ -13,27 +13,23 @@ use isa_netlist::timing::DelayAnnotation;
 
 use crate::sim::{ps_to_fs, SimCore};
 
-/// Netlist-free state of a clocked (overclocked) run: simulator state plus
-/// the clock period.
-///
-/// Like [`SimCore`], every method takes the netlist explicitly, so sessions
-/// that own their netlist (e.g. behind an `Arc` in an `isa-engine`
-/// substrate) can keep cycle-to-cycle circuit state without borrowing.
+/// A netlist operated at a fixed clock period.
 #[derive(Debug, Clone)]
-pub struct ClockedCore {
+pub struct ClockedSim<'a> {
     sim: SimCore,
     period_fs: u64,
+    netlist: &'a Netlist,
 }
 
-impl ClockedCore {
-    /// Creates clocked state running `netlist` at `period_ps`.
+impl<'a> ClockedSim<'a> {
+    /// Creates a clocked wrapper running `netlist` at `period_ps`.
     ///
     /// # Panics
     ///
     /// Panics if the period is not positive/finite or the annotation does
     /// not cover the netlist.
     #[must_use]
-    pub fn new(netlist: &Netlist, annotation: &DelayAnnotation, period_ps: f64) -> Self {
+    pub fn new(netlist: &'a Netlist, annotation: &DelayAnnotation, period_ps: f64) -> Self {
         assert!(
             period_ps.is_finite() && period_ps > 0.0,
             "period must be positive"
@@ -41,6 +37,7 @@ impl ClockedCore {
         Self {
             sim: SimCore::new(netlist, annotation),
             period_fs: ps_to_fs(period_ps),
+            netlist,
         }
     }
 
@@ -56,56 +53,11 @@ impl ClockedCore {
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the netlist's input count.
-    pub fn step(&mut self, netlist: &Netlist, inputs: &[bool]) -> u64 {
-        let t0 = self.sim.now_fs();
-        self.sim.set_inputs(netlist, inputs);
-        self.sim.run_until(netlist, t0 + self.period_fs);
-        self.sim.outputs_u64(netlist)
-    }
-
-    /// Total committed simulation events so far.
-    #[must_use]
-    pub fn events_processed(&self) -> u64 {
-        self.sim.events_processed()
-    }
-}
-
-/// A netlist operated at a fixed clock period.
-#[derive(Debug, Clone)]
-pub struct ClockedSim<'a> {
-    core: ClockedCore,
-    netlist: &'a Netlist,
-}
-
-impl<'a> ClockedSim<'a> {
-    /// Creates a clocked wrapper running `netlist` at `period_ps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the period is not positive/finite or the annotation does
-    /// not cover the netlist.
-    #[must_use]
-    pub fn new(netlist: &'a Netlist, annotation: &DelayAnnotation, period_ps: f64) -> Self {
-        Self {
-            core: ClockedCore::new(netlist, annotation, period_ps),
-            netlist,
-        }
-    }
-
-    /// The clock period in femtoseconds.
-    #[must_use]
-    pub fn period_fs(&self) -> u64 {
-        self.core.period_fs()
-    }
-
-    /// Applies one input vector at the current clock edge, runs one period,
-    /// and returns the outputs sampled at the next edge (packed LSB-first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the netlist's input count.
     pub fn step(&mut self, inputs: &[bool]) -> u64 {
-        self.core.step(self.netlist, inputs)
+        let t0 = self.sim.now_fs();
+        self.sim.set_inputs(self.netlist, inputs);
+        self.sim.run_until(self.netlist, t0 + self.period_fs);
+        self.sim.outputs_u64(self.netlist)
     }
 
     /// The value the outputs would settle to for the *current* inputs if
@@ -120,7 +72,7 @@ impl<'a> ClockedSim<'a> {
     /// Total committed simulation events so far.
     #[must_use]
     pub fn events_processed(&self) -> u64 {
-        self.core.events_processed()
+        self.sim.events_processed()
     }
 }
 
@@ -181,9 +133,10 @@ pub fn run_adder_trace(
 
 /// The scalar oracle the 64-lane runners are pinned to: each contiguous
 /// lane segment of `inputs` ([`segment_len`](isa_core::batch::segment_len)
-/// cycles) replayed on a fresh [`ClockedSim`] from reset.
-#[cfg(test)]
-pub(crate) fn scalar_segments(
+/// cycles) replayed on a fresh [`ClockedSim`] from reset, returning the
+/// sampled outputs in stream order.
+#[must_use]
+pub fn scalar_segments(
     adder: &AdderNetlist,
     annotation: &DelayAnnotation,
     period_ps: f64,

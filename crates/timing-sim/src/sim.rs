@@ -50,10 +50,9 @@ struct Event {
 /// activity counters.
 ///
 /// Every method takes the netlist as an explicit parameter instead of
-/// borrowing it at construction time, so the state can be stored alongside
-/// an owned (`Arc`ed) netlist — the enabler for self-contained substrate
-/// sessions in `isa-engine`. [`GateLevelSim`] wraps this with a borrowed
-/// netlist for the common single-scope case.
+/// borrowing it at construction time, so the state can live apart from
+/// the netlist. [`GateLevelSim`] and [`ClockedSim`](crate::ClockedSim)
+/// wrap it with a borrowed netlist.
 ///
 /// Callers must pass the same netlist the state was created with; sizes are
 /// asserted where cheap, behaviour is unspecified for a different netlist of
@@ -284,8 +283,7 @@ impl SimCore {
 /// An event-driven simulator bound to one netlist and one delay annotation.
 ///
 /// This is a convenience wrapper pairing a [`SimCore`] with the borrowed
-/// netlist it simulates; use [`SimCore`] directly when the netlist is owned
-/// elsewhere (e.g. behind an `Arc` in a long-lived substrate session).
+/// netlist it simulates.
 #[derive(Debug, Clone)]
 pub struct GateLevelSim<'a> {
     netlist: &'a Netlist,

@@ -244,7 +244,7 @@ impl<'a> FaninCursor<'a> {
 }
 
 /// 64-lane clocked state over a [`TimedTape`]: lane `l` is, bit for bit,
-/// a scalar [`ClockedCore`](crate::ClockedCore) run of lane `l`'s input
+/// a scalar [`ClockedSim`](crate::ClockedSim) run of lane `l`'s input
 /// sequence.
 #[derive(Debug, Clone)]
 pub struct TimedTapeCore {
@@ -312,7 +312,7 @@ impl TimedTapeCore {
     /// Applies one input word vector at the current edge, runs one
     /// period, and returns the output planes sampled at the next edge —
     /// same strictly-before sampling semantics as
-    /// [`ClockedCore::step`](crate::ClockedCore::step).
+    /// [`ClockedSim::step`](crate::ClockedSim::step).
     ///
     /// # Panics
     ///

@@ -45,6 +45,34 @@ pub fn take_pairs<W: Workload>(workload: W, n: usize) -> Vec<(u64, u64)> {
     workload.take(n).collect()
 }
 
+/// The named operand streams that requests and CLI flags select by name
+/// (`isa-serve` quality queries, `explore --workload`), in report order.
+pub const STREAM_NAMES: [&str; 4] = ["uniform", "walk", "sine", "accumulate"];
+
+/// `cycles` operand pairs of the named stream for a `width`-bit adder,
+/// seeded with `seed` — the one mapping from a [`STREAM_NAMES`] entry to
+/// its generator and constants. `None` for any other name.
+///
+/// # Examples
+///
+/// ```
+/// use isa_workloads::{named_stream, take_pairs, UniformWorkload};
+///
+/// let uniform = named_stream("uniform", 32, 7, 100).unwrap();
+/// assert_eq!(uniform, take_pairs(UniformWorkload::new(32, 7), 100));
+/// assert!(named_stream("bursty", 32, 7, 100).is_none());
+/// ```
+#[must_use]
+pub fn named_stream(name: &str, width: u32, seed: u64, cycles: usize) -> Option<Vec<(u64, u64)>> {
+    Some(match name {
+        "uniform" => take_pairs(UniformWorkload::new(width, seed), cycles),
+        "walk" => take_pairs(RandomWalkWorkload::new(width, 4096, seed), cycles),
+        "sine" => take_pairs(SineWorkload::new(width, 0.013, 0.029, 0.05, seed), cycles),
+        "accumulate" => take_pairs(AccumulationWorkload::new(width, 24, seed), cycles),
+        _ => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,6 +82,14 @@ mod tests {
         let a = take_pairs(UniformWorkload::new(32, 7), 100);
         let b = take_pairs(UniformWorkload::new(32, 7), 100);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn every_stream_name_resolves() {
+        for name in STREAM_NAMES {
+            let pairs = named_stream(name, 32, 7, 64).expect(name);
+            assert_eq!(pairs.len(), 64, "{name}");
+        }
     }
 
     #[test]

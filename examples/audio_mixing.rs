@@ -10,8 +10,8 @@
 //! show the joint (structural + timing) SNR degradation.
 //!
 //! The twelve designs are evaluated in parallel through
-//! [`Engine::map`](overclocked_isa::engine::Engine::map), each against its
-//! own gate-level substrate session.
+//! [`Engine::map`](overclocked_isa::engine::Engine::map), each overclocked
+//! stream coming from one gate-level `run_batch` call.
 //!
 //! Run with: `cargo run --release --example audio_mixing [samples]`
 
@@ -42,8 +42,8 @@ fn main() {
         .cprs([0.15])
         .workload("sine-mix", inputs);
     let rows = engine.map(&plan, |unit| {
-        let gold = unit.design.behavioural();
-        let mut session = gate.prepare(&unit.design, unit.clock_ps);
+        let golds = unit.design.behavioural().add_batch(unit.inputs);
+        let silvers = gate.run_batch(&unit.design, unit.clock_ps, unit.inputs);
 
         // Properly clocked: structural errors only.
         let mut noise_power = 0.0f64;
@@ -52,8 +52,8 @@ fn main() {
         let mut joint_noise_power = 0.0f64;
         let mut error_cycles = 0usize;
 
-        for &(a, b) in unit.inputs {
-            let triple = OutputTriple::new(a + b, gold.add(a, b), session.next_silver(a, b));
+        for ((&(a, b), &gold), &silver) in unit.inputs.iter().zip(&golds).zip(&silvers) {
+            let triple = OutputTriple::new(a + b, gold, silver);
             let signal = (a + b) as f64;
             signal_power += signal * signal;
             let structural = triple.e_struct() as f64;

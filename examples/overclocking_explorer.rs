@@ -6,7 +6,7 @@
 //! sensitize far fewer long paths than uniform ones at the same clock.
 //!
 //! The whole sweep is one [`ExperimentPlan`]: eleven CPR steps × two
-//! workloads on the gate-level substrate, sharded across the machine by
+//! workloads on the gate-level substrate, spread across the machine by
 //! the engine (the design is synthesized once, in its artifact cache).
 //!
 //! Run with: `cargo run --release --example overclocking_explorer [design] [cycles]`

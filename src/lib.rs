@@ -25,7 +25,8 @@
 //! * [`engine`] — the unified execution layer:
 //!   [`ExperimentPlan`](engine::ExperimentPlan) +
 //!   [`Engine`](engine::Engine) with memoized synthesis artifacts and
-//!   sharded multi-threaded runs over swappable substrates;
+//!   multi-threaded runs over swappable substrates, identical at every
+//!   thread count;
 //! * [`explore`] — multi-objective design-space exploration:
 //!   Pareto search over (error, delay, energy) with a two-tier
 //!   analytical + gate-level evaluator and exhaustive or NSGA-II-style

@@ -4,10 +4,10 @@
 
 use overclocked_isa::core::analysis::DesignAnalysis;
 use overclocked_isa::core::{
-    paper_isa_configs, Design, IsaConfig, Multiplier, SpeculativeMultiplier,
+    paper_designs, paper_isa_configs, Design, IsaConfig, Multiplier, SpeculativeMultiplier,
 };
 use overclocked_isa::experiments::prediction::trace_to_cycles;
-use overclocked_isa::experiments::{DesignContext, ExperimentConfig};
+use overclocked_isa::experiments::{design_table, DesignContext, Engine, ExperimentConfig};
 use overclocked_isa::learn::{PredictorConfig, TimingErrorPredictor};
 use overclocked_isa::metrics::abper;
 use overclocked_isa::netlist::cell::CellLibrary;
@@ -151,7 +151,7 @@ fn analytical_rates_match_design_table_error_rates() {
     // Cross-check the analysis crate against the experiment pipeline's
     // Monte-Carlo characterization at the integration level.
     let config = ExperimentConfig::default();
-    let table = overclocked_isa::experiments::design_table::run(&config, 100_000);
+    let table = design_table::run_on(&Engine::new(), &config, &paper_designs(), 100_000);
     for cfg in paper_isa_configs() {
         let analytical = DesignAnalysis::analyze(&cfg).error_rate();
         let measured = table

@@ -1,7 +1,7 @@
 //! End-to-end smoke tests of every figure pipeline at reduced sample
 //! counts, asserting the paper's headline qualitative findings.
 
-use overclocked_isa::core::{Design, IsaConfig};
+use overclocked_isa::core::{paper_designs, Design, IsaConfig};
 use overclocked_isa::engine::Engine;
 use overclocked_isa::experiments::{design_table, fig10, fig9, prediction, ExperimentConfig};
 
@@ -70,7 +70,8 @@ fn prediction_pipeline_beats_the_trivial_baseline_when_errors_exist() {
 #[test]
 fn fig10_reproduces_the_distribution_shape() {
     let config = ExperimentConfig::default();
-    let report = fig10::run(&config, 3_000);
+    let design = Design::Isa(IsaConfig::new(32, 8, 0, 0, 4).unwrap());
+    let report = fig10::run_on(&Engine::new(), &config, design, 0.15, 3_000);
     let s = report.structural.rates();
     // Error-free LSB path start.
     assert!(s[..4].iter().all(|&r| r == 0.0));
@@ -85,7 +86,7 @@ fn fig10_reproduces_the_distribution_shape() {
 #[test]
 fn design_table_characterizes_all_designs() {
     let config = ExperimentConfig::default();
-    let table = design_table::run(&config, 20_000);
+    let table = design_table::run_on(&Engine::new(), &config, &paper_designs(), 20_000);
     assert_eq!(table.rows.len(), 12);
     // All meet the 0.3 ns constraint; exact has zero structural error and
     // infinite SNR (None).
