@@ -14,7 +14,7 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use isa_core::{paper_designs, Adder, Design};
+use isa_core::{Adder, Design};
 use isa_netlint::{lint_adder_with_classifier, LintOptions, LintReport};
 use isa_netlist::cell::CellLibrary;
 use isa_netlist::classify::LaneClassifier;
@@ -130,9 +130,6 @@ pub struct DesignContext {
     /// Lazily compiled instruction tape for the word hot path (see
     /// [`DesignContext::tape`]).
     tape: OnceLock<InstructionTape>,
-    /// Lazily computed false-path-aware settle bound in femtoseconds (see
-    /// [`DesignContext::proven_critical_ps`]).
-    proven_crit_fs: OnceLock<u64>,
 }
 
 impl DesignContext {
@@ -201,7 +198,6 @@ impl DesignContext {
             },
             classifier: OnceLock::new(),
             tape: OnceLock::new(),
-            proven_crit_fs: OnceLock::new(),
         };
         // The audit stage reuses the memoized classifier the filtered
         // runner needs anyway, so its construction cost is not billed to
@@ -258,39 +254,6 @@ impl DesignContext {
     #[must_use]
     pub fn die_critical_ps(&self) -> f64 {
         self.classifier().critical_fs() as f64 / 1000.0
-    }
-
-    /// The die's *proven* critical delay in picoseconds: the
-    /// false-path-aware settle bound from [`isa_prove`]'s symbolic timed
-    /// simulation of this die sample, never above
-    /// [`Self::die_critical_ps`]. Topological STA assumes every path can
-    /// carry a transition; the symbolic analysis proves which live nets
-    /// can still be switching at each instant, so provably unsensitizable
-    /// path tails stop inflating the bound. Computed on first use (one
-    /// symbolic simulation per context) and clamped to the topological
-    /// figure so it is sound under either quantisation of the two
-    /// analyses (the classifier rounds the picosecond path sum once; the
-    /// symbolic analysis rounds per cell, like the simulators).
-    #[must_use]
-    pub fn proven_critical_ps(&self) -> f64 {
-        let proven = *self.proven_crit_fs.get_or_init(|| {
-            isa_prove::analyze_settle(
-                self.synthesized.adder.netlist(),
-                &self.annotation,
-                &isa_prove::StaOptions::default(),
-            )
-            .proven_crit_fs
-        });
-        (proven as f64 / 1000.0).min(self.die_critical_ps())
-    }
-
-    /// Builds contexts for all twelve paper designs, in figure order.
-    #[must_use]
-    pub fn build_all(config: &ExperimentConfig) -> Vec<Self> {
-        paper_designs()
-            .into_iter()
-            .map(|d| Self::build(d, config))
-            .collect()
     }
 
     /// Display label of the design (quadruple or `exact`).
@@ -373,21 +336,6 @@ mod tests {
             },
         );
         assert!((clean.die_critical_ps() - clean.synthesized.critical_ps).abs() < 1e-3);
-    }
-
-    #[test]
-    fn proven_critical_never_exceeds_topological() {
-        let design = Design::Isa(isa_core::IsaConfig::new(32, 8, 2, 1, 4).unwrap());
-        let ctx = DesignContext::build(design, &ExperimentConfig::default());
-        let proven = ctx.proven_critical_ps();
-        assert!(proven > 0.0);
-        assert!(
-            proven <= ctx.die_critical_ps(),
-            "proven {proven} ps > topological {} ps",
-            ctx.die_critical_ps()
-        );
-        // Memoized: second call returns the identical figure.
-        assert_eq!(proven.to_bits(), ctx.proven_critical_ps().to_bits());
     }
 
     #[test]

@@ -14,6 +14,5 @@ fn main() {
     print!("{}", table.render());
     if let Some(path) = arg_value::<String>(&args, "csv") {
         write_output(&path, &table.to_csv());
-        eprintln!("wrote {path}");
     }
 }

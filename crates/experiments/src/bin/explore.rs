@@ -5,7 +5,7 @@
 //! `explore [--space paper|compact|full] [--strategy auto|exhaustive|evolutionary]`
 //! `[--seed N] [--budget N] [--cycles N] [--workload uniform|walk|sine|accumulate]`
 //! `[--kernel NAME --scale N] [--min-quality DB] [--max-clock PS]`
-//! `[--no-prefilter] [--energy-cycles N] [--proven-sta]`
+//! `[--no-prefilter] [--energy-cycles N]`
 //! `[--population N] [--generations N] [--csv PATH] [--threads N]`
 //! `[--stats-json PATH]`
 //!
@@ -13,14 +13,18 @@
 //! (space size, pruned/simulated counts, front size, wall time) — the
 //! BENCH_PR8.json full-space record. `--no-prefilter` simulates every
 //! feasible candidate; its Pareto front must equal the pre-filtered
-//! one (CI diffs the `on_front` rows of both CSVs).
+//! one (CI diffs the `on_front` rows of both CSVs). An unknown space,
+//! strategy, workload or kernel name exits with status 2 before any
+//! work.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use isa_apps::kernels::KERNEL_NAMES;
 use isa_engine::GATE_BACKEND_LABEL;
-use isa_experiments::explore::{run_on, ExploreSettings};
-use isa_experiments::{arg_value, engine_from_args, write_output, ExperimentConfig};
+use isa_experiments::explore::{run_on, ExploreSettings, SPACES, STRATEGIES};
+use isa_experiments::{arg_value, cli_error, engine_from_args, write_output, ExperimentConfig};
+use isa_workloads::STREAM_NAMES;
 
 fn settings_from_args(args: &[String]) -> ExploreSettings {
     let defaults = ExploreSettings::default();
@@ -35,7 +39,6 @@ fn settings_from_args(args: &[String]) -> ExploreSettings {
         scale: arg_value(args, "scale").unwrap_or(defaults.scale),
         prefilter: !args.iter().any(|a| a == "--no-prefilter"),
         energy_cycles: arg_value(args, "energy-cycles").unwrap_or(defaults.energy_cycles),
-        proven_sta: args.iter().any(|a| a == "--proven-sta"),
         population: arg_value(args, "population").unwrap_or(defaults.population),
         generations: arg_value(args, "generations").unwrap_or(defaults.generations),
         min_quality_db: arg_value(args, "min-quality"),
@@ -43,9 +46,26 @@ fn settings_from_args(args: &[String]) -> ExploreSettings {
     }
 }
 
+/// Exits with a usage error naming `--flag` and its valid choices unless
+/// `value` is one of them.
+fn check_choice(flag: &str, value: &str, choices: &[&str]) {
+    if !choices.contains(&value) {
+        cli_error(format_args!(
+            "--{flag}: unknown value {value:?} ({})",
+            choices.join("|")
+        ));
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let settings = settings_from_args(&args);
+    check_choice("space", &settings.space, &SPACES);
+    check_choice("strategy", &settings.strategy, &STRATEGIES);
+    check_choice("workload", &settings.workload, &STREAM_NAMES);
+    if let Some(kernel) = &settings.kernel {
+        check_choice("kernel", kernel, &KERNEL_NAMES);
+    }
     let config = ExperimentConfig::default();
     let engine = engine_from_args(&args);
     let started = Instant::now();
@@ -70,7 +90,6 @@ fn main() {
         let _ = writeln!(json, "  \"workload\": \"{}\",", report.outcome.workload);
         let _ = writeln!(json, "  \"seed\": {},", settings.seed);
         let _ = writeln!(json, "  \"cycles\": {},", settings.cycles);
-        let _ = writeln!(json, "  \"proven_sta\": {},", settings.proven_sta);
         let _ = writeln!(json, "  \"candidates\": {},", stats.considered);
         let _ = writeln!(json, "  \"pruned\": {},", stats.pruned);
         let _ = writeln!(json, "  \"simulated\": {},", stats.simulated);

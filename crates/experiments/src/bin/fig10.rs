@@ -16,6 +16,5 @@ fn main() {
     print!("{}", report.render());
     if let Some(path) = arg_value::<String>(&args, "csv") {
         write_output(&path, &report.to_csv());
-        eprintln!("wrote {path}");
     }
 }

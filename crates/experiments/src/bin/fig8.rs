@@ -14,6 +14,5 @@ fn main() {
     print!("{}", report.render_fig8());
     if let Some(path) = arg_value::<String>(&args, "csv") {
         write_output(&path, &report.to_csv());
-        eprintln!("wrote {path}");
     }
 }

@@ -13,119 +13,105 @@
 //!
 //! Synthesis-infeasible grid points are skipped (they are a feasibility
 //! boundary, not a lint failure). Any design with an Error-severity
-//! finding prints its full report and the sweep exits with status 1 —
-//! this is the CI gate proving the whole design space is analyzable and
-//! clean. The summary also reports aggregate lint time against total
-//! build (synthesis + lint) time, the figure BENCHMARKS.md tracks.
+//! finding, or whose build panics, prints its full report and the sweep
+//! exits with status 1 — this is the CI gate proving the whole design
+//! space is analyzable and clean. Failures are listed in design order at
+//! any `--threads`. The summary also reports aggregate lint time against
+//! total build (synthesis + lint) time, the figure BENCHMARKS.md tracks.
 //!
-//! The `--json` report (`isa-netlint-sweep/v1`) covers the cheap
-//! per-build stages only; its sibling `isa-prove-sweep/v1` (the `prove`
-//! bin) carries the offline deep tier — full equivalence proofs and
-//! false-path STA over the same space.
+//! The `--json` report (`isa-netlint-sweep/v1`) covers the sampled
+//! per-build checks; the proofs over all operand pairs (equivalence and
+//! false-path STA) run only in the sibling `prove` sweep
+//! (`isa-prove-sweep/v1`).
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use isa_core::{enumerate_quadruples, paper_designs, Design};
 use isa_engine::{BuildError, DesignContext, ExperimentConfig};
-use isa_experiments::{arg_value, write_output};
+use isa_experiments::{arg_value, engine_from_args, sweep, write_output};
+use isa_obs::Json;
 
-#[derive(Default)]
-struct SweepStats {
-    checked: usize,
-    infeasible: usize,
-    warnings: usize,
-    lint: Duration,
+/// One feasible design's lint outcome.
+struct Linted {
     build: Duration,
-    /// Rendered reports (and JSON bodies) of designs that failed lint.
-    failures: Vec<(String, String)>,
+    lint: Duration,
+    warnings: usize,
+    /// Rendered report and JSON body, when lint found errors.
+    failure: Option<(String, String)>,
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let width: u32 = arg_value(&args, "width").unwrap_or(32);
     let seeds_only = args.iter().any(|a| a == "--seeds-only");
-    let threads: usize = arg_value(&args, "threads").unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
-    });
-
-    let mut designs = paper_designs();
-    if !seeds_only {
-        let seen: HashSet<String> = designs.iter().map(ToString::to_string).collect();
-        designs.extend(
-            enumerate_quadruples(width)
-                .into_iter()
-                .map(Design::Isa)
-                .filter(|d| !seen.contains(&d.to_string())),
-        );
-    }
-    let scope_label = if seeds_only {
-        "12 seed designs".to_owned()
-    } else {
-        format!("12 seeds + the non-overlapping quadruple grid at width {width}")
-    };
+    let engine = engine_from_args(&args);
+    let designs = sweep::designs(width, seeds_only);
     eprintln!(
-        "netlint: sweeping {} designs ({scope_label}) on {threads} thread(s)",
-        designs.len()
+        "netlint: sweeping {} designs ({}) on {} thread(s)",
+        designs.len(),
+        sweep::scope(width, seeds_only),
+        engine.threads()
     );
 
     let config = ExperimentConfig::default();
-    let cursor = AtomicUsize::new(0);
-    let stats = Mutex::new(SweepStats::default());
     let started = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| {
-                let mut local = SweepStats::default();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(design) = designs.get(i) else { break };
-                    let t0 = Instant::now();
-                    match DesignContext::try_build(*design, &config) {
-                        Ok(ctx) => {
-                            local.checked += 1;
-                            local.build += t0.elapsed();
-                            local.lint += ctx.lint.elapsed;
-                            local.warnings += ctx.lint.warning_count();
-                        }
-                        Err(BuildError::Synthesis(_)) => local.infeasible += 1,
-                        Err(BuildError::Lint(report)) => {
-                            local.checked += 1;
-                            local.build += t0.elapsed();
-                            local.lint += report.elapsed;
-                            local.warnings += report.warning_count();
-                            local.failures.push((report.render(), report.to_json()));
-                        }
-                    }
-                }
-                let mut total = stats.lock().expect("sweep stats poisoned");
-                total.checked += local.checked;
-                total.infeasible += local.infeasible;
-                total.warnings += local.warnings;
-                total.lint += local.lint;
-                total.build += local.build;
-                total.failures.append(&mut local.failures);
-            });
-        }
+    // `None` marks a synthesis-infeasible design.
+    let outcomes = sweep::map(&engine, &config, &designs, |design| {
+        let t0 = Instant::now();
+        let built = DesignContext::try_build(design, &config);
+        let build = t0.elapsed();
+        let report = match built {
+            Ok(ctx) => ctx.lint,
+            Err(BuildError::Synthesis(_)) => return None,
+            Err(BuildError::Lint(report)) => *report,
+        };
+        Some(Linted {
+            build,
+            lint: report.elapsed,
+            warnings: report.warning_count(),
+            failure: report
+                .has_errors()
+                .then(|| (report.render(), report.to_json())),
+        })
     });
 
-    let stats = stats.into_inner().expect("sweep stats poisoned");
-    for (rendered, _) in &stats.failures {
+    let (mut checked, mut infeasible, mut warnings) = (0usize, 0usize, 0usize);
+    let (mut lint, mut build) = (Duration::ZERO, Duration::ZERO);
+    let mut failures: Vec<(String, String)> = Vec::new();
+    for (design, outcome) in designs.iter().zip(outcomes) {
+        match outcome {
+            Ok(None) => infeasible += 1,
+            Ok(Some(linted)) => {
+                checked += 1;
+                build += linted.build;
+                lint += linted.lint;
+                warnings += linted.warnings;
+                failures.extend(linted.failure);
+            }
+            Err(panic) => {
+                checked += 1;
+                let body = Json::Obj(vec![
+                    ("design".to_owned(), Json::Str(design.to_string())),
+                    ("panic".to_owned(), Json::Str(panic.clone())),
+                ]);
+                failures.push((
+                    format!("{design}: build panicked: {panic}\n"),
+                    body.render(),
+                ));
+            }
+        }
+    }
+
+    for (rendered, _) in &failures {
         eprint!("{rendered}");
     }
-    let lint_s = stats.lint.as_secs_f64();
-    let build_s = stats.build.as_secs_f64();
+    let lint_s = lint.as_secs_f64();
+    let build_s = build.as_secs_f64();
     let fraction = if build_s > 0.0 { lint_s / build_s } else { 0.0 };
     println!(
-        "netlint: {} checked, {} infeasible skipped, {} design(s) with errors, \
-         {} warning finding(s)",
-        stats.checked,
-        stats.infeasible,
-        stats.failures.len(),
-        stats.warnings
+        "netlint: {checked} checked, {infeasible} infeasible skipped, {} design(s) with errors, \
+         {warnings} warning finding(s)",
+        failures.len(),
     );
     println!(
         "netlint: lint {lint_s:.2}s of {build_s:.2}s total build time \
@@ -139,15 +125,15 @@ fn main() {
         let _ = writeln!(json, "  \"schema\": \"isa-netlint-sweep/v1\",");
         let _ = writeln!(json, "  \"width\": {width},");
         let _ = writeln!(json, "  \"seeds_only\": {seeds_only},");
-        let _ = writeln!(json, "  \"checked\": {},", stats.checked);
-        let _ = writeln!(json, "  \"infeasible\": {},", stats.infeasible);
-        let _ = writeln!(json, "  \"designs_with_errors\": {},", stats.failures.len());
-        let _ = writeln!(json, "  \"warning_findings\": {},", stats.warnings);
+        let _ = writeln!(json, "  \"checked\": {checked},");
+        let _ = writeln!(json, "  \"infeasible\": {infeasible},");
+        let _ = writeln!(json, "  \"designs_with_errors\": {},", failures.len());
+        let _ = writeln!(json, "  \"warning_findings\": {warnings},");
         let _ = writeln!(json, "  \"lint_seconds\": {lint_s},");
         let _ = writeln!(json, "  \"build_seconds\": {build_s},");
         let _ = writeln!(json, "  \"lint_fraction\": {fraction},");
         json.push_str("  \"failures\": [");
-        for (i, (_, body)) in stats.failures.iter().enumerate() {
+        for (i, (_, body)) in failures.iter().enumerate() {
             if i > 0 {
                 json.push(',');
             }
@@ -158,7 +144,7 @@ fn main() {
         write_output(&path, &json);
     }
 
-    if !stats.failures.is_empty() {
+    if !failures.is_empty() {
         std::process::exit(1);
     }
 }

@@ -19,23 +19,34 @@
 //! - **Exact error RMS**: the full-input-space structural error RMS from
 //!   the model-counted error distribution, reported per seed design.
 //!
-//! Synthesis-infeasible grid points are skipped (a feasibility boundary,
-//! not a proof failure). Any failed proof prints the finding and the
-//! sweep exits with status 1 — the CI gate asserting the whole space is
-//! *proven*, not sampled. Sibling of the `netlint` sweep
-//! (`isa-netlint-sweep/v1`), which runs the cheap per-build stages; this
-//! bin is the offline deep tier (`isa-prove-sweep/v1`).
+//! This sweep is the one place the equivalence and settle-bound proofs
+//! run. Synthesis-infeasible grid points are skipped (a feasibility
+//! boundary, not a proof failure). Any failed proof or panicking build
+//! prints the finding and the sweep exits with status 1 — the CI gate
+//! asserting the whole space is *proven*, not sampled. Failures are listed
+//! in design order at any `--threads`. Sibling of the `netlint` sweep
+//! (`isa-netlint-sweep/v1`), which runs the sampled per-build checks;
+//! this bin writes `isa-prove-sweep/v1`.
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
-use isa_core::{enumerate_quadruples, paper_designs, Design};
+use isa_core::{paper_designs, Design};
 use isa_engine::{BuildError, DesignContext, ExperimentConfig};
-use isa_experiments::{arg_value, write_output};
+use isa_experiments::{arg_value, engine_from_args, sweep, write_output};
 use isa_prove::{analyze_settle, check_equivalence, ErrorDistribution, StaOptions};
+
+/// One feasible design's proof outcome.
+#[derive(Default)]
+struct Proved {
+    /// The STA hit its budget and fell back to the topological bound.
+    fallback: bool,
+    tightening_fs: u64,
+    /// One line per failed proof.
+    findings: Vec<String>,
+    /// Exact structural error RMS, for seed designs.
+    seed_rms: Option<f64>,
+}
 
 #[derive(Default)]
 struct SweepStats {
@@ -52,124 +63,103 @@ struct SweepStats {
     seed_rms: Vec<(String, f64)>,
 }
 
+/// Builds one design and runs both proofs on it (plus the exact RMS for a
+/// seed design); `None` when synthesis is infeasible.
+fn prove(design: Design, config: &ExperimentConfig, seed: bool) -> Option<Proved> {
+    let mut proved = Proved::default();
+    let ctx = match DesignContext::try_build(design, config) {
+        Ok(ctx) => ctx,
+        Err(BuildError::Synthesis(_)) => return None,
+        Err(BuildError::Lint(report)) => {
+            proved
+                .findings
+                .push(format!("failed lint:\n{}", report.render()));
+            return Some(proved);
+        }
+    };
+
+    let equiv = check_equivalence(&design, &ctx.synthesized.adder);
+    if !equiv.equivalent {
+        let (a, b) = equiv.counterexample.unwrap_or((0, 0));
+        proved.findings.push(format!(
+            "equivalence refuted on output bit {}: a={a:#x}, b={b:#x}",
+            equiv.failing_output.unwrap_or(0)
+        ));
+    }
+
+    let sta = analyze_settle(
+        ctx.synthesized.adder.netlist(),
+        &ctx.annotation,
+        &StaOptions::default(),
+    );
+    proved.fallback = !sta.exact;
+    if sta.proven_crit_fs > sta.topo_crit_fs {
+        proved.findings.push(format!(
+            "proven settle bound {} fs exceeds topological {} fs",
+            sta.proven_crit_fs, sta.topo_crit_fs
+        ));
+    }
+    if sta.exact && !sta.functions_verified {
+        proved
+            .findings
+            .push("waveform endpoints diverge from functional semantics".to_owned());
+    }
+    proved.tightening_fs = sta.tightening_fs();
+
+    if seed {
+        proved.seed_rms = Some(ErrorDistribution::analyze_with_pmf_cap(&design, 0).rms_error());
+    }
+    Some(proved)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let width: u32 = arg_value(&args, "width").unwrap_or(16);
     let seeds_only = args.iter().any(|a| a == "--seeds-only");
-    let threads: usize = arg_value(&args, "threads").unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
-    });
-
-    let seeds = paper_designs();
-    let seed_set: HashSet<String> = seeds.iter().map(ToString::to_string).collect();
-    let mut designs = seeds;
-    if !seeds_only {
-        designs.extend(
-            enumerate_quadruples(width)
-                .into_iter()
-                .map(Design::Isa)
-                .filter(|d| !seed_set.contains(&d.to_string())),
-        );
-    }
-    let scope_label = if seeds_only {
-        "12 seed designs".to_owned()
-    } else {
-        format!("12 seeds + the non-overlapping quadruple grid at width {width}")
-    };
+    let engine = engine_from_args(&args);
+    let designs = sweep::designs(width, seeds_only);
     eprintln!(
-        "prove: proving {} designs ({scope_label}) on {threads} thread(s)",
-        designs.len()
+        "prove: proving {} designs ({}) on {} thread(s)",
+        designs.len(),
+        sweep::scope(width, seeds_only),
+        engine.threads()
     );
 
     let config = ExperimentConfig::default();
-    let cursor = AtomicUsize::new(0);
-    let stats = Mutex::new(SweepStats::default());
+    let seeds = paper_designs();
     let started = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| {
-                let mut local = SweepStats::default();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(design) = designs.get(i) else { break };
-                    let label = design.to_string();
-                    let ctx = match DesignContext::try_build(*design, &config) {
-                        Ok(ctx) => ctx,
-                        Err(BuildError::Synthesis(_)) => {
-                            local.infeasible += 1;
-                            continue;
-                        }
-                        Err(BuildError::Lint(report)) => {
-                            local.checked += 1;
-                            local
-                                .failures
-                                .push((label, format!("failed lint:\n{}", report.render())));
-                            continue;
-                        }
-                    };
-                    local.checked += 1;
-
-                    let equiv = check_equivalence(design, &ctx.synthesized.adder);
-                    if !equiv.equivalent {
-                        let (a, b) = equiv.counterexample.unwrap_or((0, 0));
-                        local.failures.push((
-                            label.clone(),
-                            format!(
-                                "equivalence refuted on output bit {}: a={a:#x}, b={b:#x}",
-                                equiv.failing_output.unwrap_or(0)
-                            ),
-                        ));
-                    }
-
-                    let sta = analyze_settle(
-                        ctx.synthesized.adder.netlist(),
-                        &ctx.annotation,
-                        &StaOptions::default(),
-                    );
-                    if !sta.exact {
-                        local.fallbacks += 1;
-                    }
-                    if sta.proven_crit_fs > sta.topo_crit_fs {
-                        local.failures.push((
-                            label.clone(),
-                            format!(
-                                "proven settle bound {} fs exceeds topological {} fs",
-                                sta.proven_crit_fs, sta.topo_crit_fs
-                            ),
-                        ));
-                    }
-                    if sta.exact && !sta.functions_verified {
-                        local.failures.push((
-                            label.clone(),
-                            "waveform endpoints diverge from functional semantics".to_owned(),
-                        ));
-                    }
-                    let tightening = sta.tightening_fs();
-                    if tightening > 0 {
-                        local.tightened += 1;
-                        local.max_tightening_fs = local.max_tightening_fs.max(tightening);
-                    }
-
-                    if i < 12 {
-                        let rms = ErrorDistribution::analyze_with_pmf_cap(design, 0).rms_error();
-                        local.seed_rms.push((label, rms));
-                    }
-                }
-                let mut total = stats.lock().expect("sweep stats poisoned");
-                total.checked += local.checked;
-                total.infeasible += local.infeasible;
-                total.fallbacks += local.fallbacks;
-                total.tightened += local.tightened;
-                total.max_tightening_fs = total.max_tightening_fs.max(local.max_tightening_fs);
-                total.failures.append(&mut local.failures);
-                total.seed_rms.append(&mut local.seed_rms);
-            });
-        }
+    let outcomes = sweep::map(&engine, &config, &designs, |design| {
+        prove(design, &config, seeds.contains(&design))
     });
 
-    let mut stats = stats.into_inner().expect("sweep stats poisoned");
+    let mut stats = SweepStats::default();
+    for (design, outcome) in designs.iter().zip(outcomes) {
+        let label = design.to_string();
+        match outcome {
+            Ok(None) => stats.infeasible += 1,
+            Ok(Some(proved)) => {
+                stats.checked += 1;
+                stats.fallbacks += usize::from(proved.fallback);
+                if proved.tightening_fs > 0 {
+                    stats.tightened += 1;
+                    stats.max_tightening_fs = stats.max_tightening_fs.max(proved.tightening_fs);
+                }
+                if let Some(rms) = proved.seed_rms {
+                    stats.seed_rms.push((label.clone(), rms));
+                }
+                for finding in proved.findings {
+                    stats.failures.push((label.clone(), finding));
+                }
+            }
+            Err(panic) => {
+                stats.checked += 1;
+                stats
+                    .failures
+                    .push((label, format!("build panicked: {panic}")));
+            }
+        }
+    }
     stats.seed_rms.sort_by(|a, b| a.0.cmp(&b.0));
-    stats.failures.sort_by(|a, b| a.0.cmp(&b.0));
     for (design, finding) in &stats.failures {
         eprintln!("prove: FAIL {design}: {finding}");
     }

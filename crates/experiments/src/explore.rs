@@ -21,12 +21,18 @@ use isa_workloads::{named_stream, STREAM_NAMES};
 
 use crate::report::Table;
 
+/// The space presets [`ExploreSettings::space_spec`] resolves.
+pub const SPACES: [&str; 3] = ["paper", "compact", "full"];
+
+/// The strategies [`ExploreSettings::strategy_choice`] resolves.
+pub const STRATEGIES: [&str; 3] = ["auto", "exhaustive", "evolutionary"];
+
 /// Everything one exploration run needs (the `explore` bin's flag set).
 #[derive(Debug, Clone)]
 pub struct ExploreSettings {
-    /// Space preset: `paper`, `compact` or `full`.
+    /// Space preset, one of [`SPACES`].
     pub space: String,
-    /// Strategy: `auto`, `exhaustive` or `evolutionary`.
+    /// Strategy, one of [`STRATEGIES`].
     pub strategy: String,
     /// RNG seed (same seed → byte-identical CSV).
     pub seed: u64,
@@ -46,9 +52,6 @@ pub struct ExploreSettings {
     pub prefilter: bool,
     /// Cycles of the per-design energy characterization.
     pub energy_cycles: usize,
-    /// Tighten each die's critical delay with the symbolic false-path
-    /// proof before classifying clocks as certain.
-    pub proven_sta: bool,
     /// Evolutionary population size.
     pub population: usize,
     /// Evolutionary generation cap.
@@ -72,7 +75,6 @@ impl Default for ExploreSettings {
             scale: 1,
             prefilter: true,
             energy_cycles: 512,
-            proven_sta: false,
             population: 48,
             generations: 24,
             min_quality_db: None,
@@ -93,7 +95,7 @@ impl ExploreSettings {
             "paper" => SpaceSpec::paper(),
             "compact" => SpaceSpec::compact(),
             "full" => SpaceSpec::full(32),
-            other => panic!("unknown --space {other:?} (paper|compact|full)"),
+            other => panic!("unknown --space {other:?} ({})", SPACES.join("|")),
         }
     }
 
@@ -111,7 +113,7 @@ impl ExploreSettings {
                 population: self.population,
                 generations: self.generations,
             }),
-            other => panic!("unknown --strategy {other:?} (auto|exhaustive|evolutionary)"),
+            other => panic!("unknown --strategy {other:?} ({})", STRATEGIES.join("|")),
         }
     }
 
@@ -170,7 +172,6 @@ pub fn run_on(
         EvalSettings {
             prefilter: settings.prefilter,
             energy_cycles: settings.energy_cycles,
-            proven_sta: settings.proven_sta,
         },
         SearchSettings {
             strategy: settings.strategy_choice(),

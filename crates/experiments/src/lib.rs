@@ -29,7 +29,9 @@
 //! and one worker pool — across pipelines, as `all_figures` does. Reports keep their
 //! `render()`/`to_csv()` methods; the `fig7`, `fig8`, `fig9`, `fig10`,
 //! `design_table`, `energy_table`, `guardband`, `workloads` and
-//! `all_figures` binaries drive them from the command line.
+//! `all_figures` binaries drive them from the command line. The `netlint`
+//! and `prove` sweep binaries share [`sweep`]'s design list and map it on
+//! the engine's worker pool.
 //!
 //! All pipelines execute through the
 //! [`isa_engine`] plan API — substrates are swappable behind
@@ -48,6 +50,7 @@ pub mod fig9;
 pub mod guardband;
 pub mod prediction;
 pub mod report;
+pub mod sweep;
 pub mod workload_sensitivity;
 
 pub use isa_engine::{
@@ -126,37 +129,15 @@ pub fn cli_error(message: impl std::fmt::Display) -> ! {
 /// Writes a report artifact (CSV, JSON) to `path`, exiting with a message
 /// naming the path on I/O failure, and confirming on stderr on success.
 ///
-/// Writes are atomic: a crash (or a failing disk) mid-write leaves either
-/// the previous artifact or none — never a truncated file that a plotting
-/// script or CI diff would silently consume as complete data.
+/// Writes are atomic ([`isa_obs::export::write_atomic`]): a crash (or a
+/// failing disk) mid-write leaves either the previous artifact or none —
+/// never a truncated file that a plotting script or CI diff would
+/// silently consume as complete data.
 pub fn write_output(path: &str, contents: &str) {
-    if let Err(e) = try_write_atomic(path, contents) {
+    if let Err(e) = isa_obs::export::write_atomic(std::path::Path::new(path), contents.as_bytes()) {
         cli_error(format_args!("cannot write {path}: {e}"));
     }
     eprintln!("wrote {path}");
-}
-
-/// Atomically publishes `contents` at `path` via a same-directory temp
-/// file, `sync_all`, and `rename`.
-///
-/// # Errors
-///
-/// Returns the first underlying I/O error; the temp file is removed on a
-/// failed rename.
-pub fn try_write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
-    use std::io::Write as _;
-    // Same directory as the target, so the rename cannot cross devices.
-    let tmp = format!("{path}.tmp-{}", std::process::id());
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(contents.as_bytes())?;
-        file.sync_all()?;
-    }
-    let renamed = std::fs::rename(&tmp, path);
-    if renamed.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    renamed
 }
 
 /// Builds the experiment engine every binary shares: machine-sized worker

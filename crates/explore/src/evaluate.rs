@@ -2,10 +2,9 @@
 //!
 //! **Tier A (structural, no gate-level simulation of the workload):** for
 //! each candidate design the evaluator synthesizes once (memoized in the
-//! engine's artifact cache), reads the die's critical delay (topological,
-//! or the tighter false-path-aware proven bound under
-//! [`EvalSettings::proven_sta`]), characterizes energy per addition from a
-//! short switching-activity run at the safe clock, and computes the
+//! engine's artifact cache), reads the die's topological critical delay,
+//! characterizes energy per addition from a short switching-activity
+//! run at the safe clock, and computes the
 //! design's **exact structural error in objective units**: for stream
 //! workloads the behavioural model runs over the actual operand stream
 //! (structural-only, so a few plane passes per design) and yields the
@@ -123,12 +122,6 @@ pub struct EvalSettings {
     /// Cycles of the switching-activity run characterizing each design's
     /// energy per addition.
     pub energy_cycles: usize,
-    /// Tighten each die's critical delay with the symbolic false-path
-    /// proof ([`isa_engine::DesignContext::proven_critical_ps`]): clock
-    /// periods above the *proven* settle bound are certain even when they
-    /// undercut the topological one. Off by default — the proof costs a
-    /// BDD sweep per design at first use.
-    pub proven_sta: bool,
 }
 
 impl Default for EvalSettings {
@@ -136,7 +129,6 @@ impl Default for EvalSettings {
         Self {
             prefilter: true,
             energy_cycles: 512,
-            proven_sta: false,
         }
     }
 }
@@ -181,9 +173,8 @@ pub struct CandidateEval {
     pub clock_ps: f64,
     /// Synthesized area in NAND2-equivalent units.
     pub area: f64,
-    /// The die's critical delay (process variation included):
-    /// topological, or the false-path-aware proven settle bound under
-    /// [`EvalSettings::proven_sta`].
+    /// The die's topological critical delay (process variation
+    /// included).
     pub die_critical_ps: f64,
     /// True when the clock period exceeds the die critical delay: the
     /// configuration cannot produce timing errors.
@@ -435,9 +426,8 @@ impl<'e> Evaluator<'e> {
         self.design_info.insert(*design, info);
     }
 
-    /// Tier-A characterization: synthesis feasibility, die STA (false-path
-    /// tightened under [`EvalSettings::proven_sta`]), energy per op at the
-    /// safe clock, and the exact structural error bounds.
+    /// Tier-A characterization: synthesis feasibility, die STA, energy per
+    /// op at the safe clock, and the exact structural error bounds.
     fn characterize(&self, design: &Design) -> Result<DesignInfo, String> {
         // Fallible cache entry: arbitrary grid points (unlike the paper's
         // twelve) may miss the timing constraint, and the infallible
@@ -487,11 +477,7 @@ impl<'e> Evaluator<'e> {
         let exact_struct_rms = ErrorDistribution::analyze_with_pmf_cap(design, 0).rms_error();
         Ok(DesignInfo {
             area: ctx.synthesized.area,
-            die_critical_ps: if self.settings.proven_sta {
-                ctx.proven_critical_ps()
-            } else {
-                ctx.die_critical_ps()
-            },
+            die_critical_ps: ctx.die_critical_ps(),
             dyn_fj_per_op: report.dynamic_fj / n,
             leak_fj_per_op_safe: report.leakage_fj / n,
             model_error,
@@ -775,32 +761,5 @@ mod tests {
                 assert_eq!(p.error, u.error, "{}", p.point.label());
             }
         }
-    }
-
-    #[test]
-    fn proven_sta_tightens_die_critical_without_changing_safe_errors() {
-        let engine = Engine::with_threads(1);
-        let config = ExperimentConfig::default();
-        let mode = EvalMode::uniform_stream(32, 400, config.workload_seed);
-        let run = |proven_sta: bool| {
-            let mut eval = Evaluator::new(
-                &engine,
-                config.clone(),
-                mode.clone(),
-                EvalSettings {
-                    proven_sta,
-                    prefilter: false,
-                    ..EvalSettings::default()
-                },
-            );
-            eval.evaluate(&[point((8, 2, 1, 4), 0.0)]).remove(0)
-        };
-        let topo = run(false);
-        let proven = run(true);
-        // The proof can only tighten (or match) the topological bound,
-        // and tier-B simulation is untouched by it.
-        assert!(proven.die_critical_ps <= topo.die_critical_ps);
-        assert!(proven.die_critical_ps > 0.0);
-        assert_eq!(proven.error, topo.error);
     }
 }

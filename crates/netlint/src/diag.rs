@@ -111,15 +111,6 @@ pub enum Rule {
     // --- functional -----------------------------------------------------
     /// The netlist disagrees with the behavioural golden model.
     FunctionalMismatch,
-    // --- symbolic proofs (opt-in, offline tier) -------------------------
-    /// The equivalence proof against the behavioural spec failed: the
-    /// netlist computes a different function on some concrete operand
-    /// pair (reported in the message).
-    ProveEquiv,
-    /// The symbolic settle-bound re-proof failed: the proven bound
-    /// exceeded the topological one, or the waveform algebra's endpoint
-    /// functions diverged from the netlist's functional semantics.
-    ProveSta,
 }
 
 impl Rule {
@@ -153,8 +144,6 @@ impl Rule {
             Rule::BoundUnderChain => "classifier.bound-under-chain",
             Rule::PgTyping => "classifier.pg-typing",
             Rule::FunctionalMismatch => "functional.mismatch",
-            Rule::ProveEquiv => "prove.equiv",
-            Rule::ProveSta => "prove.sta",
         }
     }
 
@@ -396,8 +385,6 @@ mod tests {
             Rule::BoundUnderChain,
             Rule::PgTyping,
             Rule::FunctionalMismatch,
-            Rule::ProveEquiv,
-            Rule::ProveSta,
         ];
         let mut ids: Vec<&str> = rules.iter().map(|r| r.id()).collect();
         ids.sort_unstable();

@@ -58,16 +58,13 @@ pub mod diag;
 pub mod level;
 pub mod lint;
 pub mod mutate;
-pub mod prove;
 pub mod structural;
 pub mod tapecheck;
 pub mod timing;
 
 pub use diag::{Diagnostic, LintReport, Locus, Rule, Severity};
 pub use level::Levelization;
-pub use lint::{
-    lint_adder, lint_adder_proven, lint_adder_with_classifier, lint_netlist, LintOptions,
-};
+pub use lint::{lint_adder, lint_adder_with_classifier, LintOptions};
 pub use mutate::{apply_mutation, Mutated, Mutation, ALL_MUTATIONS};
 pub use tapecheck::verify_tape;
 

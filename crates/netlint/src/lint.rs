@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use isa_core::{Adder, Design};
+use isa_core::Adder;
 use isa_netlist::classify::LaneClassifier;
 use isa_netlist::tape::InstructionTape;
 use isa_netlist::timing::DelayAnnotation;
@@ -19,9 +19,9 @@ use isa_netlist::{AdderNetlist, Netlist};
 
 use crate::diag::{Diagnostic, LintReport, Locus, Rule, Severity};
 use crate::level::Levelization;
-use crate::{audit, prove, structural, tapecheck, timing, Splitmix};
+use crate::{audit, structural, tapecheck, timing, Splitmix};
 
-/// Battery sizes and stage toggles for one lint run.
+/// Battery sizes for one lint run.
 ///
 /// The defaults are what `DesignContext::try_build` uses: small enough
 /// that linting stays a low single-digit percentage of synthesis time,
@@ -38,17 +38,6 @@ pub struct LintOptions {
     /// 64-lane random batteries (plus fixed corners) for the functional
     /// comparison against the golden model.
     pub functional_batteries: usize,
-    /// Whether to run the classifier conservatism audit at all.
-    pub classifier_audit: bool,
-    /// Whether to run the symbolic equivalence proof against the
-    /// behavioural spec (`prove.equiv`). Off by default: a proof costs
-    /// more than every sampled stage combined, so it belongs to the
-    /// offline sweep, not the synthesis path. Requires the spec-carrying
-    /// entry point [`lint_adder_proven`].
-    pub prove_equiv: bool,
-    /// Whether to re-prove the symbolic settle-bound analysis
-    /// (`prove.sta`). Off by default, same budget reasoning.
-    pub prove_sta: bool,
 }
 
 impl Default for LintOptions {
@@ -58,31 +47,12 @@ impl Default for LintOptions {
             tape_batteries: 1,
             audit_batteries: 1,
             functional_batteries: 1,
-            classifier_audit: true,
-            prove_equiv: false,
-            prove_sta: false,
         }
     }
 }
 
 fn no_errors(diagnostics: &[Diagnostic]) -> bool {
     diagnostics.iter().all(|d| d.severity != Severity::Error)
-}
-
-/// Lints a bare netlist: structural passes plus the verified
-/// levelization. No timing, adder-convention or classifier stages (those
-/// need an [`AdderNetlist`] and an annotation — use [`lint_adder`]).
-#[must_use]
-pub fn lint_netlist(netlist: &Netlist, options: &LintOptions) -> LintReport {
-    let start = Instant::now();
-    let mut diagnostics = structural::check_sans_loops(netlist);
-    let levelization = run_levelization(netlist, options, &mut diagnostics);
-    LintReport {
-        design: netlist.name().to_string(),
-        diagnostics,
-        levelization,
-        elapsed: start.elapsed(),
-    }
 }
 
 /// Lints an adder design end to end, building the lane classifier itself
@@ -98,30 +68,7 @@ pub fn lint_adder(
     gold: Option<&dyn Adder>,
     options: &LintOptions,
 ) -> LintReport {
-    lint_adder_inner(adder, annotation, None, gold, None, options)
-}
-
-/// Like [`lint_adder`], but carries the behavioural *spec* ([`Design`])
-/// rather than just a golden model, enabling the opt-in symbolic proof
-/// stages (`prove.equiv`, `prove.sta`) when the corresponding
-/// [`LintOptions`] flags are set. The golden model for the sampled
-/// functional stage is derived from the spec.
-#[must_use]
-pub fn lint_adder_proven(
-    adder: &AdderNetlist,
-    annotation: &DelayAnnotation,
-    spec: &Design,
-    options: &LintOptions,
-) -> LintReport {
-    let gold = spec.behavioural();
-    lint_adder_inner(
-        adder,
-        annotation,
-        None,
-        Some(gold.as_ref()),
-        Some(spec),
-        options,
-    )
+    lint_adder_inner(adder, annotation, None, gold, options)
 }
 
 /// Like [`lint_adder`], but audits a classifier the caller already built
@@ -135,7 +82,7 @@ pub fn lint_adder_with_classifier(
     gold: Option<&dyn Adder>,
     options: &LintOptions,
 ) -> LintReport {
-    lint_adder_inner(adder, annotation, Some(classifier), gold, None, options)
+    lint_adder_inner(adder, annotation, Some(classifier), gold, options)
 }
 
 fn lint_adder_inner(
@@ -143,7 +90,6 @@ fn lint_adder_inner(
     annotation: &DelayAnnotation,
     classifier: Option<&LaneClassifier>,
     gold: Option<&dyn Adder>,
-    spec: Option<&Design>,
     options: &LintOptions,
 ) -> LintReport {
     let start = Instant::now();
@@ -176,7 +122,7 @@ fn lint_adder_inner(
 
     // Stage 4: classifier conservatism audit — needs everything above
     // (the settle-table recomputation trusts the delays and the graph).
-    if options.classifier_audit && annotation_clean && no_errors(&diagnostics) {
+    if annotation_clean && no_errors(&diagnostics) {
         let built;
         let classifier = match classifier {
             Some(c) => c,
@@ -191,20 +137,6 @@ fn lint_adder_inner(
             classifier,
             options.audit_batteries,
         ));
-    }
-
-    // Stage 5: symbolic proofs — opt-in. Equivalence needs only a sound
-    // graph (it deliberately runs even when the sampled functional stage
-    // already found a mismatch: the proof is the ground truth and carries
-    // the counterexample); the settle re-proof additionally trusts the
-    // delays.
-    if structurally_sound {
-        if let (true, Some(spec)) = (options.prove_equiv, spec) {
-            diagnostics.extend(prove::check_equiv(adder, spec));
-        }
-        if options.prove_sta && annotation_clean {
-            diagnostics.extend(prove::check_sta(netlist, annotation));
-        }
     }
 
     LintReport {
@@ -391,13 +323,5 @@ mod tests {
         let gold = ExactAdder::new(16);
         let report = lint_adder(&adder, &ann, Some(&gold), &LintOptions::default());
         assert!(report.has_rule(Rule::FunctionalMismatch));
-    }
-
-    #[test]
-    fn bare_netlist_lint_works_without_timing() {
-        let adder = build_exact(8, AdderTopology::KoggeStone);
-        let report = lint_netlist(adder.netlist(), &LintOptions::default());
-        assert!(!report.has_errors(), "{}", report.render());
-        assert_eq!(report.design, adder.netlist().name());
     }
 }

@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -308,20 +309,34 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
     })
 }
 
-/// Writes `contents` to `path` atomically (temp file + rename + fsync),
-/// so readers never observe a torn exposition.
+/// Writes `contents` to `path` atomically, so readers never observe a
+/// torn file: the bytes go to a temp file beside the target (named per
+/// call from the process id and a process-wide counter, so concurrent
+/// writers never share one), are synced, and the temp file is renamed
+/// over `path`. On any failure the temp file is removed.
 ///
 /// # Errors
 ///
 /// Returns the first I/O error.
-pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(contents.as_bytes())?;
-        file.sync_all()?;
+pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".tmp.{}.{}",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let written = File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(contents)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
-    std::fs::rename(&tmp, path)
+    written
 }
 
 /// The JSON form of a snapshot (the `metrics` serve op). Histograms
@@ -412,12 +427,12 @@ impl Flusher {
         let handle = std::thread::spawn(move || {
             let (lock, bell) = &*shared;
             loop {
-                let _ = write_atomic(&path, &produce());
+                let _ = write_atomic(&path, produce().as_bytes());
                 let deadline = Instant::now() + period;
                 let mut stopped = lock.lock().expect("flusher lock");
                 loop {
                     if *stopped {
-                        let _ = write_atomic(&path, &produce());
+                        let _ = write_atomic(&path, produce().as_bytes());
                         return;
                     }
                     let now = Instant::now();
@@ -503,10 +518,29 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        write_atomic(&path, "first\n").unwrap();
-        write_atomic(&path, "second\n").unwrap();
+        write_atomic(&path, b"first\n").unwrap();
+        write_atomic(&path, b"second\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "second\n");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn failed_atomic_write_leaves_no_temp_file() {
+        let parent = std::env::temp_dir().join(format!(
+            "isa-obs-export-dir-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let target = parent.join("target");
+        std::fs::create_dir_all(&target).unwrap();
+        // A directory cannot be renamed over by a file.
+        assert!(write_atomic(&target, b"x").is_err());
+        let left: Vec<_> = std::fs::read_dir(&parent)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["target"]);
+        let _ = std::fs::remove_dir_all(&parent);
     }
 
     #[test]

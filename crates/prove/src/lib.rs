@@ -25,11 +25,11 @@
 //!
 //! # Where this sits
 //!
-//! `isa-netlint` runs cheap per-build checks on every synthesis result;
-//! this crate is the offline/deep tier the linter escalates to when callers
-//! opt in (`prove.equiv`, `prove.sta` rules), and the source of the exact
-//! error model that lets the design-space explorer prune with a structural
-//! safety margin of 1.0 instead of 2.0.
+//! `isa-netlint` runs cheap sampled checks on every synthesis result; this
+//! crate is the offline deep tier. The `prove` sweep binary is the one
+//! place its equivalence and settle-bound proofs run, over every design in
+//! the space; the design-space explorer uses only [`dist`], the exact
+//! error model behind its `exact_struct_rms` column.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -69,12 +69,6 @@ pub struct SymbolicSta {
 }
 
 impl SymbolicSta {
-    /// Proven settle bound in picoseconds.
-    #[must_use]
-    pub fn proven_crit_ps(&self) -> f64 {
-        self.proven_crit_fs as f64 / 1000.0
-    }
-
     /// Femtoseconds of topological pessimism eliminated by the proof.
     #[must_use]
     pub fn tightening_fs(&self) -> u64 {
@@ -387,15 +381,22 @@ mod tests {
     fn select_topology_admits_false_paths() {
         // Carry-select pre-computes both branches and muxes: the mux's
         // select ripple is often provably unable to glitch the full
-        // topological depth. At minimum the proven bound must never
-        // exceed the topological one; record that it is meaningful.
-        let adder = build_exact(16, AdderTopology::CarrySelect(4));
-        let nl = adder.netlist();
-        let ann = nominal(nl);
-        let sta = analyze_settle(nl, &ann, &StaOptions::default());
-        assert!(sta.exact);
-        assert!(sta.functions_verified);
-        assert!(sta.proven_crit_fs <= sta.topo_crit_fs);
-        assert!(sta.proven_crit_fs > 0);
+        // topological depth. On it and on the ripple and prefix seed
+        // topologies, the proof must complete, re-verify its endpoint
+        // functions, and never exceed the topological bound.
+        for topology in [
+            AdderTopology::Ripple,
+            AdderTopology::Sklansky,
+            AdderTopology::CarrySelect(4),
+        ] {
+            let adder = build_exact(16, topology);
+            let nl = adder.netlist();
+            let ann = nominal(nl);
+            let sta = analyze_settle(nl, &ann, &StaOptions::default());
+            assert!(sta.exact, "{topology:?}");
+            assert!(sta.functions_verified, "{topology:?}");
+            assert!(sta.proven_crit_fs <= sta.topo_crit_fs, "{topology:?}");
+            assert!(sta.proven_crit_fs > 0, "{topology:?}");
+        }
     }
 }

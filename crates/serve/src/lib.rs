@@ -13,8 +13,8 @@
 //!
 //! Requests and responses are line-delimited JSON over stdin/stdout or a
 //! Unix socket ([`service::serve_lines`] / [`service::serve_unix`]); the
-//! JSON codec is hand-rolled ([`json`]) because the workspace takes no
-//! external dependencies.
+//! JSON codec is [`isa_obs::json`], hand-rolled because the workspace
+//! takes no external dependencies.
 //!
 //! The design centre of gravity is **robustness**, in four layers:
 //!
@@ -37,14 +37,13 @@
 #![warn(missing_docs)]
 
 pub mod faults;
-pub mod json;
 pub mod proto;
 pub mod queue;
 pub mod service;
 pub mod store;
 
 pub use faults::{FaultPlan, FaultPoint};
-pub use json::Json;
+pub use isa_obs::Json;
 pub use proto::{parse_request, Envelope, Request, WorkloadSel};
 pub use queue::BoundedQueue;
 pub use service::{serve_lines, Frontend, ServeConfig, Service};

@@ -48,9 +48,8 @@ use std::str::FromStr;
 use isa_apps::kernels::KERNEL_NAMES;
 use isa_core::{Design, IsaConfig};
 use isa_engine::{ExperimentConfig, GATE_BACKEND_LABEL};
+use isa_obs::Json;
 use isa_workloads::STREAM_NAMES;
-
-use crate::json::Json;
 
 /// What a quality query evaluates on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -329,7 +328,7 @@ pub fn error_response(id: &Json, retriable: bool, message: &str) -> String {
     out.push_str(",\"status\":\"error\",\"retriable\":");
     out.push_str(if retriable { "true" } else { "false" });
     out.push_str(",\"error\":");
-    crate::json::escape_into(message, &mut out);
+    isa_obs::json::escape_into(message, &mut out);
     out.push('}');
     out
 }

@@ -40,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use isa_obs::{Counter, Gauge, Histogram, Logger, Registry};
+use isa_obs::{Counter, Gauge, Histogram, Json, Logger, Registry};
 
 use isa_core::{combine_errors, paper_designs, structural_errors, Design, Substrate as _};
 use isa_engine::{
@@ -50,7 +50,6 @@ use isa_metrics::snr_db_of_rms_pct;
 use isa_workloads::named_stream;
 
 use crate::faults::{FaultPlan, FaultPoint};
-use crate::json::Json;
 use crate::proto::{
     cheapest_key, error_response, ok_response, parse_request, quality_key, CheapestQuery, Envelope,
     QualityQuery, Request, WorkloadSel,

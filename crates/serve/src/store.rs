@@ -33,9 +33,8 @@
 //! the same bytes serve every requester of the same key).
 
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::faults::{FaultPlan, FaultPoint};
 
@@ -55,7 +54,6 @@ pub enum StoreGet {
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
-    tmp_counter: AtomicU64,
 }
 
 impl ResultStore {
@@ -68,10 +66,7 @@ impl ResultStore {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(Self {
-            dir,
-            tmp_counter: AtomicU64::new(0),
-        })
+        Ok(Self { dir })
     }
 
     /// The store's root directory.
@@ -119,31 +114,12 @@ impl ResultStore {
             return Err(io::Error::other("injected store write fault"));
         }
         let record = encode_record(key, payload);
-        let torn = if faults.fires(FaultPoint::TornWrite) {
-            Some(faults.torn_len(record.len()))
+        let len = if faults.fires(FaultPoint::TornWrite) {
+            faults.torn_len(record.len())
         } else {
-            None
+            record.len()
         };
-        let bytes = match torn {
-            Some(len) => &record.as_bytes()[..len],
-            None => record.as_bytes(),
-        };
-        let tmp = self.dir.join(format!(
-            "tmp-{:016x}-{}-{}",
-            fnv1a64(key.as_bytes()),
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        let result = fs::rename(&tmp, self.record_path(key));
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
-        result
+        isa_obs::export::write_atomic(&self.record_path(key), &record.as_bytes()[..len])
     }
 
     /// Number of record files currently on disk (diagnostics only).
@@ -240,6 +216,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);

@@ -218,8 +218,11 @@ fn mixed_script_reports_exact_metric_counts() {
         .snapshot()
         .merge(isa_obs::global().snapshot());
     let exposition_path = temp_dir("exposition").with_extension("prom");
-    isa_obs::export::write_atomic(&exposition_path, &isa_obs::export::render(&merged))
-        .expect("write exposition");
+    isa_obs::export::write_atomic(
+        &exposition_path,
+        isa_obs::export::render(&merged).as_bytes(),
+    )
+    .expect("write exposition");
     let reread = std::fs::read_to_string(&exposition_path).expect("reread exposition");
     let parsed = isa_obs::export::parse(&reread).expect("exposition passes the schema check");
     for name in [

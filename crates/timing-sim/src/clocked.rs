@@ -11,14 +11,13 @@ use isa_netlist::builders::AdderNetlist;
 use isa_netlist::graph::Netlist;
 use isa_netlist::timing::DelayAnnotation;
 
-use crate::sim::{ps_to_fs, SimCore};
+use crate::sim::{ps_to_fs, GateLevelSim};
 
 /// A netlist operated at a fixed clock period.
 #[derive(Debug, Clone)]
 pub struct ClockedSim<'a> {
-    sim: SimCore,
+    sim: GateLevelSim<'a>,
     period_fs: u64,
-    netlist: &'a Netlist,
 }
 
 impl<'a> ClockedSim<'a> {
@@ -35,9 +34,8 @@ impl<'a> ClockedSim<'a> {
             "period must be positive"
         );
         Self {
-            sim: SimCore::new(netlist, annotation),
+            sim: GateLevelSim::new(netlist, annotation),
             period_fs: ps_to_fs(period_ps),
-            netlist,
         }
     }
 
@@ -55,9 +53,9 @@ impl<'a> ClockedSim<'a> {
     /// Panics if `inputs.len()` differs from the netlist's input count.
     pub fn step(&mut self, inputs: &[bool]) -> u64 {
         let t0 = self.sim.now_fs();
-        self.sim.set_inputs(self.netlist, inputs);
-        self.sim.run_until(self.netlist, t0 + self.period_fs);
-        self.sim.outputs_u64(self.netlist)
+        self.sim.set_inputs(inputs);
+        self.sim.run_until(t0 + self.period_fs);
+        self.sim.outputs_u64()
     }
 
     /// The value the outputs would settle to for the *current* inputs if
@@ -66,7 +64,7 @@ impl<'a> ClockedSim<'a> {
     /// queue.
     #[must_use]
     pub fn settled_reference(&self, inputs: &[bool]) -> u64 {
-        self.netlist.evaluate_outputs_u64(inputs)
+        self.sim.netlist.evaluate_outputs_u64(inputs)
     }
 
     /// Total committed simulation events so far.

@@ -46,19 +46,12 @@ struct Event {
     value: bool,
 }
 
-/// Netlist-free simulator state: delays, net values, the event queue and
-/// activity counters.
-///
-/// Every method takes the netlist as an explicit parameter instead of
-/// borrowing it at construction time, so the state can live apart from
-/// the netlist. [`GateLevelSim`] and [`ClockedSim`](crate::ClockedSim)
-/// wrap it with a borrowed netlist.
-///
-/// Callers must pass the same netlist the state was created with; sizes are
-/// asserted where cheap, behaviour is unspecified for a different netlist of
-/// identical shape.
+/// An event-driven simulator bound to one netlist and one delay
+/// annotation: per-cell delays, net values, the event queue and activity
+/// counters.
 #[derive(Debug, Clone)]
-pub struct SimCore {
+pub struct GateLevelSim<'a> {
+    pub(crate) netlist: &'a Netlist,
     delays_fs: Vec<u64>,
     values: Vec<bool>,
     queue: BinaryHeap<Reverse<Event>>,
@@ -69,15 +62,15 @@ pub struct SimCore {
     recorder: Option<crate::waveform::Waveform>,
 }
 
-impl SimCore {
-    /// Creates simulator state with all primary inputs at 0 and the netlist
+impl<'a> GateLevelSim<'a> {
+    /// Creates a simulator with all primary inputs at 0 and the netlist
     /// settled to that state.
     ///
     /// # Panics
     ///
     /// Panics if the annotation does not cover every cell.
     #[must_use]
-    pub fn new(netlist: &Netlist, annotation: &DelayAnnotation) -> Self {
+    pub fn new(netlist: &'a Netlist, annotation: &DelayAnnotation) -> Self {
         assert_eq!(
             annotation.len(),
             netlist.cell_count(),
@@ -89,6 +82,7 @@ impl SimCore {
         let values = netlist.evaluate(&vec![false; netlist.inputs().len()]);
         let net_commits = vec![0; netlist.net_count()];
         Self {
+            netlist,
             delays_fs,
             values,
             queue: BinaryHeap::new(),
@@ -102,9 +96,9 @@ impl SimCore {
 
     /// Starts recording every committed transition into a waveform (for
     /// VCD export and glitch analysis). Replaces any active recording.
-    pub fn start_recording(&mut self, netlist: &Netlist) {
+    pub fn start_recording(&mut self) {
         self.recorder = Some(crate::waveform::Waveform::new(
-            netlist.net_count(),
+            self.netlist.net_count(),
             &self.values,
             self.now_fs,
         ));
@@ -146,10 +140,10 @@ impl SimCore {
     ///
     /// Panics if the netlist has more than 64 outputs.
     #[must_use]
-    pub fn outputs_u64(&self, netlist: &Netlist) -> u64 {
-        assert!(netlist.outputs().len() <= 64);
+    pub fn outputs_u64(&self) -> u64 {
+        assert!(self.netlist.outputs().len() <= 64);
         let mut out = 0u64;
-        for (i, net) in netlist.outputs().iter().enumerate() {
+        for (i, net) in self.netlist.outputs().iter().enumerate() {
             if self.values[net.index()] {
                 out |= 1 << i;
             }
@@ -157,9 +151,9 @@ impl SimCore {
         out
     }
 
-    fn schedule_fanout(&mut self, netlist: &Netlist, net: NetId) {
-        for &cell_id in netlist.fanout(net) {
-            let cell = netlist.cell(cell_id);
+    fn schedule_fanout(&mut self, net: NetId) {
+        for &cell_id in self.netlist.fanout(net) {
+            let cell = self.netlist.cell(cell_id);
             let mut pins = [false; 3];
             for (slot, n) in pins.iter_mut().zip(&cell.inputs) {
                 *slot = self.values[n.index()];
@@ -181,7 +175,8 @@ impl SimCore {
     /// # Panics
     ///
     /// Panics if `values.len()` differs from the number of primary inputs.
-    pub fn set_inputs(&mut self, netlist: &Netlist, values: &[bool]) {
+    pub fn set_inputs(&mut self, values: &[bool]) {
+        let netlist = self.netlist;
         assert_eq!(
             values.len(),
             netlist.inputs().len(),
@@ -202,7 +197,7 @@ impl SimCore {
             }
         }
         for net in changed {
-            self.schedule_fanout(netlist, net);
+            self.schedule_fanout(net);
         }
     }
 
@@ -216,7 +211,7 @@ impl SimCore {
     /// # Panics
     ///
     /// Panics if `t_fs` is in the past.
-    pub fn run_until(&mut self, netlist: &Netlist, t_fs: u64) {
+    pub fn run_until(&mut self, t_fs: u64) {
         assert!(t_fs >= self.now_fs, "cannot run backwards");
         while let Some(Reverse(ev)) = self.queue.peek().copied() {
             if ev.time_fs >= t_fs {
@@ -232,7 +227,7 @@ impl SimCore {
                 if let Some(rec) = &mut self.recorder {
                     rec.record(ev.time_fs, NetId::from_index(idx), ev.value);
                 }
-                self.schedule_fanout(netlist, NetId::from_index(idx));
+                self.schedule_fanout(NetId::from_index(idx));
             }
         }
         self.now_fs = t_fs;
@@ -244,11 +239,7 @@ impl SimCore {
     /// # Errors
     ///
     /// Returns [`SettleError`] if the budget is exhausted.
-    pub fn run_to_quiescence(
-        &mut self,
-        netlist: &Netlist,
-        max_events: u64,
-    ) -> Result<(), SettleError> {
+    pub fn run_to_quiescence(&mut self, max_events: u64) -> Result<(), SettleError> {
         let start = self.events_processed;
         while let Some(Reverse(ev)) = self.queue.peek().copied() {
             if self.events_processed - start > max_events {
@@ -266,7 +257,7 @@ impl SimCore {
                 if let Some(rec) = &mut self.recorder {
                     rec.record(ev.time_fs, NetId::from_index(idx), ev.value);
                 }
-                self.schedule_fanout(netlist, NetId::from_index(idx));
+                self.schedule_fanout(NetId::from_index(idx));
             }
         }
         Ok(())
@@ -277,118 +268,6 @@ impl SimCore {
     #[must_use]
     pub fn pending_horizon_fs(&self) -> Option<u64> {
         self.queue.iter().map(|Reverse(e)| e.time_fs).max()
-    }
-}
-
-/// An event-driven simulator bound to one netlist and one delay annotation.
-///
-/// This is a convenience wrapper pairing a [`SimCore`] with the borrowed
-/// netlist it simulates.
-#[derive(Debug, Clone)]
-pub struct GateLevelSim<'a> {
-    netlist: &'a Netlist,
-    core: SimCore,
-}
-
-impl<'a> GateLevelSim<'a> {
-    /// Creates a simulator with all primary inputs at 0 and the netlist
-    /// settled to that state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the annotation does not cover every cell.
-    #[must_use]
-    pub fn new(netlist: &'a Netlist, annotation: &DelayAnnotation) -> Self {
-        Self {
-            netlist,
-            core: SimCore::new(netlist, annotation),
-        }
-    }
-
-    /// Starts recording every committed transition into a waveform (for
-    /// VCD export and glitch analysis). Replaces any active recording.
-    pub fn start_recording(&mut self) {
-        self.core.start_recording(self.netlist);
-    }
-
-    /// Stops recording and returns the captured waveform, if any.
-    pub fn take_recording(&mut self) -> Option<crate::waveform::Waveform> {
-        self.core.take_recording()
-    }
-
-    /// Committed transition count per net since construction (an activity
-    /// profile for power estimation).
-    #[must_use]
-    pub fn net_commit_counts(&self) -> &[u64] {
-        self.core.net_commit_counts()
-    }
-
-    /// Current simulation time in femtoseconds.
-    #[must_use]
-    pub fn now_fs(&self) -> u64 {
-        self.core.now_fs()
-    }
-
-    /// Total committed events so far (a simulator activity/energy proxy).
-    #[must_use]
-    pub fn events_processed(&self) -> u64 {
-        self.core.events_processed()
-    }
-
-    /// Current logic value of a net.
-    #[must_use]
-    pub fn value(&self, net: NetId) -> bool {
-        self.core.value(net)
-    }
-
-    /// Packs the primary outputs into a `u64`, LSB-first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist has more than 64 outputs.
-    #[must_use]
-    pub fn outputs_u64(&self) -> u64 {
-        self.core.outputs_u64(self.netlist)
-    }
-
-    /// Drives the primary inputs to new values at the current time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len()` differs from the number of primary inputs.
-    pub fn set_inputs(&mut self, values: &[bool]) {
-        self.core.set_inputs(self.netlist, values);
-    }
-
-    /// Processes all events strictly before `t_fs`, then advances the clock
-    /// to `t_fs`.
-    ///
-    /// Events at exactly `t_fs` stay pending: a transition landing on the
-    /// sampling edge is not captured (zero-margin setup), matching the
-    /// hold-the-old-value behaviour of a flip-flop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t_fs` is in the past.
-    pub fn run_until(&mut self, t_fs: u64) {
-        self.core.run_until(self.netlist, t_fs);
-    }
-
-    /// Runs until no events remain (combinational settle), with an event
-    /// budget guarding against pathological activity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SettleError`] if the budget is exhausted.
-    pub fn run_to_quiescence(&mut self, max_events: u64) -> Result<(), SettleError> {
-        self.core.run_to_quiescence(self.netlist, max_events)
-    }
-
-    /// Time of the latest pending event, if any (an upper bound on when the
-    /// current inputs will have fully propagated).
-    #[must_use]
-    pub fn pending_horizon_fs(&self) -> Option<u64> {
-        self.core.pending_horizon_fs()
     }
 }
 

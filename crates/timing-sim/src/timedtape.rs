@@ -3,9 +3,10 @@
 //! sweeps over the tape's topological schedule.
 //!
 //! Under the pure transport-delay discipline it shares with the scalar
-//! event queue ([`SimCore`](crate::SimCore)), a cell's output waveform is
-//! an exact function of its input waveforms: `out(t) = f(in(t - d))` for
-//! every `t` past the window it was already committed to. An event queue
+//! event queue ([`GateLevelSim`](crate::GateLevelSim)), a cell's output
+//! waveform is an exact function of its input waveforms:
+//! `out(t) = f(in(t - d))` for every `t` past the window it was already
+//! committed to. An event queue
 //! computes that composition one heap-ordered commit at a time — paying a
 //! heap push/pop, a pin chase and a re-evaluation *per input change per
 //! cell*. This core computes the same composition directly:

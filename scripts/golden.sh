@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
 # Golden-figures check: runs the experiment binaries at small fixed counts
-# (single-threaded, fixed seeds, the one gate-level path) and diffs the
-# CSVs against the checked-in goldens under tests/golden/, so simulation
-# refactors cannot silently change paper numbers.
+# (fixed seeds, the one gate-level path) on 1 and on 4 worker threads and
+# diffs every CSV against the checked-in goldens under tests/golden/, so
+# simulation refactors cannot silently change paper numbers and every
+# binary stays thread-count invariant (one run is the engine's unit of
+# parallelism).
 #
 # Usage:
 #   scripts/golden.sh           # verify against tests/golden/
-#   scripts/golden.sh --update  # regenerate tests/golden/ in place
-#   OUTDIR=path scripts/golden.sh  # also keep the produced CSVs
+#   scripts/golden.sh --update  # regenerate tests/golden/ from the 1-thread run
+#   OUTDIR=path scripts/golden.sh  # also keep the produced CSVs (4-thread
+#                                  # copies under path/threads-4/)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GOLDEN_DIR=tests/golden
 OUTDIR="${OUTDIR:-$(mktemp -d)}"
-mkdir -p "$OUTDIR"
+mkdir -p "$OUTDIR/threads-4"
 
 echo "==> building release binaries"
 # -p isa-experiments: the experiment binaries live there, and a plain
@@ -25,6 +28,7 @@ run() {
   shift
   echo "==> $name"
   "$@" --threads 1 --csv "$OUTDIR/$name.csv" >/dev/null
+  "$@" --threads 4 --csv "$OUTDIR/threads-4/$name.csv" >/dev/null
 }
 
 run design_table ./target/release/design_table --samples 4000
@@ -45,10 +49,10 @@ if [[ "${1:-}" == "--update" ]]; then
 fi
 
 status=0
-for f in "$OUTDIR"/*.csv; do
+for f in "$OUTDIR"/*.csv "$OUTDIR"/threads-4/*.csv; do
   name="$(basename "$f")"
   if ! diff -u "$GOLDEN_DIR/$name" "$f"; then
-    echo "golden: MISMATCH in $name"
+    echo "golden: MISMATCH in $f"
     status=1
   fi
 done
