@@ -8,11 +8,11 @@
 //! expresses a small multimedia/DSP computation — FIR filtering, 2-D image
 //! convolution, blocked dot products, histogram accumulation — purely in
 //! terms of unsigned additions, and an executor routes every one of those
-//! additions through an [`isa_core::Substrate`]. The same kernel therefore
-//! runs bit-for-bit on the behavioural golden model, the scalar
-//! event-driven gate-level simulator or the bit-sliced 64-lane backend, on
-//! any adder design at any clock, and its output can be scored in the
-//! units the paper's argument appeals to: PSNR / SNR in dB
+//! additions through one adder backend: the behavioural golden model
+//! ([`run_behavioural`]) or an [`isa_core::Substrate`] such as the
+//! gate-level simulator ([`run_on_substrate`]). The same kernel therefore
+//! runs on any adder design at any clock, and its output can be scored in
+//! the units the paper's argument appeals to: PSNR / SNR in dB
 //! ([`isa_metrics::QualityStats`]).
 //!
 //! ## Lowering model

@@ -71,4 +71,4 @@ pub use isa::{Compensation, IsaAddition, PathOutcome, SpeculativeAdder};
 pub use multiplier::{ExactMultiplier, Multiplier, SpeculativeMultiplier};
 pub use plane::{ripple_add_planes_in, PlaneAlgebra, WordPlanes};
 pub use stats::ErrorStats;
-pub use substrate::{BehaviouralSubstrate, Substrate};
+pub use substrate::Substrate;

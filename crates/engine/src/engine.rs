@@ -1,12 +1,12 @@
 //! The plan executor.
 //!
 //! [`Engine::run`] evaluates an [`ExperimentPlan`] — the cross product
-//! `designs × cprs × workloads` — on the plan's substrate, in parallel
-//! across OS threads (`std::thread::scope`, no external executor). One
-//! **run** (a (design, cpr, workload) triple) is the unit of parallelism:
-//! runs are distributed over a worker pool, and each run's stream is
-//! evaluated and accumulated in stream order on one thread, so every
-//! result is identical for every worker count.
+//! `designs × cprs × workloads` — through the gate-level Fig. 6 flow, in
+//! parallel across OS threads (`std::thread::scope`, no external
+//! executor). One **run** (a (design, cpr, workload) triple) is the unit
+//! of parallelism: runs are distributed over a worker pool, and each run's
+//! stream is evaluated and accumulated in stream order on one thread, so
+//! every result is identical for every worker count.
 //!
 //! Per-design synthesis/annotation artifacts are memoized in the engine's
 //! [`ArtifactCache`], so a twelve-design seven-figure session synthesizes
@@ -20,15 +20,12 @@ use std::time::Instant;
 
 use isa_obs::{Counter, Histogram};
 
-use isa_core::{
-    Adder, BehaviouralSubstrate, BitErrorDistribution, CombinedErrorStats, Design, ExactAdder,
-    OutputTriple, Substrate,
-};
+use isa_core::{combine_errors, CombinedErrorStats, Design, Substrate};
 
 use crate::cache::ArtifactCache;
 use crate::context::{BuildError, DesignContext, ExperimentConfig};
-use crate::plan::{ExperimentPlan, SubstrateChoice, WorkloadSpec};
-use crate::substrates::{GateLevelSubstrate, PredictedSubstrate};
+use crate::plan::{ExperimentPlan, WorkloadSpec};
+use crate::substrates::GateLevelSubstrate;
 
 /// Process-wide engine instruments (`engine.*` in the global registry).
 /// The engine is shared machinery — per-instance scoping buys nothing
@@ -66,16 +63,10 @@ pub struct RunResult {
     pub clock_ps: f64,
     /// Workload name.
     pub workload: String,
-    /// Substrate label the run executed on.
-    pub substrate: String,
     /// Cycles evaluated.
     pub cycles: u64,
     /// The Fig. 6 combined statistics (structural / timing / joint).
     pub stats: CombinedErrorStats,
-    /// Structural errors translated to equivalent bit positions (Fig. 10).
-    pub structural_bits: BitErrorDistribution,
-    /// Timing errors by flipped bit position (Fig. 10).
-    pub timing_bits: BitErrorDistribution,
 }
 
 impl RunResult {
@@ -168,40 +159,35 @@ impl Engine {
         });
     }
 
-    /// Resolves a plan's substrate choice against this engine's cache.
-    fn resolve_substrate(&self, plan: &ExperimentPlan) -> Arc<dyn Substrate> {
-        match &plan.substrate {
-            SubstrateChoice::Behavioural => Arc::new(BehaviouralSubstrate),
-            SubstrateChoice::GateLevel => {
-                Arc::new(GateLevelSubstrate::new(self.cache(), plan.config.clone()))
-            }
-            SubstrateChoice::Predicted { train_cycles } => Arc::new(PredictedSubstrate::new(
-                self.cache(),
-                plan.config.clone(),
-                *train_cycles,
-            )),
-        }
-    }
-
-    /// Executes the plan: every (design × cpr × workload) run on the
-    /// plan's substrate, spread over the worker pool, results in plan
+    /// Executes the plan: the gate-level Fig. 6 flow for every (design ×
+    /// cpr × workload) run, spread over the worker pool, results in plan
     /// order (designs outermost, workloads innermost).
     ///
-    /// Each run is evaluated whole on one worker, so the statistics depend
-    /// only on the plan — never on the engine's thread count.
+    /// Each run's statistics are one [`combine_errors`] call: `ysilver`
+    /// from [`GateLevelSubstrate::run_batch`](Substrate::run_batch),
+    /// `ygold` from the design's memoized [`DesignContext::gold`]. A run
+    /// is evaluated whole on one worker, so the statistics depend only on
+    /// the plan — never on the engine's thread count.
     #[must_use]
     pub fn run(&self, plan: &ExperimentPlan) -> Vec<RunResult> {
         let _span = isa_obs::trace::span("engine.run");
         let started = Instant::now();
-        let substrate = self.resolve_substrate(plan);
-        let label = substrate.label();
-        // The behavioural substrate's silver stream is the golden stream,
-        // so the model runs once per run.
-        let silvers_are_golds = matches!(plan.substrate, SubstrateChoice::Behavioural);
+        let gate = GateLevelSubstrate::new(self.cache(), plan.config.clone());
         let metrics = engine_metrics();
         metrics.runs.inc();
         let results = self.map(plan, |unit| {
-            run_stream(substrate.as_ref(), silvers_are_golds, &unit, &label)
+            let silvers = gate.run_batch(&unit.design, unit.clock_ps, unit.inputs);
+            let golds = unit.context().gold.add_batch(unit.inputs);
+            let stats = combine_errors(unit.design.width(), unit.inputs, &golds, &silvers);
+            RunResult {
+                design: unit.design,
+                design_label: unit.design.to_string(),
+                cpr: unit.cpr,
+                clock_ps: unit.clock_ps,
+                workload: unit.workload.to_owned(),
+                cycles: stats.len(),
+                stats,
+            }
         });
         metrics.run_ns.observe_since(started);
         results
@@ -212,10 +198,11 @@ impl Engine {
     ///
     /// This is the escape hatch for pipelines whose per-run logic does not
     /// reduce to combined error statistics (predictor training/evaluation,
-    /// energy measurement, Razor comparisons); they still inherit the
-    /// engine's memoized artifacts and its worker pool. Parallelism is
-    /// across *units* only: each evaluator sees its full stream on one
-    /// thread, and a single-unit plan runs sequentially.
+    /// energy measurement, Razor comparisons, Fig. 10's bit histograms);
+    /// they still inherit the engine's memoized artifacts and its worker
+    /// pool. Parallelism is across *units* only: each evaluator sees its
+    /// full stream on one thread, and a single-unit plan runs
+    /// sequentially.
     pub fn map<T, F>(&self, plan: &ExperimentPlan, f: F) -> Vec<T>
     where
         T: Send,
@@ -390,60 +377,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Evaluates one run: the Fig. 6 inner loop plus the Fig. 10 bit-position
-/// translations, fused into one pass over the stream.
-///
-/// Both streams are batched: the silver stream comes from the substrate's
-/// [`run_batch`](Substrate::run_batch) (the gate-level substrate's
-/// filtered runner, the behavioural substrate's 64-lane plane
-/// evaluation), and the golden stream from the model's
-/// [`Adder::add_batch`] — so the behavioural Monte-Carlo inner loop (the
-/// design-characterization table's hot path) advances 64 cycles per plane
-/// pass. When the silvers are the golds (the behavioural substrate) the
-/// model runs once. Statistics are accumulated in stream order, so results
-/// are independent of how the substrates batch their lanes.
-fn run_stream(
-    substrate: &dyn Substrate,
-    silvers_are_golds: bool,
-    unit: &RunUnit<'_>,
-    label: &str,
-) -> RunResult {
-    let design = unit.design;
-    let inputs = unit.inputs;
-    let exact = ExactAdder::new(design.width());
-    let positions = design.width() + 1;
-    let silvers = substrate.run_batch(&design, unit.clock_ps, inputs);
-    debug_assert_eq!(silvers.len(), inputs.len());
-    let computed;
-    let golds = if silvers_are_golds {
-        &silvers
-    } else {
-        computed = design.behavioural().add_batch(inputs);
-        &computed
-    };
-    let mut stats = CombinedErrorStats::new();
-    let mut structural_bits = BitErrorDistribution::new(positions);
-    let mut timing_bits = BitErrorDistribution::new(positions);
-    for ((&(a, b), &silver), &gold_y) in inputs.iter().zip(&silvers).zip(golds) {
-        let triple = OutputTriple::new(exact.add(a, b), gold_y, silver);
-        stats.push(&triple);
-        structural_bits.record_arithmetic(triple.e_struct());
-        timing_bits.record_flips(silver, gold_y);
-    }
-    RunResult {
-        design,
-        design_label: design.to_string(),
-        cpr: unit.cpr,
-        clock_ps: unit.clock_ps,
-        workload: unit.workload.to_owned(),
-        substrate: label.to_owned(),
-        cycles: stats.len(),
-        stats,
-        structural_bits,
-        timing_bits,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,24 +387,24 @@ mod tests {
     }
 
     #[test]
-    fn behavioural_plan_matches_direct_structural_errors() {
+    fn underclocked_plan_matches_direct_structural_errors() {
+        // CPR -0.2 underclocks (360 ps): every cycle settles, so the
+        // gate-level run is the structural-only flow exactly.
         let engine = Engine::with_threads(4);
         let design = one_design();
         let plan = ExperimentPlan::new(ExperimentConfig::default())
             .designs([design])
-            .cprs([0.10])
-            .cycles(2_000)
-            .substrate(SubstrateChoice::Behavioural);
+            .cprs([-0.2])
+            .cycles(2_000);
         let results = engine.run(&plan);
         assert_eq!(results.len(), 1);
         let result = &results[0];
         assert_eq!(result.cycles, 2_000);
-        assert_eq!(result.substrate, "behavioural");
         assert_eq!(result.timing_error_rate(), 0.0);
 
         let gold = design.behavioural();
         let inputs = plan.resolved_workloads()[0].inputs.clone();
-        let direct = isa_core::combine::structural_errors(gold.as_ref(), inputs.iter().copied());
+        let direct = isa_core::structural_errors(gold.as_ref(), inputs.iter().copied());
         assert_eq!(result.stats, direct, "run matches the direct loop");
     }
 
@@ -480,8 +413,7 @@ mod tests {
         let plan = ExperimentPlan::new(ExperimentConfig::default())
             .designs([one_design(), Design::Exact { width: 32 }])
             .cprs([0.10])
-            .cycles(40_000)
-            .substrate(SubstrateChoice::Behavioural);
+            .cycles(40_000);
         let serial = Engine::with_threads(1).run(&plan);
         let parallel = Engine::with_threads(8).run(&plan);
         assert_eq!(serial.len(), 2);
@@ -489,8 +421,6 @@ mod tests {
             assert_eq!(s.cycles, 40_000);
             assert_eq!(p.design_label, s.design_label);
             assert_eq!(p.stats, s.stats);
-            assert_eq!(p.structural_bits, s.structural_bits);
-            assert_eq!(p.timing_bits, s.timing_bits);
         }
     }
 
@@ -501,8 +431,7 @@ mod tests {
             .designs([one_design(), Design::Exact { width: 32 }])
             .cprs([0.05, 0.10])
             .workload("w0", vec![(1, 2); 64])
-            .workload("w1", vec![(3, 4); 64])
-            .substrate(SubstrateChoice::Behavioural);
+            .workload("w1", vec![(3, 4); 64]);
         let results = engine.run(&plan);
         assert_eq!(results.len(), 8);
         assert_eq!(results[0].workload, "w0");

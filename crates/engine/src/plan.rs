@@ -1,18 +1,17 @@
-//! Declarative experiment plans: what to run, on which substrate.
+//! Declarative experiment plans: what to run.
 //!
-//! A plan is the cross product `designs × cprs × workloads` evaluated on
-//! one [`Substrate`](isa_core::Substrate) under one [`ExperimentConfig`].
-//! Build it fluently:
+//! A plan is the cross product `designs × cprs × workloads` under one
+//! [`ExperimentConfig`]; [`Engine::run`](crate::Engine::run) evaluates
+//! every unit on the gate level. Build it fluently:
 //!
 //! ```
 //! use isa_core::{Design, IsaConfig};
-//! use isa_engine::{ExperimentConfig, ExperimentPlan, SubstrateChoice};
+//! use isa_engine::{ExperimentConfig, ExperimentPlan};
 //!
 //! let plan = ExperimentPlan::new(ExperimentConfig::default())
 //!     .designs([Design::Isa(IsaConfig::new(32, 8, 0, 0, 4).unwrap())])
 //!     .cprs([0.10])
-//!     .cycles(1_000)
-//!     .substrate(SubstrateChoice::Behavioural);
+//!     .cycles(1_000);
 //! assert_eq!(plan.unit_count(), 1);
 //! ```
 
@@ -22,21 +21,6 @@ use isa_core::{paper_designs, Design};
 use isa_workloads::{take_pairs, UniformWorkload};
 
 use crate::context::ExperimentConfig;
-
-/// Which `ysilver` backend a plan runs on.
-#[derive(Debug, Clone)]
-pub enum SubstrateChoice {
-    /// The structural-only golden model (no timing errors).
-    Behavioural,
-    /// Delay-annotated event-driven gate-level simulation (ground truth).
-    GateLevel,
-    /// The learned per-bit timing-error predictor, trained on
-    /// `train_cycles` gate-level cycles per (design, clock) pair.
-    Predicted {
-        /// Training-trace length per (design, clock) pair.
-        train_cycles: usize,
-    },
-}
 
 /// One named input stream of a plan.
 #[derive(Debug, Clone)]
@@ -56,13 +40,12 @@ pub struct ExperimentPlan {
     pub(crate) cprs: Vec<f64>,
     pub(crate) workloads: Vec<WorkloadSpec>,
     pub(crate) cycles: usize,
-    pub(crate) substrate: SubstrateChoice,
 }
 
 impl ExperimentPlan {
     /// Creates a plan with the paper's defaults: all twelve designs, the
     /// configuration's CPRs, a uniform workload of 10 000 cycles seeded
-    /// from `config.workload_seed`, on the gate-level substrate.
+    /// from `config.workload_seed`.
     #[must_use]
     pub fn new(config: ExperimentConfig) -> Self {
         let cprs = config.cprs.clone();
@@ -72,7 +55,6 @@ impl ExperimentPlan {
             cprs,
             workloads: Vec::new(),
             cycles: 10_000,
-            substrate: SubstrateChoice::GateLevel,
         }
     }
 
@@ -108,13 +90,6 @@ impl ExperimentPlan {
     #[must_use]
     pub fn cycles(mut self, cycles: usize) -> Self {
         self.cycles = cycles;
-        self
-    }
-
-    /// Selects the `ysilver` backend.
-    #[must_use]
-    pub fn substrate(mut self, substrate: SubstrateChoice) -> Self {
-        self.substrate = substrate;
         self
     }
 

@@ -1,20 +1,20 @@
-//! The gate-level and predictor-backed [`Substrate`] implementations.
-//!
-//! Together with [`BehaviouralSubstrate`](isa_core::BehaviouralSubstrate)
-//! (which lives in `isa-core` because it needs no artifacts), these cover
-//! the paper's three `ysilver` provenances:
+//! The gate-level and predictor-backed [`Substrate`] implementations —
+//! the paper's two `ysilver` provenances:
 //!
 //! | substrate            | `ysilver`                              | paper role |
 //! |----------------------|----------------------------------------|------------|
-//! | behavioural          | `ygold` (no timing errors)             | properly clocked baseline, Section V.A |
-//! | [`GateLevelSubstrate`] | sampled from the delay-annotated netlist | ModelSim ground truth, Figs. 9–10 |
+//! | [`GateLevelSubstrate`] | sampled from the delay-annotated netlist | ModelSim ground truth, Figs. 9–10; [`Engine::run`](crate::Engine::run)'s flow |
 //! | [`PredictedSubstrate`] | `ygold ^ predicted flips`              | Section III model, Figs. 7–8 |
 //!
-//! Pick the predictor backend for wide sweeps where gate-level cost is
-//! prohibitive (it is orders of magnitude faster per cycle and FATE-style
-//! faithful on aggregate statistics), and the gate-level backend whenever
-//! ground-truth timing behaviour — including cycle-to-cycle state carryover
-//! — is the point of the measurement.
+//! The structural-only baseline (`ysilver == ygold`, Section V.A) needs
+//! no substrate: it is [`isa_core::structural_errors`]. Pick the predictor
+//! for wide sweeps where gate-level cost is prohibitive (it is orders of
+//! magnitude faster per cycle and FATE-style faithful on aggregate
+//! statistics), and the gate level whenever ground-truth timing behaviour
+//! — including cycle-to-cycle state carryover — is the point of the
+//! measurement. Each is pinned to an oracle: the gate level lane by lane
+//! to [`scalar_segments`](isa_timing_sim::scalar_segments), the predictor
+//! cycle by cycle to its own per-cycle prediction.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -80,10 +80,6 @@ impl Substrate for GateLevelSubstrate {
             clock_ps,
             inputs,
         )
-    }
-
-    fn label(&self) -> String {
-        "gate-level".to_owned()
     }
 }
 
@@ -253,10 +249,6 @@ impl Substrate for PredictedSubstrate {
             .collect();
         let flips = predictor.predict_flips_batch(&CyclePair::from_stream(&stream));
         golds.iter().zip(flips).map(|(&gold, f)| gold ^ f).collect()
-    }
-
-    fn label(&self) -> String {
-        "predicted".to_owned()
     }
 }
 

@@ -4,24 +4,24 @@
 //! One engine is shared by every pipeline, so the twelve designs are
 //! synthesized exactly once and all (design × CPR × workload) runs spread
 //! across the machine.
-//!
-//! Usage: `all_figures [--cycles N] [--train N] [--test N] [--samples N]
-//! [--outdir DIR] [--threads N]`
 
 use std::time::Instant;
 
 use isa_core::{paper_designs, Design, IsaConfig};
 use isa_experiments::{
-    apps_quality, arg_value, design_table, energy, engine_from_args, explore, fig10, fig9,
-    guardband, prediction, workload_sensitivity, write_output, ExperimentConfig,
+    apps_quality, arg_value, cli_args, count_arg, design_table, energy, engine_from_args, explore,
+    fig10, fig9, guardband, prediction, workload_sensitivity, write_output, ExperimentConfig,
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cycles = arg_value(&args, "cycles").unwrap_or(50_000);
-    let train = arg_value(&args, "train").unwrap_or(8_000);
-    let test = arg_value(&args, "test").unwrap_or(4_000);
-    let samples = arg_value(&args, "samples").unwrap_or(1_000_000);
+    let args = cli_args(
+        "all_figures [--cycles N] [--train N] [--test N] [--samples N] \
+         [--outdir DIR] [--threads N]",
+    );
+    let cycles = count_arg(&args, "cycles").unwrap_or(50_000);
+    let train = count_arg(&args, "train").unwrap_or(8_000);
+    let test = count_arg(&args, "test").unwrap_or(4_000);
+    let samples = count_arg(&args, "samples").unwrap_or(1_000_000);
     let outdir: String = arg_value(&args, "outdir").unwrap_or_else(|| "results".into());
     std::fs::create_dir_all(&outdir).expect("create output directory");
 

@@ -1,17 +1,16 @@
 //! Application-quality sweep: PSNR/SNR of real kernels (FIR, 2-D
 //! convolution, dot product, histogram) vs clock, per adder design
 //! (extension).
-//!
-//! Usage: `apps [--scale N] [--csv PATH] [--threads N]`
 
 use isa_core::{Design, IsaConfig};
 use isa_experiments::{
-    apps_quality, arg_value, cli_error, engine_from_args, write_output, ExperimentConfig,
+    apps_quality, arg_value, cli_args, cli_error, count_arg, engine_from_args, write_output,
+    ExperimentConfig,
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = arg_value(&args, "scale").unwrap_or(4);
+    let args = cli_args("apps [--scale N] [--csv PATH] [--threads N]");
+    let scale = count_arg(&args, "scale").unwrap_or(4);
     let config = ExperimentConfig::default();
     let engine = engine_from_args(&args);
     let quadruples = [(8, 0, 0, 4), (16, 2, 1, 6)];

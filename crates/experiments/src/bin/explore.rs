@@ -1,14 +1,6 @@
 //! Design-space explorer: Pareto search over the combined structural ×
 //! timing × workload space (extension).
 //!
-//! Usage:
-//! `explore [--space paper|compact|full] [--strategy auto|exhaustive|evolutionary]`
-//! `[--seed N] [--budget N] [--cycles N] [--workload uniform|walk|sine|accumulate]`
-//! `[--kernel NAME --scale N] [--min-quality DB] [--max-clock PS]`
-//! `[--no-prefilter] [--energy-cycles N]`
-//! `[--population N] [--generations N] [--csv PATH] [--threads N]`
-//! `[--stats-json PATH]`
-//!
 //! `--stats-json PATH` writes a one-run `isa-explore-run/v1` summary
 //! (space size, pruned/simulated counts, front size, wall time) — the
 //! BENCH_PR8.json full-space record. `--no-prefilter` simulates every
@@ -23,8 +15,16 @@ use std::time::Instant;
 use isa_apps::kernels::KERNEL_NAMES;
 use isa_engine::GATE_BACKEND_LABEL;
 use isa_experiments::explore::{run_on, ExploreSettings, SPACES, STRATEGIES};
-use isa_experiments::{arg_value, cli_error, engine_from_args, write_output, ExperimentConfig};
+use isa_experiments::{
+    arg_value, cli_args, cli_error, count_arg, engine_from_args, write_output, ExperimentConfig,
+};
 use isa_workloads::STREAM_NAMES;
+
+const USAGE: &str = "explore [--space paper|compact|full] \
+    [--strategy auto|exhaustive|evolutionary] [--seed N] [--budget N] [--cycles N] \
+    [--workload uniform|walk|sine|accumulate] [--kernel NAME --scale N] [--min-quality DB] \
+    [--max-clock PS] [--no-prefilter] [--energy-cycles N] [--population N] [--generations N] \
+    [--csv PATH] [--threads N] [--stats-json PATH]";
 
 fn settings_from_args(args: &[String]) -> ExploreSettings {
     let defaults = ExploreSettings::default();
@@ -33,10 +33,10 @@ fn settings_from_args(args: &[String]) -> ExploreSettings {
         strategy: arg_value(args, "strategy").unwrap_or(defaults.strategy),
         seed: arg_value(args, "seed").unwrap_or(defaults.seed),
         budget: arg_value(args, "budget").unwrap_or(defaults.budget),
-        cycles: arg_value(args, "cycles").unwrap_or(defaults.cycles),
+        cycles: count_arg(args, "cycles").unwrap_or(defaults.cycles),
         workload: arg_value(args, "workload").unwrap_or(defaults.workload),
         kernel: arg_value(args, "kernel"),
-        scale: arg_value(args, "scale").unwrap_or(defaults.scale),
+        scale: count_arg(args, "scale").unwrap_or(defaults.scale),
         prefilter: !args.iter().any(|a| a == "--no-prefilter"),
         energy_cycles: arg_value(args, "energy-cycles").unwrap_or(defaults.energy_cycles),
         population: arg_value(args, "population").unwrap_or(defaults.population),
@@ -58,7 +58,7 @@ fn check_choice(flag: &str, value: &str, choices: &[&str]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli_args(USAGE);
     let settings = settings_from_args(&args);
     check_choice("space", &settings.space, &SPACES);
     check_choice("strategy", &settings.strategy, &STRATEGIES);

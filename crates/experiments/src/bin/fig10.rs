@@ -1,14 +1,14 @@
 //! Regenerates Fig. 10 (bit-level error distribution of ISA (8,0,0,4) at
 //! 15% CPR).
-//!
-//! Usage: `fig10 [--cycles N] [--csv PATH] [--threads N]`
 
 use isa_core::{Design, IsaConfig};
-use isa_experiments::{arg_value, engine_from_args, fig10, write_output, ExperimentConfig};
+use isa_experiments::{
+    arg_value, cli_args, count_arg, engine_from_args, fig10, write_output, ExperimentConfig,
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cycles = arg_value(&args, "cycles").unwrap_or(100_000);
+    let args = cli_args("fig10 [--cycles N] [--csv PATH] [--threads N]");
+    let cycles = count_arg(&args, "cycles").unwrap_or(100_000);
     let config = ExperimentConfig::default();
     let engine = engine_from_args(&args);
     let design = Design::Isa(IsaConfig::new(32, 8, 0, 0, 4).expect("paper design is valid"));

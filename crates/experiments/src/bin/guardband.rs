@@ -1,14 +1,14 @@
 //! Compares guardband-reduction strategies: exact+Razor recovery, raw
 //! overclocked ISA, and ISA with predictor-guided replay (extension).
-//!
-//! Usage: `guardband [--cycles N] [--csv PATH] [--threads N]`
 
 use isa_core::IsaConfig;
-use isa_experiments::{arg_value, engine_from_args, guardband, write_output, ExperimentConfig};
+use isa_experiments::{
+    arg_value, cli_args, count_arg, engine_from_args, guardband, write_output, ExperimentConfig,
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cycles = arg_value(&args, "cycles").unwrap_or(5_000);
+    let args = cli_args("guardband [--cycles N] [--csv PATH] [--threads N]");
+    let cycles = count_arg(&args, "cycles").unwrap_or(5_000);
     let config = ExperimentConfig::default();
     let engine = engine_from_args(&args);
     let isa = IsaConfig::new(32, 8, 0, 0, 4).expect("valid design");

@@ -2,8 +2,6 @@
 //! non-overlapping quadruple grid through the same
 //! `DesignContext::try_build` gate the experiments use.
 //!
-//! Usage: `netlint [--seeds-only] [--width N] [--threads N] [--json PATH]`
-//!
 //! The pipeline includes the verified levelization *and* the instruction
 //! tape compiled from it (`isa_netlist::tape`) — the `tape.shape` and
 //! `tape.replay` rules execute every design's tape on random planes and
@@ -28,7 +26,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use isa_engine::{BuildError, DesignContext, ExperimentConfig};
-use isa_experiments::{arg_value, engine_from_args, sweep, write_output};
+use isa_experiments::{arg_value, cli_args, engine_from_args, sweep, write_output};
 use isa_obs::Json;
 
 /// One feasible design's lint outcome.
@@ -41,7 +39,7 @@ struct Linted {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli_args("netlint [--seeds-only] [--width N] [--threads N] [--json PATH]");
     let width: u32 = arg_value(&args, "width").unwrap_or(32);
     let seeds_only = args.iter().any(|a| a == "--seeds-only");
     let engine = engine_from_args(&args);

@@ -1,8 +1,6 @@
 //! Symbolic proof sweep: proves every design in the space instead of
 //! sampling it.
 //!
-//! Usage: `prove [--seeds-only] [--width N] [--threads N] [--json PATH]`
-//!
 //! For the twelve seed designs at their native 32 bits plus the full
 //! non-overlapping quadruple grid at `--width` (default 16), each design
 //! is built through the same `DesignContext::try_build` gate the
@@ -33,7 +31,7 @@ use std::time::Instant;
 
 use isa_core::{paper_designs, Design};
 use isa_engine::{BuildError, DesignContext, ExperimentConfig};
-use isa_experiments::{arg_value, engine_from_args, sweep, write_output};
+use isa_experiments::{arg_value, cli_args, engine_from_args, sweep, write_output};
 use isa_prove::{analyze_settle, check_equivalence, ErrorDistribution, StaOptions};
 
 /// One feasible design's proof outcome.
@@ -113,7 +111,7 @@ fn prove(design: Design, config: &ExperimentConfig, seed: bool) -> Option<Proved
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli_args("prove [--seeds-only] [--width N] [--threads N] [--json PATH]");
     let width: u32 = arg_value(&args, "width").unwrap_or(16);
     let seeds_only = args.iter().any(|a| a == "--seeds-only");
     let engine = engine_from_args(&args);

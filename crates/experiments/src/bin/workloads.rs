@@ -1,17 +1,22 @@
 //! Workload-sensitivity study: timing errors under uniform, correlated,
 //! DSP-tone and accumulation input streams (extension).
-//!
-//! Usage: `workloads [--cycles N] [--cpr PCT] [--csv PATH] [--threads N]`
 
 use isa_core::{Design, IsaConfig};
 use isa_experiments::{
-    arg_value, engine_from_args, workload_sensitivity, write_output, ExperimentConfig,
+    arg_value, cli_args, cli_error, count_arg, engine_from_args, workload_sensitivity,
+    write_output, ExperimentConfig,
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cycles = arg_value(&args, "cycles").unwrap_or(5_000);
-    let cpr = arg_value::<f64>(&args, "cpr").unwrap_or(10.0) / 100.0;
+    let args = cli_args("workloads [--cycles N] [--cpr PCT] [--csv PATH] [--threads N]");
+    let cycles = count_arg(&args, "cycles").unwrap_or(5_000);
+    let cpr_pct = arg_value::<f64>(&args, "cpr").unwrap_or(10.0);
+    if !(cpr_pct.is_finite() && cpr_pct < 100.0) {
+        cli_error(format_args!(
+            "--cpr: must be a finite percentage below 100, got {cpr_pct}"
+        ));
+    }
+    let cpr = cpr_pct / 100.0;
     let config = ExperimentConfig::default();
     let engine = engine_from_args(&args);
     let designs = [

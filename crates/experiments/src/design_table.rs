@@ -2,9 +2,12 @@
 //! structural accuracy of the twelve designs (the reproduction's
 //! counterpart of the design-selection table from reference \[17\]).
 
-use isa_core::Design;
-use isa_engine::{Engine, ExperimentConfig, ExperimentPlan, SubstrateChoice};
+use std::sync::Arc;
+
+use isa_core::{structural_errors, Design};
+use isa_engine::{Engine, ExperimentConfig, WorkloadSpec};
 use isa_metrics::snr_db;
+use isa_workloads::UniformWorkload;
 
 use crate::report::{sci, Table};
 
@@ -45,9 +48,11 @@ pub struct DesignTable {
 /// metrics plus structural accuracy over `samples` behavioural additions
 /// (the paper uses 10⁷).
 ///
-/// The structural-accuracy columns run on the behavioural substrate, one
-/// design per worker; the synthesis columns come from the engine's
-/// memoized artifacts.
+/// Each design is one task on the engine's worker pool: its synthesis
+/// columns come from the memoized artifacts, its accuracy columns from
+/// [`structural_errors`] over a uniform stream (as wide as the widest
+/// design, seeded from `config.workload_seed`) that is generated as it is
+/// consumed, never collected.
 #[must_use]
 pub fn run_on(
     engine: &Engine,
@@ -55,31 +60,29 @@ pub fn run_on(
     designs: &[Design],
     samples: usize,
 ) -> DesignTable {
-    engine.prewarm(designs, config);
-    let plan = ExperimentPlan::new(config.clone())
-        .designs(designs.iter().copied())
-        .cprs([0.0])
-        .cycles(samples)
-        .substrate(SubstrateChoice::Behavioural);
-    let results = engine.run(&plan);
-    let rows = results
-        .iter()
-        .map(|result| {
-            let ctx = engine.context(&result.design, config);
-            let stats = &result.stats;
-            DesignRow {
-                design: ctx.label(),
-                topology: ctx.synthesized.topology.name(),
-                area: ctx.synthesized.area,
-                critical_ps: ctx.synthesized.critical_ps,
-                cells: ctx.synthesized.adder.netlist().cell_count(),
-                rms_re_struct_pct: stats.re_struct.rms() * 100.0,
-                structural_error_rate: stats.e_struct.error_rate(),
-                mean_abs_e: stats.e_struct.mean_abs(),
-                snr_db: (stats.re_struct.rms() > 0.0).then(|| snr_db(stats.re_struct.rms())),
-            }
-        })
-        .collect();
+    let width = designs.iter().map(Design::width).max().unwrap_or(32);
+    let points: Vec<(Design, f64)> = designs.iter().map(|&d| (d, 0.0)).collect();
+    // Each task draws its own stream below; the shared workload is unused.
+    let no_workload = WorkloadSpec {
+        name: String::new(),
+        inputs: Arc::default(),
+    };
+    let rows = engine.map_points(config, &points, &no_workload, |unit| {
+        let ctx = unit.context();
+        let stream = UniformWorkload::new(width, config.workload_seed).take(samples);
+        let stats = structural_errors(ctx.gold.as_ref(), stream);
+        DesignRow {
+            design: ctx.label(),
+            topology: ctx.synthesized.topology.name(),
+            area: ctx.synthesized.area,
+            critical_ps: ctx.synthesized.critical_ps,
+            cells: ctx.synthesized.adder.netlist().cell_count(),
+            rms_re_struct_pct: stats.re_struct.rms() * 100.0,
+            structural_error_rate: stats.e_struct.error_rate(),
+            mean_abs_e: stats.e_struct.mean_abs(),
+            snr_db: (stats.re_struct.rms() > 0.0).then(|| snr_db(stats.re_struct.rms())),
+        }
+    });
     DesignTable { rows, samples }
 }
 

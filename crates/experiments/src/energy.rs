@@ -6,7 +6,7 @@
 //! switching activity, area, delay, and the resulting energy-delay product,
 //! against each design's structural accuracy.
 
-use isa_core::Design;
+use isa_core::{structural_errors, Design};
 use isa_engine::{Engine, ExperimentConfig, ExperimentPlan};
 use isa_netlist::cell::CellLibrary;
 use isa_timing_sim::measure_clocked_batch;
@@ -81,12 +81,7 @@ pub fn run_on(
             unit.inputs,
             &lib,
         );
-        let mut structural = isa_core::ErrorStats::new();
-        for &(a, b) in unit.inputs {
-            let diamond = (a + b) as f64;
-            let denom = if diamond == 0.0 { 1.0 } else { diamond };
-            structural.push((ctx.gold.add(a, b) as f64 - diamond) / denom);
-        }
+        let structural = structural_errors(ctx.gold.as_ref(), unit.inputs.iter().copied());
         let energy_per_op = report.per_op_fj(n as u64);
         EnergyRow {
             design: ctx.label(),
@@ -95,7 +90,7 @@ pub fn run_on(
             energy_per_op_fj: energy_per_op,
             dynamic_fraction: report.dynamic_fj / report.total_fj().max(f64::MIN_POSITIVE),
             transitions_per_op: report.transitions as f64 / unit.inputs.len() as f64,
-            rms_re_struct_pct: structural.rms() * 100.0,
+            rms_re_struct_pct: structural.re_struct.rms() * 100.0,
             edp_fj_ns: energy_per_op * ctx.synthesized.critical_ps / 1000.0,
         }
     });

@@ -10,8 +10,9 @@
 //! errors are irregular and concentrated on the compensation logic rather
 //! than the global MSBs.
 
-use isa_core::{BitErrorDistribution, Design};
-use isa_engine::{Engine, ExperimentConfig, ExperimentPlan, SubstrateChoice};
+use isa_core::error::arithmetic_error;
+use isa_core::{Adder, BitErrorDistribution, Design, ExactAdder, Substrate};
+use isa_engine::{Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate};
 
 use crate::report::Table;
 
@@ -29,9 +30,10 @@ pub struct Fig10Report {
 }
 
 /// Runs the distribution experiment for a design and CPR (the paper's is
-/// ISA (8,0,0,4) at 15 % CPR) on a shared engine: one gate-level run whose
-/// per-bit distributions come straight from the engine's
-/// [`RunResult`](isa_engine::RunResult).
+/// ISA (8,0,0,4) at 15 % CPR) on a shared engine: one gate-level run of
+/// the plan, whose streams fill the two per-bit distributions —
+/// `E_struct = ygold − ydiamond` by bit-position equivalent, and the bits
+/// where `ysilver` differs from `ygold`.
 #[must_use]
 pub fn run_on(
     engine: &Engine,
@@ -43,17 +45,28 @@ pub fn run_on(
     let plan = ExperimentPlan::new(config.clone())
         .designs([design])
         .cprs([cpr])
-        .cycles(cycles)
-        .substrate(SubstrateChoice::GateLevel);
-    let result = engine
-        .run(&plan)
+        .cycles(cycles);
+    let gate = GateLevelSubstrate::new(engine.cache(), config.clone());
+    let (structural, timing) = engine
+        .map(&plan, |unit| {
+            let silvers = gate.run_batch(&unit.design, unit.clock_ps, unit.inputs);
+            let golds = unit.context().gold.add_batch(unit.inputs);
+            let exact = ExactAdder::new(design.width());
+            let mut structural = BitErrorDistribution::new(design.width() + 1);
+            let mut timing = BitErrorDistribution::new(design.width() + 1);
+            for ((&(a, b), &gold), &silver) in unit.inputs.iter().zip(&golds).zip(&silvers) {
+                structural.record_arithmetic(arithmetic_error(gold, exact.add(a, b)));
+                timing.record_flips(silver, gold);
+            }
+            (structural, timing)
+        })
         .pop()
-        .expect("single-design plan yields one result");
+        .expect("single-design plan yields one run");
     Fig10Report {
-        design: result.design_label,
+        design: design.to_string(),
         cpr,
-        structural: result.structural_bits,
-        timing: result.timing_bits,
+        structural,
+        timing,
     }
 }
 

@@ -6,7 +6,7 @@
 //! from the gate-level substrate's `run_batch` at the reduced clock.
 
 use isa_core::Design;
-use isa_engine::{Engine, ExperimentConfig, ExperimentPlan, SubstrateChoice};
+use isa_engine::{Engine, ExperimentConfig, ExperimentPlan};
 
 use crate::report::{sci, Table};
 
@@ -61,8 +61,7 @@ pub fn run_on(
 ) -> Fig9Report {
     let plan = ExperimentPlan::new(config.clone())
         .designs(designs.iter().copied())
-        .cycles(cycles)
-        .substrate(SubstrateChoice::GateLevel);
+        .cycles(cycles);
     let results = engine.run(&plan);
     let ncpr = config.cprs.len();
     let rows = designs

@@ -28,6 +28,7 @@
 //! stalls equal a cycle-by-cycle scalar run's (see
 //! [`isa_timing_sim::razor`]).
 
+use isa_core::error::relative_error;
 use isa_core::{Design, ErrorStats, IsaConfig, Substrate};
 use isa_engine::{
     cycles_with_segment_resets, Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate,
@@ -114,50 +115,26 @@ pub fn run_on(
                 &razor_cfg,
                 unit.inputs,
             );
-            let mut razor_re = ErrorStats::new();
-            let mut razor_silent = 0usize;
-            for c in &razor_cycles {
-                let diamond = (c.a + c.b) as f64;
-                let denom = if diamond == 0.0 { 1.0 } else { diamond };
-                let committed = c.committed();
-                razor_re.push((committed as f64 - diamond) / denom);
-                if committed as f64 != diamond {
-                    razor_silent += 1;
-                }
-            }
+            let razor = committed_errors(razor_cycles.iter().map(|c| (c.committed(), c.a + c.b)));
             let razor_point = StrategyPoint {
                 strategy: "exact+razor".into(),
                 cpr,
                 throughput: razor_report.throughput(),
-                rms_re_pct: razor_re.rms() * 100.0,
-                silent_error_rate: razor_silent as f64 / razor_cycles.len() as f64,
+                rms_re_pct: razor.rms() * 100.0,
+                silent_error_rate: razor.error_rate(),
             };
 
             // 2. ISA open loop: one overclocked gate-level run.
-            let gold = unit.design.behavioural();
+            let golds = unit.context().gold.add_batch(unit.inputs);
             let silvers = gate.run_batch(&unit.design, clk, unit.inputs);
-            let trace: Vec<(u64, u64, u64, u64)> = unit
-                .inputs
-                .iter()
-                .zip(&silvers)
-                .map(|(&(a, b), &silver)| (a, b, gold.add(a, b), silver))
-                .collect();
-            let mut isa_re = ErrorStats::new();
-            let mut isa_wrong = 0usize;
-            for &(a, b, _, silver) in &trace {
-                let diamond = (a + b) as f64;
-                let denom = if diamond == 0.0 { 1.0 } else { diamond };
-                isa_re.push((silver as f64 - diamond) / denom);
-                if silver as f64 != diamond {
-                    isa_wrong += 1;
-                }
-            }
+            let exact = || unit.inputs.iter().map(|&(a, b)| a + b);
+            let open = committed_errors(silvers.iter().copied().zip(exact()));
             let open_point = StrategyPoint {
                 strategy: "isa open-loop".into(),
                 cpr,
                 throughput: 1.0,
-                rms_re_pct: isa_re.rms() * 100.0,
-                silent_error_rate: isa_wrong as f64 / trace.len() as f64,
+                rms_re_pct: open.rms() * 100.0,
+                silent_error_rate: open.error_rate(),
             };
 
             // 3. ISA + predictor-guided replay.
@@ -165,37 +142,29 @@ pub fn run_on(
             // The circuit restarted from reset at every lane-segment
             // seam: reset the predictor's x[t-1] features at the same
             // positions.
-            let raw: Vec<(u64, u64, u64, u64)> = trace
+            let raw: Vec<(u64, u64, u64, u64)> = unit
+                .inputs
                 .iter()
-                .map(|&(a, b, gold_y, silver)| (a, b, gold_y, silver ^ gold_y))
+                .zip(golds.iter().zip(&silvers))
+                .map(|(&(a, b), (&gold, &silver))| (a, b, gold, silver ^ gold))
                 .collect();
-            let cycles = cycles_with_segment_resets(&raw);
-            let predicted = predictor.predict_flips_batch(&cycles);
-            let mut guided_re = ErrorStats::new();
-            let mut guided_wrong = 0usize;
-            let mut flagged = 0usize;
-            for (&(a, b, gold_y, silver), &flips) in trace.iter().zip(&predicted) {
-                // Replay at the safe clock leaves only structural error.
-                let committed = if flips != 0 {
-                    flagged += 1;
-                    gold_y
-                } else {
-                    silver
-                };
-                let diamond = (a + b) as f64;
-                let denom = if diamond == 0.0 { 1.0 } else { diamond };
-                guided_re.push((committed as f64 - diamond) / denom);
-                if committed as f64 != diamond {
-                    guided_wrong += 1;
-                }
-            }
-            let total_cycles = trace.len() as u64 + flagged as u64 * u64::from(RECOVERY_CYCLES);
+            let flags = predictor.predict_flips_batch(&cycles_with_segment_resets(&raw));
+            let flagged = flags.iter().filter(|&&flips| flips != 0).count();
+            // Replay at the safe clock leaves only structural error.
+            let committed = golds
+                .iter()
+                .zip(&silvers)
+                .zip(&flags)
+                .map(|((&gold, &silver), &flips)| if flips != 0 { gold } else { silver });
+            let guided = committed_errors(committed.zip(exact()));
+            let n = unit.inputs.len();
+            let total_cycles = n as u64 + flagged as u64 * u64::from(RECOVERY_CYCLES);
             let guided_point = StrategyPoint {
                 strategy: "isa+predictor".into(),
                 cpr,
-                throughput: trace.len() as f64 / total_cycles as f64,
-                rms_re_pct: guided_re.rms() * 100.0,
-                silent_error_rate: guided_wrong as f64 / trace.len() as f64,
+                throughput: n as f64 / total_cycles as f64,
+                rms_re_pct: guided.rms() * 100.0,
+                silent_error_rate: guided.error_rate(),
             };
 
             [razor_point, open_point, guided_point]
@@ -204,6 +173,15 @@ pub fn run_on(
         .flatten()
         .collect();
     GuardbandReport { points, cycles }
+}
+
+/// Relative errors of committed results against the exact sums, from
+/// `(committed, exact)` pairs: the RMS is the residual error and the error
+/// rate the silent-error rate.
+fn committed_errors(pairs: impl Iterator<Item = (u64, u64)>) -> ErrorStats {
+    let mut stats = ErrorStats::new();
+    stats.extend(pairs.map(|(y, exact)| relative_error(y, exact)));
+    stats
 }
 
 impl GuardbandReport {

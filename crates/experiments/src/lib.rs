@@ -33,10 +33,10 @@
 //! and `prove` sweep binaries share [`sweep`]'s design list and map it on
 //! the engine's worker pool.
 //!
-//! All pipelines execute through the
-//! [`isa_engine`] plan API — substrates are swappable behind
-//! [`isa_core::Substrate`] and no binary hand-rolls a
-//! synthesize→annotate→simulate loop.
+//! All pipelines execute through the [`isa_engine`] plan API — the Fig. 6
+//! statistics come from [`Engine::run`] (gate level) or
+//! [`isa_core::structural_errors`] (structural only), and no binary
+//! hand-rolls a synthesize→annotate→simulate loop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +55,7 @@ pub mod workload_sensitivity;
 
 pub use isa_engine::{
     ArtifactCache, DesignContext, Engine, ExperimentConfig, ExperimentPlan, GateLevelSubstrate,
-    PredictedSubstrate, RunResult, SubstrateChoice,
+    PredictedSubstrate, RunResult,
 };
 
 /// A malformed command-line option: the flag is present but its value is
@@ -71,6 +71,27 @@ impl std::fmt::Display for ArgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}: {}", self.flag, self.detail)
     }
+}
+
+/// The command line after the program name, checked against the
+/// binary's usage line (e.g. `"fig10 [--cycles N] [--csv PATH] [--threads
+/// N]"`), whose `--` words are the flags it takes.
+///
+/// Any other flag — a typo such as `--thread` or `--cycels` — exits
+/// through [`cli_error`] with the usage line before any work, instead of
+/// being ignored while a default runs.
+#[must_use]
+pub fn cli_args(usage: &str) -> Vec<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let takes = |flag: &str| {
+        usage
+            .split_whitespace()
+            .any(|word| word.trim_matches(['[', ']']) == flag)
+    };
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !takes(a)) {
+        cli_error(format_args!("{flag}: unknown flag; usage: {usage}"));
+    }
+    args
 }
 
 /// Parses a `--name value` style option from a raw argument list.
@@ -117,6 +138,19 @@ where
     T::Err: std::fmt::Display,
 {
     try_arg_value(args, name).unwrap_or_else(|e| cli_error(e))
+}
+
+/// [`arg_value`] for a count that must be at least 1 (`--cycles`,
+/// `--samples`, `--train`, `--test`, `--scale`): zero exits through
+/// [`cli_error`] too, instead of a panic deep in a pipeline or a table of
+/// zeros.
+#[must_use]
+pub fn count_arg(args: &[String], name: &str) -> Option<usize> {
+    let count = arg_value::<usize>(args, name)?;
+    if count == 0 {
+        cli_error(format_args!("--{name}: must be at least 1, got 0"));
+    }
+    Some(count)
 }
 
 /// Prints `error: {message}` to stderr and exits with code 2 (the

@@ -9,7 +9,7 @@
 //! uniform, correlated (random-walk), DSP-tone and accumulation workloads.
 
 use isa_core::Design;
-use isa_engine::{Engine, ExperimentConfig, ExperimentPlan, SubstrateChoice};
+use isa_engine::{Engine, ExperimentConfig, ExperimentPlan};
 use isa_workloads::{
     take_pairs, AccumulationWorkload, RandomWalkWorkload, SineWorkload, UniformWorkload,
 };
@@ -81,8 +81,7 @@ pub fn run_on(
 ) -> WorkloadReport {
     let mut plan = ExperimentPlan::new(config.clone())
         .designs(designs.iter().copied())
-        .cprs([cpr])
-        .substrate(SubstrateChoice::GateLevel);
+        .cprs([cpr]);
     for (name, inputs) in workloads(config.workload_seed ^ 0x3013, cycles) {
         plan = plan.workload(name, inputs);
     }

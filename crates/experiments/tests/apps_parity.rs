@@ -1,34 +1,17 @@
-//! Parity contracts of the application-quality pipeline.
-//!
-//! Two guarantees keep the apps CSV trustworthy:
-//!
-//! 1. running a kernel through the [`BehaviouralSubstrate`] is exactly the
-//!    structural-only behavioural run (no hidden state in the batched
-//!    executor);
-//! 2. when overclocked, the production gate-level `run_batch` of a
-//!    kernel's operand stream equals the scalar oracle fed the same
-//!    stream in per-lane segments — the lane-parity contract lifted to
-//!    application streams, including the ragged final segment.
+//! Parity contract of the application-quality pipeline: when overclocked,
+//! the production gate-level `run_batch` of a kernel's operand stream
+//! equals the scalar oracle fed the same stream in per-lane segments — the
+//! lane-parity contract lifted to application streams, including the
+//! ragged final segment.
 
-use isa_apps::{run_behavioural, run_on_substrate, run_with, standard_kernels, FirKernel};
-use isa_core::{BehaviouralSubstrate, Design, IsaConfig, Substrate};
+use isa_apps::{run_with, FirKernel};
+use isa_core::{Design, IsaConfig, Substrate};
 use isa_experiments::{ArtifactCache, ExperimentConfig, GateLevelSubstrate};
 use isa_timing_sim::scalar_segments;
 use std::sync::Arc;
 
 fn isa_8004() -> Design {
     Design::Isa(IsaConfig::new(32, 8, 0, 0, 4).unwrap())
-}
-
-#[test]
-fn behavioural_substrate_equals_direct_behavioural_run() {
-    let design = isa_8004();
-    for kernel in standard_kernels(1, 0x5EED_CAFE) {
-        let direct = run_behavioural(kernel.as_ref(), &design);
-        let via_substrate =
-            run_on_substrate(kernel.as_ref(), &BehaviouralSubstrate, &design, 300.0);
-        assert_eq!(direct, via_substrate, "kernel {}", kernel.name());
-    }
 }
 
 #[test]

@@ -154,13 +154,6 @@ impl SpaceSpec {
         }
     }
 
-    /// Replaces the clock axis.
-    #[must_use]
-    pub fn with_cprs(mut self, cprs: impl IntoIterator<Item = f64>) -> Self {
-        self.cprs = cprs.into_iter().collect();
-        self
-    }
-
     /// Number of points in the space.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -181,12 +181,6 @@ impl AdderNetlist {
         &self.netlist
     }
 
-    /// Extracts the underlying netlist.
-    #[must_use]
-    pub fn into_netlist(self) -> Netlist {
-        self.netlist
-    }
-
     /// Packs two operands into the netlist's primary-input ordering.
     #[must_use]
     pub fn input_values(&self, a: u64, b: u64) -> Vec<bool> {

@@ -345,25 +345,6 @@ impl Bdd {
         }
         Some(value)
     }
-
-    /// Number of nodes reachable from `f` (terminals excluded) — the size
-    /// of the function's diagram, independent of the store's total size.
-    #[must_use]
-    pub fn reachable_nodes(&self, f: Ref) -> usize {
-        let mut seen: Vec<u32> = Vec::new();
-        let mut stack = vec![f.0];
-        let mut visited = std::collections::HashSet::new();
-        while let Some(id) = stack.pop() {
-            if id <= 1 || !visited.insert(id) {
-                continue;
-            }
-            seen.push(id);
-            let n = self.node(id);
-            stack.push(n.lo);
-            stack.push(n.hi);
-        }
-        seen.len()
-    }
 }
 
 #[cfg(test)]

@@ -72,18 +72,6 @@ pub struct FilterStats {
     pub waves: u64,
 }
 
-impl FilterStats {
-    /// Fraction of cycles served by the functional fast path.
-    #[must_use]
-    pub fn safe_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.fast_path as f64 / self.cycles as f64
-        }
-    }
-}
-
 /// `sim.filtered.*` counters in the global [`isa_obs`] registry — the
 /// process-wide accumulation of [`FilterStats`] that the metrics
 /// exposition and the serve `metrics` op report. Strictly out-of-band:

@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run --release --example ablation_study [cycles]`
 
-use overclocked_isa::core::{CombinedErrorStats, IsaConfig, OutputTriple};
+use overclocked_isa::core::{combine_errors, IsaConfig};
 use overclocked_isa::netlist::builders::{build_exact, isa, AdderTopology};
 use overclocked_isa::netlist::cell::CellLibrary;
 use overclocked_isa::netlist::sta::StaReport;
@@ -34,18 +34,10 @@ fn measure(
     inputs: &[(u64, u64)],
 ) -> (f64, f64) {
     let trace = run_adder_trace(adder, annotation, clk, inputs);
-    let mut stats = CombinedErrorStats::new();
-    let mut errors = 0usize;
-    for rec in &trace {
-        if rec.has_timing_error() {
-            errors += 1;
-        }
-        stats.push(&OutputTriple::new(rec.a + rec.b, rec.settled, rec.sampled));
-    }
-    (
-        errors as f64 / trace.len() as f64,
-        stats.re_joint.rms() * 100.0,
-    )
+    let settled: Vec<u64> = trace.iter().map(|rec| rec.settled).collect();
+    let sampled: Vec<u64> = trace.iter().map(|rec| rec.sampled).collect();
+    let stats = combine_errors(adder.width(), inputs, &settled, &sampled);
+    (stats.e_timing.error_rate(), stats.re_joint.rms() * 100.0)
 }
 
 fn main() {

@@ -6,14 +6,14 @@
 //! sensitize far fewer long paths than uniform ones at the same clock.
 //!
 //! The whole sweep is one [`ExperimentPlan`]: eleven CPR steps × two
-//! workloads on the gate-level substrate, spread across the machine by
+//! workloads on the gate level, spread across the machine by
 //! the engine (the design is synthesized once, in its artifact cache).
 //!
 //! Run with: `cargo run --release --example overclocking_explorer [design] [cycles]`
 //! where `design` is `exact` or a quadruple like `(8,0,1,4)`.
 
 use overclocked_isa::core::{Design, IsaConfig};
-use overclocked_isa::engine::{Engine, ExperimentConfig, ExperimentPlan, SubstrateChoice};
+use overclocked_isa::engine::{Engine, ExperimentConfig, ExperimentPlan};
 use overclocked_isa::workloads::{take_pairs, RandomWalkWorkload, UniformWorkload};
 
 fn main() {
@@ -46,8 +46,7 @@ fn main() {
         .workload(
             "walk-4k",
             RandomWalkWorkload::new(32, 4096, 7).take(cycles).collect(),
-        )
-        .substrate(SubstrateChoice::GateLevel);
+        );
     let results = engine.run(&plan);
 
     println!(

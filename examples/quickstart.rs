@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use overclocked_isa::core::{combine, Adder, IsaConfig, SpeculativeAdder};
-use overclocked_isa::engine::{Engine, ExperimentConfig, ExperimentPlan, SubstrateChoice};
+use overclocked_isa::engine::{Engine, ExperimentConfig, ExperimentPlan};
 use overclocked_isa::workloads::{take_pairs, UniformWorkload};
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
 
     // 3. Synthesize to gates (65 nm-class library, 0.3 ns constraint),
     //    overclock by 15% and measure emergent timing errors — one
-    //    experiment plan on the gate-level substrate.
+    //    experiment plan, run on the gate level.
     let config = ExperimentConfig::default();
     let engine = Engine::new();
     let design = overclocked_isa::core::Design::Isa(cfg);
@@ -48,8 +48,7 @@ fn main() {
     let plan = ExperimentPlan::new(config)
         .designs([design])
         .cprs([0.15])
-        .workload("uniform", inputs[..20_000].to_vec())
-        .substrate(SubstrateChoice::GateLevel);
+        .workload("uniform", inputs[..20_000].to_vec());
     let result = &engine.run(&plan)[0];
     let (s, t, j) = result.stats.rms_re_percent();
     println!(

@@ -4,13 +4,18 @@
 # diffs every CSV against the checked-in goldens under tests/golden/, so
 # simulation refactors cannot silently change paper numbers and every
 # binary stays thread-count invariant (one run is the engine's unit of
-# parallelism).
+# parallelism). `all_figures` then runs every pipeline on one shared
+# engine at 1 and 4 threads: its two CSV sets must be identical, and the
+# three CSVs whose counts equal the single-binary commands must equal
+# their goldens.
 #
 # Usage:
 #   scripts/golden.sh           # verify against tests/golden/
 #   scripts/golden.sh --update  # regenerate tests/golden/ from the 1-thread run
+#                               # (all_figures is not run)
 #   OUTDIR=path scripts/golden.sh  # also keep the produced CSVs (4-thread
-#                                  # copies under path/threads-4/)
+#                                  # copies under path/threads-4/,
+#                                  # all_figures under path/all_figures/)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,11 +53,27 @@ if [[ "${1:-}" == "--update" ]]; then
   exit 0
 fi
 
+echo "==> all_figures"
+for threads in 1 4; do
+  ./target/release/all_figures --cycles 400 --train 400 --test 200 --samples 4000 \
+    --threads "$threads" --outdir "$OUTDIR/all_figures/threads-$threads" >/dev/null
+done
+
 status=0
 for f in "$OUTDIR"/*.csv "$OUTDIR"/threads-4/*.csv; do
   name="$(basename "$f")"
   if ! diff -u "$GOLDEN_DIR/$name" "$f"; then
     echo "golden: MISMATCH in $f"
+    status=1
+  fi
+done
+if ! diff -ru "$OUTDIR/all_figures/threads-1" "$OUTDIR/all_figures/threads-4"; then
+  echo "golden: MISMATCH between all_figures at 1 and 4 threads"
+  status=1
+fi
+for name in design_table fig9 fig7_fig8; do
+  if ! diff -u "$GOLDEN_DIR/$name.csv" "$OUTDIR/all_figures/threads-1/$name.csv"; then
+    echo "golden: MISMATCH in all_figures $name.csv"
     status=1
   fi
 done
