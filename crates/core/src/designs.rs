@@ -114,10 +114,9 @@ pub fn paper_designs() -> Vec<Design> {
 ///
 /// Combinations that fail [`IsaConfig`] validation (block not dividing the
 /// width, SPEC/correction/reduction wider than a block) are skipped, as are
-/// configurations with *overlapping compensation* (`C + R > B`) — the
-/// paper's designs never overlap and the analytical error model
-/// ([`crate::analysis::DesignAnalysis`]) only covers the non-overlapping
-/// subspace, so design-space iteration stays inside it.
+/// configurations with *overlapping compensation* (`C + R > B`): the
+/// paper's designs never overlap, so design-space iteration stays with
+/// the designs it describes.
 ///
 /// # Examples
 ///

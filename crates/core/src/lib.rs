@@ -16,6 +16,8 @@
 //!   stream, given its gold and overclocked (`ysilver`) output streams;
 //! * [`ErrorStats`] / [`BitErrorDistribution`] — the statistics behind the
 //!   paper's figures (RMS relative error, per-bit error distributions);
+//! * [`DesignAnalysis`] — a design's exact structural error rate, mean
+//!   and RMS over all operand pairs, from a per-bit dynamic program;
 //! * [`designs`] — the twelve evaluated designs of Section V.
 //!
 //! # Example
@@ -54,7 +56,7 @@ pub mod stats;
 pub mod substrate;
 
 pub use adder::{Adder, ExactAdder, MAX_WIDTH};
-pub use analysis::{BoundaryStats, DesignAnalysis};
+pub use analysis::{DesignAnalysis, I256};
 pub use batch::{
     lanes_with_run_at_least, pack_planes_into, pack_planes_into_slices, segment_len, LaneBatch,
     LANES,

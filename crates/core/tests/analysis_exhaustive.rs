@@ -1,37 +1,25 @@
-//! Exhaustive validation of the analytical structural-error model
-//! ([`DesignAnalysis`]) — the design-space explorer's tier-A pre-filter —
-//! against complete behavioural statistics.
+//! Exhaustive validation of the exact moment program ([`DesignAnalysis`])
+//! against complete behavioural enumeration.
 //!
 //! A 32-bit operand space cannot be enumerated, so each of the paper's
 //! twelve seed designs is mapped to an **8-bit miniature** that preserves
 //! its path structure (same number of speculative paths: blocks shrink
 //! 4×; SPEC/correction/reduction widths clamp into the shrunk block, with
-//! `C + R <= B` kept so the miniature stays inside the model's domain).
-//! Every miniature is then compared against *all 65 536 operand pairs*:
+//! `C + R <= B` kept as in the paper's designs). A guess-1 design and an
+//! overlapping (`C + R > B`) one join them, and a property test draws
+//! random 8-bit designs of either guess with any `C, R <= B`. Every design
+//! is compared against *all 65 536 operand pairs*: the zero count, `Σe`
+//! and `Σe²` must equal the enumerated integers, and the RMS must equal
+//! the enumerated one to the last bit of its `f64`.
 //!
-//! * the analytical **error rate** and **mean signed error** must match
-//!   the exhaustive enumeration exactly (they are computed by an exact
-//!   chain DP — any mismatch is a model bug, not noise);
-//! * the analytical **RMS** is approximate by design: it neglects
-//!   cross-boundary covariances (documented in
-//!   [`isa_core::analysis`]'s module docs). The exhaustive comparison
-//!   *bounds* that divergence instead of accepting it silently: the
-//!   ratio must stay within [0.75, 1.30] — the same order as the ±25 %
-//!   observed on the paper's 32-bit designs. (The explorer no longer
-//!   prunes on this approximation: its tier-A bounds are exact — the
-//!   behavioural model on the actual workload plus the model-counted
-//!   `isa_prove::ErrorDistribution`, which
-//!   `crates/prove/tests/exhaustive8.rs` pins **bit-exactly** against
-//!   the same miniatures. The analytical model remains the closed-form
-//!   account of *why* the errors behave as they do, and this band is
-//!   its honesty check.)
-//!
-//! The 32-bit seed designs themselves are validated against Monte-Carlo
-//! statistics in `crates/core/src/analysis.rs`'s unit tests; this file
-//! adds the exhaustive leg plus property coverage of random valid
-//! configurations.
+//! `crates/prove/tests/exhaustive8.rs` pins the same program to the BDD
+//! model counts on every valid 8-bit design and on the paper's 32-bit
+//! designs.
 
-use isa_core::{Adder, DesignAnalysis, ExactAdder, IsaConfig, SpeculativeAdder, PAPER_QUADRUPLES};
+use isa_core::{
+    Adder, Design, DesignAnalysis, ExactAdder, IsaConfig, SpecGuess, SpeculativeAdder,
+    PAPER_QUADRUPLES,
+};
 use proptest::prelude::*;
 
 /// The 8-bit miniature of a 32-bit paper quadruple: blocks shrink 4×,
@@ -46,128 +34,84 @@ fn miniature(quad: (u32, u32, u32, u32)) -> IsaConfig {
     IsaConfig::new(8, b8, s8, c8, r8).expect("miniatures are valid by construction")
 }
 
-/// Exhaustive behavioural statistics over all 65 536 8-bit operand pairs:
-/// (error rate, mean signed error, RMS error).
-fn exhaustive_stats(cfg: &IsaConfig) -> (f64, f64, f64) {
+/// Exhaustive integer statistics over all 65 536 8-bit operand pairs:
+/// `(zero count, Σe, Σe²)`.
+fn exhaustive_counts(cfg: &IsaConfig) -> (u128, i128, u128) {
     assert_eq!(cfg.width(), 8, "exhaustive enumeration is 8-bit only");
     let isa = SpeculativeAdder::new(*cfg);
     let exact = ExactAdder::new(8);
-    let mut errors = 0u64;
-    let mut sum = 0.0f64;
-    let mut sum_sq = 0.0f64;
+    let (mut zeros, mut sum, mut sum2) = (0u128, 0i128, 0u128);
     for a in 0..256u64 {
         for b in 0..256u64 {
             let e = isa.add(a, b) as i64 - exact.add(a, b) as i64;
-            if e != 0 {
-                errors += 1;
-            }
-            sum += e as f64;
-            sum_sq += (e * e) as f64;
+            zeros += u128::from(e == 0);
+            sum += i128::from(e);
+            sum2 += u128::from(e.unsigned_abs()).pow(2);
         }
     }
-    let n = 65536.0;
-    (errors as f64 / n, sum / n, (sum_sq / n).sqrt())
+    (zeros, sum, sum2)
+}
+
+/// Asserts the program's moments equal enumeration, RMS to the bit.
+fn assert_matches_enumeration(cfg: &IsaConfig) {
+    let analysis = DesignAnalysis::analyze(&Design::Isa(*cfg));
+    let (zeros, sum, sum2) = exhaustive_counts(cfg);
+    let label = format!("{cfg} guess {:?}", cfg.guess());
+    assert_eq!(analysis.zero_count(), zeros, "{label}");
+    assert_eq!(analysis.sum_error(), sum, "{label}");
+    assert_eq!(analysis.sum_squared_error(), (0, sum2), "{label}");
+    let rms = (sum2 as f64 / 65536.0).sqrt();
+    assert_eq!(
+        analysis.rms_error().to_bits(),
+        rms.to_bits(),
+        "{label}: RMS {} vs enumerated {rms}",
+        analysis.rms_error()
+    );
 }
 
 #[test]
-fn twelve_seed_miniatures_match_exhaustive_statistics() {
+fn seed_miniatures_guess_one_and_overlap_match_enumeration_exactly() {
     // Eleven ISA miniatures plus the exact baseline modelled as the
-    // degenerate single-path ISA (8,0,0,0) at width 8 — twelve designs,
-    // every one enumerated completely.
+    // degenerate single-path ISA (8,0,0,0) at width 8.
     let mut configs: Vec<IsaConfig> = PAPER_QUADRUPLES.iter().map(|&q| miniature(q)).collect();
     configs.push(IsaConfig::new(8, 8, 0, 0, 0).unwrap());
     assert_eq!(configs.len(), 12);
-
+    // Guess 1 with correction and reduction, and a correction group that
+    // overlaps the reduced bits.
+    configs.push(IsaConfig::with_guess(8, 4, 1, 1, 2, SpecGuess::One).unwrap());
+    configs.push(IsaConfig::new(8, 4, 1, 3, 2).unwrap());
     for cfg in &configs {
-        let analysis = DesignAnalysis::analyze(cfg);
-        let (rate, mean, rms) = exhaustive_stats(cfg);
-
-        // Exact quantities: bitwise-tight tolerances.
-        assert!(
-            (analysis.error_rate() - rate).abs() < 1e-12,
-            "{cfg}: analytical rate {} vs exhaustive {rate}",
-            analysis.error_rate()
-        );
-        assert!(
-            (analysis.mean_error() - mean).abs() < 1e-9,
-            "{cfg}: analytical mean {} vs exhaustive {mean}",
-            analysis.mean_error()
-        );
-
-        // Approximate quantity: divergence bounded, not accepted blindly.
-        if rms > 0.0 {
-            let ratio = analysis.rms_error_approx() / rms;
-            assert!(
-                (0.75..=1.30).contains(&ratio),
-                "{cfg}: RMS ratio {ratio} outside the documented \
-                 independence-approximation bound (analytical {} vs \
-                 exhaustive {rms})",
-                analysis.rms_error_approx()
-            );
-        } else {
-            assert_eq!(
-                analysis.rms_error_approx(),
-                0.0,
-                "{cfg}: error-free design must have zero analytical RMS"
-            );
-        }
+        assert_matches_enumeration(cfg);
     }
 }
 
 #[test]
 fn error_free_miniatures_are_detected_as_such() {
-    // The exact-equivalent single-path design: the model must report
-    // exactly zero across the board, matching enumeration.
     let cfg = IsaConfig::new(8, 8, 0, 0, 0).unwrap();
-    let analysis = DesignAnalysis::analyze(&cfg);
-    let (rate, mean, rms) = exhaustive_stats(&cfg);
-    assert_eq!((rate, mean, rms), (0.0, 0.0, 0.0));
+    let analysis = DesignAnalysis::analyze(&Design::Isa(cfg));
+    assert_eq!(exhaustive_counts(&cfg), (65536, 0, 0));
     assert_eq!(analysis.error_rate(), 0.0);
     assert_eq!(analysis.mean_error(), 0.0);
-    assert_eq!(analysis.rms_error_approx(), 0.0);
+    assert_eq!(analysis.rms_error(), 0.0);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random valid 8-bit configurations in the model's domain
-    /// (speculate-at-0, `C + R <= B`): the analytical error rate and mean
-    /// match exhaustive enumeration exactly.
+    /// Random valid 8-bit designs of either guess, overlapping
+    /// compensation included, match enumeration exactly.
     #[test]
-    fn random_configs_match_exhaustive_rate_and_mean(
-        block_sel in 0u32..3,
-        spec in 0u32..5,
-        corr in 0u32..3,
-        red in 0u32..5,
+    fn random_configs_match_enumeration_exactly(
+        block_sel in 0u32..4,
+        spec in 0u32..9,
+        corr in 0u32..9,
+        red in 0u32..9,
+        one in any::<bool>(),
     ) {
-        let b = [1u32, 2, 4][block_sel as usize];
-        let cfg = IsaConfig::new(
-            8,
-            b,
-            spec.min(b),
-            corr.min(b),
-            red.min(b - corr.min(b)),
-        )
-        .expect("clamped parameters are valid");
-        let analysis = DesignAnalysis::analyze(&cfg);
-        let (rate, mean, rms) = exhaustive_stats(&cfg);
-        prop_assert!(
-            (analysis.error_rate() - rate).abs() < 1e-12,
-            "{}: rate {} vs {}", cfg, analysis.error_rate(), rate
-        );
-        prop_assert!(
-            (analysis.mean_error() - mean).abs() < 1e-9,
-            "{}: mean {} vs {}", cfg, analysis.mean_error(), mean
-        );
-        // The RMS approximation stays within its documented band whenever
-        // errors exist at all.
-        if rms > 0.0 {
-            let ratio = analysis.rms_error_approx() / rms;
-            prop_assert!(
-                (0.7..=1.35).contains(&ratio),
-                "{}: RMS ratio {} (analytical {} vs exhaustive {})",
-                cfg, ratio, analysis.rms_error_approx(), rms
-            );
-        }
+        let b = [1u32, 2, 4, 8][block_sel as usize];
+        let guess = if one { SpecGuess::One } else { SpecGuess::Zero };
+        let cfg = IsaConfig::with_guess(8, b, spec.min(b), corr.min(b), red.min(b), guess)
+            .expect("clamped parameters are valid");
+        assert_matches_enumeration(&cfg);
     }
 }

@@ -14,25 +14,38 @@
 //!   tightens the topological one, and re-checks the analysis' own
 //!   soundness obligations (proven ≤ topological, waveform endpoints
 //!   functionally verified).
-//! - **Exact error RMS**: the full-input-space structural error RMS from
-//!   the model-counted error distribution, reported per seed design.
+//! - **Exact moments**: the model-counted error distribution's zero
+//!   count, `Σe` and `Σe²` must equal those of the per-bit moment program
+//!   the explorer uses ([`isa_core::DesignAnalysis`]). This check covers
+//!   every listed design, feasible or not, since the arithmetic does not
+//!   depend on synthesis; the seeds' exact RMS is reported.
 //!
 //! This sweep is the one place the equivalence and settle-bound proofs
-//! run. Synthesis-infeasible grid points are skipped (a feasibility
-//! boundary, not a proof failure). Any failed proof or panicking build
-//! prints the finding and the sweep exits with status 1 — the CI gate
-//! asserting the whole space is *proven*, not sampled. Failures are listed
-//! in design order at any `--threads`. Sibling of the `netlint` sweep
-//! (`isa-netlint-sweep/v1`), which runs the sampled per-build checks;
-//! this bin writes `isa-prove-sweep/v1`.
+//! run. Synthesis-infeasible grid points skip the proofs (a feasibility
+//! boundary, not a proof failure). Any failed proof, moment mismatch or
+//! panic prints the finding and the sweep exits with status 1 — the CI
+//! gate asserting the whole space is *proven*, not sampled. Failures are
+//! listed in design order at any `--threads`. Sibling of the `netlint`
+//! sweep (`isa-netlint-sweep/v1`), which runs the sampled per-build
+//! checks; this bin writes `isa-prove-sweep/v1`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use isa_core::{paper_designs, Design};
+use isa_core::{paper_designs, Design, DesignAnalysis};
 use isa_engine::{BuildError, DesignContext, ExperimentConfig};
 use isa_experiments::{arg_value, cli_args, engine_from_args, sweep, write_output};
 use isa_prove::{analyze_settle, check_equivalence, ErrorDistribution, StaOptions};
+
+/// One design's outcome.
+struct Outcome {
+    /// Exact structural error RMS from the model counts.
+    rms: f64,
+    /// How the moment program disagrees with the model counts, if it does.
+    moment_mismatch: Option<String>,
+    /// The proofs; `None` when synthesis is infeasible.
+    proved: Option<Proved>,
+}
 
 /// One feasible design's proof outcome.
 #[derive(Default)]
@@ -42,12 +55,12 @@ struct Proved {
     tightening_fs: u64,
     /// One line per failed proof.
     findings: Vec<String>,
-    /// Exact structural error RMS, for seed designs.
-    seed_rms: Option<f64>,
 }
 
 #[derive(Default)]
 struct SweepStats {
+    /// Designs whose moments were cross-checked.
+    moments_checked: usize,
     checked: usize,
     infeasible: usize,
     /// STA budget bailouts (sound fallback to the topological bound).
@@ -55,15 +68,35 @@ struct SweepStats {
     /// Designs whose proven bound strictly tightens the topological one.
     tightened: usize,
     max_tightening_fs: u64,
-    /// `(design label, finding)` for every failed proof.
+    /// `(design label, finding)` for every failed proof or moment
+    /// mismatch.
     failures: Vec<(String, String)>,
     /// Per-seed-design exact RMS lines for the summary.
     seed_rms: Vec<(String, f64)>,
 }
 
-/// Builds one design and runs both proofs on it (plus the exact RMS for a
-/// seed design); `None` when synthesis is infeasible.
-fn prove(design: Design, config: &ExperimentConfig, seed: bool) -> Option<Proved> {
+/// Cross-checks one design's moments, then builds it and runs both
+/// proofs on it.
+fn check(design: Design, config: &ExperimentConfig) -> Outcome {
+    let counted = *ErrorDistribution::analyze_with_pmf_cap(&design, 0).moments();
+    let program = DesignAnalysis::analyze(&design);
+    let triple = |m: &DesignAnalysis| (m.zero_count(), m.sum_error(), m.sum_squared_error());
+    Outcome {
+        rms: counted.rms_error(),
+        moment_mismatch: (program != counted).then(|| {
+            format!(
+                "moment program (zero count, sum e, sum e^2) = {:?}, BDD counts {:?}",
+                triple(&program),
+                triple(&counted)
+            )
+        }),
+        proved: prove(design, config),
+    }
+}
+
+/// Builds one design and runs both proofs on it; `None` when synthesis is
+/// infeasible.
+fn prove(design: Design, config: &ExperimentConfig) -> Option<Proved> {
     let mut proved = Proved::default();
     let ctx = match DesignContext::try_build(design, config) {
         Ok(ctx) => ctx,
@@ -103,10 +136,6 @@ fn prove(design: Design, config: &ExperimentConfig, seed: bool) -> Option<Proved
             .push("waveform endpoints diverge from functional semantics".to_owned());
     }
     proved.tightening_fs = sta.tightening_fs();
-
-    if seed {
-        proved.seed_rms = Some(ErrorDistribution::analyze_with_pmf_cap(&design, 0).rms_error());
-    }
     Some(proved)
 }
 
@@ -126,35 +155,36 @@ fn main() {
     let config = ExperimentConfig::default();
     let seeds = paper_designs();
     let started = Instant::now();
-    let outcomes = sweep::map(&engine, &config, &designs, |design| {
-        prove(design, &config, seeds.contains(&design))
-    });
+    let outcomes = sweep::map(&engine, &config, &designs, |design| check(design, &config));
 
     let mut stats = SweepStats::default();
     for (design, outcome) in designs.iter().zip(outcomes) {
         let label = design.to_string();
         match outcome {
-            Ok(None) => stats.infeasible += 1,
-            Ok(Some(proved)) => {
+            Ok(outcome) => {
+                stats.moments_checked += 1;
+                if seeds.contains(design) {
+                    stats.seed_rms.push((label.clone(), outcome.rms));
+                }
+                if let Some(mismatch) = outcome.moment_mismatch {
+                    stats.failures.push((label.clone(), mismatch));
+                }
+                let Some(proved) = outcome.proved else {
+                    stats.infeasible += 1;
+                    continue;
+                };
                 stats.checked += 1;
                 stats.fallbacks += usize::from(proved.fallback);
                 if proved.tightening_fs > 0 {
                     stats.tightened += 1;
                     stats.max_tightening_fs = stats.max_tightening_fs.max(proved.tightening_fs);
                 }
-                if let Some(rms) = proved.seed_rms {
-                    stats.seed_rms.push((label.clone(), rms));
-                }
                 for finding in proved.findings {
                     stats.failures.push((label.clone(), finding));
                 }
             }
-            Err(panic) => {
-                stats.checked += 1;
-                stats
-                    .failures
-                    .push((label, format!("build panicked: {panic}")));
-            }
+            // A panicking design proved nothing: it counts as a failure only.
+            Err(panic) => stats.failures.push((label, format!("panicked: {panic}"))),
         }
     }
     stats.seed_rms.sort_by(|a, b| a.0.cmp(&b.0));
@@ -166,11 +196,13 @@ fn main() {
     }
     println!(
         "prove: {} proven, {} infeasible skipped, {} failed proof(s); \
+         moments cross-checked against the BDD on {} design(s); \
          false-path tightening on {} design(s) (max {:.1} ps), {} STA budget fallback(s); \
          wall {:.2}s",
         stats.checked,
         stats.infeasible,
         stats.failures.len(),
+        stats.moments_checked,
         stats.tightened,
         stats.max_tightening_fs as f64 / 1000.0,
         stats.fallbacks,
@@ -184,6 +216,7 @@ fn main() {
         let _ = writeln!(json, "  \"seeds_only\": {seeds_only},");
         let _ = writeln!(json, "  \"proven\": {},", stats.checked);
         let _ = writeln!(json, "  \"infeasible\": {},", stats.infeasible);
+        let _ = writeln!(json, "  \"moments_checked\": {},", stats.moments_checked);
         let _ = writeln!(json, "  \"failed_proofs\": {},", stats.failures.len());
         let _ = writeln!(json, "  \"tightened_designs\": {},", stats.tightened);
         let _ = writeln!(

@@ -11,14 +11,13 @@
 //! very RMS-relative-error the objective measures, with zero timing
 //! error; for application workloads the behavioural kernel run yields the
 //! exact structural PSNR ceiling. The exact full-input-space error RMS
-//! (`[isa_prove::ErrorDistribution]`, model counting over all `2^(2W)`
-//! operand pairs) is recorded alongside for reports — it replaced the
-//! approximate analytical RMS as the design-level characterization and
-//! covers every design, including speculate-at-1 and overlapping
-//! compensation, which the analytical model could not. Candidates whose
-//! structural bound is already dominated by a *certain* configuration
-//! (one provably free of timing errors: clock period above the die's
-//! critical delay) are pruned without ever simulating them.
+//! over all `2^(2W)` operand pairs ([`isa_core::DesignAnalysis`], a
+//! per-bit dynamic program of a few microseconds per design) is recorded
+//! alongside for reports; it covers every design, speculate-at-1 and
+//! overlapping compensation included. Candidates whose structural bound
+//! is already dominated by a *certain* configuration (one provably free
+//! of timing errors: clock period above the die's critical delay) are
+//! pruned without ever simulating them.
 //!
 //! **Tier B (simulation):** surviving candidates are scored by the engine
 //! on the filtered gate-level backend over the full workload, yielding
@@ -65,11 +64,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use isa_apps::{run_behavioural, run_exact, run_on_substrate, score, Kernel, KernelRun};
-use isa_core::{combine_errors, structural_errors, Design, Substrate};
+use isa_core::{combine_errors, structural_errors, Design, DesignAnalysis, Substrate};
 use isa_engine::{Engine, ExperimentConfig, GateLevelSubstrate, WorkloadSpec};
 use isa_metrics::{snr_db_of_rms_pct, ObjectiveVector};
 use isa_netlist::cell::CellLibrary;
-use isa_prove::ErrorDistribution;
 use isa_timing_sim::measure_clocked_batch;
 use isa_workloads::{take_pairs, UniformWorkload};
 
@@ -147,10 +145,9 @@ struct DesignInfo {
     /// occur, for every design — guess-One and overlapping compensation
     /// included.
     model_error: f64,
-    /// Exact full-input-space structural error RMS from the symbolic
-    /// [`isa_prove::ErrorDistribution`] (model counting over all
-    /// `2^(2W)` operand pairs) — the workload-independent design
-    /// characterization reports carry.
+    /// Exact full-input-space structural error RMS over all `2^(2W)`
+    /// operand pairs ([`DesignAnalysis`]) — the workload-independent
+    /// design characterization reports carry.
     exact_struct_rms: f64,
 }
 
@@ -188,8 +185,8 @@ pub struct CandidateEval {
     /// simulated error whenever the candidate is timing-safe.
     pub model_error: f64,
     /// Exact full-input-space structural error RMS (absolute output
-    /// units) from the symbolic error distribution — workload-independent
-    /// design characterization for reports.
+    /// units) from [`DesignAnalysis`] — workload-independent design
+    /// characterization for reports.
     pub exact_struct_rms: f64,
     /// True if tier A pruned the candidate (no simulation performed).
     pub pruned: bool,
@@ -472,9 +469,7 @@ impl<'e> Evaluator<'e> {
                 -score(reference, &run).psnr_db(*peak)
             }
         };
-        // The symbolic full-space RMS (no PMF needed): milliseconds per
-        // design at width 32, exact for every design.
-        let exact_struct_rms = ErrorDistribution::analyze_with_pmf_cap(design, 0).rms_error();
+        let exact_struct_rms = DesignAnalysis::analyze(design).rms_error();
         Ok(DesignInfo {
             area: ctx.synthesized.area,
             die_critical_ps: ctx.die_critical_ps(),
@@ -635,11 +630,10 @@ mod tests {
 
     #[test]
     fn bounds_are_exact_for_every_design_including_former_model_gaps() {
-        // Pre-PR8 the analytical model could not bound speculate-at-1 or
-        // overlapping-compensation designs and fell back to an untrusted
-        // 0. The stream bound is now the behavioural model on the actual
-        // workload and the full-space RMS comes from the symbolic error
-        // distribution — both exact for *every* design.
+        // Speculate-at-1 and overlapping-compensation designs get real
+        // bounds too: the stream bound is the behavioural model on the
+        // actual workload and the full-space RMS is the exact moment
+        // program (`DesignAnalysis`), both exact for *every* design.
         let engine = Engine::with_threads(1);
         let mut eval = stream_evaluator(&engine, 600);
         let guess_one = DesignPoint {

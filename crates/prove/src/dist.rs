@@ -6,16 +6,17 @@
 //! yields the difference bits, and model counting turns them into **exact**
 //! statistics over all `2^(2W)` equiprobable operand pairs — error rate,
 //! signed mean, RMS, extreme values, and (support permitting) the full
-//! PMF/CDF. No sampling, no independence approximation: this is the
-//! quantity `DesignAnalysis::rms_error_approx` approximates, computed
-//! exactly at any width up to 32.
+//! PMF/CDF. No sampling: this is the oracle that pins
+//! [`isa_core::DesignAnalysis`]'s per-bit moment program, at any width up
+//! to 32.
 //!
 //! Overflow discipline: squared-error terms `2^(i+j) * count` can exceed
 //! `u128` in principle (`count <= 2^64`, `i + j <= 66`), so the
-//! sum-of-squares accumulates in 256 bits (a `(hi, lo)` pair of `u128`s)
-//! and is only rounded once, at the final conversion to `f64`.
+//! sum-of-squares accumulates in 256 bits ([`isa_core::I256`]). The
+//! moments report through [`isa_core::DesignAnalysis`], so both exact
+//! methods convert the same integers to `f64` the same way.
 
-use isa_core::Design;
+use isa_core::{Design, DesignAnalysis, I256};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -30,11 +31,7 @@ pub const DEFAULT_PMF_CAP: usize = 1 << 16;
 /// pairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorDistribution {
-    width: u32,
-    sum_e: i128,
-    /// 256-bit `sum(e^2)` as `(hi, lo)`.
-    sum_e2: (u128, u128),
-    zero_count: u128,
+    moments: DesignAnalysis,
     max_error: i64,
     min_error: i64,
     pmf: Option<Vec<(i64, u128)>>,
@@ -118,7 +115,7 @@ impl ErrorDistribution {
 
         // Second moment: sum(e^2) = sum_{i,j} 2^(i+j) #(m_i & m_j), every
         // term non-negative by the sign/magnitude split.
-        let mut sum_e2 = (0u128, 0u128);
+        let mut sum_e2 = I256::ZERO;
         for i in 0..n {
             for j in i..n {
                 let both = bdd.apply(Op::And, mag[i], mag[j]);
@@ -128,7 +125,7 @@ impl ErrorDistribution {
                 }
                 // Off-diagonal pairs occur twice in the double sum.
                 let shift = (i + j + usize::from(i != j)) as u32;
-                sum_e2 = add256(sum_e2, shl256(count, shift));
+                sum_e2 = sum_e2.wrapping_add(I256::from(count).mul_pow2(shift));
             }
         }
 
@@ -148,64 +145,24 @@ impl ErrorDistribution {
         };
 
         Self {
-            width: w,
-            sum_e,
-            sum_e2,
-            zero_count,
+            moments: DesignAnalysis::from_counts(w, zero_count, sum_e, sum_e2),
             max_error,
             min_error,
             pmf,
         }
     }
 
-    /// Operand width.
+    /// The exact moments: zero count, `Σe` and `Σe²`, with the error
+    /// rate, mean and RMS derived from them.
     #[must_use]
-    pub fn width(&self) -> u32 {
-        self.width
+    pub fn moments(&self) -> &DesignAnalysis {
+        &self.moments
     }
 
-    /// Number of operand pairs covered: `2^(2 * width)`.
-    #[must_use]
-    pub fn total_pairs(&self) -> u128 {
-        1u128 << (2 * self.width)
-    }
-
-    /// Exact number of pairs with `e = 0`.
-    #[must_use]
-    pub fn zero_count(&self) -> u128 {
-        self.zero_count
-    }
-
-    /// Fraction of pairs with a non-zero error.
-    #[must_use]
-    pub fn error_rate(&self) -> f64 {
-        1.0 - count_to_f64(self.zero_count) / count_to_f64(self.total_pairs())
-    }
-
-    /// Exact signed error sum over all pairs.
-    #[must_use]
-    pub fn sum_error(&self) -> i128 {
-        self.sum_e
-    }
-
-    /// Mean signed error.
-    #[must_use]
-    pub fn mean_error(&self) -> f64 {
-        (self.sum_e as f64) / count_to_f64(self.total_pairs())
-    }
-
-    /// Exact `sum(e^2)` as a 256-bit `(hi, lo)` pair.
-    #[must_use]
-    pub fn sum_squared_error(&self) -> (u128, u128) {
-        self.sum_e2
-    }
-
-    /// Root-mean-square error in absolute (LSB) units.
+    /// Root-mean-square error in absolute (LSB) units: `moments().rms_error()`.
     #[must_use]
     pub fn rms_error(&self) -> f64 {
-        let (hi, lo) = self.sum_e2;
-        let sum = (hi as f64) * 2f64.powi(128) + count_to_f64(lo);
-        (sum / count_to_f64(self.total_pairs())).sqrt()
+        self.moments.rms_error()
     }
 
     /// Largest (most positive) error value attained.
@@ -250,31 +207,6 @@ impl ErrorDistribution {
                 .collect(),
         )
     }
-}
-
-/// `x * 2^shift` as a 256-bit `(hi, lo)` pair; `shift < 128`.
-fn shl256(x: u128, shift: u32) -> (u128, u128) {
-    debug_assert!(shift < 128);
-    if shift == 0 {
-        (0, x)
-    } else {
-        (x >> (128 - shift), x << shift)
-    }
-}
-
-/// 256-bit addition; panics on (impossible) overflow past 2^256.
-fn add256(a: (u128, u128), b: (u128, u128)) -> (u128, u128) {
-    let (lo, carry) = a.1.overflowing_add(b.1);
-    let hi =
-        a.0.checked_add(b.0)
-            .and_then(|h| h.checked_add(u128::from(carry)))
-            .expect("sum of squares exceeds 256 bits");
-    (hi, lo)
-}
-
-/// Exact f64 of a count (counts up to 2^128 convert with one rounding).
-fn count_to_f64(c: u128) -> f64 {
-    c as f64
 }
 
 /// Enumerates the image of the two's-complement bit vector `bits` with
@@ -371,9 +303,10 @@ mod tests {
             let design = Design::Isa(cfg);
             let dist = ErrorDistribution::analyze(&design);
             let (zeros, sum, sum2, max_e, min_e) = exhaustive(&design);
-            assert_eq!(dist.zero_count(), zeros, "{cfg}");
-            assert_eq!(dist.sum_error(), sum, "{cfg}");
-            assert_eq!(dist.sum_squared_error(), (0, sum2), "{cfg}");
+            let moments = dist.moments();
+            assert_eq!(moments.zero_count(), zeros, "{cfg}");
+            assert_eq!(moments.sum_error(), sum, "{cfg}");
+            assert_eq!(moments.sum_squared_error(), (0, sum2), "{cfg}");
             assert_eq!(dist.max_error(), max_e, "{cfg}");
             assert_eq!(dist.min_error(), min_e, "{cfg}");
             // The PMF must re-aggregate to the same totals.
@@ -391,22 +324,29 @@ mod tests {
     #[test]
     fn exact_design_has_no_error() {
         let dist = ErrorDistribution::analyze(&Design::Exact { width: 16 });
-        assert_eq!(dist.zero_count(), dist.total_pairs());
-        assert_eq!(dist.error_rate(), 0.0);
+        assert_eq!(dist.moments().zero_count(), 1 << 32);
+        assert_eq!(dist.moments().error_rate(), 0.0);
         assert_eq!(dist.rms_error(), 0.0);
         assert_eq!(dist.max_abs_error(), 0);
         assert_eq!(dist.pmf(), Some([(0i64, 1u128 << 32)].as_slice()));
     }
 
     #[test]
-    fn matches_analytical_model_where_it_is_exact() {
-        // DesignAnalysis' error rate and mean are exact for guess-0
-        // non-overlapping designs; the symbolic counts must agree.
-        let cfg = IsaConfig::new(16, 4, 2, 1, 2).unwrap();
-        let dist = ErrorDistribution::analyze(&Design::Isa(cfg));
-        let analysis = isa_core::DesignAnalysis::analyze(&cfg);
-        assert!((dist.error_rate() - analysis.error_rate()).abs() < 1e-12);
-        assert!((dist.mean_error() - analysis.mean_error()).abs() < 1e-6);
+    fn matches_the_moment_program_exactly() {
+        // The per-bit program in isa-core counts the same integers at 16
+        // bits, for both guesses and with overlapping compensation.
+        for (c, r, guess) in [
+            (1, 2, isa_core::SpecGuess::Zero),
+            (3, 2, isa_core::SpecGuess::One),
+        ] {
+            let design = Design::Isa(IsaConfig::with_guess(16, 4, 2, c, r, guess).unwrap());
+            let dist = ErrorDistribution::analyze(&design);
+            assert_eq!(
+                *dist.moments(),
+                DesignAnalysis::analyze(&design),
+                "{design}"
+            );
+        }
     }
 
     #[test]
@@ -416,7 +356,6 @@ mod tests {
         let with = ErrorDistribution::analyze(&design);
         let without = ErrorDistribution::analyze_with_pmf_cap(&design, 0);
         assert!(without.pmf().is_none());
-        assert_eq!(with.sum_squared_error(), without.sum_squared_error());
-        assert_eq!(with.zero_count(), without.zero_count());
+        assert_eq!(with.moments(), without.moments());
     }
 }

@@ -1,8 +1,7 @@
 //! isa-prove: symbolic static analysis for inexact speculative adders.
 //!
-//! Everything else in this workspace *samples*: the simulators draw input
-//! streams, the analytical model covers only part of the design space, and
-//! the linter spot-checks parity on random vectors. This crate closes the
+//! The simulators draw input streams and the linter spot-checks parity on
+//! random vectors: they *sample*. This crate closes the
 //! gap with **proofs** over all inputs at once, using a reduced ordered
 //! BDD engine (no external dependencies):
 //!
@@ -14,7 +13,8 @@
 //! - [`dist`] — the *exact* structural error distribution (PMF, RMS,
 //!   extrema, error rate) by model counting on the approx-minus-exact
 //!   difference function; integer-exact at widths the exhaustive harness
-//!   cannot reach.
+//!   cannot reach, and the oracle for the per-bit moment program
+//!   [`isa_core::DesignAnalysis`].
 //! - [`sta`] — false-path-aware settle bounds by symbolic timed
 //!   simulation: a proven critical delay that is sound against the
 //!   transport-delay simulator and never worse than topological STA.
@@ -28,8 +28,9 @@
 //! `isa-netlint` runs cheap sampled checks on every synthesis result; this
 //! crate is the offline deep tier. The `prove` sweep binary is the one
 //! place its equivalence and settle-bound proofs run, over every design in
-//! the space; the design-space explorer uses only [`dist`], the exact
-//! error model behind its `exact_struct_rms` column.
+//! the space; it also checks there that [`dist`]'s counts equal the moment
+//! program's, which fills the design-space explorer's `exact_struct_rms`
+//! column.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

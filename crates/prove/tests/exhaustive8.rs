@@ -1,16 +1,19 @@
 //! Bit-exact cross-validation of the symbolic [`ErrorDistribution`]
-//! against complete behavioural enumeration — the proof-side counterpart
-//! of `crates/core/tests/analysis_exhaustive.rs`.
+//! against complete behavioural enumeration, and of the per-bit moment
+//! program [`DesignAnalysis`] against the symbolic counts.
 //!
-//! That harness *bounds* the analytical model's RMS divergence to
-//! [0.75, 1.30] because `DesignAnalysis::rms_error_approx` neglects
-//! cross-boundary covariances. The symbolic distribution makes no such
-//! approximation, so the bar here is absolute: on the same twelve 8-bit
-//! seed miniatures, every count is integer-equal to exhaustive
-//! enumeration and the RMS is **bitwise**-equal to the float computed
-//! from the enumerated sum of squares.
+//! On the twelve 8-bit seed miniatures of
+//! `crates/core/tests/analysis_exhaustive.rs`, every count is
+//! integer-equal to exhaustive enumeration and the RMS is
+//! **bitwise**-equal to the float computed from the enumerated sum of
+//! squares. The moment program must then equal the model counts on every
+//! valid 8-bit design under both guesses and on the paper's 32-bit
+//! designs, where enumeration cannot reach.
 
-use isa_core::{Adder, Design, ExactAdder, IsaConfig, SpeculativeAdder, PAPER_QUADRUPLES};
+use isa_core::{
+    paper_isa_configs, Adder, Design, DesignAnalysis, ExactAdder, IsaConfig, SpecGuess,
+    SpeculativeAdder, PAPER_QUADRUPLES,
+};
 use isa_prove::ErrorDistribution;
 
 /// The 8-bit miniature of a 32-bit paper quadruple — the same shrink rule
@@ -59,9 +62,10 @@ fn twelve_seed_miniatures_match_enumeration_bit_exactly() {
         let (zeros, sum, sum2, max_e, min_e, pmf) = exhaustive(cfg);
 
         // Integer-exact counts — no tolerance at all.
-        assert_eq!(dist.zero_count(), zeros, "{cfg}");
-        assert_eq!(dist.sum_error(), sum, "{cfg}");
-        assert_eq!(dist.sum_squared_error(), (0, sum2), "{cfg}");
+        let moments = dist.moments();
+        assert_eq!(moments.zero_count(), zeros, "{cfg}");
+        assert_eq!(moments.sum_error(), sum, "{cfg}");
+        assert_eq!(moments.sum_squared_error(), (0, sum2), "{cfg}");
         assert_eq!(dist.max_error(), max_e, "{cfg}");
         assert_eq!(dist.min_error(), min_e, "{cfg}");
         assert_eq!(
@@ -71,8 +75,7 @@ fn twelve_seed_miniatures_match_enumeration_bit_exactly() {
         );
 
         // RMS is derived from the same integers through the same float
-        // expression, so even the f64 bits must agree — stronger than the
-        // [0.75, 1.30] approximation band the analytical model needs.
+        // expression, so even the f64 bits must agree.
         let reference_rms = (sum2 as f64 / 65536.0).sqrt();
         assert_eq!(
             dist.rms_error().to_bits(),
@@ -90,4 +93,46 @@ fn miniature_rule_matches_the_core_harness() {
     // crates/core/tests/analysis_exhaustive.rs: spot-check the table.
     assert_eq!(miniature((8, 0, 1, 4)).to_string(), "(2,0,1,1)");
     assert_eq!(miniature((16, 7, 0, 8)).to_string(), "(4,4,0,4)");
+}
+
+/// Asserts the moment program counts what the BDD counts.
+fn assert_program_matches_bdd(design: &Design) {
+    let bdd = *ErrorDistribution::analyze_with_pmf_cap(design, 0).moments();
+    let program = DesignAnalysis::analyze(design);
+    assert_eq!(
+        program,
+        bdd,
+        "{design} guess {:?}",
+        design.isa_config().map(IsaConfig::guess)
+    );
+    assert_eq!(program.rms_error().to_bits(), bdd.rms_error().to_bits());
+}
+
+#[test]
+fn moment_program_matches_bdd_on_every_8bit_design() {
+    // Every block size, window, correction and reduction, overlapping
+    // compensation included, under both guesses.
+    let mut checked = 0;
+    for b in [1u32, 2, 4, 8] {
+        for s in 0..=b {
+            for c in 0..=b {
+                for r in 0..=b {
+                    for guess in [SpecGuess::Zero, SpecGuess::One] {
+                        let cfg = IsaConfig::with_guess(8, b, s, c, r, guess).unwrap();
+                        assert_program_matches_bdd(&Design::Isa(cfg));
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 1778);
+}
+
+#[test]
+fn moment_program_matches_bdd_on_the_paper_designs() {
+    for cfg in paper_isa_configs() {
+        assert_program_matches_bdd(&Design::Isa(cfg));
+    }
+    assert_program_matches_bdd(&Design::Exact { width: 32 });
 }

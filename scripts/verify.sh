@@ -6,7 +6,8 @@
 #              self-tests
 #   docs    -> rustdoc with warnings denied
 #   netlint -> full-grid netlist/timing static analysis (fails on Error)
-#   prove   -> symbolic equivalence + false-path STA proofs (fails on any)
+#   prove   -> symbolic equivalence + false-path STA proofs, moment
+#              program vs BDD counts (fails on any)
 #   miri    -> LaneBatch pack/transpose tests under Miri (when installed)
 #   golden  -> experiment CSVs on 1 and 4 workers diffed against
 #              tests/golden/ + explorer pre-filter front identity
@@ -45,8 +46,9 @@ cargo run --release -q -p isa-experiments --bin netlint
 
 echo "==> prove sweep (12 seeds at 32 bits + width-16 quadruple grid)"
 # Same sweep as CI's prove job: full symbolic equivalence proofs and
-# false-path STA on every feasible design; exits non-zero on any failed
-# proof.
+# false-path STA on every feasible design, and the moment program checked
+# against the BDD counts on every design; exits non-zero on any failed
+# proof or mismatch.
 cargo run --release -q -p isa-experiments --bin prove
 
 echo "==> miri (LaneBatch pack/transpose)"

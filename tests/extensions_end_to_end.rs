@@ -129,7 +129,7 @@ fn multiplier_quality_follows_accumulator_analysis() {
     let mut previous_rate = f64::INFINITY;
     let mut previous_err = f64::INFINITY;
     for cfg in configs {
-        let rate = DesignAnalysis::analyze(&cfg).error_rate();
+        let rate = DesignAnalysis::analyze(&Design::Isa(cfg)).error_rate();
         let mul = SpeculativeMultiplier::new(16, cfg).unwrap();
         let mean_err: f64 = inputs
             .iter()
@@ -153,7 +153,7 @@ fn analytical_rates_match_design_table_error_rates() {
     let config = ExperimentConfig::default();
     let table = design_table::run_on(&Engine::new(), &config, &paper_designs(), 100_000);
     for cfg in paper_isa_configs() {
-        let analytical = DesignAnalysis::analyze(&cfg).error_rate();
+        let analytical = DesignAnalysis::analyze(&Design::Isa(cfg)).error_rate();
         let measured = table
             .rows
             .iter()
