@@ -2,7 +2,9 @@
 //!
 //! A [`DesignContext`] bundles everything one design needs across the
 //! paper's experiments: the synthesized netlist, its delay annotation with
-//! process variation (the die sample), and the behavioural golden model.
+//! process variation (the die sample), the behavioural golden model, and
+//! the lane classifier and instruction tape the gate-level hot path runs,
+//! both checked by static analysis when the context is built.
 //!
 //! Flow asymmetry (see the root README's "Synthesis flow" note): ISA
 //! designs are Pareto points from the NEWCAS'15 library that *fit* the
@@ -12,7 +14,6 @@
 //! commercial flow would.
 
 use std::fmt;
-use std::sync::OnceLock;
 
 use isa_core::{Adder, Design};
 use isa_netlint::{lint_adder_with_classifier, LintOptions, LintReport};
@@ -121,15 +122,15 @@ pub struct DesignContext {
     /// Behavioural golden model (structural errors only).
     pub gold: Box<dyn Adder>,
     /// The static-analysis report from build time: zero errors (or the
-    /// context would not exist), possibly warnings, plus the verified
-    /// levelization IR and the lint wall-clock time.
+    /// context would not exist), possibly warnings, the level schedule and
+    /// the lint wall-clock time. Its `tape` is `None`: the context owns the
+    /// verified tape ([`DesignContext::tape`]).
     pub lint: LintReport,
-    /// Lazily built timing-safety classifier for the filtered runner
-    /// (period independent — see [`DesignContext::classifier`]).
-    classifier: OnceLock<LaneClassifier>,
-    /// Lazily compiled instruction tape for the word hot path (see
-    /// [`DesignContext::tape`]).
-    tape: OnceLock<InstructionTape>,
+    /// Timing-safety classifier for the filtered runner (period
+    /// independent — see [`DesignContext::classifier`]).
+    classifier: LaneClassifier,
+    /// The instruction tape lint verified (see [`DesignContext::tape`]).
+    tape: InstructionTape,
 }
 
 impl DesignContext {
@@ -158,9 +159,10 @@ impl DesignContext {
     ///
     /// Every successfully synthesized design is statically analyzed
     /// ([`isa_netlint`]) before the context is returned: structural
-    /// well-formedness, verified levelization, timing-graph sanity and the
-    /// classifier conservatism audit all must pass. A context therefore
-    /// never wraps a netlist the analyzer would reject.
+    /// well-formedness, the instruction tape's replay proof, timing-graph
+    /// sanity and the classifier conservatism audit all must pass. A
+    /// context therefore never wraps a netlist the analyzer would reject,
+    /// and it keeps the classifier and the tape that lint checked.
     ///
     /// # Errors
     ///
@@ -185,65 +187,52 @@ impl DesignContext {
             config.variation_seed ^ design_seed(&design),
         );
         let annotation = synthesized.annotation.perturbed(&variation);
-        let ctx = Self {
-            gold: design.behavioural(),
+        let gold = design.behavioural();
+        // The audit stage checks the classifier the filtered runner keeps,
+        // so its construction cost is not billed to the lint budget.
+        let classifier = LaneClassifier::build(&synthesized.adder, &annotation);
+        let mut lint = lint_adder_with_classifier(
+            &synthesized.adder,
+            &annotation,
+            &classifier,
+            Some(gold.as_ref()),
+            &LintOptions::default(),
+        );
+        if lint.has_errors() {
+            return Err(BuildError::Lint(Box::new(lint)));
+        }
+        let tape = lint
+            .tape
+            .take()
+            .expect("a report without errors carries its verified tape");
+        Ok(Self {
             design,
             synthesized,
             annotation,
-            lint: LintReport {
-                design: String::new(),
-                diagnostics: Vec::new(),
-                levelization: None,
-                elapsed: std::time::Duration::ZERO,
-            },
-            classifier: OnceLock::new(),
-            tape: OnceLock::new(),
-        };
-        // The audit stage reuses the memoized classifier the filtered
-        // runner needs anyway, so its construction cost is not billed to
-        // the lint budget (and is paid at most once per context).
-        let report = lint_adder_with_classifier(
-            &ctx.synthesized.adder,
-            &ctx.annotation,
-            ctx.classifier(),
-            Some(ctx.gold.as_ref()),
-            &LintOptions::default(),
-        );
-        if report.has_errors() {
-            return Err(BuildError::Lint(Box::new(report)));
-        }
-        Ok(Self {
-            lint: report,
-            ..ctx
+            gold,
+            lint,
+            classifier,
+            tape,
         })
     }
 
     /// The design's operand-adaptive timing classifier (for the filtered
-    /// runner), built on first use against this die's annotation and
-    /// shared by every clock period — the exposure, chain and run-bound
-    /// tables are period independent.
+    /// runner), built against this die's annotation and shared by every
+    /// clock period — the exposure, chain and run-bound tables are period
+    /// independent.
     #[must_use]
     pub fn classifier(&self) -> &LaneClassifier {
-        self.classifier
-            .get_or_init(|| LaneClassifier::build(&self.synthesized.adder, &self.annotation))
+        &self.classifier
     }
 
-    /// The design's compiled instruction tape (the filtered runner's
-    /// functional evaluator and timed-replay schedule), built on first
-    /// use from the lint report's replay-verified levelization — the
-    /// compiler consumes the proven schedule rather than re-deriving
-    /// order — and shared by every clock period, like the classifier. The lowering itself is re-proven
-    /// bit-identical to `evaluate_words` by netlint's `tape.replay` rule
-    /// at build time.
+    /// The design's instruction tape (the filtered runner's functional
+    /// evaluator and timed-replay schedule), shared by every clock period
+    /// like the classifier: the tape lint compiled from the netlist's level
+    /// schedule and proved bit-identical to `evaluate_words` (netlint's
+    /// `tape.replay` rule) at build time.
     #[must_use]
     pub fn tape(&self) -> &InstructionTape {
-        self.tape.get_or_init(|| {
-            let netlist = self.synthesized.adder.netlist();
-            match &self.lint.levelization {
-                Some(level) => InstructionTape::compile_from_levels(netlist, level.levels()),
-                None => InstructionTape::compile(netlist),
-            }
-        })
+        &self.tape
     }
 
     /// The die's exact critical delay in picoseconds: the slowest

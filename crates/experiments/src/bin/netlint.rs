@@ -2,12 +2,13 @@
 //! non-overlapping quadruple grid through the same
 //! `DesignContext::try_build` gate the experiments use.
 //!
-//! The pipeline includes the verified levelization *and* the instruction
-//! tape compiled from it (`isa_netlist::tape`) — the `tape.shape` and
-//! `tape.replay` rules execute every design's tape on random planes and
-//! demand bit-equality with `evaluate_words`, so the schedule the
-//! engine's word hot path runs is proven on every design in the space,
-//! not just the twelve the figures use.
+//! The pipeline compiles each design's instruction tape from the
+//! netlist's level schedule (`isa_netlist::tape`), and the `tape.shape`
+//! and `tape.replay` rules execute it on random planes and demand
+//! bit-equality with `evaluate_words`. The context keeps that verified
+//! tape for the engine's word hot path, so the tape every simulation runs
+//! is proven on every design in the space, not just the twelve the
+//! figures use.
 //!
 //! Synthesis-infeasible grid points are skipped (they are a feasibility
 //! boundary, not a lint failure). Any design with an Error-severity

@@ -5,9 +5,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use isa_netlist::{CellId, NetId};
-
-use crate::level::Levelization;
+use isa_netlist::{CellId, InstructionTape, Levelization, NetId};
 
 /// How bad a finding is.
 ///
@@ -49,8 +47,9 @@ pub enum Rule {
     // --- structural -----------------------------------------------------
     /// The gate graph contains a combinational cycle (Tarjan SCC).
     CombLoop,
-    /// A cell reads a net whose id is not below its output's (the
-    /// creation-order contract `evaluate_words` relies on).
+    /// A cell reads a net that is neither a primary input nor the output
+    /// of an earlier-listed cell (the list-order contract `evaluate_words`
+    /// relies on).
     TopoOrder,
     /// More than one driver (cell or primary input) on one net.
     MultiDriven,
@@ -71,11 +70,6 @@ pub enum Rule {
     /// Input/output counts violate the adder convention (`2w` inputs,
     /// `w + 1` outputs).
     AdderIo,
-    // --- levelization ---------------------------------------------------
-    /// The level schedule is not a valid topological order.
-    LevelSchedule,
-    /// Scheduled replay diverged from `evaluate_words` on some net.
-    LevelReplay,
     // --- instruction tape -----------------------------------------------
     /// The compiled tape's shape disagrees with the netlist (op/slot
     /// counts, primary I/O slot tables).
@@ -129,8 +123,6 @@ impl Rule {
             Rule::UnusedInput => "structural.unused-input",
             Rule::DuplicateOutputName => "structural.duplicate-output-name",
             Rule::AdderIo => "structural.adder-io",
-            Rule::LevelSchedule => "level.schedule",
-            Rule::LevelReplay => "level.replay",
             Rule::TapeShape => "tape.shape",
             Rule::TapeReplay => "tape.replay",
             Rule::AnnotationCoverage => "timing.annotation-coverage",
@@ -223,17 +215,22 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Everything one lint run found, plus the verified levelization IR when
-/// the schedule could be built (absent on cyclic graphs).
+/// Everything one lint run found, plus the level schedule and the
+/// replay-verified instruction tape when the structure stage passed.
 #[derive(Debug, Clone)]
 pub struct LintReport {
     /// Name of the linted design (netlist name).
     pub design: String,
     /// All findings, in pass order.
     pub diagnostics: Vec<Diagnostic>,
-    /// The verified level schedule (the instruction-tape compiler's input
-    /// IR), when the graph is acyclic.
+    /// The level schedule the tape was compiled from, when the structure
+    /// stage found no error.
     pub levelization: Option<Levelization>,
+    /// The instruction tape compiled from [`Self::levelization`], when the
+    /// structure stage found no error. Its `tape.shape` and `tape.replay`
+    /// findings are in [`Self::diagnostics`]; `DesignContext` keeps a clean
+    /// report's tape as the design's tape.
+    pub tape: Option<InstructionTape>,
     /// Wall-clock time the lint run took (for the synthesis-overhead
     /// budget in BENCHMARKS.md).
     pub elapsed: Duration,
@@ -370,8 +367,6 @@ mod tests {
             Rule::UnusedInput,
             Rule::DuplicateOutputName,
             Rule::AdderIo,
-            Rule::LevelSchedule,
-            Rule::LevelReplay,
             Rule::TapeShape,
             Rule::TapeReplay,
             Rule::AnnotationCoverage,
@@ -406,6 +401,7 @@ mod tests {
                 Diagnostic::new(Rule::CombLoop, Locus::Design, "loop"),
             ],
             levelization: None,
+            tape: None,
             elapsed: Duration::from_micros(5),
         };
         assert_eq!(report.error_count(), 1);

@@ -8,14 +8,17 @@
 //!
 //! Four pass families compose into [`lint_adder`] (see each module):
 //!
-//! * [`structural`] — well-formedness of the gate graph itself: Tarjan
-//!   SCC combinational-loop detection, single-driver / no-floating-net
-//!   bookkeeping, dead-cell cone-of-influence analysis from the primary
-//!   outputs, pin arities and the adder I/O convention;
-//! * [`level`] — a **verified levelization**: a topologically scheduled
-//!   level assignment (the IR the instruction-tape compiler consumes),
-//!   proven consistent with [`Netlist::evaluate_words`] order by a
-//!   bit-identical replay over pseudo-random 64-lane batteries;
+//! * [`structural`] — well-formedness of the gate graph itself: the
+//!   topological list order every sweep relies on (with Tarjan SCC
+//!   naming any combinational loop when that order breaks),
+//!   single-driver / no-floating-net bookkeeping, dead-cell
+//!   cone-of-influence analysis from the primary outputs, pin arities and
+//!   the adder I/O convention;
+//! * [`tapecheck`] — the **verified tape**: the instruction tape compiled
+//!   from the netlist's one level schedule ([`Levelization`]) is proven
+//!   bit-identical to [`Netlist::evaluate_words`] by a replay over
+//!   pseudo-random 64-lane batteries, and the [`LintReport`] hands that
+//!   tape to its caller (the engine's word hot path runs it);
 //! * [`timing`] — sanity of the timing graph: annotation coverage,
 //!   finite non-negative delays, arrival-time monotonicity along every
 //!   edge, and [`StaReport::downstream_ps`] re-verified as a longest-path
@@ -48,6 +51,7 @@
 //! ```
 //!
 //! [`Netlist::evaluate_words`]: isa_netlist::Netlist::evaluate_words
+//! [`Levelization`]: isa_netlist::Levelization
 //! [`StaReport::downstream_ps`]: isa_netlist::StaReport::downstream_ps
 
 #![forbid(unsafe_code)]
@@ -55,7 +59,6 @@
 
 pub mod audit;
 pub mod diag;
-pub mod level;
 pub mod lint;
 pub mod mutate;
 pub mod structural;
@@ -63,13 +66,13 @@ pub mod tapecheck;
 pub mod timing;
 
 pub use diag::{Diagnostic, LintReport, Locus, Rule, Severity};
-pub use level::Levelization;
 pub use lint::{lint_adder, lint_adder_with_classifier, LintOptions};
 pub use mutate::{apply_mutation, Mutated, Mutation, ALL_MUTATIONS};
 pub use tapecheck::verify_tape;
 
-/// Deterministic 64-bit stream (SplitMix64) for the replay and audit
-/// batteries — no external RNG dependency, identical across platforms.
+/// Deterministic 64-bit stream (SplitMix64) for the replay, audit and
+/// functional batteries — no external RNG dependency, identical across
+/// platforms.
 #[derive(Debug, Clone)]
 pub(crate) struct Splitmix {
     state: u64,

@@ -2,7 +2,7 @@
 //! points.
 //!
 //! Passes run cheapest-and-most-fundamental first, and later passes are
-//! *gated* on the earlier ones: replay and timing analysis of a graph
+//! *gated* on the earlier ones: tape replay and timing analysis of a graph
 //! with structural errors would only drown the root cause in follow-on
 //! noise (and the classifier audit could not even build its tables), so
 //! each stage runs only when every prior stage reported no
@@ -13,43 +13,24 @@ use std::time::Instant;
 
 use isa_core::Adder;
 use isa_netlist::classify::LaneClassifier;
-use isa_netlist::tape::InstructionTape;
+use isa_netlist::tape::{InstructionTape, Levelization};
 use isa_netlist::timing::DelayAnnotation;
-use isa_netlist::{AdderNetlist, Netlist};
+use isa_netlist::AdderNetlist;
 
 use crate::diag::{Diagnostic, LintReport, Locus, Rule, Severity};
-use crate::level::Levelization;
 use crate::{audit, structural, tapecheck, timing, Splitmix};
 
-/// Battery sizes for one lint run.
-///
-/// The defaults are what `DesignContext::try_build` uses: small enough
-/// that linting stays a low single-digit percentage of synthesis time,
-/// large enough that every battery covers hundreds of 64-lane vectors.
-#[derive(Debug, Clone)]
-pub struct LintOptions {
-    /// 64-lane input batteries for the levelization replay proof.
-    pub replay_batteries: usize,
-    /// 64-lane batteries for the instruction-tape replay proof (each
-    /// battery covers the scalar executor plus one full vector chunk).
-    pub tape_batteries: usize,
-    /// 64-lane batteries for the group-P/G semantic re-proof.
-    pub audit_batteries: usize,
-    /// 64-lane random batteries (plus fixed corners) for the functional
-    /// comparison against the golden model.
-    pub functional_batteries: usize,
-}
+/// 64-lane batteries per sampled proof: the tape replay (scalar executor
+/// plus one vector chunk), the group-P/G re-proof and the functional
+/// comparison (plus its fixed corners). One keeps linting a small share
+/// of synthesis time on every `DesignContext::try_build`.
+const BATTERIES: usize = 1;
 
-impl Default for LintOptions {
-    fn default() -> Self {
-        Self {
-            replay_batteries: 1,
-            tape_batteries: 1,
-            audit_batteries: 1,
-            functional_batteries: 1,
-        }
-    }
-}
+/// Options for one lint run. It has no settings: every sampled proof runs
+/// one 64-lane battery (tests that want deeper batteries call
+/// [`tapecheck::verify_tape`] or [`audit::check_classifier`] directly).
+#[derive(Debug, Clone, Default)]
+pub struct LintOptions {}
 
 fn no_errors(diagnostics: &[Diagnostic]) -> bool {
     diagnostics.iter().all(|d| d.severity != Severity::Error)
@@ -60,29 +41,30 @@ fn no_errors(diagnostics: &[Diagnostic]) -> bool {
 ///
 /// `gold` is the behavioural golden model the netlist must agree with
 /// (pass `None` to skip the functional stage — e.g. when no behavioural
-/// reference exists for a foreign netlist).
+/// reference exists for a foreign netlist). [`LintOptions`] has no
+/// settings.
 #[must_use]
 pub fn lint_adder(
     adder: &AdderNetlist,
     annotation: &DelayAnnotation,
     gold: Option<&dyn Adder>,
-    options: &LintOptions,
+    _options: &LintOptions,
 ) -> LintReport {
-    lint_adder_inner(adder, annotation, None, gold, options)
+    lint_adder_inner(adder, annotation, None, gold)
 }
 
 /// Like [`lint_adder`], but audits a classifier the caller already built
-/// (the engine passes its memoized one, keeping the classifier's own
-/// construction time out of the lint budget).
+/// (the engine passes the one its context keeps, leaving the classifier's
+/// own construction time out of the lint budget).
 #[must_use]
 pub fn lint_adder_with_classifier(
     adder: &AdderNetlist,
     annotation: &DelayAnnotation,
     classifier: &LaneClassifier,
     gold: Option<&dyn Adder>,
-    options: &LintOptions,
+    _options: &LintOptions,
 ) -> LintReport {
-    lint_adder_inner(adder, annotation, Some(classifier), gold, options)
+    lint_adder_inner(adder, annotation, Some(classifier), gold)
 }
 
 fn lint_adder_inner(
@@ -90,15 +72,24 @@ fn lint_adder_inner(
     annotation: &DelayAnnotation,
     classifier: Option<&LaneClassifier>,
     gold: Option<&dyn Adder>,
-    options: &LintOptions,
 ) -> LintReport {
     let start = Instant::now();
     let netlist = adder.netlist();
 
-    // Stage 1: structure (including the adder I/O convention).
-    let mut diagnostics = structural::check_sans_loops(netlist);
+    // Stage 1: structure (including the adder I/O convention), then the
+    // tape compiled from the netlist's level schedule, re-proven
+    // bit-identical to `evaluate_words` (rules tape.shape / tape.replay).
+    // The list-order rule gates the schedule, which needs that order.
+    let mut diagnostics = structural::check(netlist);
     diagnostics.extend(structural::check_adder_io(netlist, adder.width()));
-    let levelization = run_levelization(netlist, options, &mut diagnostics);
+    let (levelization, tape) = if no_errors(&diagnostics) {
+        let levelization = Levelization::build(netlist);
+        let tape = InstructionTape::compile_from_levels(netlist, levelization.levels());
+        diagnostics.extend(tapecheck::verify_tape(netlist, &tape, BATTERIES));
+        (Some(levelization), Some(tape))
+    } else {
+        (None, None)
+    };
     let structurally_sound = no_errors(&diagnostics);
 
     // Stage 2: timing — only on a sound graph (STA on a cyclic or
@@ -116,7 +107,7 @@ fn lint_adder_inner(
     // Stage 3: function — needs only a sound graph.
     if structurally_sound {
         if let Some(gold) = gold {
-            check_functional(adder, gold, options.functional_batteries, &mut diagnostics);
+            check_functional(adder, gold, BATTERIES, &mut diagnostics);
         }
     }
 
@@ -132,10 +123,7 @@ fn lint_adder_inner(
             }
         };
         diagnostics.extend(audit::check_classifier(
-            adder,
-            annotation,
-            classifier,
-            options.audit_batteries,
+            adder, annotation, classifier, BATTERIES,
         ));
     }
 
@@ -143,49 +131,8 @@ fn lint_adder_inner(
         design: netlist.name().to_string(),
         diagnostics,
         levelization,
+        tape,
         elapsed: start.elapsed(),
-    }
-}
-
-/// Builds and (on a sound graph) replay-verifies the levelization,
-/// folding any findings into `diagnostics`.
-///
-/// A successful Kahn schedule is itself a proof of acyclicity, so the
-/// Tarjan SCC pass runs only on failure, to name the cycle's members
-/// rather than merely reporting that some cells are stuck.
-fn run_levelization(
-    netlist: &Netlist,
-    options: &LintOptions,
-    diagnostics: &mut Vec<Diagnostic>,
-) -> Option<Levelization> {
-    match Levelization::build(netlist) {
-        Ok(lv) => {
-            if no_errors(diagnostics) {
-                diagnostics.extend(lv.verify(netlist, options.replay_batteries));
-                // The tape compiler consumes this exact schedule; compile
-                // it the way the engine does and re-prove the lowering
-                // bit-identical to `evaluate_words` (rules tape.shape /
-                // tape.replay).
-                if no_errors(diagnostics) {
-                    let tape = InstructionTape::compile_from_levels(netlist, lv.levels());
-                    diagnostics.extend(tapecheck::verify_tape(
-                        netlist,
-                        &tape,
-                        options.tape_batteries,
-                    ));
-                }
-            }
-            Some(lv)
-        }
-        Err(d) => {
-            structural::check_loops(netlist, diagnostics);
-            // Tarjan names the cycle with its member list; keep the bare
-            // levelization failure only when it is the sole witness.
-            if !diagnostics.iter().any(|x| x.rule == Rule::CombLoop) {
-                diagnostics.push(d);
-            }
-            None
-        }
     }
 }
 
@@ -257,7 +204,7 @@ mod tests {
     use crate::mutate::{apply_mutation, ALL_MUTATIONS};
     use isa_core::ExactAdder;
     use isa_netlist::cell::CellLibrary;
-    use isa_netlist::{build_exact, AdderTopology};
+    use isa_netlist::{build_exact, AdderTopology, CellId, NetDriver, Netlist, NetlistBuilder};
 
     fn nominal(adder: &AdderNetlist) -> DelayAnnotation {
         DelayAnnotation::nominal(adder.netlist(), &CellLibrary::industrial_65nm())
@@ -276,7 +223,50 @@ mod tests {
             let report = lint_adder(&adder, &ann, Some(&gold), &LintOptions::default());
             assert!(!report.has_errors(), "{topology:?}:\n{}", report.render());
             assert!(report.levelization.is_some());
+            assert_eq!(
+                report.tape,
+                Some(InstructionTape::compile(adder.netlist())),
+                "{topology:?}: the report carries the verified tape"
+            );
         }
+    }
+
+    #[test]
+    fn reordered_list_is_a_topo_order_error_not_a_panic() {
+        // `a -> inv -> inv -> y` with the two cells swapped: net ids still
+        // ascend along both edges, but the first-listed cell reads a net
+        // only the second drives, so every list-order sweep reads a stale
+        // value (and the tape compiler would panic on it). An AND supplies
+        // the width-1 adder's second input and output.
+        let mut b = NetlistBuilder::new("inv_pair");
+        let a = b.input("a");
+        let c = b.input("b");
+        let x = b.inv(a);
+        let y = b.inv(x);
+        let carry = b.and2(a, c);
+        b.mark_output(y, "sum[0]");
+        b.mark_output(carry, "sum[1]");
+        let (name, mut drivers, names, mut cells, inputs, outputs, onames) =
+            b.finish().unwrap().into_raw_parts();
+        cells.swap(0, 1);
+        for (i, cell) in cells.iter().enumerate() {
+            drivers[cell.output.index()] = NetDriver::Cell(CellId::from_index(i));
+        }
+        let nl = Netlist::from_raw_parts(name, drivers, names, cells, inputs, outputs, onames);
+        let ann = DelayAnnotation::nominal(&nl, &CellLibrary::industrial_65nm());
+        let adder = AdderNetlist::from_netlist(nl, 1);
+        let report = lint_adder(&adder, &ann, None, &LintOptions::default());
+        assert!(
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.rule == Rule::TopoOrder && d.severity == Severity::Error),
+            "{}",
+            report.render()
+        );
+        // No loop: Tarjan runs because list order broke, and finds none.
+        assert!(!report.has_rule(Rule::AdderIo) && !report.has_rule(Rule::CombLoop));
+        assert!(report.levelization.is_none() && report.tape.is_none());
     }
 
     #[test]

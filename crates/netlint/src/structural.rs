@@ -1,10 +1,11 @@
 //! Structural well-formedness passes over the gate graph.
 //!
-//! Everything here works on the netlist alone (no timing): combinational
-//! loops via iterative Tarjan SCC, single-driver / floating-net / driver
-//! bookkeeping, the topological creation-order contract `evaluate_words`
-//! relies on, dead-cell cone-of-influence analysis from the primary
-//! outputs, pin arities, output naming and the adder I/O convention.
+//! Everything here works on the netlist alone (no timing): the
+//! topological list-order contract `evaluate_words` and the level schedule
+//! rely on, combinational loops via iterative Tarjan SCC, single-driver /
+//! floating-net / driver bookkeeping, dead-cell cone-of-influence analysis
+//! from the primary outputs, pin arities, output naming and the adder I/O
+//! convention.
 //!
 //! Netlists built through [`NetlistBuilder`](isa_netlist::NetlistBuilder)
 //! cannot violate these invariants (malformed graphs are unrepresentable);
@@ -19,28 +20,22 @@ use isa_netlist::{CellId, NetDriver, NetId, Netlist};
 use crate::diag::{Diagnostic, Locus, Rule};
 
 /// Runs every structural pass and returns the findings in rule order.
+///
+/// Combinational-loop detection (Tarjan) runs only when the list-order
+/// rule fired: a loop always breaks list order, so on an ordered list it
+/// could find nothing, and on a broken one it names the loop's members.
 #[must_use]
 pub fn check(netlist: &Netlist) -> Vec<Diagnostic> {
-    let mut out = check_sans_loops(netlist);
-    check_loops(netlist, &mut out);
-    out
-}
-
-/// Every structural pass except combinational-loop detection.
-///
-/// The lint pipeline proves acyclicity as a by-product of building the
-/// level schedule (Kahn's algorithm), so on the happy path the Tarjan
-/// pass is pure overhead; it runs `check_loops` only when levelization
-/// fails, to turn "some cells are stuck" into named SCC membership.
-#[must_use]
-pub fn check_sans_loops(netlist: &Netlist) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     check_outputs(netlist, &mut out);
     check_arity(netlist, &mut out);
     check_drivers(netlist, &mut out);
-    check_topo_order(netlist, &mut out);
+    let ordered = check_topo_order(netlist, &mut out);
     check_cone_of_influence(netlist, &mut out);
     check_output_names(netlist, &mut out);
+    if !ordered {
+        check_loops(netlist, &mut out);
+    }
     out
 }
 
@@ -213,7 +208,7 @@ fn check_drivers(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
 /// Combinational-loop detection: iterative Tarjan SCC over the cell graph
 /// (edge `p -> c` when `c` reads `p`'s output). Every SCC of size two or
 /// more — and every self-reading cell — is a combinational loop.
-pub(crate) fn check_loops(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
+fn check_loops(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
     let n = netlist.cell_count();
     // Successor lists from the fanout index (derived from the cells, so
     // consistent even when the driver table lies).
@@ -288,27 +283,34 @@ pub(crate) fn check_loops(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The creation-order contract: every cell input's net id must be below
-/// its output's, so the single forward sweep of `evaluate_words` sees
-/// settled values. (A violation without a loop still silently evaluates
-/// stale zeros.)
-fn check_topo_order(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
-    for (i, cell) in netlist.cells().iter().enumerate() {
-        for &input in &cell.inputs {
-            if input.index() >= cell.output.index() {
-                out.push(Diagnostic::new(
-                    Rule::TopoOrder,
-                    Locus::Cell(CellId::from_index(i)),
-                    format!(
-                        "cell reads {input}, which is not created before its output {} — \
-                         a single forward sweep would see a stale value",
-                        cell.output
-                    ),
-                ));
-                break; // one finding per cell is enough
-            }
-        }
+/// The list-order contract: every cell input must be a primary input or
+/// the output of an earlier-listed cell, so the single forward sweep of
+/// `evaluate_words` (and the level schedule, built by the same sweep)
+/// sees settled values. Net ids play no part: a reordered list with
+/// ascending ids still reads stale values. Returns whether the list is in
+/// order.
+fn check_topo_order(netlist: &Netlist, out: &mut Vec<Diagnostic>) -> bool {
+    let mut defined = vec![false; netlist.net_count()];
+    for &input in netlist.inputs() {
+        defined[input.index()] = true;
     }
+    let mut ordered = true;
+    for (i, cell) in netlist.cells().iter().enumerate() {
+        // One finding per cell is enough.
+        if let Some(input) = cell.inputs.iter().find(|n| !defined[n.index()]) {
+            ordered = false;
+            out.push(Diagnostic::new(
+                Rule::TopoOrder,
+                Locus::Cell(CellId::from_index(i)),
+                format!(
+                    "cell reads {input}, which neither a primary input nor an earlier-listed \
+                     cell drives — a single forward sweep would see a stale value"
+                ),
+            ));
+        }
+        defined[cell.output.index()] = true;
+    }
+    ordered
 }
 
 /// Cone-of-influence from the primary outputs: cells (and primary inputs)

@@ -4,15 +4,16 @@
 //! list the word hot path executes; a defect there corrupts *every*
 //! backend result while the graph interpreter stays healthy. This pass
 //! re-proves each compiled tape against the netlist it claims to
-//! implement:
+//! implement, and with it the level schedule the tape was compiled from
+//! (the lint pipeline hands the proven tape to its caller):
 //!
 //! * **`tape.shape`** — the tape must have one op per cell, one arena slot
 //!   per net, and primary I/O slot tables matching the netlist's input and
 //!   output nets in declaration order.
 //! * **`tape.replay`** — seeded random 64-lane batteries through the
 //!   scalar (`u64`) executor *and* the `[u64; CHUNK]` vector-chunk
-//!   executor must reproduce `Netlist::evaluate_words` on every net. Like
-//!   `level.replay`, divergence is reported with the first offending net.
+//!   executor must reproduce `Netlist::evaluate_words` on every net.
+//!   Divergence is reported with the first offending net.
 
 use isa_netlist::tape::{InstructionTape, CHUNK};
 use isa_netlist::{NetId, Netlist};

@@ -94,9 +94,10 @@ pub enum NetDriver {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NetlistError {
-    /// A cell references a net created after it (would break topological
-    /// evaluation) — impossible via the builder, checked for foreign
-    /// netlists.
+    /// A cell reads a net that is neither a primary input nor the output
+    /// of an earlier-listed cell, so the one forward sweep of
+    /// [`Netlist::evaluate_words`] would read a stale value — impossible
+    /// via the builder, checked for foreign netlists.
     ForwardReference {
         /// The offending cell.
         cell: CellId,
@@ -118,7 +119,10 @@ impl fmt::Display for NetlistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetlistError::ForwardReference { cell } => {
-                write!(f, "cell {cell} reads a net defined after it")
+                write!(
+                    f,
+                    "cell {cell} reads a net no earlier cell or primary input drives"
+                )
             }
             NetlistError::NoOutputs => write!(f, "netlist declares no primary outputs"),
             NetlistError::BadArity {
@@ -249,7 +253,9 @@ impl Netlist {
     /// run it through `isa-netlint` before evaluating or simulating it.
     /// [`Self::evaluate`]-family methods on an unvalidated netlist are
     /// well-defined memory-wise (any in-range indices) but may compute
-    /// garbage (a cell reading a net defined after it sees a stale 0).
+    /// garbage: they sweep the cells in list order, so a cell reading a
+    /// net that a later-listed cell drives sees a stale value, whatever
+    /// the net ids.
     ///
     /// # Panics
     ///
@@ -325,8 +331,10 @@ impl Netlist {
         )
     }
 
-    /// Re-checks the structural invariants (topological creation order,
-    /// pin arities, outputs present).
+    /// Re-checks the structural invariants (outputs present, pin arities,
+    /// and a topological cell list: every cell input is a primary input or
+    /// the output of an earlier-listed cell, the order
+    /// [`Self::evaluate_words`] sweeps).
     ///
     /// # Errors
     ///
@@ -334,6 +342,10 @@ impl Netlist {
     pub fn validate(&self) -> Result<(), NetlistError> {
         if self.outputs.is_empty() {
             return Err(NetlistError::NoOutputs);
+        }
+        let mut defined = vec![false; self.net_count()];
+        for &input in &self.inputs {
+            defined[input.index()] = true;
         }
         for (i, cell) in self.cells.iter().enumerate() {
             let id = CellId(i as u32);
@@ -344,11 +356,10 @@ impl Netlist {
                     actual: cell.inputs.len(),
                 });
             }
-            for &input in &cell.inputs {
-                if input.index() >= cell.output.index() {
-                    return Err(NetlistError::ForwardReference { cell: id });
-                }
+            if cell.inputs.iter().any(|n| !defined[n.index()]) {
+                return Err(NetlistError::ForwardReference { cell: id });
             }
+            defined[cell.output.index()] = true;
         }
         Ok(())
     }
@@ -622,19 +633,9 @@ impl NetlistBuilder {
         self.cell(CellKind::Nand2, &[a, b])
     }
 
-    /// `!(a | b)`
-    pub fn nor2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.cell(CellKind::Nor2, &[a, b])
-    }
-
     /// `a ^ b`
     pub fn xor2(&mut self, a: NetId, b: NetId) -> NetId {
         self.cell(CellKind::Xor2, &[a, b])
-    }
-
-    /// `!(a ^ b)`
-    pub fn xnor2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.cell(CellKind::Xnor2, &[a, b])
     }
 
     /// `sel ? d1 : d0`
@@ -647,29 +648,9 @@ impl NetlistBuilder {
         self.cell(CellKind::Ao21, &[a, b, c])
     }
 
-    /// `(a | b) & c`
-    pub fn oa21(&mut self, a: NetId, b: NetId, c: NetId) -> NetId {
-        self.cell(CellKind::Oa21, &[a, b, c])
-    }
-
-    /// `!((a & b) | c)`
-    pub fn aoi21(&mut self, a: NetId, b: NetId, c: NetId) -> NetId {
-        self.cell(CellKind::Aoi21, &[a, b, c])
-    }
-
-    /// `!((a | b) & c)`
-    pub fn oai21(&mut self, a: NetId, b: NetId, c: NetId) -> NetId {
-        self.cell(CellKind::Oai21, &[a, b, c])
-    }
-
     /// `majority(a, b, c)` — a full adder's carry.
     pub fn maj3(&mut self, a: NetId, b: NetId, c: NetId) -> NetId {
         self.cell(CellKind::Maj3, &[a, b, c])
-    }
-
-    /// `a & b & c`
-    pub fn and3(&mut self, a: NetId, b: NetId, c: NetId) -> NetId {
-        self.cell(CellKind::And3, &[a, b, c])
     }
 
     /// `a | b | c`
@@ -833,6 +814,37 @@ mod tests {
                 assert!(input.index() < cell.output.index());
             }
         }
+    }
+
+    #[test]
+    fn validate_checks_list_order_not_net_ids() {
+        // `a -> inv -> inv -> y` with the two cells swapped in the list:
+        // every input net id is still below its cell's output, but the
+        // first-listed cell reads a net only the second drives.
+        let mut b = NetlistBuilder::new("inv_pair");
+        let a = b.input("a");
+        let x = b.inv(a);
+        let y = b.inv(x);
+        b.mark_output(y, "y");
+        let (name, mut drivers, names, mut cells, inputs, outputs, onames) =
+            b.finish().unwrap().into_raw_parts();
+        cells.swap(0, 1);
+        for (i, cell) in cells.iter().enumerate() {
+            drivers[cell.output.index()] = NetDriver::Cell(CellId(i as u32));
+        }
+        let nl = Netlist::from_raw_parts(name, drivers, names, cells, inputs, outputs, onames);
+        assert!(nl
+            .cells()
+            .iter()
+            .all(|c| c.inputs.iter().all(|n| n.index() < c.output.index())));
+        assert_eq!(
+            nl.validate(),
+            Err(NetlistError::ForwardReference {
+                cell: CellId::from_index(0)
+            })
+        );
+        // The list-order sweep reads the stale (zero) plane: y = !0, not a.
+        assert_eq!(nl.evaluate_output_planes(&[0x0F]), [u64::MAX]);
     }
 
     #[test]

@@ -20,10 +20,13 @@
 //! independent plane sets per sweep and compile to 256/512-bit vector
 //! operations. [`CHUNK`] is the width production sweeps use (4).
 //!
-//! The schedule normally comes from `isa-netlint`'s replay-verified
-//! `Levelization` via [`InstructionTape::compile_from_levels`]; netlint's
-//! `tape.replay` lint rule then re-proves the compiled tape bit-identical to
-//! [`Netlist::evaluate_words`] on every `DesignContext` build.
+//! The schedule is a [`Levelization`]: one forward pass over the cell list,
+//! valid exactly when that list is in topological order (the order
+//! [`Netlist::evaluate_words`] sweeps, which [`Netlist::validate`] checks).
+//! It is the netlist's one level schedule; `isa-netlint` compiles the tape
+//! from it on every `DesignContext` build, re-proves the tape
+//! bit-identical to [`Netlist::evaluate_words`] (its `tape.replay` rule)
+//! and hands that verified tape to the engine.
 //!
 //! # Example
 //!
@@ -174,6 +177,87 @@ pub struct OpRun {
     pub len: u32,
 }
 
+/// A netlist's level schedule: level 0 cells read only primary inputs (or
+/// nothing — constants), level `k` cells read at least one level `k - 1`
+/// output and nothing deeper. Cells within a level are mutually
+/// independent, so a level is one tape stage; within a level, cells keep
+/// ascending id.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Levelization {
+    /// Every cell once, level by level.
+    schedule: Vec<CellId>,
+    /// Level `k` is `schedule[starts[k]..starts[k + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl Levelization {
+    /// Levelizes a netlist in one forward pass over its cell list:
+    /// `level(cell) = 1 + max(level of its input producers)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell list is not in topological order (a cell reading
+    /// a net that is neither a primary input nor the output of an
+    /// earlier-listed cell), as [`Netlist::validate`] reports with
+    /// [`ForwardReference`](crate::graph::NetlistError::ForwardReference) —
+    /// e.g. a reordered [`Netlist::from_raw_parts`] round-trip.
+    #[must_use]
+    pub fn build(netlist: &Netlist) -> Self {
+        // Levels stored +1 so 0 can mean "not yet produced" for the
+        // def-before-use check; primary inputs sit at 1.
+        let mut net_level = vec![0u32; netlist.net_count()];
+        for &input in netlist.inputs() {
+            net_level[input.index()] = 1;
+        }
+        let mut level_of = Vec::with_capacity(netlist.cell_count());
+        let mut depth = 0usize;
+        for (index, cell) in netlist.cells().iter().enumerate() {
+            let mut level = 1;
+            for pin in &cell.inputs {
+                let produced = net_level[pin.index()];
+                assert!(
+                    produced > 0,
+                    "netlist is not topological: cell {index} reads undriven-so-far net {}",
+                    pin.index()
+                );
+                level = level.max(produced);
+            }
+            level_of.push(level);
+            net_level[cell.output.index()] = level + 1;
+            depth = depth.max(level as usize);
+        }
+        // Counting sort by level; ascending cell id within each level.
+        let mut starts = vec![0usize; depth + 1];
+        for &level in &level_of {
+            starts[level as usize] += 1;
+        }
+        for k in 0..depth {
+            starts[k + 1] += starts[k];
+        }
+        let mut cursor = starts.clone();
+        let mut schedule = vec![CellId::from_index(0); level_of.len()];
+        for (index, &level) in level_of.iter().enumerate() {
+            let slot = &mut cursor[level as usize - 1];
+            schedule[*slot] = CellId::from_index(index);
+            *slot += 1;
+        }
+        Self { schedule, starts }
+    }
+
+    /// Number of levels (the design's logic depth in cells).
+    #[must_use]
+    pub fn depth(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Iterates the levels in order, each as a slice of independent cells.
+    pub fn levels(&self) -> impl Iterator<Item = &[CellId]> + '_ {
+        self.starts
+            .windows(2)
+            .map(move |w| &self.schedule[w[0]..w[1]])
+    }
+}
+
 /// A netlist compiled to a flat, levelized instruction tape.
 ///
 /// See the [module docs](self) for the compilation model and an example.
@@ -187,53 +271,20 @@ pub struct InstructionTape {
 }
 
 impl InstructionTape {
-    /// Compiles a netlist, deriving the level schedule from creation order.
-    ///
-    /// Builder-produced netlists are topological by construction (each
-    /// cell's pins reference already-created nets), so a single sweep
-    /// assigns `level(cell) = 1 + max(level of input producers)`. Prefer
-    /// [`InstructionTape::compile_from_levels`] with a replay-verified
-    /// `isa-netlint` levelization when one is available.
+    /// Compiles a netlist from its [`Levelization`].
     ///
     /// # Panics
     ///
-    /// Panics if the netlist is not in topological creation order (a cell
-    /// reading a net defined later), as produced by e.g. a corrupted
+    /// Panics if the cell list is not in topological order (a cell reading
+    /// a net defined by a later cell), as produced by e.g. a corrupted
     /// [`Netlist::from_raw_parts`] round-trip.
     #[must_use]
     pub fn compile(netlist: &Netlist) -> Self {
-        // level stored +1 so 0 can mean "not yet produced" for the
-        // def-before-use check; primary inputs sit at level 1.
-        let mut net_level = vec![0u32; netlist.net_count()];
-        for &input in netlist.inputs() {
-            net_level[input.index()] = 1;
-        }
-        let mut level_of = vec![0u32; netlist.cell_count()];
-        let mut depth = 0u32;
-        for (index, cell) in netlist.cells().iter().enumerate() {
-            let mut level = 1;
-            for pin in &cell.inputs {
-                let produced = net_level[pin.index()];
-                assert!(
-                    produced > 0,
-                    "netlist is not topological: cell {index} reads undriven-so-far net {}",
-                    pin.index()
-                );
-                level = level.max(produced);
-            }
-            level_of[index] = level;
-            net_level[cell.output.index()] = level + 1;
-            depth = depth.max(level);
-        }
-        let mut levels = vec![Vec::new(); depth as usize];
-        for (index, &level) in level_of.iter().enumerate() {
-            levels[level as usize - 1].push(CellId::from_index(index));
-        }
-        Self::compile_from_levels(netlist, levels.iter().map(Vec::as_slice))
+        Self::compile_from_levels(netlist, Levelization::build(netlist).levels())
     }
 
     /// Compiles a netlist from an explicit level schedule (e.g.
-    /// `isa-netlint`'s `Levelization::levels`).
+    /// [`Levelization::levels`]).
     ///
     /// Each level's cells are reordered kind-major (legal: cells on one
     /// level never feed each other) and adjacent same-kind stretches are
@@ -526,7 +577,7 @@ mod tests {
     use super::*;
     use crate::builders::{build_exact, AdderTopology};
     use crate::cell::ALL_CELL_KINDS;
-    use crate::graph::NetlistBuilder;
+    use crate::graph::{NetDriver, NetlistBuilder};
 
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -534,6 +585,78 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    #[test]
+    fn levels_partition_the_cells_and_respect_dependencies() {
+        let adder = build_exact(16, AdderTopology::KoggeStone);
+        let nl = adder.netlist();
+        let lv = Levelization::build(nl);
+        let mut level_of = vec![usize::MAX; nl.cell_count()];
+        for (k, level) in lv.levels().enumerate() {
+            for &id in level {
+                assert_eq!(
+                    level_of[id.index()],
+                    usize::MAX,
+                    "cell {id} scheduled twice"
+                );
+                level_of[id.index()] = k;
+            }
+        }
+        for (c, cell) in nl.cells().iter().enumerate() {
+            // One deeper than the deepest producer; level 0 reads no cell.
+            let deepest = cell
+                .inputs
+                .iter()
+                .filter_map(|n| match nl.driver(*n) {
+                    NetDriver::Cell(p) => Some(level_of[p.index()] + 1),
+                    NetDriver::Input => None,
+                })
+                .max()
+                .unwrap_or(0);
+            assert_eq!(level_of[c], deepest, "cell {c}");
+        }
+        // A Kogge-Stone adder is shallow: depth far below the cell count.
+        assert!(lv.depth() >= 3 && lv.depth() < nl.cell_count());
+    }
+
+    #[test]
+    fn ripple_depth_is_linear_in_width() {
+        let d8 = Levelization::build(build_exact(8, AdderTopology::Ripple).netlist()).depth();
+        let d32 = Levelization::build(build_exact(32, AdderTopology::Ripple).netlist()).depth();
+        assert!(d32 > d8 + 16, "ripple depth must grow with width");
+    }
+
+    #[test]
+    fn constants_sit_at_level_zero() {
+        let mut b = NetlistBuilder::new("const");
+        let a = b.input("a");
+        let one = b.const1();
+        let y = b.and2(a, one);
+        b.mark_output(y, "y");
+        let nl = b.finish().unwrap();
+        let lv = Levelization::build(&nl);
+        assert_eq!(
+            lv.levels().collect::<Vec<_>>(),
+            [[CellId::from_index(0)], [CellId::from_index(1)]],
+            "const cell, then the AND after it"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "netlist is not topological")]
+    fn cyclic_graph_fails_to_levelize() {
+        let mut b = NetlistBuilder::new("loop");
+        let a = b.input("a");
+        let x = b.inv(a);
+        let y = b.inv(x);
+        b.mark_output(y, "y");
+        let nl = b.finish().unwrap();
+        let (name, drivers, names, mut cells, inputs, outputs, onames) = nl.into_raw_parts();
+        // First INV now reads the second INV's output: a 2-cycle.
+        cells[0].inputs[0] = cells[1].output;
+        let nl = Netlist::from_raw_parts(name, drivers, names, cells, inputs, outputs, onames);
+        let _ = Levelization::build(&nl);
     }
 
     #[test]

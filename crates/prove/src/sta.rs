@@ -254,7 +254,14 @@ mod tests {
     }
 
     /// Brute-force transport-delay event simulation of one input change,
-    /// returning the last time any net changes value.
+    /// returning the last time any live net changes value.
+    ///
+    /// Under transport delay a net's value at `t` is its cell function of
+    /// its inputs at `t - d`, so it can change only at an instant `p` that
+    /// sums the cell delays along some input-to-net path (inputs switch at
+    /// 0). The net has settled at `p` when `p` is the latest instant with
+    /// a value at `p - 1` that differs from the final one, so only those
+    /// instants are evaluated, latest first.
     fn brute_force_settle(
         nl: &Netlist,
         delays_fs: &[u64],
@@ -262,9 +269,8 @@ mod tests {
         new: &[bool],
         live: &[bool],
     ) -> u64 {
-        // Value of net `i` at time `t` under transport semantics is fully
-        // determined recursively; sample all grid times up to the topo
-        // bound.
+        // Value of net `i` at time `t` under transport semantics, fully
+        // determined recursively.
         fn value(
             nl: &Netlist,
             delays: &[u64],
@@ -294,38 +300,36 @@ mod tests {
                 }
             }
         }
-        let horizon: i64 = (0..nl.net_count())
-            .map(|n| {
-                fn arr(nl: &Netlist, delays: &[u64], net: usize) -> u64 {
-                    match nl.driver(isa_netlist::NetId::from_index(net)) {
-                        NetDriver::Input => 0,
-                        NetDriver::Cell(c) => {
-                            let cell = nl.cell(c);
-                            delays[c.index()]
-                                + cell
-                                    .inputs
-                                    .iter()
-                                    .map(|n| arr(nl, delays, n.index()))
-                                    .max()
-                                    .unwrap_or(0)
-                        }
-                    }
-                }
-                arr(nl, delays_fs, n)
-            })
-            .max()
-            .unwrap_or(0) as i64;
+        // Path-delay sums per net, ascending, in list (topological) order.
+        let mut instants: Vec<Vec<u64>> = vec![Vec::new(); nl.net_count()];
+        for input in nl.inputs() {
+            instants[input.index()].push(0);
+        }
+        for (c, cell) in nl.cells().iter().enumerate() {
+            let mut sums: Vec<u64> = cell
+                .inputs
+                .iter()
+                .flat_map(|n| instants[n.index()].iter().map(|&p| p + delays_fs[c]))
+                .collect();
+            sums.sort_unstable();
+            sums.dedup();
+            instants[cell.output.index()] = sums;
+        }
         let mut settle = 0u64;
         for (net, &is_live) in live.iter().enumerate().take(nl.net_count()) {
             if !is_live {
                 continue;
             }
-            let fin = value(nl, delays_fs, old, new, net, horizon);
-            for t in (0..=horizon).rev() {
-                if value(nl, delays_fs, old, new, net, t) != fin {
-                    settle = settle.max(t as u64 + 1);
-                    break;
-                }
+            let Some(&last) = instants[net].last() else {
+                continue; // a constant never changes
+            };
+            let fin = value(nl, delays_fs, old, new, net, last as i64);
+            if let Some(&p) = instants[net]
+                .iter()
+                .rev()
+                .find(|&&p| p > 0 && value(nl, delays_fs, old, new, net, p as i64 - 1) != fin)
+            {
+                settle = settle.max(p);
             }
         }
         settle

@@ -1,8 +1,9 @@
-//! Tier-1 netlint battery: every seed design must lint clean, its
-//! levelization must replay bit-identically against `evaluate_words`,
-//! every seeded netlist mutation must be caught by the matching rule at
-//! Error severity on every seed design, and randomly sampled valid
-//! quadruple-grid designs must lint clean end to end.
+//! Tier-1 netlint battery: every seed design must lint clean, the
+//! instruction tape its context keeps must be the netlist's compiled tape
+//! and replay bit-identically against `evaluate_words`, every seeded
+//! netlist mutation must be caught by the matching rule at Error severity
+//! on every seed design, and randomly sampled valid quadruple-grid designs
+//! must lint clean end to end.
 //!
 //! This is the integration-level proof behind the `DesignContext` gate:
 //! `try_build` rejects designs with Error findings, so these tests are
@@ -11,7 +12,8 @@
 
 use isa_core::{enumerate_quadruples, paper_designs, Design};
 use isa_engine::{BuildError, DesignContext, ExperimentConfig};
-use isa_netlint::{apply_mutation, lint_adder, LintOptions, Severity, ALL_MUTATIONS};
+use isa_netlint::{apply_mutation, lint_adder, verify_tape, LintOptions, Severity, ALL_MUTATIONS};
+use isa_netlist::InstructionTape;
 use proptest::prelude::*;
 
 fn build(design: Design) -> DesignContext {
@@ -32,20 +34,25 @@ fn all_twelve_seed_designs_lint_clean() {
         );
         assert!(
             ctx.lint.levelization.is_some(),
-            "{design} must carry a verified levelization"
+            "{design} must carry its level schedule"
         );
     }
 }
 
 #[test]
-fn levelization_replays_bit_identically_on_every_seed() {
+fn verified_tape_replays_bit_identically_on_every_seed() {
     for design in paper_designs() {
         let ctx = build(design);
-        let lv = ctx.lint.levelization.as_ref().expect("levelization");
-        // Deeper than the try_build default: four fresh 64-lane planes per
-        // design, every net compared against the creation-order sweep.
-        let findings = lv.verify(ctx.synthesized.adder.netlist(), 4);
+        let netlist = ctx.synthesized.adder.netlist();
+        // Deeper than the try_build default: four batteries per design,
+        // every net compared against the list-order sweep.
+        let findings = verify_tape(netlist, ctx.tape(), 4);
         assert!(findings.is_empty(), "{design}: {findings:?}");
+        assert_eq!(
+            *ctx.tape(),
+            InstructionTape::compile(netlist),
+            "{design}: the context keeps the netlist's compiled tape"
+        );
     }
 }
 
