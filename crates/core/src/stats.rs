@@ -8,9 +8,12 @@
 
 /// Single-pass accumulator for a stream of signed error observations.
 ///
-/// Uses Welford's algorithm for a numerically stable mean/variance and plain
-/// compensated-free sums for RMS (adequate for f64 over ≤ 10^8 samples of
-/// bounded errors).
+/// Keeps plain running sums (of the values, their absolute values and
+/// their squares; no compensation, adequate for f64 over ≤ 10^8 samples
+/// of bounded errors) and derives every statistic from them at read time,
+/// so [`ErrorStats::push`] costs no division. The mean and variance are
+/// read-time helpers; the hot paths read the RMS, the error rate and the
+/// absolute-error statistics.
 ///
 /// # Examples
 ///
@@ -30,8 +33,7 @@
 pub struct ErrorStats {
     n: u64,
     nonzero: u64,
-    mean: f64,
-    m2: f64,
+    sum: f64,
     sum_abs: f64,
     sum_sq: f64,
     max_abs: f64,
@@ -50,9 +52,7 @@ impl ErrorStats {
         if value != 0.0 {
             self.nonzero += 1;
         }
-        let delta = value - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (value - self.mean);
+        self.sum += value;
         self.sum_abs += value.abs();
         self.sum_sq += value * value;
         if value.abs() > self.max_abs {
@@ -78,7 +78,7 @@ impl ErrorStats {
         if self.n == 0 {
             0.0
         } else {
-            self.mean
+            self.sum / self.n as f64
         }
     }
 
@@ -103,13 +103,15 @@ impl ErrorStats {
         }
     }
 
-    /// Population variance (0 when empty).
+    /// Population variance, `E[x²] − E[x]²` clamped at 0 against rounding
+    /// (0 when empty).
     #[must_use]
     pub fn variance(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
-            self.m2 / self.n as f64
+            let mean = self.mean();
+            (self.sum_sq / self.n as f64 - mean * mean).max(0.0)
         }
     }
 

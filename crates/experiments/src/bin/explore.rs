@@ -2,7 +2,8 @@
 //! timing × workload space (extension).
 //!
 //! `--stats-json PATH` writes a one-run `isa-explore-run/v1` summary
-//! (space size, pruned/simulated counts, front size, wall time) — the
+//! (space size, pruned/simulated counts, assumption-1 violations and the
+//! smallest simulated error minus bound, front size, wall time) — the
 //! BENCH_PR8.json full-space record. `--no-prefilter` simulates every
 //! feasible candidate; its Pareto front must equal the pre-filtered
 //! one (CI diffs the `on_front` rows of both CSVs). An unknown space,
@@ -94,6 +95,17 @@ fn main() {
         let _ = writeln!(json, "  \"pruned\": {},", stats.pruned);
         let _ = writeln!(json, "  \"simulated\": {},", stats.simulated);
         let _ = writeln!(json, "  \"infeasible\": {},", stats.infeasible);
+        let _ = writeln!(
+            json,
+            "  \"assumption1_violations\": {},",
+            stats.assumption1_violations
+        );
+        let margin = report.outcome.min_bound_margin().filter(|m| m.is_finite());
+        let _ = writeln!(
+            json,
+            "  \"assumption1_min_margin\": {},",
+            margin.map_or_else(|| "null".to_owned(), |m| m.to_string())
+        );
         let _ = writeln!(json, "  \"front_points\": {},", report.outcome.front.len());
         let _ = writeln!(json, "  \"threads\": {},", engine.threads());
         let _ = writeln!(json, "  \"wall_s\": {wall_s}");

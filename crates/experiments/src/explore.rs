@@ -48,7 +48,7 @@ pub struct ExploreSettings {
     pub kernel: Option<String>,
     /// Kernel input scale factor.
     pub scale: usize,
-    /// Run the structural pre-filter.
+    /// Prune candidates a certain or measured reference dominates.
     pub prefilter: bool,
     /// Cycles of the per-design energy characterization.
     pub energy_cycles: usize,
@@ -208,7 +208,8 @@ impl ExploreReport {
         let mut out = format!(
             "Design-space exploration: {} space ({} points), {} strategy, \
              workload {}, seed {} ({GATE_BACKEND_LABEL} backend)\n\
-             candidates {} | pruned by structural pre-filter {} | simulated {} | infeasible {}\n",
+             candidates {} | pruned by a certain or measured reference {} | simulated {} | \
+             infeasible {} | assumption-1 violations {} (min error - bound {})\n",
             self.settings.space,
             stats.space_points,
             stats.strategy,
@@ -218,6 +219,10 @@ impl ExploreReport {
             stats.pruned,
             stats.simulated,
             stats.infeasible,
+            stats.assumption1_violations,
+            self.outcome
+                .min_bound_margin()
+                .map_or_else(|| "n/a".to_owned(), |m| format!("{m:.3e}")),
         );
 
         let mut table = Table::new(vec![

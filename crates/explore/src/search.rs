@@ -86,10 +86,15 @@ pub struct SearchStats {
     pub space_points: usize,
     /// Distinct candidates characterized (tier A).
     pub considered: usize,
-    /// Candidates pruned by the analytical pre-filter.
+    /// Candidates pruned because a certain or measured reference
+    /// dominates their bound (tier A).
     pub pruned: usize,
     /// Candidates simulated on the gate-level backend (tier B).
     pub simulated: usize,
+    /// Simulated candidates whose error fell below their structural bound:
+    /// violations of the pruning's one assumption (timing errors never
+    /// reduce error).
+    pub assumption1_violations: usize,
     /// Designs rejected as unable to meet the timing constraint.
     pub infeasible: usize,
     /// Strategy actually used (`exhaustive` / `evolutionary`).
@@ -141,6 +146,18 @@ pub struct ThesisWitness {
 }
 
 impl SearchOutcome {
+    /// The smallest simulated error minus structural bound over the
+    /// simulated candidates (equal infinities count as zero); `None` when
+    /// nothing was simulated. Negative exactly when
+    /// [`SearchStats::assumption1_violations`] is nonzero.
+    #[must_use]
+    pub fn min_bound_margin(&self) -> Option<f64> {
+        self.evaluated
+            .iter()
+            .filter_map(CandidateEval::bound_margin)
+            .min_by(f64::total_cmp)
+    }
+
     /// The cheapest (lowest energy, then delay, then label) simulated
     /// candidate satisfying the query, if any.
     #[must_use]
@@ -259,6 +276,10 @@ pub fn explore(
         considered: evaluated.len(),
         pruned: evaluator.pruned_count,
         simulated: evaluator.simulated_count,
+        assumption1_violations: evaluated
+            .iter()
+            .filter(|e| e.bound_margin().is_some_and(|m| m < 0.0))
+            .count(),
         infeasible: evaluator.infeasible.len(),
         strategy,
         generations,

@@ -81,7 +81,7 @@ fn lint_adder_inner(
     // bit-identical to `evaluate_words` (rules tape.shape / tape.replay).
     // The list-order rule gates the schedule, which needs that order.
     let mut diagnostics = structural::check(netlist);
-    diagnostics.extend(structural::check_adder_io(netlist, adder.width()));
+    diagnostics.extend(structural::check_adder_io(adder));
     let (levelization, tape) = if no_errors(&diagnostics) {
         let levelization = Levelization::build(netlist);
         let tape = InstructionTape::compile_from_levels(netlist, levelization.levels());

@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use isa_netlist::{CellId, NetDriver, NetId, Netlist};
+use isa_netlist::{AdderNetlist, CellId, NetDriver, NetId, Netlist};
 
 use crate::diag::{Diagnostic, Locus, Rule};
 
@@ -39,41 +39,21 @@ pub fn check(netlist: &Netlist) -> Vec<Diagnostic> {
     out
 }
 
-/// Adder I/O convention: `2 * width` primary inputs (`a` then `b`, LSB
-/// first) and `width + 1` primary outputs (`sum` plus carry-out).
+/// Adder I/O convention: the operand width must lie in the supported
+/// `1..=63` range. The pin counts (`2 * width` primary inputs, `a` then
+/// `b` LSB first, and `width + 1` primary outputs) need no check here:
+/// [`AdderNetlist::from_netlist`] already asserts them.
 #[must_use]
-pub fn check_adder_io(netlist: &Netlist, width: u32) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if width == 0 || width > 63 {
-        out.push(Diagnostic::new(
-            Rule::AdderIo,
-            Locus::Design,
-            format!("adder width {width} outside the supported 1..=63 range"),
-        ));
+pub fn check_adder_io(adder: &AdderNetlist) -> Vec<Diagnostic> {
+    let width = adder.width();
+    if (1..=63).contains(&width) {
+        return Vec::new();
     }
-    let want_in = 2 * width as usize;
-    if netlist.inputs().len() != want_in {
-        out.push(Diagnostic::new(
-            Rule::AdderIo,
-            Locus::Design,
-            format!(
-                "adder of width {width} must have {want_in} primary inputs, found {}",
-                netlist.inputs().len()
-            ),
-        ));
-    }
-    let want_out = width as usize + 1;
-    if netlist.outputs().len() != want_out {
-        out.push(Diagnostic::new(
-            Rule::AdderIo,
-            Locus::Design,
-            format!(
-                "adder of width {width} must have {want_out} primary outputs, found {}",
-                netlist.outputs().len()
-            ),
-        ));
-    }
-    out
+    vec![Diagnostic::new(
+        Rule::AdderIo,
+        Locus::Design,
+        format!("adder width {width} outside the supported 1..=63 range"),
+    )]
 }
 
 fn check_outputs(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
@@ -547,12 +527,29 @@ mod tests {
         assert!(findings.iter().any(|d| d.rule == Rule::DuplicateOutputName));
     }
 
+    /// A netlist of the adder I/O shape for `width` (each output reads an
+    /// input or a constant; only the shape matters here).
+    fn adder_shaped(width: u32) -> AdderNetlist {
+        let mut b = NetlistBuilder::new("shape");
+        let mut nets = b.input_bus("a", width);
+        nets.extend(b.input_bus("b", width));
+        nets.push(b.const0());
+        for (i, &net) in nets.iter().take(width as usize + 1).enumerate() {
+            b.mark_output(net, format!("sum[{i}]"));
+        }
+        AdderNetlist::from_netlist(b.finish().unwrap(), width)
+    }
+
     #[test]
-    fn adder_io_checks_counts() {
-        let nl = clean(); // 2 inputs, 2 outputs: a width-1 adder
-        assert!(check_adder_io(&nl, 1).is_empty());
-        let findings = check_adder_io(&nl, 2);
-        assert_eq!(findings.len(), 2, "{findings:?}"); // wrong ins and outs
-        assert!(!check_adder_io(&nl, 0).is_empty());
+    fn adder_io_checks_the_width_range() {
+        // 2 inputs, 2 outputs: a width-1 adder.
+        assert!(check_adder_io(&AdderNetlist::from_netlist(clean(), 1)).is_empty());
+        assert!(check_adder_io(&adder_shaped(63)).is_empty());
+        for width in [0, 64] {
+            let findings = check_adder_io(&adder_shaped(width));
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert_eq!(findings[0].rule, Rule::AdderIo);
+            assert!(findings[0].message.contains("1..=63"), "{findings:?}");
+        }
     }
 }

@@ -363,3 +363,32 @@ pub(crate) mod test_support {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A netlist with `inputs` primary inputs and `outputs` primary
+    /// outputs (each output reads the first input).
+    fn shaped(inputs: usize, outputs: usize) -> Netlist {
+        let mut b = NetlistBuilder::new("shape");
+        let nets: Vec<NetId> = (0..inputs).map(|i| b.input(format!("in{i}"))).collect();
+        for i in 0..outputs {
+            let y = b.buf(nets[0]);
+            b.mark_output(y, format!("sum[{i}]"));
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "must have 4 inputs")]
+    fn from_netlist_rejects_a_wrong_input_count() {
+        let _ = AdderNetlist::from_netlist(shaped(3, 3), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "must have 3 outputs")]
+    fn from_netlist_rejects_a_wrong_output_count() {
+        let _ = AdderNetlist::from_netlist(shaped(4, 2), 2);
+    }
+}
