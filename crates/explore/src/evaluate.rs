@@ -33,18 +33,19 @@
 //!   *certain* candidate (clock period above the die's critical delay, so
 //!   no timing error can occur and its measured vector will equal its
 //!   bound), entered at tier A, and the measured vector of every simulated
-//!   candidate, entered as soon as its wave completes.
-//! * **Visiting order.** Baselines come first, in one batch. The other
-//!   candidates follow in ascending [`ObjectiveVector::lex_cmp`] order of
-//!   their bound (ties in input order), in waves of 16 candidates:
-//!   each wave is pruned against the references so far, its survivors are
-//!   simulated as one [`Engine::map_points`] call, and their measured
-//!   vectors join the references. A reference can prune only candidates
-//!   whose bound error is at least its own measured error, which is at
-//!   least its own bound error (assumption 1 below), so up to ties bound
-//!   order visits every possible reference of a candidate before the
-//!   candidate. The wave size is a constant, so the same candidates are
-//!   pruned at any worker count.
+//!   candidate, entered as soon as it is simulated.
+//! * **Visiting order.** Baselines come first, simulated as one
+//!   [`Engine::map_points`] batch on the worker pool. The other candidates
+//!   follow one at a time in ascending [`ObjectiveVector::lex_cmp`] order
+//!   of their bound (ties in input order): each is pruned against the
+//!   references so far or simulated, and then its measured vector joins
+//!   the references. A reference can prune only candidates whose bound
+//!   error is at least its own measured error, which is at least its own
+//!   bound error (assumption 1 below), so up to ties bound order visits
+//!   every possible reference of a candidate before the candidate. Every
+//!   decision sees the references of all candidates before it, so the same
+//!   candidates are pruned at any worker count. Without the pre-filter
+//!   nothing is pruned and every candidate is in the one batch.
 //!
 //! A pruned candidate cannot reach the Pareto front, under **one**
 //! documented assumption:
@@ -92,13 +93,6 @@ use isa_workloads::{take_pairs, UniformWorkload};
 
 use crate::pareto::{FrontEntry, ParetoFront};
 use crate::space::DesignPoint;
-
-/// Candidates per tier-B wave (see the module docs). Smaller waves let
-/// more measured references exist before each pruning decision; larger
-/// ones give the engine's workers more to share. A constant, never a
-/// function of the worker count, so the same candidates are pruned at
-/// any `--threads`.
-const WAVE: usize = 16;
 
 /// What the error objective measures.
 #[derive(Clone)]
@@ -246,13 +240,6 @@ impl CandidateEval {
             }
         })
     }
-
-    /// True for a baseline (safe clock, or the exact adder at any clock):
-    /// never pruned, so queries and the thesis comparison rest on
-    /// measured numbers.
-    fn is_baseline(&self) -> bool {
-        !self.point.is_combined()
-    }
 }
 
 /// The two-tier evaluator (see the module docs).
@@ -322,8 +309,9 @@ impl<'e> Evaluator<'e> {
     }
 
     /// Evaluates a batch of candidate points: tier-A characterization for
-    /// all, then pruning and tier-B simulation wave by wave (see the
-    /// module docs), each wave in parallel on the engine's worker pool.
+    /// all, then tier-B simulation of the baselines in parallel on the
+    /// engine's worker pool, then pruning or simulation of the rest in
+    /// bound order (see the module docs).
     /// Results come back in input order; points whose design cannot meet
     /// the timing constraint are dropped (recorded in
     /// [`Evaluator::infeasible`]).
@@ -365,19 +353,21 @@ impl<'e> Evaluator<'e> {
             self.add_reference(e.bound_objectives());
         }
 
-        // Visiting order (module docs): baselines in one batch, then the
-        // rest in ascending bound order (a stable sort keeps ties in input
-        // order) and in waves, so the best references are measured before
-        // the candidates they can prune.
-        let (baselines, mut rest): (Vec<usize>, Vec<usize>) =
-            (0..evals.len()).partition(|&i| evals[i].is_baseline());
+        // Visiting order (module docs): the baselines (without the
+        // pre-filter, every candidate) in one batch, then the rest one at
+        // a time in ascending bound order (a stable sort keeps ties in
+        // input order), so the best references are measured before the
+        // candidates they can prune.
+        let prefilter = self.settings.prefilter;
+        let (batch, mut rest): (Vec<usize>, Vec<usize>) =
+            (0..evals.len()).partition(|&i| !prefilter || !evals[i].point.is_combined());
         rest.sort_by(|&a, &b| {
             evals[a]
                 .bound_objectives()
                 .lex_cmp(&evals[b].bound_objectives())
         });
 
-        // Tier B: simulate each wave's survivors on the filtered backend.
+        // Tier B: simulate the survivors on the filtered backend.
         let gate = GateLevelSubstrate::new(self.engine.cache(), self.config.clone());
         let workload = match &self.mode {
             EvalMode::Stream { name, inputs } => WorkloadSpec {
@@ -406,13 +396,12 @@ impl<'e> Evaluator<'e> {
                 (-psnr, psnr)
             }
         };
-        for batch in std::iter::once(baselines.as_slice()).chain(rest.chunks(WAVE)) {
-            let mut survivors: Vec<usize> = Vec::with_capacity(batch.len());
-            for &i in batch {
+        let steps = std::iter::once(batch.as_slice()).chain(rest.iter().map(std::slice::from_ref));
+        for step in steps {
+            let mut survivors: Vec<usize> = Vec::with_capacity(step.len());
+            for &i in step {
                 let e = &mut evals[i];
-                if self.settings.prefilter
-                    && !e.is_baseline()
-                    && self.refs.dominates(&e.bound_objectives())
+                if prefilter && e.point.is_combined() && self.refs.dominates(&e.bound_objectives())
                 {
                     e.pruned = true;
                     self.pruned_count += 1;
@@ -685,12 +674,9 @@ mod tests {
     }
 
     /// The paper space (12 designs × 4 clocks): 33 candidates that are
-    /// not baselines, so three pruning waves, overclocked points included.
+    /// not baselines, overclocked points included.
     fn paper_points() -> Vec<DesignPoint> {
-        let points = crate::SpaceSpec::paper().enumerate();
-        let prunable = points.iter().filter(|p| p.is_combined()).count();
-        assert!(prunable > 2 * WAVE, "premise: more than two waves");
-        points
+        crate::SpaceSpec::paper().enumerate()
     }
 
     /// One evaluation of `points` on a fresh evaluator.
@@ -718,7 +704,8 @@ mod tests {
         // still strictly dominated by a candidate it simulated — the front
         // is unchanged — every candidate it keeps scores exactly as in a
         // run without the pre-filter, and baselines are never pruned.
-        // Over more than one wave, so measured references prune too.
+        // Over a space with overclocked points, so measured references
+        // prune too.
         let points = paper_points();
         let (pruned, pruned_count) = evaluate_on(1, 400, true, &points);
         let (unpruned, zero) = evaluate_on(1, 400, false, &points);
@@ -758,15 +745,19 @@ mod tests {
         let fast = point((16, 7, 0, 8), 0.15);
         let slow = point((16, 7, 0, 8), 0.10);
         let engine = Engine::with_threads(1);
+        // Listed slow first: bound order still simulates 15 % first.
         let mut eval = stream_evaluator(&engine, 400);
-        let first = eval.evaluate(&[fast]);
-        assert!(!first[0].timing_safe, "premise: 15 % is not certain");
-        assert_eq!(first[0].bound_margin(), Some(0.0), "premise: error-free");
-        // References persist across calls (evolutionary generations).
-        let second = eval.evaluate(&[slow]);
-        assert!(second[0].timing_safe);
-        assert!(second[0].pruned, "the measured 15 % point must prune 10 %");
+        let both = eval.evaluate(&[slow, fast]);
+        assert!(!both[1].timing_safe, "premise: 15 % is not certain");
+        assert_eq!(both[1].bound_margin(), Some(0.0), "premise: error-free");
+        assert!(both[0].timing_safe);
+        assert!(both[0].pruned, "the measured 15 % point must prune 10 %");
         assert_eq!(eval.pruned_count, 1);
+
+        // References persist across calls (evolutionary generations).
+        let mut eval = stream_evaluator(&engine, 400);
+        eval.evaluate(&[fast]);
+        assert!(eval.evaluate(&[slow])[0].pruned);
 
         // Without the pre-filter both are simulated, and the measured
         // 15 % vector strictly dominates the measured 10 % one.
@@ -776,9 +767,9 @@ mod tests {
     }
 
     #[test]
-    fn pruning_is_thread_count_invariant_across_waves() {
-        // Waves have a fixed size, so each pruning decision sees the same
-        // references at any worker count.
+    fn pruning_is_thread_count_invariant() {
+        // Only the baseline batch runs on the pool; each pruning decision
+        // sees the same references at any worker count.
         let points = paper_points();
         let (one, _) = evaluate_on(1, 400, true, &points);
         let (three, _) = evaluate_on(3, 400, true, &points);

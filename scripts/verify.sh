@@ -71,7 +71,7 @@ echo "==> explorer pre-filter front identity"
 # front, so the on-front rows (last CSV column) of the exhaustive
 # compact-space run must be byte-identical with and without the
 # pre-filter; the pre-filtered CSV must be byte-identical on 1 and 4
-# workers; and no candidate it simulates may violate assumption 1.
+# workers; and assumption 1 is gated on both runs.
 front_dir="$(mktemp -d)"
 for mode in prefilter no-prefilter; do
   flag=""
@@ -87,11 +87,12 @@ diff "$front_dir/front-prefilter.csv" "$front_dir/front-no-prefilter.csv"
   --cycles 5000 --seed 7 --threads 4 \
   --csv "$front_dir/prefilter-4.csv" >/dev/null 2>&1
 cmp "$front_dir/prefilter.csv" "$front_dir/prefilter-4.csv"
-# The no-prefilter run's count is printed, not gated: it also simulates
-# pruned candidates, and (8,1,0,0) at 5 % CPR measures 1.1e-6 points
-# below its bound there (compensating timing errors).
+# The no-prefilter run also simulates the pruned candidates and has one
+# known violation: (8,1,0,0) at 5 % CPR measures 1.1e-6 points below its
+# bound (compensating timing errors). Any further violation fails.
 grep '"assumption1' "$front_dir"/*.json
 grep -q '"assumption1_violations": 0,' "$front_dir/prefilter.json"
+grep -q '"assumption1_violations": 1,' "$front_dir/no-prefilter.json"
 rm -rf "$front_dir"
 
 echo "==> serve chaos battery (release, same as CI)"
