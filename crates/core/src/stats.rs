@@ -8,12 +8,10 @@
 
 /// Single-pass accumulator for a stream of signed error observations.
 ///
-/// Keeps plain running sums (of the values, their absolute values and
-/// their squares; no compensation, adequate for f64 over ≤ 10^8 samples
-/// of bounded errors) and derives every statistic from them at read time,
-/// so [`ErrorStats::push`] costs no division. The mean and variance are
-/// read-time helpers; the hot paths read the RMS, the error rate and the
-/// absolute-error statistics.
+/// Keeps only the plain running sums its readers use (of the absolute
+/// values and of the squares; no compensation, adequate for f64 over
+/// ≤ 10^8 samples of bounded errors) and derives every statistic from
+/// them at read time, so [`ErrorStats::push`] costs no division.
 ///
 /// # Examples
 ///
@@ -25,7 +23,7 @@
 ///     stats.push(e);
 /// }
 /// assert_eq!(stats.len(), 3);
-/// assert_eq!(stats.mean(), 0.0);
+/// assert_eq!(stats.mean_abs(), 0.5 / 3.0);
 /// assert!((stats.rms() - (0.125f64 / 3.0).sqrt()).abs() < 1e-12);
 /// assert_eq!(stats.error_rate(), 2.0 / 3.0);
 /// ```
@@ -33,7 +31,6 @@
 pub struct ErrorStats {
     n: u64,
     nonzero: u64,
-    sum: f64,
     sum_abs: f64,
     sum_sq: f64,
     max_abs: f64,
@@ -52,7 +49,6 @@ impl ErrorStats {
         if value != 0.0 {
             self.nonzero += 1;
         }
-        self.sum += value;
         self.sum_abs += value.abs();
         self.sum_sq += value * value;
         if value.abs() > self.max_abs {
@@ -70,16 +66,6 @@ impl ErrorStats {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// Arithmetic mean of the signed observations (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
     }
 
     /// Mean of the absolute observations (0 when empty).
@@ -100,18 +86,6 @@ impl ErrorStats {
             0.0
         } else {
             (self.sum_sq / self.n as f64).sqrt()
-        }
-    }
-
-    /// Population variance, `E[x²] − E[x]²` clamped at 0 against rounding
-    /// (0 when empty).
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            let mean = self.mean();
-            (self.sum_sq / self.n as f64 - mean * mean).max(0.0)
         }
     }
 
@@ -157,10 +131,8 @@ mod tests {
     fn empty_stats_are_all_zero() {
         let s = ErrorStats::new();
         assert!(s.is_empty());
-        assert_eq!(s.mean(), 0.0);
         assert_eq!(s.mean_abs(), 0.0);
         assert_eq!(s.rms(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.max_abs(), 0.0);
         assert_eq!(s.error_rate(), 0.0);
     }
@@ -169,29 +141,17 @@ mod tests {
     fn single_value() {
         let s: ErrorStats = [3.0].into_iter().collect();
         assert_eq!(s.len(), 1);
-        assert_eq!(s.mean(), 3.0);
         assert_eq!(s.rms(), 3.0);
         assert_eq!(s.mean_abs(), 3.0);
         assert_eq!(s.max_abs(), 3.0);
         assert_eq!(s.error_rate(), 1.0);
-        assert_eq!(s.variance(), 0.0);
     }
 
     #[test]
-    fn signed_values_cancel_in_mean_not_rms() {
+    fn signs_do_not_cancel_in_rms_or_mean_abs() {
         let s: ErrorStats = [-2.0, 2.0].into_iter().collect();
-        assert_eq!(s.mean(), 0.0);
         assert_eq!(s.rms(), 2.0);
         assert_eq!(s.mean_abs(), 2.0);
-    }
-
-    #[test]
-    fn variance_matches_definition() {
-        let vals = [1.0, 2.0, 3.0, 4.0];
-        let s: ErrorStats = vals.into_iter().collect();
-        let mean = 2.5;
-        let var: f64 = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / 4.0;
-        assert!((s.variance() - var).abs() < 1e-12);
     }
 
     #[test]

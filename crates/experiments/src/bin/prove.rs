@@ -19,11 +19,17 @@
 //!   the explorer uses ([`isa_core::DesignAnalysis`]). This check covers
 //!   every listed design, feasible or not, since the arithmetic does not
 //!   depend on synthesis; the seeds' exact RMS is reported.
+//! - **Energy**: on every feasible design, the 64-lane activity sweep
+//!   behind [`measure_clocked_batch`] must bill exactly the transitions
+//!   and dynamic energy (to the bit) of scalar `GateLevelSim` runs of its
+//!   lane segments, over 256 uniform cycles at the safe clock and at 0.6×
+//!   the die's critical delay.
 //!
 //! This sweep is the one place the equivalence and settle-bound proofs
-//! run. Synthesis-infeasible grid points skip the proofs (a feasibility
-//! boundary, not a proof failure). Any failed proof, moment mismatch or
-//! panic prints the finding and the sweep exits with status 1 — the CI
+//! run. Synthesis-infeasible grid points skip the proofs and the energy
+//! check (a feasibility boundary, not a proof failure). Any failed proof,
+//! moment or energy mismatch, or panic prints the finding and the sweep
+//! exits with status 1 — the CI
 //! gate asserting the whole space is *proven*, not sampled. Failures are
 //! listed in design order at any `--threads`. Sibling of the `netlint`
 //! sweep (`isa-netlint-sweep/v1`), which runs the sampled per-build
@@ -32,10 +38,17 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use isa_core::batch::segment_len;
 use isa_core::{paper_designs, Design, DesignAnalysis};
 use isa_engine::{BuildError, DesignContext, ExperimentConfig};
 use isa_experiments::{arg_value, cli_args, engine_from_args, sweep, write_output};
+use isa_netlist::CellLibrary;
 use isa_prove::{analyze_settle, check_equivalence, ErrorDistribution, StaOptions};
+use isa_timing_sim::{measure_activity, measure_clocked_batch, ps_to_fs, GateLevelSim};
+use isa_workloads::{take_pairs, UniformWorkload};
+
+/// Cycles of the energy check: four steps of 64 lanes.
+const ENERGY_CYCLES: usize = 256;
 
 /// One design's outcome.
 struct Outcome {
@@ -52,6 +65,8 @@ struct Outcome {
 struct Proved {
     /// The STA hit its budget and fell back to the topological bound.
     fallback: bool,
+    /// The energy check ran (the design passed lint).
+    energy_checked: bool,
     tightening_fs: u64,
     /// One line per failed proof.
     findings: Vec<String>,
@@ -61,6 +76,8 @@ struct Proved {
 struct SweepStats {
     /// Designs whose moments were cross-checked.
     moments_checked: usize,
+    /// Designs whose batched energy was checked against scalar lanes.
+    energy_checked: usize,
     checked: usize,
     infeasible: usize,
     /// STA budget bailouts (sound fallback to the topological bound).
@@ -136,7 +153,58 @@ fn prove(design: Design, config: &ExperimentConfig) -> Option<Proved> {
             .push("waveform endpoints diverge from functional semantics".to_owned());
     }
     proved.tightening_fs = sta.tightening_fs();
+
+    let inputs = take_pairs(
+        UniformWorkload::new(design.width(), config.workload_seed ^ 0xE6E),
+        ENERGY_CYCLES,
+    );
+    let overclocked_ps = 0.6 * sta.topo_crit_fs as f64 / 1000.0;
+    for period_ps in [config.period_ps, overclocked_ps] {
+        if let Some(finding) = energy_mismatch(&ctx, &inputs, period_ps) {
+            proved.findings.push(finding);
+        }
+    }
+    proved.energy_checked = true;
     Some(proved)
+}
+
+/// Compares [`measure_clocked_batch`] with [`measure_activity`] over the
+/// per-net commits of one scalar `GateLevelSim` run per lane segment (a
+/// segment padded to `segment_len` cycles with its last pair, as the
+/// batch holds it); a finding unless the transitions and the dynamic
+/// energy's bits agree.
+fn energy_mismatch(ctx: &DesignContext, inputs: &[(u64, u64)], period_ps: f64) -> Option<String> {
+    let lib = CellLibrary::industrial_65nm();
+    let adder = &ctx.synthesized.adder;
+    let netlist = adder.netlist();
+    let period_fs = ps_to_fs(period_ps);
+    let seg = segment_len(inputs.len());
+    let mut counts = vec![0u64; netlist.net_count()];
+    let reset = GateLevelSim::new(netlist, &ctx.annotation);
+    for segment in inputs.chunks(seg) {
+        let held = segment[segment.len() - 1];
+        let mut sim = reset.clone();
+        for t in 0..seg {
+            let (a, b) = segment.get(t).copied().unwrap_or(held);
+            let edge = sim.now_fs() + period_fs;
+            sim.set_inputs(&adder.input_values(a, b));
+            sim.run_until(edge);
+        }
+        for (total, &k) in counts.iter_mut().zip(sim.net_commit_counts()) {
+            *total += k;
+        }
+    }
+    let scalar = measure_activity(&counts, inputs.len() as u64 * period_fs, netlist, &lib);
+    let batch = measure_clocked_batch(adder, &ctx.annotation, period_ps, inputs, &lib);
+    let same = batch.transitions == scalar.transitions
+        && batch.dynamic_fj.to_bits() == scalar.dynamic_fj.to_bits();
+    (!same).then(|| {
+        format!(
+            "energy at {period_ps:.1} ps: batch bills {} transitions ({} fJ), \
+             scalar lanes {} ({} fJ)",
+            batch.transitions, batch.dynamic_fj, scalar.transitions, scalar.dynamic_fj
+        )
+    })
 }
 
 fn main() {
@@ -174,6 +242,7 @@ fn main() {
                     continue;
                 };
                 stats.checked += 1;
+                stats.energy_checked += usize::from(proved.energy_checked);
                 stats.fallbacks += usize::from(proved.fallback);
                 if proved.tightening_fs > 0 {
                     stats.tightened += 1;
@@ -197,12 +266,14 @@ fn main() {
     println!(
         "prove: {} proven, {} infeasible skipped, {} failed proof(s); \
          moments cross-checked against the BDD on {} design(s); \
+         energy checked against scalar lanes on {} design(s); \
          false-path tightening on {} design(s) (max {:.1} ps), {} STA budget fallback(s); \
          wall {:.2}s",
         stats.checked,
         stats.infeasible,
         stats.failures.len(),
         stats.moments_checked,
+        stats.energy_checked,
         stats.tightened,
         stats.max_tightening_fs as f64 / 1000.0,
         stats.fallbacks,
@@ -217,6 +288,7 @@ fn main() {
         let _ = writeln!(json, "  \"proven\": {},", stats.checked);
         let _ = writeln!(json, "  \"infeasible\": {},", stats.infeasible);
         let _ = writeln!(json, "  \"moments_checked\": {},", stats.moments_checked);
+        let _ = writeln!(json, "  \"energy_checked\": {},", stats.energy_checked);
         let _ = writeln!(json, "  \"failed_proofs\": {},", stats.failures.len());
         let _ = writeln!(json, "  \"tightened_designs\": {},", stats.tightened);
         let _ = writeln!(

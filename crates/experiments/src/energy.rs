@@ -69,7 +69,7 @@ pub fn run_on(
         let ctx = unit.context();
         let n = unit.inputs.len();
         // Switching-activity simulation at the safe clock on the 64-lane
-        // activity core, whose per-net commit counts already sum
+        // activity sweep, whose per-net commit counts already sum
         // transitions over lanes; leakage is charged over the
         // sequential-equivalent span (n x period). Energy needs the *full*
         // per-net switching activity, glitches included, which the

@@ -37,7 +37,8 @@
 //! What this core deliberately does **not** provide are activity
 //! counters: change-only waveforms erase the zero-width glitch commits
 //! that energy bills for, so [`measure_clocked_batch`](crate::measure_clocked_batch)
-//! counts activity on its own event-queue core. The filtered runner's
+//! counts activity with its own levelized sweep, which keeps every
+//! commit in a per-net commit list instead. The filtered runner's
 //! slow path only consumes sampled outputs; the batteries below and the
 //! random-netlist proptest in `tests/bit_parity.rs` pin every lane to a
 //! scalar [`ClockedSim`](crate::ClockedSim) run. Razor ([`crate::razor`])

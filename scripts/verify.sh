@@ -7,7 +7,8 @@
 #   docs    -> rustdoc with warnings denied
 #   netlint -> full-grid netlist/timing static analysis (fails on Error)
 #   prove   -> symbolic equivalence + false-path STA proofs, moment
-#              program vs BDD counts (fails on any)
+#              program vs BDD counts, batched energy vs scalar lanes
+#              (fails on any)
 #   miri    -> LaneBatch pack/transpose tests under Miri (when installed)
 #   golden  -> experiment CSVs on 1 and 4 workers diffed against
 #              tests/golden/ + explorer pre-filter front identity
