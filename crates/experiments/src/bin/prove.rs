@@ -29,11 +29,11 @@
 //! run. Synthesis-infeasible grid points skip the proofs and the energy
 //! check (a feasibility boundary, not a proof failure). Any failed proof,
 //! moment or energy mismatch, or panic prints the finding and the sweep
-//! exits with status 1 — the CI
-//! gate asserting the whole space is *proven*, not sampled. Failures are
-//! listed in design order at any `--threads`. Sibling of the `netlint`
-//! sweep (`isa-netlint-sweep/v1`), which runs the sampled per-build
-//! checks; this bin writes `isa-prove-sweep/v1`.
+//! exits with status 1 — the CI gate asserting the whole space is
+//! *proven*, not sampled. Failures are listed in design order at any
+//! `--threads`. Sibling of the `netlint` sweep (`isa-netlint-sweep/v1`),
+//! which runs the sampled per-build checks; this bin writes
+//! `isa-prove-sweep/v1`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
