@@ -158,11 +158,27 @@ pub fn quadruple_grid(
 /// sizes dividing the width, all SPEC windows `0..=B`, and all
 /// correction/reduction pairs with `C + R <= B`, lexicographic in
 /// `(B, S, C, R)`. This is the explorer's "full" structural space.
+///
+/// The walk visits only the quadruples it keeps (21,618 at width 32), in
+/// the order [`quadruple_grid`] yields over the full axes.
 #[must_use]
 pub fn enumerate_quadruples(width: u32) -> Vec<IsaConfig> {
-    let blocks: Vec<u32> = (1..=width).filter(|b| width.is_multiple_of(*b)).collect();
-    let axis: Vec<u32> = (0..=width).collect();
-    quadruple_grid(width, &blocks, &axis, &axis, &axis)
+    if width > IsaConfig::MAX_WIDTH {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for b in (1..=width).filter(|b| width.is_multiple_of(*b)) {
+        for s in 0..=b {
+            for c in 0..=b {
+                for r in 0..=b - c {
+                    out.push(
+                        IsaConfig::new(width, b, s, c, r).expect("quadruple within its block"),
+                    );
+                }
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -233,6 +249,19 @@ mod tests {
             quads,
             vec![(16, 0, 0, 0), (16, 1, 0, 0), (8, 0, 0, 0), (8, 1, 0, 0)]
         );
+    }
+
+    #[test]
+    fn enumerate_quadruples_equals_the_full_axis_grid() {
+        // The brute force over every (B, S, C, R) on the full axes is the
+        // oracle for the direct walk: same configurations, same order.
+        for width in [0u32, 1, 2, 7, 8, 12, 16, 24, 32, 63, 64] {
+            let blocks: Vec<u32> = (1..=width).filter(|b| width.is_multiple_of(*b)).collect();
+            let axis: Vec<u32> = (0..=width).collect();
+            let grid = quadruple_grid(width, &blocks, &axis, &axis, &axis);
+            assert_eq!(enumerate_quadruples(width), grid, "width {width}");
+        }
+        assert_eq!(enumerate_quadruples(32).len(), 21_618);
     }
 
     #[test]

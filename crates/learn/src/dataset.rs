@@ -3,6 +3,18 @@
 //! The paper's model uses purely binary features (`{x[t], x[t-1],
 //! yRTL_n[t-1], yRTL_n[t]}`), so samples are stored as packed `u64` words:
 //! compact, cache-friendly, and branch-free to test during tree descent.
+//!
+//! Every dataset keeps one row-major feature store (a sample's packed
+//! words, as [`Dataset::sample`] returns them), its column-major mirror
+//! (one bit-plane per feature over samples, which tree growth counts
+//! splits on with popcounts), and one label store, the label bit-plane.
+//! [`Dataset::push`] fills all three sample by sample;
+//! [`Dataset::from_planes`] takes the planes and label plane and derives
+//! the rows 64 samples at a time with 64×64 bit transposes. The per-bit
+//! predictor builds one dataset per training call and swaps each output
+//! bit's two features and labels in place, rows included. Tree growth
+//! gathers a fragmented node's member rows from the row store and turns
+//! them back into dense planes the same way (see [`crate::tree`]).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -27,8 +39,11 @@ use rand::SeedableRng;
 pub struct Dataset {
     num_features: usize,
     words_per_sample: usize,
-    data: Vec<u64>,
-    labels: Vec<bool>,
+    len: usize,
+    /// Row-major store: sample `i`'s packed features are words
+    /// `i * words_per_sample..(i + 1) * words_per_sample` (bit `f % 64` of
+    /// word `f / 64` is feature `f`).
+    rows: Vec<u64>,
     /// Column-major mirror: one bit-plane per feature over samples (bit
     /// `i % 64` of word `i / 64` is the feature in sample `i`), the layout
     /// that lets tree growth count split sides with bitmask popcounts.
@@ -49,8 +64,8 @@ impl Dataset {
         Self {
             num_features,
             words_per_sample: num_features.div_ceil(64),
-            data: Vec::new(),
-            labels: Vec::new(),
+            len: 0,
+            rows: Vec::new(),
             planes: vec![Vec::new(); num_features],
             label_plane: Vec::new(),
         }
@@ -59,13 +74,13 @@ impl Dataset {
     /// Number of samples.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.len
     }
 
     /// True if no sample was added.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.len == 0
     }
 
     /// Number of features per sample.
@@ -87,10 +102,10 @@ impl Dataset {
             self.num_features,
             features.len()
         );
-        let base = self.data.len();
-        self.data
+        let base = self.rows.len();
+        self.rows
             .extend(std::iter::repeat_n(0, self.words_per_sample));
-        let sample = self.labels.len();
+        let sample = self.len;
         if sample.is_multiple_of(64) {
             for plane in &mut self.planes {
                 plane.push(0);
@@ -100,24 +115,23 @@ impl Dataset {
         let (word, bit) = (sample / 64, sample % 64);
         for (i, &f) in features.iter().enumerate() {
             if f {
-                self.data[base + i / 64] |= 1u64 << (i % 64);
+                self.rows[base + i / 64] |= 1u64 << (i % 64);
                 self.planes[i][word] |= 1u64 << bit;
             }
         }
         if label {
             self.label_plane[word] |= 1u64 << bit;
         }
-        self.labels.push(label);
+        self.len += 1;
     }
 
     /// Builds a dataset directly from column-major feature planes and a
-    /// label plane over `len` samples — the zero-rebuild path for callers
-    /// that already hold bit-planes (e.g. the per-bit predictor, whose 4w
-    /// base-feature planes are shared by every output bit's dataset).
+    /// label plane over `len` samples — the path for callers that already
+    /// hold bit-planes (e.g. the per-bit predictor, whose 4w base-feature
+    /// planes are shared by every output bit's dataset). The row store is
+    /// derived 64 samples at a time with 64×64 bit transposes.
     ///
-    /// Stray bits above `len` are masked off. The row-major mirror is not
-    /// materialized, so [`Self::sample`] must not be called on a
-    /// plane-built dataset (tree fitting and prediction never do).
+    /// Stray bits above `len` are masked off.
     ///
     /// # Panics
     ///
@@ -128,26 +142,33 @@ impl Dataset {
         assert!(!planes.is_empty(), "datasets need at least one feature");
         assert!(len > 0, "datasets need at least one sample");
         let words = len.div_ceil(64);
-        let tail_mask = if len.is_multiple_of(64) {
-            u64::MAX
-        } else {
-            (1u64 << (len % 64)) - 1
-        };
         assert_eq!(label_plane.len(), words, "label plane has wrong length");
-        label_plane[words - 1] &= tail_mask;
+        mask_tail(&mut label_plane, len);
         for plane in &mut planes {
             assert_eq!(plane.len(), words, "feature plane has wrong length");
-            plane[words - 1] &= tail_mask;
+            mask_tail(plane, len);
         }
-        let labels: Vec<bool> = (0..len)
-            .map(|i| (label_plane[i / 64] >> (i % 64)) & 1 == 1)
-            .collect();
         let num_features = planes.len();
+        let words_per_sample = num_features.div_ceil(64);
+        let mut rows = vec![0u64; len * words_per_sample];
+        let mut block = [0u64; 64];
+        for (word, chunk) in rows.chunks_mut(64 * words_per_sample).enumerate() {
+            for (group, features) in planes.chunks(64).enumerate() {
+                block.fill(0);
+                for (slot, plane) in block.iter_mut().zip(features) {
+                    *slot = plane[word];
+                }
+                transpose64(&mut block);
+                for (row, &bits) in chunk.chunks_exact_mut(words_per_sample).zip(&block) {
+                    row[group] = bits;
+                }
+            }
+        }
         Self {
             num_features,
-            words_per_sample: num_features.div_ceil(64),
-            data: Vec::new(),
-            labels,
+            words_per_sample,
+            len,
+            rows,
             planes,
             label_plane,
         }
@@ -166,31 +187,88 @@ impl Dataset {
         &self.label_plane
     }
 
+    /// Replaces feature `f`'s plane (stray bits above `len` masked off)
+    /// and its bit in every row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plane has the wrong word count.
+    pub(crate) fn set_feature_plane(&mut self, f: usize, mut plane: Vec<u64>) {
+        assert_eq!(
+            plane.len(),
+            self.label_plane.len(),
+            "feature plane has wrong length"
+        );
+        mask_tail(&mut plane, self.len);
+        let (word, bit) = (f / 64, f % 64);
+        for (i, row) in self
+            .rows
+            .chunks_exact_mut(self.words_per_sample)
+            .enumerate()
+        {
+            let value = (plane[i / 64] >> (i % 64)) & 1;
+            row[word] = (row[word] & !(1 << bit)) | (value << bit);
+        }
+        self.planes[f] = plane;
+    }
+
+    /// Replaces the labels (stray bits above `len` masked off).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the label plane has the wrong word count.
+    pub(crate) fn set_label_plane(&mut self, mut label_plane: Vec<u64>) {
+        assert_eq!(
+            label_plane.len(),
+            self.label_plane.len(),
+            "label plane has wrong length"
+        );
+        mask_tail(&mut label_plane, self.len);
+        self.label_plane = label_plane;
+    }
+
+    /// The row-major store: [`Self::sample`] of every sample, in order.
+    pub(crate) fn rows(&self) -> &[u64] {
+        &self.rows
+    }
+
+    /// Number of packed words per sample (`ceil(num_features / 64)`).
+    pub(crate) fn words_per_sample(&self) -> usize {
+        self.words_per_sample
+    }
+
     /// The packed feature words of sample `i`.
     #[must_use]
     pub fn sample(&self, i: usize) -> &[u64] {
         let base = i * self.words_per_sample;
-        &self.data[base..base + self.words_per_sample]
+        &self.rows[base..base + self.words_per_sample]
     }
 
     /// Value of feature `f` in sample `i`.
     #[must_use]
     pub fn feature(&self, i: usize, f: usize) -> bool {
         debug_assert!(f < self.num_features);
-        let word = self.data[i * self.words_per_sample + f / 64];
-        (word >> (f % 64)) & 1 == 1
+        packed_feature(self.sample(i), f)
     }
 
     /// Label of sample `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`Self::len`].
     #[must_use]
     pub fn label(&self, i: usize) -> bool {
-        self.labels[i]
+        assert!(i < self.len, "sample {i} out of range");
+        (self.label_plane[i / 64] >> (i % 64)) & 1 == 1
     }
 
     /// Number of positive labels.
     #[must_use]
     pub fn positives(&self) -> usize {
-        self.labels.iter().filter(|&&l| l).count()
+        self.label_plane
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Splits sample indices into a shuffled (train, test) partition.
@@ -212,10 +290,45 @@ impl Dataset {
     }
 }
 
+/// Clears the bits of a plane over `len` samples that lie past `len`.
+fn mask_tail(plane: &mut [u64], len: usize) {
+    let stray = plane.len() * 64 - len;
+    if let Some(last) = plane.last_mut() {
+        *last &= u64::MAX >> stray;
+    }
+}
+
 /// Tests a feature inside a packed sample without unpacking.
 #[must_use]
 pub(crate) fn packed_feature(sample: &[u64], f: usize) -> bool {
     (sample[f / 64] >> (f % 64)) & 1 == 1
+}
+
+/// Transposes a 64×64 bit matrix in place: afterwards bit `l` of word `j`
+/// is what bit `j` of word `l` was. Sample rows become bit-planes and back
+/// with the same call: six rounds of block swaps, each a fixed-shift pass
+/// over word pairs that the compiler vectorizes.
+pub(crate) fn transpose64(m: &mut [u64; 64]) {
+    swap_blocks::<32>(m, 0x0000_0000_FFFF_FFFF);
+    swap_blocks::<16>(m, 0x0000_FFFF_0000_FFFF);
+    swap_blocks::<8>(m, 0x00FF_00FF_00FF_00FF);
+    swap_blocks::<4>(m, 0x0F0F_0F0F_0F0F_0F0F);
+    swap_blocks::<2>(m, 0x3333_3333_3333_3333);
+    swap_blocks::<1>(m, 0x5555_5555_5555_5555);
+}
+
+/// One round of [`transpose64`]: swaps the `W`-bit blocks selected by
+/// `mask` between every word `k` and word `k + W` of each `2W`-word group.
+#[inline(always)]
+fn swap_blocks<const W: usize>(m: &mut [u64; 64], mask: u64) {
+    for group in m.chunks_exact_mut(2 * W) {
+        let (lo, hi) = group.split_at_mut(W);
+        for (a, b) in lo.iter_mut().zip(hi) {
+            let t = ((*a >> W) ^ *b) & mask;
+            *a ^= t << W;
+            *b ^= t;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -232,6 +345,130 @@ mod tests {
             assert_eq!(d.feature(0, i), f, "feature {i}");
             assert_eq!(packed_feature(d.sample(0), i), f);
         }
+    }
+
+    #[test]
+    fn plane_built_and_push_built_datasets_agree() {
+        let mut state = 0x5EED_DA7Au64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (len, features) in [
+            (1usize, 1usize),
+            (63, 5),
+            (64, 64),
+            (65, 65),
+            (200, 130),
+            (130, 200),
+        ] {
+            let samples: Vec<(Vec<bool>, bool)> = (0..len)
+                .map(|_| {
+                    (
+                        (0..features).map(|_| next() % 3 == 0).collect(),
+                        next() % 4 == 0,
+                    )
+                })
+                .collect();
+            let mut pushed = Dataset::new(features);
+            let words = len.div_ceil(64);
+            // Stray bits above `len` must be masked off.
+            let mut planes: Vec<Vec<u64>> = (0..features)
+                .map(|_| {
+                    let mut plane = vec![0u64; words];
+                    plane[words - 1] = next() & !(u64::MAX >> (words * 64 - len));
+                    plane
+                })
+                .collect();
+            let mut label_plane = vec![0u64; words];
+            label_plane[words - 1] = (u64::MAX << 1) << ((len - 1) % 64);
+            for (i, (row, label)) in samples.iter().enumerate() {
+                pushed.push(row, *label);
+                for (plane, &f) in planes.iter_mut().zip(row) {
+                    plane[i / 64] |= u64::from(f) << (i % 64);
+                }
+                label_plane[i / 64] |= u64::from(*label) << (i % 64);
+            }
+            let built = Dataset::from_planes(planes, label_plane, len);
+            let case = format!("{len} samples, {features} features");
+            assert_eq!(built.len(), pushed.len(), "{case}");
+            assert_eq!(built.is_empty(), pushed.is_empty(), "{case}");
+            assert_eq!(built.num_features(), pushed.num_features(), "{case}");
+            assert_eq!(built.positives(), pushed.positives(), "{case}");
+            assert_eq!(built.label_plane(), pushed.label_plane(), "{case}");
+            assert_eq!(built.rows(), pushed.rows(), "{case}");
+            for f in 0..features {
+                assert_eq!(built.feature_plane(f), pushed.feature_plane(f), "{case}");
+            }
+            for (i, (row, label)) in samples.iter().enumerate() {
+                assert_eq!(built.sample(i), pushed.sample(i), "{case}, sample {i}");
+                assert_eq!(built.label(i), *label, "{case}, sample {i}");
+                assert_eq!(pushed.label(i), *label, "{case}, sample {i}");
+                for (f, &value) in row.iter().enumerate() {
+                    assert_eq!(built.feature(i, f), value, "{case}, sample {i}");
+                    assert_eq!(pushed.feature(i, f), value, "{case}, sample {i}");
+                }
+            }
+            assert_eq!(
+                built.split_indices(0.7, 3),
+                pushed.split_indices(0.7, 3),
+                "{case}"
+            );
+            assert_eq!(built, pushed, "{case}");
+        }
+    }
+
+    #[test]
+    fn replaced_planes_equal_a_dataset_built_from_them() {
+        let mut state = 0xFEED_F00Du64;
+        let mut plane = |words: usize| -> Vec<u64> {
+            (0..words)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                })
+                .collect()
+        };
+        for (len, features) in [(1usize, 1usize), (70, 3), (130, 66), (200, 130)] {
+            let words = len.div_ceil(64);
+            let planes: Vec<Vec<u64>> = (0..features).map(|_| plane(words)).collect();
+            let mut dataset = Dataset::from_planes(planes.clone(), plane(words), len);
+            let mut want_planes = planes;
+            for f in [0, features / 2, features - 1] {
+                let new_plane = plane(words);
+                want_planes[f] = new_plane.clone();
+                dataset.set_feature_plane(f, new_plane);
+            }
+            let labels = plane(words);
+            dataset.set_label_plane(labels.clone());
+            let want = Dataset::from_planes(want_planes, labels, len);
+            assert_eq!(dataset, want, "{len} samples, {features} features");
+        }
+    }
+
+    #[test]
+    fn transpose64_swaps_bit_rows_and_columns() {
+        let mut state = 0xC0FF_EE00u64;
+        let mut m = [0u64; 64];
+        for word in &mut m {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            *word = state;
+        }
+        let original = m;
+        transpose64(&mut m);
+        for (j, &word) in m.iter().enumerate() {
+            for (l, &row) in original.iter().enumerate() {
+                assert_eq!((word >> l) & 1, (row >> j) & 1, "bit {l} of word {j}");
+            }
+        }
+        transpose64(&mut m);
+        assert_eq!(m, original);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! of the paper.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::dataset::Dataset;
 use crate::tree::{DecisionTree, TreeConfig};
@@ -91,14 +90,11 @@ impl RandomForest {
             feature_subsample: config.features.resolve(dataset.num_features()),
             ..config.tree
         };
+        let keep = ((indices.len() as f64 * 0.632).ceil() as usize).max(1);
         let trees = (0..config.n_trees)
             .map(|_| {
-                let bag: Vec<usize> = if config.bootstrap {
-                    let mut bag = indices.to_vec();
-                    bag.shuffle(&mut rng);
-                    let keep = ((indices.len() as f64 * 0.632).ceil() as usize).max(1);
-                    bag.truncate(keep);
-                    bag
+                let bag = if config.bootstrap {
+                    bag_members(indices, keep, &mut rng)
                 } else {
                     indices.to_vec()
                 };
@@ -219,9 +215,56 @@ impl RandomForest {
     }
 }
 
+/// One tree's bag: the first `keep` entries of `indices` after a
+/// Fisher–Yates [`shuffle`](rand::seq::SliceRandom::shuffle), as a set
+/// (in another order), with the same draws. A draw at `i < keep` only
+/// permutes the kept prefix, so it moves nothing; a draw at `i >= keep`
+/// only has to move the entry at `i` into slot `j`, because slot `i` is
+/// never read again.
+fn bag_members(indices: &[usize], keep: usize, rng: &mut StdRng) -> Vec<usize> {
+    let mut bag = indices.to_vec();
+    for i in (1..bag.len()).rev() {
+        let draw = rng.next_u64();
+        if i >= keep {
+            bag[(draw % (i as u64 + 1)) as usize] = bag[i];
+        }
+    }
+    bag.truncate(keep);
+    bag
+}
+
 #[cfg(test)]
 mod tests {
+    use rand::seq::SliceRandom;
+
     use super::*;
+
+    #[test]
+    fn bag_members_equal_a_truncated_shuffle() {
+        for (len, keep) in [
+            (1, 1),
+            (2, 1),
+            (2, 2),
+            (7, 5),
+            (64, 41),
+            (100, 64),
+            (8_000, 5_056),
+        ] {
+            for seed in 0..4u64 {
+                let indices: Vec<usize> = (0..len).map(|i| i * 3 + 1).collect();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut bag = bag_members(&indices, keep, &mut rng);
+                let mut shuffled_rng = StdRng::seed_from_u64(seed);
+                let mut shuffled = indices.clone();
+                shuffled.shuffle(&mut shuffled_rng);
+                shuffled.truncate(keep);
+                bag.sort_unstable();
+                shuffled.sort_unstable();
+                assert_eq!(bag, shuffled, "len {len}, keep {keep}, seed {seed}");
+                assert_eq!(rng, shuffled_rng, "len {len}, keep {keep}, seed {seed}");
+            }
+        }
+    }
 
     fn noisy_dataset(n: usize, noise_every: usize) -> Dataset {
         // Label = f3 AND f7, with some label noise.

@@ -12,7 +12,7 @@
 //! ygold": `ysilver = ygold ^ flips`, which the engine's predicted
 //! substrate applies to whole streams.
 
-use crate::dataset::Dataset;
+use crate::dataset::{transpose64, Dataset};
 use crate::forest::{ForestConfig, RandomForest};
 
 /// One training/inference cycle of an overclocked adder stream.
@@ -91,24 +91,9 @@ fn feature_count(width: u32) -> usize {
     4 * width as usize + 2
 }
 
-/// Transposes a 64×64 bit matrix in place: afterwards bit `l` of word `j`
-/// is what bit `j` of word `l` was. Lane values become bit-planes and back
-/// with the same call (block swaps, `O(64 log 64)` word operations).
-fn transpose64(m: &mut [u64; 64]) {
-    let mut j = 32;
-    let mut mask = 0x0000_0000_FFFF_FFFFu64;
-    while j != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let t = ((m[k] >> j) ^ m[k + j]) & mask;
-            m[k] ^= t << j;
-            m[k + j] ^= t;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        mask ^= mask << j;
-    }
-}
+/// The `CyclePair` fields behind the base features, in feature order:
+/// `x[t]` (a, then b), then `x[t-1]`.
+const BASE_FIELDS: [fn(&CyclePair) -> u64; 4] = [|c| c.a, |c| c.b, |c| c.a_prev, |c| c.b_prev];
 
 /// Bit-planes of one `CyclePair` field over a batch of up to 64 cycles
 /// (unused lanes read as zero).
@@ -133,54 +118,81 @@ impl TimingErrorPredictor {
     pub fn train(cycles: &[CyclePair], width: u32, config: &PredictorConfig) -> Self {
         assert!(!cycles.is_empty(), "cannot train on an empty stream");
         assert!(width > 0 && width <= 63, "width must be in 1..=63");
+        let _span = isa_obs::span("learn.train");
         let out_bits = width + 1;
         let n = cycles.len();
         let words = n.div_ceil(64);
         let w = width as usize;
-        // The 4w base-feature planes (x[t], x[t-1]) are identical for
-        // every output bit: build them once, column-major, and share them
-        // across the per-bit datasets by clone — the bit-sliced layout
-        // tree growth counts splits on directly.
+        // Every training plane, 64 cycles at a time through the
+        // transposition inference uses: the 4w base-feature planes
+        // (x[t], x[t-1]), identical for every output bit, and each output
+        // bit's label, yRTL_n[t-1] and yRTL_n[t] planes.
         let mut base_planes = vec![vec![0u64; words]; 4 * w];
-        for (i, c) in cycles.iter().enumerate() {
-            let (word, bit) = (i / 64, i % 64);
-            for (slot, value) in [c.a, c.b, c.a_prev, c.b_prev].into_iter().enumerate() {
-                for j in 0..w {
-                    if (value >> j) & 1 == 1 {
-                        base_planes[slot * w + j][word] |= 1u64 << bit;
-                    }
+        let mut label_planes = vec![vec![0u64; words]; out_bits as usize];
+        let mut gold_prev_planes = label_planes.clone();
+        let mut gold_planes = label_planes.clone();
+        for (word, batch) in cycles.chunks(64).enumerate() {
+            for (slot, field) in BASE_FIELDS.into_iter().enumerate() {
+                let planes = field_planes(batch, field);
+                for (plane, &bits) in base_planes[slot * w..(slot + 1) * w]
+                    .iter_mut()
+                    .zip(&planes)
+                {
+                    plane[word] = bits;
+                }
+            }
+            for (per_bit, field) in [
+                (&mut label_planes, (|c| c.flips) as fn(&CyclePair) -> u64),
+                (&mut gold_prev_planes, |c| c.gold_prev),
+                (&mut gold_planes, |c| c.gold),
+            ] {
+                let planes = field_planes(batch, field);
+                for (plane, &bits) in per_bit.iter_mut().zip(&planes) {
+                    plane[word] = bits;
                 }
             }
         }
 
-        let models = (0..out_bits)
-            .map(|n_bit| {
-                let mut label_plane = vec![0u64; words];
-                let mut gold_prev_plane = vec![0u64; words];
-                let mut gold_plane = vec![0u64; words];
-                for (i, c) in cycles.iter().enumerate() {
-                    let (word, bit) = (i / 64, i % 64);
-                    label_plane[word] |= ((c.flips >> n_bit) & 1) << bit;
-                    gold_prev_plane[word] |= ((c.gold_prev >> n_bit) & 1) << bit;
-                    gold_plane[word] |= ((c.gold >> n_bit) & 1) << bit;
+        // One dataset serves every trained bit: the first takes the base
+        // planes, and each later one swaps in its own two planes and
+        // labels.
+        let mut dataset: Option<Dataset> = None;
+        let indices: Vec<usize> = (0..n).collect();
+        let mut models = Vec::with_capacity(out_bits as usize);
+        let per_bit = label_planes
+            .into_iter()
+            .zip(gold_prev_planes.into_iter().zip(gold_planes));
+        for (n_bit, (label_plane, (gold_prev_plane, gold_plane))) in per_bit.enumerate() {
+            let positives: usize = label_plane.iter().map(|w| w.count_ones() as usize).sum();
+            if positives == 0 || positives == n {
+                models.push(BitModel::Constant(positives == n));
+                continue;
+            }
+            let dataset = match dataset.as_mut() {
+                Some(dataset) => {
+                    dataset.set_feature_plane(4 * w, gold_prev_plane);
+                    dataset.set_feature_plane(4 * w + 1, gold_plane);
+                    dataset.set_label_plane(label_plane);
+                    dataset
                 }
-                let positives: usize = label_plane.iter().map(|w| w.count_ones() as usize).sum();
-                if positives == 0 || positives == n {
-                    return BitModel::Constant(positives == n);
+                None => {
+                    let mut planes = std::mem::take(&mut base_planes);
+                    planes.push(gold_prev_plane);
+                    planes.push(gold_plane);
+                    debug_assert_eq!(planes.len(), feature_count(width));
+                    dataset.insert(Dataset::from_planes(planes, label_plane, n))
                 }
-                let mut planes = base_planes.clone();
-                planes.push(gold_prev_plane);
-                planes.push(gold_plane);
-                debug_assert_eq!(planes.len(), feature_count(width));
-                let dataset = Dataset::from_planes(planes, label_plane, n);
-                let indices: Vec<usize> = (0..dataset.len()).collect();
-                let forest_config = ForestConfig {
-                    seed: config.forest.seed ^ (u64::from(n_bit) << 32),
-                    ..config.forest
-                };
-                BitModel::Forest(RandomForest::fit(&dataset, &indices, &forest_config))
-            })
-            .collect();
+            };
+            let forest_config = ForestConfig {
+                seed: config.forest.seed ^ ((n_bit as u64) << 32),
+                ..config.forest
+            };
+            models.push(BitModel::Forest(RandomForest::fit(
+                dataset,
+                &indices,
+                &forest_config,
+            )));
+        }
         Self {
             width,
             out_bits,
@@ -231,8 +243,7 @@ impl TimingErrorPredictor {
         let mut out = Vec::with_capacity(cycles.len());
         for batch in cycles.chunks(64) {
             let lanes = u64::MAX >> (64 - batch.len());
-            let fields: [fn(&CyclePair) -> u64; 4] = [|c| c.a, |c| c.b, |c| c.a_prev, |c| c.b_prev];
-            for (slot, field) in fields.into_iter().enumerate() {
+            for (slot, field) in BASE_FIELDS.into_iter().enumerate() {
                 planes[slot * w..(slot + 1) * w].copy_from_slice(&field_planes(batch, field)[..w]);
             }
             let gold = field_planes(batch, |c| c.gold);

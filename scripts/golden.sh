@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Golden-figures check: runs the experiment binaries at small fixed counts
-# (fixed seeds, the one gate-level path) on 1 and on 4 worker threads and
-# diffs every CSV against the checked-in goldens under tests/golden/, so
-# simulation refactors cannot silently change paper numbers and every
-# binary stays thread-count invariant (one run is the engine's unit of
+# (fixed seeds, the one gate-level path), plus `fig7` at the production
+# training size (8,000 cycles, deep enough for tree growth to re-pack
+# fragmented nodes), on 1 and on 4 worker threads and diffs every CSV
+# against the checked-in goldens under tests/golden/, so simulation
+# refactors cannot silently change paper numbers and every binary stays
+# thread-count invariant (one run is the engine's unit of
 # parallelism). `all_figures` then runs every pipeline on one shared
 # engine at 1 and 4 threads: its two CSV sets must be identical, and the
 # three CSVs whose counts equal the single-binary commands must equal
@@ -39,6 +41,7 @@ run() {
 run design_table ./target/release/design_table --samples 4000
 run fig9 ./target/release/fig9 --cycles 400
 run fig7_fig8 ./target/release/fig7 --train 400 --test 200
+run fig7_fig8_train8000 ./target/release/fig7 --train 8000 --test 1000
 run fig10 ./target/release/fig10 --cycles 600
 run energy ./target/release/energy_table --cycles 300
 run guardband ./target/release/guardband --cycles 400
