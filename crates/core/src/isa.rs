@@ -19,7 +19,7 @@
 //! deterministic structural errors and no timing errors.
 
 use crate::adder::{mask, Adder};
-use crate::batch::{pack_planes_into, LaneBatch, LANES};
+use crate::batch::{pack_pairs, unpack_lanes, LANES};
 use crate::config::{IsaConfig, SpecGuess};
 use crate::plane::{PlaneAlgebra, WordPlanes};
 
@@ -417,17 +417,16 @@ impl Adder for SpeculativeAdder {
     }
 
     /// Bit-sliced stream evaluation: 64 additions per plane pass through
-    /// [`SpeculativeAdder::add_planes`], with plane buffers reused across
-    /// chunks.
+    /// [`SpeculativeAdder::add_planes`], reading the packed planes' `a` and
+    /// `b` halves, with the plane buffer reused across chunks.
     fn add_batch(&self, pairs: &[(u64, u64)]) -> Vec<u64> {
         let width = self.config.width();
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut a_planes = Vec::new();
-        let mut b_planes = Vec::new();
-        for chunk in pairs.chunks(LANES) {
-            pack_planes_into(width, chunk, &mut a_planes, &mut b_planes);
-            let planes = self.add_planes(&a_planes, &b_planes);
-            out.extend(LaneBatch::unpack_lanes(&planes, chunk.len()));
+        let mut out = vec![0u64; pairs.len()];
+        let mut planes = vec![0u64; 2 * width as usize];
+        for (chunk, sums) in pairs.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            pack_pairs(width, chunk, &mut planes);
+            let (a_planes, b_planes) = planes.split_at(width as usize);
+            unpack_lanes(&self.add_planes(a_planes, b_planes), sums);
         }
         out
     }

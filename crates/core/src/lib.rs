@@ -58,7 +58,7 @@ pub mod substrate;
 pub use adder::{Adder, ExactAdder, MAX_WIDTH};
 pub use analysis::{DesignAnalysis, I256};
 pub use batch::{
-    lanes_with_run_at_least, pack_planes_into, pack_planes_into_slices, segment_len, LaneBatch,
+    lanes_with_run_at_least, pack_pairs, segment_len, transpose64, unpack_lanes, LaneSchedule,
     LANES,
 };
 pub use bitdist::BitErrorDistribution;

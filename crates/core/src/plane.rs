@@ -128,7 +128,7 @@ pub fn ripple_add_planes_in<A: PlaneAlgebra>(
 mod tests {
     use super::*;
     use crate::adder::{Adder, ExactAdder};
-    use crate::batch::{pack_planes_into, LaneBatch};
+    use crate::batch::{pack_pairs, unpack_lanes};
 
     #[test]
     fn word_algebra_is_plain_bitwise_logic() {
@@ -147,12 +147,14 @@ mod tests {
     fn ripple_planes_match_exact_adder() {
         let exact = ExactAdder::new(16);
         let pairs: Vec<(u64, u64)> = (0..64u64).map(|i| (i * 977, i * 31 + 5)).collect();
-        let mut a_planes = Vec::new();
-        let mut b_planes = Vec::new();
-        pack_planes_into(16, &pairs, &mut a_planes, &mut b_planes);
-        let planes = ripple_add_planes_in(&mut WordPlanes, &a_planes, &b_planes);
-        assert_eq!(planes.len(), 17);
-        for (&(a, b), got) in pairs.iter().zip(LaneBatch::unpack_lanes(&planes, 64)) {
+        let mut planes = [0u64; 32];
+        pack_pairs(16, &pairs, &mut planes);
+        let (a_planes, b_planes) = planes.split_at(16);
+        let sums = ripple_add_planes_in(&mut WordPlanes, a_planes, b_planes);
+        assert_eq!(sums.len(), 17);
+        let mut lanes = [0u64; 64];
+        unpack_lanes(&sums, &mut lanes);
+        for (&(a, b), got) in pairs.iter().zip(lanes) {
             assert_eq!(got, exact.add(a, b), "a={a:#x} b={b:#x}");
         }
     }

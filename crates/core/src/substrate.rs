@@ -42,7 +42,8 @@ pub trait Substrate: Send + Sync {
     /// Timing errors depend on the previous circuit state, so a run is a
     /// stream, not a set of independent cycles. Stateful backends deal the
     /// stream to [`LANES`](crate::LANES) lanes in **contiguous segments**
-    /// of [`segment_len`](crate::segment_len) cycles, so a lane's
+    /// of [`segment_len`](crate::segment_len) cycles (the
+    /// [`LaneSchedule`](crate::LaneSchedule)), so a lane's
     /// cycle-to-cycle state carryover matches a scalar run of its segment,
     /// which starts from the reset state exactly like a scalar run's first
     /// cycle.

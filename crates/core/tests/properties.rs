@@ -223,41 +223,11 @@ proptest! {
 }
 
 mod lane_batch {
-    use isa_core::batch::{segment_len, LaneBatch, LANES};
+    use isa_core::batch::{pack_pairs, unpack_lanes, LANES};
     use isa_core::{Adder, ExactAdder, MAX_WIDTH};
     use proptest::prelude::*;
 
     proptest! {
-        /// Pack/unpack round-trips for every width 1..=63: every lane's
-        /// operands survive the plane transposition bit-for-bit (after the
-        /// documented width masking).
-        #[test]
-        fn pack_unpack_round_trips_all_widths(
-            width in 1u32..=MAX_WIDTH,
-            seed in any::<u64>(),
-            lanes in 1usize..=LANES,
-        ) {
-            let mask = (1u64 << width) - 1;
-            let mut x = seed | 1;
-            let pairs: Vec<(u64, u64)> = (0..lanes)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    (x, x.rotate_left(23))
-                })
-                .collect();
-            let batch = LaneBatch::pack(width, &pairs);
-            prop_assert_eq!(batch.width(), width);
-            prop_assert_eq!(batch.len(), lanes);
-            let a = LaneBatch::unpack_lanes(batch.a_planes(), lanes);
-            let b = LaneBatch::unpack_lanes(batch.b_planes(), lanes);
-            for (l, &(pa, pb)) in pairs.iter().enumerate() {
-                prop_assert_eq!(a[l], pa & mask);
-                prop_assert_eq!(b[l], pb & mask);
-            }
-        }
-
         /// The 63/64 boundary: a full-width (63-bit) batch still packs, and
         /// the width+1-bit exact sum of each lane fits a u64 — the same
         /// `ExactAdder`/`mask` boundary documented on `MAX_WIDTH`.
@@ -271,30 +241,15 @@ mod lane_batch {
                     (x & mask, x.rotate_left(31) & mask)
                 })
                 .collect();
-            let batch = LaneBatch::pack(MAX_WIDTH, &pairs);
-            let a = LaneBatch::unpack_lanes(batch.a_planes(), LANES);
-            let b = LaneBatch::unpack_lanes(batch.b_planes(), LANES);
+            let w = MAX_WIDTH as usize;
+            let mut planes = vec![0u64; 2 * w];
+            pack_pairs(MAX_WIDTH, &pairs, &mut planes);
+            let (mut a, mut b) = ([0u64; LANES], [0u64; LANES]);
+            unpack_lanes(&planes[..w], &mut a);
+            unpack_lanes(&planes[w..], &mut b);
             for l in 0..LANES {
                 prop_assert_eq!(exact.add(a[l], b[l]), a[l] + b[l]);
             }
-        }
-
-        /// Segments tile the stream: every position belongs to exactly one
-        /// lane, and positions where `i % seg == 0` are exactly the segment
-        /// starts.
-        #[test]
-        fn segments_tile_the_stream(n in 1usize..20_000) {
-            let seg = segment_len(n);
-            prop_assert!(seg * LANES >= n);
-            let mut covered = 0usize;
-            for l in 0..LANES {
-                let start = l * seg;
-                if start >= n {
-                    break;
-                }
-                covered += (n - start).min(seg);
-            }
-            prop_assert_eq!(covered, n);
         }
     }
 }

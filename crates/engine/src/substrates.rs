@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use isa_core::{segment_len, Design, Substrate};
+use isa_core::{Design, LaneSchedule, Substrate};
 use isa_learn::{CyclePair, PredictorConfig, TimingErrorPredictor};
 use isa_timing_sim::run_filtered_batch_tape;
 use isa_workloads::{take_pairs, UniformWorkload};
@@ -69,7 +69,7 @@ impl Substrate for GateLevelSubstrate {
     /// Full-stream evaluation on the filtered runner: classifier-proven
     /// safe lanes take one functional tape sweep, the unsafe minority a
     /// compacted 64-lane timed replay. Lane `l` equals a scalar run of
-    /// stream segment `l` (see [`segment_len`]).
+    /// stream segment `l` (see [`LaneSchedule`]).
     fn run_batch(&self, design: &Design, clock_ps: f64, inputs: &[(u64, u64)]) -> Vec<u64> {
         let ctx = self.context(design);
         run_filtered_batch_tape(
@@ -203,33 +203,16 @@ impl std::fmt::Debug for PredictedSubstrate {
 }
 
 /// Builds the predictor's cycle stream from stream-ordered `(a, b, gold,
-/// flips)` data produced by a 64-lane gate-level run: like
-/// [`CyclePair::from_stream`], but the `t-1` features reset to the
-/// all-zero state at every lane-segment seam (`i % segment_len(n) == 0`),
-/// where the 64-lane simulator's circuit state actually restarted from
-/// reset.
+/// flips)` data produced by a 64-lane gate-level run: the stream cut at
+/// its lane-segment seams ([`LaneSchedule::segments`]), each piece passed
+/// through [`CyclePair::from_stream`], so the `t-1` features restart from
+/// the all-zero state where the 64-lane simulator's circuit state
+/// actually restarted from reset.
 #[must_use]
 pub fn cycles_with_segment_resets(raw: &[(u64, u64, u64, u64)]) -> Vec<CyclePair> {
-    let seg = segment_len(raw.len());
-    let mut prev = (0u64, 0u64, 0u64);
-    raw.iter()
-        .enumerate()
-        .map(|(i, &(a, b, gold, flips))| {
-            if i % seg == 0 {
-                prev = (0, 0, 0);
-            }
-            let pair = CyclePair {
-                a,
-                b,
-                a_prev: prev.0,
-                b_prev: prev.1,
-                gold,
-                gold_prev: prev.2,
-                flips,
-            };
-            prev = (a, b, gold);
-            pair
-        })
+    LaneSchedule::new(raw.len())
+        .segments(raw)
+        .flat_map(CyclePair::from_stream)
         .collect()
 }
 

@@ -7,8 +7,9 @@
 //! ([`cycles_with_segment_resets`]) has to equal the scalar path —
 //! [`CyclePair::from_stream`] applied to each segment independently — for
 //! every stream length, especially the non-multiple-of-64 ones whose last
-//! segment is ragged. The prediction and guardband pipelines inline the
-//! same `i % segment_len(n) == 0` reset rule; this test pins the shared
+//! segment is ragged. The extraction cuts the stream at the
+//! `isa_core::LaneSchedule` seams (`i % segment_len(n) == 0`), and the
+//! prediction and guardband pipelines call it; this test pins that
 //! contract.
 
 use isa_core::segment_len;

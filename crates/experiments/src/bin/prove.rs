@@ -38,13 +38,12 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use isa_core::batch::segment_len;
 use isa_core::{paper_designs, Design, DesignAnalysis};
 use isa_engine::{BuildError, DesignContext, ExperimentConfig};
 use isa_experiments::{arg_value, cli_args, engine_from_args, sweep, write_output};
 use isa_netlist::CellLibrary;
 use isa_prove::{analyze_settle, check_equivalence, ErrorDistribution, StaOptions};
-use isa_timing_sim::{measure_activity, measure_clocked_batch, ps_to_fs, GateLevelSim};
+use isa_timing_sim::{measure_activity, measure_clocked_batch, ps_to_fs, scalar_segment_commits};
 use isa_workloads::{take_pairs, UniformWorkload};
 
 /// Cycles of the energy check: four steps of 64 lanes.
@@ -169,31 +168,14 @@ fn prove(design: Design, config: &ExperimentConfig) -> Option<Proved> {
 }
 
 /// Compares [`measure_clocked_batch`] with [`measure_activity`] over the
-/// per-net commits of one scalar `GateLevelSim` run per lane segment (a
-/// segment padded to `segment_len` cycles with its last pair, as the
-/// batch holds it); a finding unless the transitions and the dynamic
-/// energy's bits agree.
+/// scalar lane-segment commits ([`scalar_segment_commits`]); a finding
+/// unless the transitions and the dynamic energy's bits agree.
 fn energy_mismatch(ctx: &DesignContext, inputs: &[(u64, u64)], period_ps: f64) -> Option<String> {
     let lib = CellLibrary::industrial_65nm();
     let adder = &ctx.synthesized.adder;
     let netlist = adder.netlist();
     let period_fs = ps_to_fs(period_ps);
-    let seg = segment_len(inputs.len());
-    let mut counts = vec![0u64; netlist.net_count()];
-    let reset = GateLevelSim::new(netlist, &ctx.annotation);
-    for segment in inputs.chunks(seg) {
-        let held = segment[segment.len() - 1];
-        let mut sim = reset.clone();
-        for t in 0..seg {
-            let (a, b) = segment.get(t).copied().unwrap_or(held);
-            let edge = sim.now_fs() + period_fs;
-            sim.set_inputs(&adder.input_values(a, b));
-            sim.run_until(edge);
-        }
-        for (total, &k) in counts.iter_mut().zip(sim.net_commit_counts()) {
-            *total += k;
-        }
-    }
+    let counts = scalar_segment_commits(adder, &ctx.annotation, period_fs, inputs);
     let scalar = measure_activity(&counts, inputs.len() as u64 * period_fs, netlist, &lib);
     let batch = measure_clocked_batch(adder, &ctx.annotation, period_ps, inputs, &lib);
     let same = batch.transitions == scalar.transitions
@@ -310,10 +292,9 @@ fn main() {
             if i > 0 {
                 json.push(',');
             }
-            let _ = write!(
-                json,
-                "\n    {{\"design\": \"{design}\", \"finding\": {finding:?}}}"
-            );
+            let _ = write!(json, "\n    {{\"design\": \"{design}\", \"finding\": ");
+            isa_obs::json::escape_into(finding, &mut json);
+            json.push('}');
         }
         json.push_str("\n  ]\n}\n");
         write_output(&path, &json);

@@ -10,12 +10,14 @@
 //! splits on with popcounts), and one label store, the label bit-plane.
 //! [`Dataset::push`] fills all three sample by sample;
 //! [`Dataset::from_planes`] takes the planes and label plane and derives
-//! the rows 64 samples at a time with 64×64 bit transposes. The per-bit
+//! the rows 64 samples at a time with the workspace's one 64×64 bit
+//! transpose ([`isa_core::transpose64`], from the batch layer). The per-bit
 //! predictor builds one dataset per training call and swaps each output
 //! bit's two features and labels in place, rows included. Tree growth
 //! gathers a fragmented node's member rows from the row store and turns
 //! them back into dense planes the same way (see [`crate::tree`]).
 
+use isa_core::batch::transpose64;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -304,33 +306,6 @@ pub(crate) fn packed_feature(sample: &[u64], f: usize) -> bool {
     (sample[f / 64] >> (f % 64)) & 1 == 1
 }
 
-/// Transposes a 64×64 bit matrix in place: afterwards bit `l` of word `j`
-/// is what bit `j` of word `l` was. Sample rows become bit-planes and back
-/// with the same call: six rounds of block swaps, each a fixed-shift pass
-/// over word pairs that the compiler vectorizes.
-pub(crate) fn transpose64(m: &mut [u64; 64]) {
-    swap_blocks::<32>(m, 0x0000_0000_FFFF_FFFF);
-    swap_blocks::<16>(m, 0x0000_FFFF_0000_FFFF);
-    swap_blocks::<8>(m, 0x00FF_00FF_00FF_00FF);
-    swap_blocks::<4>(m, 0x0F0F_0F0F_0F0F_0F0F);
-    swap_blocks::<2>(m, 0x3333_3333_3333_3333);
-    swap_blocks::<1>(m, 0x5555_5555_5555_5555);
-}
-
-/// One round of [`transpose64`]: swaps the `W`-bit blocks selected by
-/// `mask` between every word `k` and word `k + W` of each `2W`-word group.
-#[inline(always)]
-fn swap_blocks<const W: usize>(m: &mut [u64; 64], mask: u64) {
-    for group in m.chunks_exact_mut(2 * W) {
-        let (lo, hi) = group.split_at_mut(W);
-        for (a, b) in lo.iter_mut().zip(hi) {
-            let t = ((*a >> W) ^ *b) & mask;
-            *a ^= t << W;
-            *b ^= t;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,27 +423,6 @@ mod tests {
             let want = Dataset::from_planes(want_planes, labels, len);
             assert_eq!(dataset, want, "{len} samples, {features} features");
         }
-    }
-
-    #[test]
-    fn transpose64_swaps_bit_rows_and_columns() {
-        let mut state = 0xC0FF_EE00u64;
-        let mut m = [0u64; 64];
-        for word in &mut m {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1);
-            *word = state;
-        }
-        let original = m;
-        transpose64(&mut m);
-        for (j, &word) in m.iter().enumerate() {
-            for (l, &row) in original.iter().enumerate() {
-                assert_eq!((word >> l) & 1, (row >> j) & 1, "bit {l} of word {j}");
-            }
-        }
-        transpose64(&mut m);
-        assert_eq!(m, original);
     }
 
     #[test]

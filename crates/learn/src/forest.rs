@@ -151,12 +151,6 @@ impl RandomForest {
         self.trees.is_empty()
     }
 
-    /// Total node count over all trees (model-size proxy).
-    #[must_use]
-    pub fn total_nodes(&self) -> usize {
-        self.trees.iter().map(DecisionTree::node_count).sum()
-    }
-
     /// Serializes the forest: a `forest trees=<N>` header followed by each
     /// tree's text block.
     #[must_use]
@@ -374,7 +368,6 @@ mod tests {
             },
         );
         assert_eq!(forest.len(), 1);
-        assert!(forest.total_nodes() >= 1);
     }
 
     #[test]

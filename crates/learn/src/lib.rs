@@ -33,5 +33,5 @@ pub mod tree;
 pub use dataset::Dataset;
 pub use eval::ConfusionMatrix;
 pub use forest::{FeatureSubsample, ForestConfig, RandomForest};
-pub use predictor::{CyclePair, ImportanceSummary, PredictorConfig, TimingErrorPredictor};
+pub use predictor::{CyclePair, PredictorConfig, TimingErrorPredictor};
 pub use tree::{DecisionTree, TreeConfig};

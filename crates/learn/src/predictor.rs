@@ -11,8 +11,15 @@
 //! "and deduces the corresponding ysilver compared to the expected output
 //! ygold": `ysilver = ygold ^ flips`, which the engine's predicted
 //! substrate applies to whole streams.
+//!
+//! Training and inference both turn 64 cycles of each field into bit
+//! planes with the batch layer's 64×64 transpose
+//! ([`isa_core::transpose64`]); inference turns the predicted flip planes
+//! back into per-cycle vectors with the same call.
 
-use crate::dataset::{transpose64, Dataset};
+use isa_core::batch::transpose64;
+
+use crate::dataset::Dataset;
 use crate::forest::{ForestConfig, RandomForest};
 
 /// One training/inference cycle of an overclocked adder stream.
@@ -370,49 +377,6 @@ impl TimingErrorPredictor {
             models,
         })
     }
-
-    /// Aggregated feature importance across all trained bit models,
-    /// grouped by the paper's feature families.
-    #[must_use]
-    pub fn importance_summary(&self) -> ImportanceSummary {
-        let w = self.width as usize;
-        let mut summary = ImportanceSummary::default();
-        let mut trained = 0usize;
-        for model in &self.models {
-            let BitModel::Forest(forest) = model else {
-                continue;
-            };
-            trained += 1;
-            let imp = forest.feature_importances();
-            summary.current_inputs += imp[..2 * w].iter().sum::<f64>();
-            summary.previous_inputs += imp[2 * w..4 * w].iter().sum::<f64>();
-            summary.previous_gold_bit += imp[4 * w];
-            summary.current_gold_bit += imp[4 * w + 1];
-        }
-        if trained > 0 {
-            let n = trained as f64;
-            summary.current_inputs /= n;
-            summary.previous_inputs /= n;
-            summary.previous_gold_bit /= n;
-            summary.current_gold_bit /= n;
-        }
-        summary
-    }
-}
-
-/// Feature importance grouped by the paper's feature families
-/// (`{x[t], x[t-1], yRTL_n[t-1], yRTL_n[t]}`), averaged over the trained
-/// bit models. Sums to ~1 when any bit trained a forest.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ImportanceSummary {
-    /// Share attributed to the current input vector `x[t]`.
-    pub current_inputs: f64,
-    /// Share attributed to the previous input vector `x[t-1]`.
-    pub previous_inputs: f64,
-    /// Share attributed to the bit's previous golden value `yRTL_n[t-1]`.
-    pub previous_gold_bit: f64,
-    /// Share attributed to the bit's current golden value `yRTL_n[t]`.
-    pub current_gold_bit: f64,
 }
 
 #[cfg(test)]
@@ -507,55 +471,5 @@ mod tests {
     #[should_panic(expected = "empty stream")]
     fn empty_training_panics() {
         let _ = TimingErrorPredictor::train(&[], 16, &PredictorConfig::default());
-    }
-}
-
-#[cfg(test)]
-mod importance_tests {
-    use super::*;
-
-    #[test]
-    fn importance_concentrates_on_informative_features() {
-        // Errors depend only on current input bits (a0..a2, b0): the
-        // current-inputs family must dominate the summary.
-        let mask = 0xFFFFu64;
-        let mut seed = 0xFACEu64;
-        let mut raw = Vec::new();
-        for _ in 0..3000 {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            let a = seed & mask;
-            let b = (seed >> 17) & mask;
-            let gold = (a + b) & 0x1FFFF;
-            let flips = if (a & 0x7) == 0x7 && (b & 1) == 1 {
-                1 << 8
-            } else {
-                0
-            };
-            raw.push((a, b, gold, flips));
-        }
-        let cycles = CyclePair::from_stream(&raw);
-        let model = TimingErrorPredictor::train(&cycles, 16, &PredictorConfig::default());
-        let summary = model.importance_summary();
-        let total = summary.current_inputs
-            + summary.previous_inputs
-            + summary.previous_gold_bit
-            + summary.current_gold_bit;
-        assert!((total - 1.0).abs() < 1e-6, "normalized total {total}");
-        assert!(
-            summary.current_inputs > 0.5,
-            "current inputs must dominate: {summary:?}"
-        );
-    }
-
-    #[test]
-    fn error_free_model_has_empty_summary() {
-        let raw: Vec<(u64, u64, u64, u64)> = (0..100).map(|i| (i, i, 2 * i, 0)).collect();
-        let cycles = CyclePair::from_stream(&raw);
-        let model = TimingErrorPredictor::train(&cycles, 8, &PredictorConfig::default());
-        let s = model.importance_summary();
-        assert_eq!(s.current_inputs, 0.0);
-        assert_eq!(s.previous_inputs, 0.0);
     }
 }

@@ -32,7 +32,9 @@ use std::ops::Range;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::dataset::{packed_feature, transpose64, Dataset};
+use isa_core::batch::transpose64;
+
+use crate::dataset::{packed_feature, Dataset};
 use crate::serialize::ParseModelError;
 
 #[cfg(test)]

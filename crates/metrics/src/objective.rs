@@ -78,15 +78,6 @@ impl ObjectiveVector {
         no_worse && strictly_better
     }
 
-    /// Weak dominance: no component worse (reflexive).
-    #[must_use]
-    pub fn weakly_dominates(&self, other: &Self) -> bool {
-        self.components()
-            .iter()
-            .zip(&other.components())
-            .all(|(m, t)| m <= t)
-    }
-
     /// Total lexicographic order (error, then delay, then energy) via
     /// [`f64::total_cmp`]: the deterministic emission order of Pareto
     /// fronts.
@@ -114,7 +105,6 @@ mod tests {
     fn dominance_requires_strict_improvement_somewhere() {
         let a = v(1.0, 2.0, 3.0);
         assert!(!a.dominates(&a));
-        assert!(a.weakly_dominates(&a));
         assert!(v(1.0, 2.0, 2.9).dominates(&a));
         assert!(v(0.5, 1.0, 1.0).dominates(&a));
         // Incomparable: better on one axis, worse on another.

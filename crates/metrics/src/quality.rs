@@ -110,12 +110,6 @@ impl QualityStats {
         }
     }
 
-    /// Root mean squared error (0 when empty).
-    #[must_use]
-    pub fn rmse(&self) -> f64 {
-        self.mse().sqrt()
-    }
-
     /// Largest absolute per-sample error.
     #[must_use]
     pub fn max_abs_error(&self) -> u64 {
@@ -166,7 +160,6 @@ mod tests {
         let q = QualityStats::new();
         assert!(q.is_empty());
         assert_eq!(q.mse(), 0.0);
-        assert_eq!(q.rmse(), 0.0);
         assert_eq!(q.max_abs_error(), 0);
         assert_eq!(q.snr_db(), f64::INFINITY);
         assert_eq!(q.psnr_db(255), f64::INFINITY);

@@ -6,6 +6,7 @@ use std::fmt;
 use std::time::Duration;
 
 use isa_netlist::{CellId, InstructionTape, Levelization, NetId};
+use isa_obs::json::escape_into;
 
 /// How bad a finding is.
 ///
@@ -298,8 +299,9 @@ impl LintReport {
     /// array.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"design\":{},", json_string(&self.design)));
+        let mut out = String::from("{\"design\":");
+        escape_into(&self.design, &mut out);
+        out.push(',');
         out.push_str(&format!("\"errors\":{},", self.error_count()));
         out.push_str(&format!("\"warnings\":{},", self.warning_count()));
         out.push_str(&format!(
@@ -312,35 +314,15 @@ impl LintReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"severity\":\"{}\",\"rule\":\"{}\",\"locus\":\"{}\",\"message\":{}}}",
-                d.severity,
-                d.rule,
-                d.locus,
-                json_string(&d.message)
+                "{{\"severity\":\"{}\",\"rule\":\"{}\",\"locus\":\"{}\",\"message\":",
+                d.severity, d.rule, d.locus,
             ));
+            escape_into(&d.message, &mut out);
+            out.push('}');
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -389,7 +371,31 @@ mod tests {
 
     #[test]
     fn json_escapes_special_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        let message = "a\"b\\c\nd\0e\u{1b}f";
+        let report = LintReport {
+            design: "q\"uote".into(),
+            diagnostics: vec![Diagnostic::new(Rule::DeadCell, Locus::Design, message)],
+            levelization: None,
+            tape: None,
+            elapsed: Duration::from_micros(1),
+        };
+        let json = report.to_json();
+        assert!(
+            json.contains(r#""message":"a\"b\\c\nd\u0000e\u001bf""#),
+            "{json}"
+        );
+        let parsed = isa_obs::Json::parse(&json).expect("the report is valid JSON");
+        assert_eq!(
+            parsed.get("design").and_then(|d| d.as_str()),
+            Some("q\"uote")
+        );
+        let Some(isa_obs::Json::Arr(findings)) = parsed.get("findings") else {
+            panic!("no findings array in {json}");
+        };
+        assert_eq!(
+            findings[0].get("message").and_then(|m| m.as_str()),
+            Some(message)
+        );
     }
 
     #[test]

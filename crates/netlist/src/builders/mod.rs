@@ -12,7 +12,7 @@ pub mod isa;
 pub mod prefix;
 pub mod ripple;
 
-use isa_core::LaneBatch;
+use isa_core::batch::{pack_pairs, unpack_lanes, LANES};
 
 use crate::graph::{NetId, Netlist, NetlistBuilder};
 use crate::tape::InstructionTape;
@@ -181,7 +181,9 @@ impl AdderNetlist {
         &self.netlist
     }
 
-    /// Packs two operands into the netlist's primary-input ordering.
+    /// Packs two operands into the netlist's primary-input ordering
+    /// (`a[0..width]` then `b[0..width]`, the plane order of
+    /// [`isa_core::pack_pairs`]).
     #[must_use]
     pub fn input_values(&self, a: u64, b: u64) -> Vec<bool> {
         let w = self.width;
@@ -201,50 +203,21 @@ impl AdderNetlist {
         self.netlist.evaluate_outputs_u64(&self.input_values(a, b))
     }
 
-    /// Packs a 64-lane operand batch into the netlist's primary-input
-    /// ordering: one plane per input pin (`a[0..width]` then
-    /// `b[0..width]`), the word-level counterpart of
-    /// [`Self::input_values`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch width differs from the adder width.
-    #[must_use]
-    pub fn input_planes(&self, batch: &LaneBatch) -> Vec<u64> {
-        assert_eq!(
-            batch.width(),
-            self.width,
-            "batch width {} vs adder width {}",
-            batch.width(),
-            self.width
-        );
-        let mut planes = Vec::with_capacity(2 * self.width as usize);
-        planes.extend_from_slice(batch.a_planes());
-        planes.extend_from_slice(batch.b_planes());
-        planes
-    }
-
     /// Zero-delay functional addition of a whole operand stream, 64 lanes
     /// per topological sweep. Bit-for-bit equal to mapping [`Self::add`]
     /// over `pairs`, at roughly 1/64th of the gate evaluations. All plane
     /// and net-value buffers are reused across the stream's chunks.
     #[must_use]
     pub fn add_batch(&self, pairs: &[(u64, u64)]) -> Vec<u64> {
-        let w = self.width as usize;
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut a_planes = Vec::new();
-        let mut b_planes = Vec::new();
-        let mut input_planes = Vec::with_capacity(2 * w);
+        let mut out = vec![0u64; pairs.len()];
+        let mut input_planes = vec![0u64; 2 * self.width as usize];
         let mut values = Vec::new();
         let mut planes = Vec::new();
-        for chunk in pairs.chunks(isa_core::LANES) {
-            isa_core::pack_planes_into(self.width, chunk, &mut a_planes, &mut b_planes);
-            input_planes.clear();
-            input_planes.extend_from_slice(&a_planes);
-            input_planes.extend_from_slice(&b_planes);
+        for (chunk, sums) in pairs.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            pack_pairs(self.width, chunk, &mut input_planes);
             self.netlist
                 .evaluate_output_planes_into(&input_planes, &mut values, &mut planes);
-            out.extend(LaneBatch::unpack_lanes(&planes, chunk.len()));
+            unpack_lanes(&planes, sums);
         }
         out
     }
@@ -262,28 +235,28 @@ impl AdderNetlist {
         use crate::tape::CHUNK;
         let w = self.width as usize;
         assert_eq!(tape.input_slots().len(), 2 * w, "tape/adder input mismatch");
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut a_planes = Vec::new();
-        let mut b_planes = Vec::new();
+        let mut out = vec![0u64; pairs.len()];
+        let mut input_planes = vec![0u64; 2 * w];
         let mut chunk_in = vec![[0u64; CHUNK]; 2 * w];
         let mut arena: Vec<[u64; CHUNK]> = Vec::new();
         let mut planes = Vec::with_capacity(w + 1);
         // Up to CHUNK 64-lane groups travel through one sweep.
-        for group in pairs.chunks(isa_core::LANES * CHUNK) {
-            let lane_chunks: Vec<&[(u64, u64)]> = group.chunks(isa_core::LANES).collect();
+        for (group, sums) in pairs
+            .chunks(LANES * CHUNK)
+            .zip(out.chunks_mut(LANES * CHUNK))
+        {
             chunk_in.fill([0; CHUNK]);
-            for (j, chunk) in lane_chunks.iter().enumerate() {
-                isa_core::pack_planes_into(self.width, chunk, &mut a_planes, &mut b_planes);
-                for i in 0..w {
-                    chunk_in[i][j] = a_planes[i];
-                    chunk_in[w + i][j] = b_planes[i];
+            for (j, chunk) in group.chunks(LANES).enumerate() {
+                pack_pairs(self.width, chunk, &mut input_planes);
+                for (lanes, &plane) in chunk_in.iter_mut().zip(&input_planes) {
+                    lanes[j] = plane;
                 }
             }
             tape.execute_into(&chunk_in, &mut arena);
-            for (j, chunk) in lane_chunks.iter().enumerate() {
+            for (j, sums) in sums.chunks_mut(LANES).enumerate() {
                 planes.clear();
                 planes.extend(tape.output_slots().iter().map(|&s| arena[s as usize][j]));
-                out.extend(LaneBatch::unpack_lanes(&planes, chunk.len()));
+                unpack_lanes(&planes, sums);
             }
         }
         out

@@ -77,8 +77,8 @@ use crate::timing::{ps_to_fs, DelayAnnotation};
 pub struct LaneClassifier {
     width: usize,
     crit_fs: u64,
-    /// Primary input pins in `input_planes` order (`a[0..w]` then
-    /// `b[0..w]`) sorted by descending exposure: `(plane index,
+    /// Primary input pins in [`isa_core::pack_pairs`] order (`a[0..w]`
+    /// then `b[0..w]`) sorted by descending exposure: `(plane index,
     /// exposure_fs)`.
     pins_by_exposure: Vec<(u32, u64)>,
     /// `bound_fs[L]`: settle bound for new vectors whose longest
@@ -812,8 +812,9 @@ mod tests {
         let period_ps = (cls.critical_fs() + 1) as f64 / 1000.0;
         let mut stream = cls.stream_classifier(period_ps);
         let pairs: Vec<(u64, u64)> = (0..64u64).map(|i| (i * 37, i * 91)).collect();
-        let batch = isa_core::LaneBatch::pack(8, &pairs);
-        assert_eq!(stream.step(batch.a_planes(), batch.b_planes()), u64::MAX);
+        let mut planes = [0u64; 16];
+        isa_core::pack_pairs(8, &pairs, &mut planes);
+        assert_eq!(stream.step(&planes[..8], &planes[8..]), u64::MAX);
     }
 
     #[test]
@@ -826,8 +827,9 @@ mod tests {
         // Lane 0: full-length carry chain (0xFFFF + 1). Lane 1: no carries.
         // Lane 2: unchanged from reset (0, 0).
         let pairs = [(0xFFFFu64, 1u64), (0x0F0F, 0x0000), (0, 0)];
-        let batch = isa_core::LaneBatch::pack(16, &pairs);
-        let safe = stream.step(batch.a_planes(), batch.b_planes());
+        let mut planes = [0u64; 32];
+        isa_core::pack_pairs(16, &pairs, &mut planes);
+        let safe = stream.step(&planes[..16], &planes[16..]);
         assert_eq!(safe & 1, 0, "full propagate run must be unsafe");
         assert_eq!(safe >> 1 & 1, 1, "carry-free operands are safe");
         assert_eq!(safe >> 2 & 1, 1, "an idle lane starts no activity");
@@ -844,18 +846,20 @@ mod tests {
         let period_fs = cls.critical_fs() / 3 + 1;
         let mut stream = cls.stream_classifier(period_fs as f64 / 1000.0);
         let hot = [(0xFFFFu64, 1u64)];
-        let batch = isa_core::LaneBatch::pack(16, &hot);
-        assert_eq!(stream.step(batch.a_planes(), batch.b_planes()) & 1, 0);
+        let mut planes = [0u64; 32];
+        isa_core::pack_pairs(16, &hot, &mut planes);
+        let (a, b) = planes.split_at(16);
+        assert_eq!(stream.step(a, b) & 1, 0);
         // Same operands again: no new activity, but the old carry wave
         // can outlive this step's sample edge.
         assert_eq!(
-            stream.step(batch.a_planes(), batch.b_planes()) & 1,
+            stream.step(a, b) & 1,
             0,
             "lane must stay unsafe while earlier activity can reach the sample"
         );
         // Two more idle edges: the first still overlaps the wave's last
         // possible in-flight commits, but they die before its sample edge.
-        assert_eq!(stream.step(batch.a_planes(), batch.b_planes()) & 1, 1);
-        assert_eq!(stream.step(batch.a_planes(), batch.b_planes()) & 1, 1);
+        assert_eq!(stream.step(a, b) & 1, 1);
+        assert_eq!(stream.step(a, b) & 1, 1);
     }
 }

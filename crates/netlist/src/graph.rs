@@ -6,7 +6,6 @@
 //! creation order is a valid topological order; [`Netlist::validate`]
 //! re-checks these invariants for netlists obtained by other means.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -228,16 +227,6 @@ impl Netlist {
     #[must_use]
     pub fn area(&self, lib: &CellLibrary) -> f64 {
         self.cells.iter().map(|c| lib.area(c.kind)).sum()
-    }
-
-    /// Histogram of cell kinds.
-    #[must_use]
-    pub fn kind_histogram(&self) -> HashMap<CellKind, usize> {
-        let mut h = HashMap::new();
-        for c in &self.cells {
-            *h.entry(c.kind).or_insert(0) += 1;
-        }
-        h
     }
 
     /// Assembles a netlist from raw parts **without structural
@@ -866,13 +855,10 @@ mod tests {
     }
 
     #[test]
-    fn area_and_histogram() {
+    fn area_is_positive() {
         let nl = full_adder_netlist();
         let lib = CellLibrary::industrial_65nm();
         assert!(nl.area(&lib) > 0.0);
-        let hist = nl.kind_histogram();
-        assert_eq!(hist[&CellKind::Xor3], 1);
-        assert_eq!(hist[&CellKind::Maj3], 1);
     }
 
     #[test]

@@ -125,12 +125,6 @@ impl StaReport {
         downstream
     }
 
-    /// Slack of the design against a clock period (positive = meets timing).
-    #[must_use]
-    pub fn slack_ps(&self, period_ps: f64) -> f64 {
-        period_ps - self.critical_ps
-    }
-
     /// True if every output settles within the period.
     #[must_use]
     pub fn meets(&self, period_ps: f64) -> bool {
@@ -203,7 +197,6 @@ mod tests {
         assert_eq!(sta.critical_ps(), 37.0);
         assert!(sta.meets(37.0));
         assert!(!sta.meets(36.9));
-        assert_eq!(sta.slack_ps(40.0), 3.0);
     }
 
     #[test]

@@ -34,20 +34,22 @@
 //! the tape:
 //!
 //! ```
-//! use isa_core::LaneBatch;
+//! use isa_core::{pack_pairs, unpack_lanes};
 //! use isa_netlist::{build_exact, AdderTopology, InstructionTape};
 //!
 //! let adder = build_exact(8, AdderTopology::Ripple);
 //! let tape = InstructionTape::compile(adder.netlist());
 //!
 //! // Lane 0 computes 11 + 7; the other 63 lanes are idle (0 + 0).
-//! let inputs = adder.input_planes(&LaneBatch::pack(8, &[(11, 7)]));
+//! let mut inputs = [0u64; 16];
+//! pack_pairs(8, &[(11, 7)], &mut inputs);
 //! let mut arena = Vec::new();
 //! tape.execute_into(&inputs, &mut arena);
 //!
-//! let mut sum_planes = Vec::new();
-//! tape.read_outputs_into(&arena, &mut sum_planes);
-//! assert_eq!(LaneBatch::unpack_lanes(&sum_planes, 1), vec![18]);
+//! let sum_planes: Vec<u64> = tape.output_slots().iter().map(|&s| arena[s as usize]).collect();
+//! let mut sums = [0u64; 1];
+//! unpack_lanes(&sum_planes, &mut sums);
+//! assert_eq!(sums, [18]);
 //!
 //! // The arena is net-indexed: it holds every net's settled plane, exactly
 //! // like `Netlist::evaluate_words`.
@@ -442,12 +444,6 @@ impl InstructionTape {
             arena[slot as usize] = plane;
         }
         self.sweep(arena);
-    }
-
-    /// Gathers the primary-output planes from an executed arena.
-    pub fn read_outputs_into<P: Plane>(&self, arena: &[P], planes: &mut Vec<P>) {
-        planes.clear();
-        planes.extend(self.outputs.iter().map(|&slot| arena[slot as usize]));
     }
 
     /// The straight-line op loop: one `CellKind` dispatch per run, one

@@ -136,7 +136,7 @@ proptest! {
 
 mod word_level {
     use super::*;
-    use isa_core::{LaneBatch, LANES};
+    use isa_core::{pack_pairs, unpack_lanes, LANES};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -163,12 +163,12 @@ mod word_level {
                     (x >> 32, x & 0xFFFF_FFFF)
                 })
                 .collect();
+            let mut input_planes = [0u64; 64];
+            pack_pairs(32, &pairs, &mut input_planes);
             for adder in &adders {
-                let batch = LaneBatch::pack(32, &pairs);
-                let planes = adder
-                    .netlist()
-                    .evaluate_output_planes(&adder.input_planes(&batch));
-                let lanes = LaneBatch::unpack_lanes(&planes, LANES);
+                let planes = adder.netlist().evaluate_output_planes(&input_planes);
+                let mut lanes = [0u64; LANES];
+                unpack_lanes(&planes, &mut lanes);
                 for (l, &(a, b)) in pairs.iter().enumerate() {
                     prop_assert_eq!(lanes[l], adder.add(a, b), "lane {}", l);
                 }

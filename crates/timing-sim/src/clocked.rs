@@ -7,6 +7,7 @@
 //! interacts with the next cycle, exactly as in delay-annotated RTL
 //! simulation.
 
+use isa_core::batch::LaneSchedule;
 use isa_netlist::builders::AdderNetlist;
 use isa_netlist::graph::Netlist;
 use isa_netlist::timing::DelayAnnotation;
@@ -129,10 +130,10 @@ pub fn run_adder_trace(
     records
 }
 
-/// The scalar oracle the 64-lane runners are pinned to: each contiguous
-/// lane segment of `inputs` ([`segment_len`](isa_core::batch::segment_len)
-/// cycles) replayed on a fresh [`ClockedSim`] from reset, returning the
-/// sampled outputs in stream order.
+/// The scalar oracle the 64-lane runners are pinned to: each lane segment
+/// of `inputs` ([`LaneSchedule::segments`]) replayed on a fresh
+/// [`ClockedSim`] from reset, returning the sampled outputs in stream
+/// order.
 #[must_use]
 pub fn scalar_segments(
     adder: &AdderNetlist,
@@ -140,11 +141,43 @@ pub fn scalar_segments(
     period_ps: f64,
     inputs: &[(u64, u64)],
 ) -> Vec<u64> {
-    inputs
-        .chunks(isa_core::batch::segment_len(inputs.len()))
+    LaneSchedule::new(inputs.len())
+        .segments(inputs)
         .flat_map(|segment| run_adder_trace(adder, annotation, period_ps, segment))
         .map(|record| record.sampled)
         .collect()
+}
+
+/// The scalar energy oracle the 64-lane activity sweep
+/// ([`measure_clocked_batch`](crate::measure_clocked_batch)) is pinned to:
+/// per-net committed transitions summed over one [`GateLevelSim`] clocked
+/// run per lane segment, each from reset and padded to
+/// [`LaneSchedule::steps`] cycles with its last pair, as the batch holds
+/// an exhausted lane.
+#[must_use]
+pub fn scalar_segment_commits(
+    adder: &AdderNetlist,
+    annotation: &DelayAnnotation,
+    period_fs: u64,
+    inputs: &[(u64, u64)],
+) -> Vec<u64> {
+    let netlist = adder.netlist();
+    let schedule = LaneSchedule::new(inputs.len());
+    let mut counts = vec![0u64; netlist.net_count()];
+    for segment in schedule.segments(inputs) {
+        let held = segment[segment.len() - 1];
+        let mut sim = GateLevelSim::new(netlist, annotation);
+        for t in 0..schedule.steps() {
+            let (a, b) = segment.get(t).copied().unwrap_or(held);
+            let edge = sim.now_fs() + period_fs;
+            sim.set_inputs(&adder.input_values(a, b));
+            sim.run_until(edge);
+        }
+        for (total, &k) in counts.iter_mut().zip(sim.net_commit_counts()) {
+            *total += k;
+        }
+    }
+    counts
 }
 
 #[cfg(test)]

@@ -11,20 +11,25 @@
 //!    per cycle, that the sampled outputs will equal the settled
 //!    (functional) outputs — see `isa_netlist::classify` for the
 //!    conservative bounds. The safe/unsafe schedule depends only on the
-//!    input stream, so it is computed in one simulation-free pass.
+//!    input stream, so it is computed in one simulation-free pass, which
+//!    deals the stream with the batch layer's [`LaneSchedule`] and packs
+//!    every step once ([`pack_pairs`]); the fast path reuses those
+//!    planes.
 //! 2. **Fast path**: safe cycles are settled functionally on the compiled
 //!    [`InstructionTape`], [`CHUNK`] steps per topological sweep on
 //!    `[u64; CHUNK]` vector planes — identical by construction to the
-//!    settled timed result.
+//!    settled timed result — and scattered back to stream order by the
+//!    same schedule.
 //! 3. **Compacted slow path**: the remaining unsafe cycles form, per
 //!    lane, maximal *runs* of consecutive cycles. Each run starts from a
 //!    proven-settled state (its predecessor cycle was safe, or the lane's
 //!    segment reset), so runs are independent simulation tasks: seed a
 //!    [`TimedTapeCore`] lane already settled at the predecessor operands
 //!    ([`TimedTapeCore::with_settled`]), then clock the run's cycles.
-//!    Runs from all lanes are packed dense, longest first, into waves of
-//!    up to 64 — timed replay only ever runs on compacted batches of
-//!    genuinely at-risk lanes.
+//!    A lane's positions are contiguous, so a run is its first stream
+//!    position and its length. Runs from all lanes are packed dense,
+//!    longest first, into waves of up to 64 — timed replay only ever runs
+//!    on compacted batches of genuinely at-risk lanes.
 //!
 //! The composition is **bit-identical** to [`run_clocked_batch_timed`],
 //! and so to a scalar [`ClockedSim`](crate::ClockedSim) run of every lane
@@ -38,7 +43,7 @@
 
 use std::sync::OnceLock;
 
-use isa_core::batch::{pack_planes_into_slices, segment_len, LaneBatch, LANES};
+use isa_core::batch::{pack_pairs, unpack_lanes, LaneSchedule, LANES};
 use isa_netlist::builders::AdderNetlist;
 use isa_netlist::classify::LaneClassifier;
 use isa_netlist::tape::{InstructionTape, CHUNK};
@@ -174,33 +179,23 @@ pub fn run_filtered_batch_with_stats_tape(
     let netlist = adder.netlist();
     let width = adder.width();
     let w = width as usize;
-    let seg = segment_len(n);
+    let schedule = LaneSchedule::new(n);
+    let steps = schedule.steps();
 
     // Pass 1 — classification only. The schedule is a pure function of
     // the input stream; lanes deal the stream in the same contiguous
     // segments as the timed replay, exhausted lanes holding their last
-    // operands (no input change, hence no activity).
+    // operands (no input change, hence no activity). Every step's packed
+    // input planes are kept for the fast path.
     let mut stream_cls = classifier.stream_classifier(period_ps);
     let mut lane_pairs = [(0u64, 0u64); LANES];
-    let mut a_planes = vec![0u64; seg * w];
-    let mut b_planes = vec![0u64; seg * w];
-    let mut safe_masks = vec![0u64; seg];
-    let mut active_masks = vec![0u64; seg];
-    for t in 0..seg {
-        let mut active = 0u64;
-        for (l, lane) in lane_pairs.iter_mut().enumerate() {
-            let idx = l * seg + t;
-            if idx < n {
-                *lane = inputs[idx];
-                active |= 1u64 << l;
-            }
-        }
-        let (a_t, b_t) = (
-            &mut a_planes[t * w..(t + 1) * w],
-            &mut b_planes[t * w..(t + 1) * w],
-        );
-        pack_planes_into_slices(width, &lane_pairs, a_t, b_t);
-        let (a_t, b_t) = (&a_planes[t * w..(t + 1) * w], &b_planes[t * w..(t + 1) * w]);
+    let mut planes = vec![0u64; steps * 2 * w];
+    let mut safe_masks = vec![0u64; steps];
+    let mut active_masks = vec![0u64; steps];
+    for (t, step_planes) in planes.chunks_exact_mut(2 * w).enumerate() {
+        let active = schedule.gather(inputs, t, &mut lane_pairs);
+        pack_pairs(width, &lane_pairs, step_planes);
+        let (a_t, b_t) = step_planes.split_at(w);
         safe_masks[t] = stream_cls.step(a_t, b_t);
         active_masks[t] = active;
         stats.classified_safe += u64::from((safe_masks[t] & active).count_ones());
@@ -221,31 +216,26 @@ pub fn run_filtered_batch_with_stats_tape(
     // served steps into `[u64; CHUNK]` vector planes and settle them all
     // in one topological sweep.
     let mut out = vec![0u64; n];
-    let served_steps: Vec<usize> = (0..seg)
+    let served_steps: Vec<usize> = (0..steps)
         .filter(|&t| safe_masks[t] & active_masks[t] != 0)
         .collect();
     let mut chunk_in = vec![[0u64; CHUNK]; 2 * w];
     let mut arena: Vec<[u64; CHUNK]> = Vec::new();
     let mut settled = Vec::with_capacity(w + 1);
+    let mut lane_outputs = [0u64; LANES];
     for group in served_steps.chunks(CHUNK) {
         chunk_in.fill([0; CHUNK]);
         for (j, &t) in group.iter().enumerate() {
-            for i in 0..w {
-                chunk_in[i][j] = a_planes[t * w + i];
-                chunk_in[w + i][j] = b_planes[t * w + i];
+            for (lanes, &plane) in chunk_in.iter_mut().zip(&planes[t * 2 * w..]) {
+                lanes[j] = plane;
             }
         }
         tape.execute_into(&chunk_in, &mut arena);
         for (j, &t) in group.iter().enumerate() {
             settled.clear();
             settled.extend(tape.output_slots().iter().map(|&s| arena[s as usize][j]));
-            let lanes = LaneBatch::unpack_lanes(&settled, LANES);
-            let mut m = safe_masks[t] & active_masks[t];
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                out[l * seg + t] = lanes[l];
-                m &= m - 1;
-            }
+            unpack_lanes(&settled, &mut lane_outputs);
+            schedule.scatter(t, &lane_outputs, safe_masks[t], &mut out);
         }
     }
 
@@ -253,14 +243,16 @@ pub fn run_filtered_batch_with_stats_tape(
     // maximal runs of consecutive unsafe cycles; each run's predecessor
     // cycle is proven settled (or is the segment reset), so its start
     // state is exactly "previous operands, settled, nothing in flight".
+    // A lane's positions are contiguous, so a run is its first stream
+    // position and its length.
     struct RunTask {
-        lane: usize,
-        start: usize,
+        first: usize,
         len: usize,
+        from_reset: bool,
     }
     let mut tasks: Vec<RunTask> = Vec::new();
     for lane in 0..LANES {
-        let lane_len = n.saturating_sub(lane * seg).min(seg);
+        let lane_len = schedule.lane_len(lane);
         let safe_at = |t: usize| safe_masks[t] >> lane & 1 == 1;
         let mut t = 0;
         while t < lane_len {
@@ -273,9 +265,11 @@ pub fn run_filtered_batch_with_stats_tape(
                 t += 1;
             }
             tasks.push(RunTask {
-                lane,
-                start,
+                first: schedule
+                    .position(lane, start)
+                    .expect("a run lies in its lane"),
                 len: t - start,
+                from_reset: start == 0,
             });
         }
     }
@@ -284,37 +278,38 @@ pub fn run_filtered_batch_with_stats_tape(
     // Waves run on the timed replay core; the flattened program is period
     // independent and shared by every wave.
     let program = (!tasks.is_empty()).then(|| TimedTape::new(netlist, tape, annotation));
+    let mut wave_pairs = [(0u64, 0u64); LANES];
+    let mut wave_planes = vec![0u64; 2 * w];
     for wave in tasks.chunks(LANES) {
         let program = program.as_ref().expect("built when tasks exist");
         stats.waves += 1;
-        let mut wave_pairs: Vec<(u64, u64)> = wave
-            .iter()
-            .map(|task| {
-                if task.start == 0 {
-                    (0, 0) // segment reset: the all-zero settled state
-                } else {
-                    inputs[task.lane * seg + task.start - 1]
-                }
-            })
-            .collect();
+        let wave_pairs = &mut wave_pairs[..wave.len()];
+        for (pair, task) in wave_pairs.iter_mut().zip(wave) {
+            // Segment reset: the all-zero settled state.
+            *pair = if task.from_reset {
+                (0, 0)
+            } else {
+                inputs[task.first - 1]
+            };
+        }
         // Seeding costs one functional pass, not an event cascade: the
         // settled predecessor state is a pure function of the seed pairs.
-        let seed_planes = adder.input_planes(&LaneBatch::pack(width, &wave_pairs));
-        let mut core = TimedTapeCore::with_settled(program, tape, period_ps, &seed_planes);
+        pack_pairs(width, wave_pairs, &mut wave_planes);
+        let mut core = TimedTapeCore::with_settled(program, tape, period_ps, &wave_planes);
         let longest = wave[0].len; // sorted longest-first
+        let lane_outputs = &mut lane_outputs[..wave.len()];
         for j in 0..longest {
-            for (wl, task) in wave.iter().enumerate() {
+            for (pair, task) in wave_pairs.iter_mut().zip(wave) {
                 if j < task.len {
-                    wave_pairs[wl] = inputs[task.lane * seg + task.start + j];
+                    *pair = inputs[task.first + j];
                 }
                 // else: hold the run's last operands (no activity).
             }
-            let batch = LaneBatch::pack(width, &wave_pairs);
-            let sampled = core.step_planes(program, &adder.input_planes(&batch));
-            let lanes = LaneBatch::unpack_lanes(&sampled, wave.len());
-            for (wl, task) in wave.iter().enumerate() {
+            pack_pairs(width, wave_pairs, &mut wave_planes);
+            unpack_lanes(core.step_planes(program, &wave_planes), lane_outputs);
+            for (&value, task) in lane_outputs.iter().zip(wave) {
                 if j < task.len {
-                    out[task.lane * seg + task.start + j] = lanes[wl];
+                    out[task.first + j] = value;
                 }
             }
         }

@@ -36,7 +36,9 @@ pub mod sim;
 pub mod timedtape;
 pub mod waveform;
 
-pub use clocked::{run_adder_trace, scalar_segments, ClockedSim, CycleRecord};
+pub use clocked::{
+    run_adder_trace, scalar_segment_commits, scalar_segments, ClockedSim, CycleRecord,
+};
 pub use filtered::{run_filtered_batch_tape, run_filtered_batch_with_stats_tape, FilterStats};
 pub use power::{measure as measure_energy, measure_activity, measure_clocked_batch, EnergyReport};
 pub use razor::{run_razor_trace, RazorConfig, RazorCycle, RazorReport};

@@ -11,7 +11,11 @@
 //! Batched runs ([`measure_clocked_batch`]) count activity with a
 //! levelized sweep over the netlist's cell list, which is topological,
 //! 64 lanes to a word, the way [`TimedTapeCore`](crate::TimedTapeCore)
-//! replays the tape. The timed tape keeps change-only waveforms; the
+//! replays the tape. The stream is dealt by the batch layer's
+//! [`LaneSchedule`] and packed by [`pack_pairs`] into one reused buffer,
+//! exactly like the timed replay; the counts are pinned to the one scalar
+//! energy oracle, [`scalar_segment_commits`](crate::scalar_segment_commits).
+//! The timed tape keeps change-only waveforms; the
 //! sweep keeps a per-net **commit list** holding every commit the scalar
 //! event queue ([`GateLevelSim`]) makes, because energy bills the
 //! same-instant repeat commits (zero-width glitches) that change-only
@@ -41,7 +45,7 @@
 
 use std::cmp::Ordering;
 
-use isa_core::batch::{segment_len, LaneBatch, LANES};
+use isa_core::batch::{pack_pairs, LaneSchedule, LANES};
 use isa_netlist::builders::AdderNetlist;
 use isa_netlist::cell::{CellKind, CellLibrary};
 use isa_netlist::graph::{CellId, NetDriver, NetId, Netlist};
@@ -104,10 +108,10 @@ pub fn measure(sim: &GateLevelSim<'_>, netlist: &Netlist, lib: &CellLibrary) -> 
 /// energy-per-addition recipe shared by the `energy_table` experiment and
 /// the design-space explorer's energy objective.
 ///
-/// The stream is dealt to lanes in contiguous segments of [`segment_len`]
-/// cycles, exactly like the timed replay: lane `l` carries positions
-/// `l*seg ..`, and lanes that exhaust their segment hold their last
-/// inputs, so padding adds no switching activity once settled.
+/// The stream is dealt to lanes by the [`LaneSchedule`], exactly like the
+/// timed replay: each lane carries one contiguous segment, and lanes that
+/// exhaust their segment hold their last inputs, so padding adds no
+/// switching activity once settled.
 ///
 /// # Panics
 ///
@@ -147,19 +151,13 @@ fn clocked_batch_commits(
     inputs: &[(u64, u64)],
 ) -> Vec<u64> {
     let mut sweep = ActivitySweep::new(adder.netlist(), annotation);
-    let n = inputs.len();
-    let seg = segment_len(n);
+    let schedule = LaneSchedule::new(inputs.len());
     let mut lane_pairs = [(0u64, 0u64); LANES];
-    for t in 0..seg {
-        for (l, lane) in lane_pairs.iter_mut().enumerate() {
-            let idx = l * seg + t;
-            if idx < n {
-                *lane = inputs[idx];
-            }
-            // else: hold the lane's previous inputs (no activity).
-        }
-        let batch = LaneBatch::pack(adder.width(), &lane_pairs);
-        sweep.step(&adder.input_planes(&batch), period_fs);
+    let mut planes = vec![0u64; 2 * adder.width() as usize];
+    for t in 0..schedule.steps() {
+        schedule.gather(inputs, t, &mut lane_pairs);
+        pack_pairs(adder.width(), &lane_pairs, &mut planes);
+        sweep.step(&planes, period_fs);
     }
     sweep.net_commits
 }
@@ -580,6 +578,7 @@ impl Emit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clocked::scalar_segment_commits;
     use isa_netlist::builders::{build_exact, AdderTopology};
     use isa_netlist::graph::NetlistBuilder;
     use isa_netlist::sta::StaReport;
@@ -661,35 +660,6 @@ mod tests {
         let _ = report.per_op_fj(0);
     }
 
-    /// The scalar oracle: per-net commits summed over one `GateLevelSim`
-    /// clocked run per lane, over the lane's segment padded to
-    /// `segment_len(n)` cycles with its last pair. A lane with no pairs
-    /// holds the reset inputs and never switches.
-    fn scalar_lane_commits(
-        adder: &AdderNetlist,
-        ann: &DelayAnnotation,
-        period_fs: u64,
-        inputs: &[(u64, u64)],
-    ) -> Vec<u64> {
-        let netlist = adder.netlist();
-        let seg = segment_len(inputs.len());
-        let mut counts = vec![0u64; netlist.net_count()];
-        for segment in inputs.chunks(seg) {
-            let held = segment[segment.len() - 1];
-            let mut sim = GateLevelSim::new(netlist, ann);
-            for t in 0..seg {
-                let (a, b) = segment.get(t).copied().unwrap_or(held);
-                let edge = sim.now_fs() + period_fs;
-                sim.set_inputs(&adder.input_values(a, b));
-                sim.run_until(edge);
-            }
-            for (total, &k) in counts.iter_mut().zip(sim.net_commit_counts()) {
-                *total += k;
-            }
-        }
-        counts
-    }
-
     #[test]
     fn lane_weighted_commits_match_scalar_totals() {
         // One step with 64 distinct lanes and a period past every settle
@@ -727,21 +697,15 @@ mod tests {
         let netlist = adder.netlist();
         let crit = StaReport::analyze(netlist, &ann).critical_ps();
         let inputs = pairs(LANES * 5);
-        let seg = segment_len(inputs.len());
         for period in [crit + 1.0, crit * 0.6] {
             let batched = measure_clocked_batch(&adder, &ann, period, &inputs, &lib);
             let period_fs = ps_to_fs(period);
-            let mut scalar_total = 0u64;
-            for segment in inputs.chunks(seg) {
-                let mut sim = GateLevelSim::new(netlist, &ann);
-                for &(a, b) in segment {
-                    let edge = sim.now_fs() + period_fs;
-                    sim.set_inputs(&adder.input_values(a, b));
-                    sim.run_until(edge);
-                }
-                scalar_total += sim.net_commit_counts().iter().sum::<u64>();
-            }
-            assert_eq!(batched.transitions, scalar_total, "period {period}");
+            let scalar = scalar_segment_commits(&adder, &ann, period_fs, &inputs);
+            assert_eq!(
+                batched.transitions,
+                scalar.iter().sum::<u64>(),
+                "period {period}"
+            );
             assert_eq!(batched.span_fs, inputs.len() as u64 * period_fs);
         }
     }
@@ -775,7 +739,7 @@ mod tests {
                         let period_fs = ps_to_fs(crit * factor);
                         assert_eq!(
                             clocked_batch_commits(&adder, &ann, period_fs, &inputs),
-                            scalar_lane_commits(&adder, &ann, period_fs, &inputs),
+                            scalar_segment_commits(&adder, &ann, period_fs, &inputs),
                             "{topology:?}, {label} delays, {n} pairs, {factor} x critical"
                         );
                     }
@@ -822,7 +786,7 @@ mod tests {
         for period_fs in edges {
             assert_eq!(
                 clocked_batch_commits(&adder, &ann, period_fs, &inputs),
-                scalar_lane_commits(&adder, &ann, period_fs, &inputs),
+                scalar_segment_commits(&adder, &ann, period_fs, &inputs),
                 "period {period_fs} fs"
             );
         }

@@ -42,7 +42,7 @@
 //! short-path contamination is sampled, never assumed away; `settled` is
 //! the tape's functional value.
 
-use isa_core::batch::{segment_len, LaneBatch, LANES};
+use isa_core::batch::{pack_pairs, segment_len, unpack_lanes, LANES};
 use isa_netlist::builders::AdderNetlist;
 use isa_netlist::cell::CellLibrary;
 use isa_netlist::tape::InstructionTape;
@@ -242,12 +242,14 @@ fn sample_lanes(
     let margin_fs = ps_to_fs(margin_ps);
     let warmup = (program.critical_fs() + margin_fs).div_ceil(ps_to_fs(period_ps)) as usize + 1;
     let seg = segment_len(n);
-    let reset = vec![0u64; 2 * adder.width() as usize];
-    let mut core = TimedTapeCore::with_settled(&program, &tape, period_ps, &reset);
+    // The reset state: every lane settled at zero operands.
+    let mut planes = vec![0u64; 2 * adder.width() as usize];
+    let mut core = TimedTapeCore::with_settled(&program, &tape, period_ps, &planes);
     let settled = adder.add_batch_with_tape(&tape, inputs);
     let mut main = vec![0u64; n];
     let mut shadow = vec![0u64; n];
     let mut lane_pairs = [(0u64, 0u64); LANES];
+    let (mut mains, mut shadows) = ([0u64; LANES], [0u64; LANES]);
     // Step `t` launches stream position `l·seg + t - W` on lane `l`: the
     // reset operands before the stream, held operands past its end. Its
     // main latch belongs to that position, its shadow to the one before.
@@ -259,13 +261,9 @@ fn sample_lanes(
                 Some(_) => {}
             }
         }
-        let batch = LaneBatch::pack(adder.width(), &lane_pairs);
-        let mains = LaneBatch::unpack_lanes(
-            &core.step_planes(&program, &adder.input_planes(&batch)),
-            LANES,
-        );
-        let shadows =
-            LaneBatch::unpack_lanes(&core.sample_after_launch(&program, margin_fs), LANES);
+        pack_pairs(adder.width(), &lane_pairs, &mut planes);
+        unpack_lanes(core.step_planes(&program, &planes), &mut mains);
+        unpack_lanes(core.sample_after_launch(&program, margin_fs), &mut shadows);
         for l in 0..LANES {
             let segment = l * seg..((l + 1) * seg).min(n);
             let Some(pos) = (l * seg + t).checked_sub(warmup) else {

@@ -32,7 +32,14 @@
 //! Sampling keeps the event queue's strictly-before semantics: the value
 //! at edge `T` is the waveform value just below `T`, and transitions at
 //! exactly `T` stay pending into the next step, exactly like events the
-//! queue had not yet committed.
+//! queue had not yet committed. Samples land in one buffer the core
+//! reuses, so a clocked step allocates nothing.
+//!
+//! [`run_clocked_batch_timed`] deals a stream with the batch layer
+//! (`isa_core::batch`): [`LaneSchedule`] gathers each step's pairs and
+//! scatters its samples back to stream order, and [`pack_pairs`] /
+//! [`unpack_lanes`] move them between pairs and planes in one reused
+//! buffer per run.
 //!
 //! What this core deliberately does **not** provide are activity
 //! counters: change-only waveforms erase the zero-width glitch commits
@@ -44,7 +51,7 @@
 //! scalar [`ClockedSim`](crate::ClockedSim) run. Razor ([`crate::razor`])
 //! also reads the waveforms between edges, for its shadow latch.
 
-use isa_core::batch::{segment_len, LaneBatch, LANES};
+use isa_core::batch::{pack_pairs, unpack_lanes, LaneSchedule, LANES};
 use isa_netlist::builders::AdderNetlist;
 use isa_netlist::tape::InstructionTape;
 use isa_netlist::timing::{ps_to_fs, DelayAnnotation};
@@ -259,6 +266,8 @@ pub struct TimedTapeCore {
     period_fs: u64,
     /// Recycled transition buffer for waveform rebuilds.
     scratch: Vec<(u64, u64)>,
+    /// The last sampled output planes.
+    sampled: Vec<u64>,
 }
 
 impl TimedTapeCore {
@@ -297,6 +306,7 @@ impl TimedTapeCore {
             now_fs: 0,
             period_fs: ps_to_fs(period_ps),
             scratch: Vec::new(),
+            sampled: Vec::with_capacity(program.outputs.len()),
         }
     }
 
@@ -314,12 +324,13 @@ impl TimedTapeCore {
     /// Applies one input word vector at the current edge, runs one
     /// period, and returns the output planes sampled at the next edge —
     /// same strictly-before sampling semantics as
-    /// [`ClockedSim::step`](crate::ClockedSim::step).
+    /// [`ClockedSim::step`](crate::ClockedSim::step). The planes live in
+    /// a buffer the core reuses on every sample.
     ///
     /// # Panics
     ///
     /// Panics if the plane count differs from the program's input count.
-    pub fn step_planes(&mut self, program: &TimedTape, input_planes: &[u64]) -> Vec<u64> {
+    pub fn step_planes(&mut self, program: &TimedTape, input_planes: &[u64]) -> &[u64] {
         assert_eq!(
             input_planes.len(),
             program.inputs.len(),
@@ -353,14 +364,8 @@ impl TimedTapeCore {
             }
             self.rebuild(program, o, now);
         }
-        let edge = now + self.period_fs;
-        let sampled = program
-            .outputs
-            .iter()
-            .map(|&s| self.waves[s as usize].sample_before(edge))
-            .collect();
-        self.now_fs = edge;
-        sampled
+        self.now_fs = now + self.period_fs;
+        self.sample(program, self.now_fs)
     }
 
     /// The output planes sampled `offset_fs` after the edge at which the
@@ -370,13 +375,23 @@ impl TimedTapeCore {
     /// since each waveform already holds everything the held inputs
     /// still cause. Before the first step this reads the settled state.
     #[must_use]
-    pub(crate) fn sample_after_launch(&self, program: &TimedTape, offset_fs: u64) -> Vec<u64> {
+    pub(crate) fn sample_after_launch(&mut self, program: &TimedTape, offset_fs: u64) -> &[u64] {
         let t = self.now_fs.saturating_sub(self.period_fs) + offset_fs;
-        program
-            .outputs
-            .iter()
-            .map(|&s| self.waves[s as usize].sample_before(t))
-            .collect()
+        self.sample(program, t)
+    }
+
+    /// The output planes at time `t` (strictly-before semantics), in the
+    /// reused sample buffer.
+    fn sample(&mut self, program: &TimedTape, t: u64) -> &[u64] {
+        self.sampled.clear();
+        let waves = &self.waves;
+        self.sampled.extend(
+            program
+                .outputs
+                .iter()
+                .map(|&s| waves[s as usize].sample_before(t)),
+        );
+        &self.sampled
     }
 
     /// Recomputes op `o`'s output waveform for the window starting at
@@ -460,13 +475,13 @@ impl TimedTapeCore {
 /// Runs an adder's full operand stream on the timed tape core and returns
 /// the sampled (`ysilver`) outputs in stream order.
 ///
-/// The stream is dealt to lanes in **contiguous segments** of
-/// [`segment_len`] cycles (lane `l` carries positions `l*seg ..`), so each
-/// lane equals a scalar [`ClockedSim`](crate::ClockedSim) run of its
-/// segment: consecutive stream cycles stay consecutive everywhere except
-/// the at-most-63 segment seams, where a lane starts from the reset state
-/// exactly like the scalar run's first cycle. Lanes that exhaust their
-/// segment hold their last operands.
+/// The stream is dealt to lanes by the [`LaneSchedule`], in **contiguous
+/// segments**, so each lane equals a scalar
+/// [`ClockedSim`](crate::ClockedSim) run of its segment: consecutive
+/// stream cycles stay consecutive everywhere except the at-most-63
+/// segment seams, where a lane starts from the reset state exactly like
+/// the scalar run's first cycle. Lanes that exhaust their segment hold
+/// their last operands.
 ///
 /// # Panics
 ///
@@ -479,34 +494,21 @@ pub fn run_clocked_batch_timed(
     period_ps: f64,
     inputs: &[(u64, u64)],
 ) -> Vec<u64> {
-    let n = inputs.len();
-    if n == 0 {
+    if inputs.is_empty() {
         return Vec::new();
     }
-    let width = adder.width();
     // The uniform reset state: all lanes settled at zero operands.
-    let zero = vec![0u64; program.inputs.len()];
-    let mut core = TimedTapeCore::with_settled(program, tape, period_ps, &zero);
-    let seg = segment_len(n);
+    let mut planes = vec![0u64; program.inputs.len()];
+    let mut core = TimedTapeCore::with_settled(program, tape, period_ps, &planes);
+    let schedule = LaneSchedule::new(inputs.len());
     let mut lane_pairs = [(0u64, 0u64); LANES];
-    let mut out = vec![0u64; n];
-    for t in 0..seg {
-        for (l, lane) in lane_pairs.iter_mut().enumerate() {
-            let idx = l * seg + t;
-            if idx < n {
-                *lane = inputs[idx];
-            }
-            // else: hold the lane's previous inputs (no activity).
-        }
-        let batch = LaneBatch::pack(width, &lane_pairs);
-        let sampled = core.step_planes(program, &adder.input_planes(&batch));
-        let lanes = LaneBatch::unpack_lanes(&sampled, LANES);
-        for (l, &value) in lanes.iter().enumerate() {
-            let idx = l * seg + t;
-            if idx < n {
-                out[idx] = value;
-            }
-        }
+    let mut lane_outputs = [0u64; LANES];
+    let mut out = vec![0u64; inputs.len()];
+    for t in 0..schedule.steps() {
+        schedule.gather(inputs, t, &mut lane_pairs);
+        pack_pairs(adder.width(), &lane_pairs, &mut planes);
+        unpack_lanes(core.step_planes(program, &planes), &mut lane_outputs);
+        schedule.scatter(t, &lane_outputs, u64::MAX, &mut out);
     }
     out
 }
@@ -638,8 +640,9 @@ mod tests {
         let period = crit * 0.6;
         let period_fs = ps_to_fs(period);
         let seed_input = pairs(LANES, 0x5EED);
-        let seed_planes = adder.input_planes(&LaneBatch::pack(16, &seed_input));
-        let mut timed = TimedTapeCore::with_settled(&program, &tape, period, &seed_planes);
+        let mut planes = [0u64; 32];
+        pack_pairs(16, &seed_input, &mut planes);
+        let mut timed = TimedTapeCore::with_settled(&program, &tape, period, &planes);
         let mut scalars: Vec<GateLevelSim<'_>> = seed_input
             .iter()
             .map(|&(a, b)| {
@@ -651,8 +654,9 @@ mod tests {
             .collect();
         for step in 0..32 {
             let step_input = pairs(LANES, 0xAB + step);
-            let planes = adder.input_planes(&LaneBatch::pack(16, &step_input));
-            let lanes = LaneBatch::unpack_lanes(&timed.step_planes(&program, &planes), LANES);
+            pack_pairs(16, &step_input, &mut planes);
+            let mut lanes = [0u64; LANES];
+            unpack_lanes(timed.step_planes(&program, &planes), &mut lanes);
             for (l, (sim, &(a, b))) in scalars.iter_mut().zip(&step_input).enumerate() {
                 let edge = sim.now_fs() + period_fs;
                 sim.set_inputs(&adder.input_values(a, b));

@@ -85,18 +85,6 @@ impl Waveform {
         self.transitions.is_empty()
     }
 
-    /// Glitch count of a net within `[from_fs, to_fs)`: transitions beyond
-    /// the single functional one (0 when the net changed at most once).
-    #[must_use]
-    pub fn glitches_in_window(&self, net: NetId, from_fs: u64, to_fs: u64) -> usize {
-        let count = self
-            .transitions
-            .iter()
-            .filter(|t| t.net == net && t.time_fs >= from_fs && t.time_fs < to_fs)
-            .count();
-        count.saturating_sub(1)
-    }
-
     /// Serializes the waveform as a VCD document for the given netlist
     /// (which must be the one the recording was made from).
     ///
@@ -214,7 +202,6 @@ mod tests {
         let y = *nl.outputs().first().unwrap();
         // y goes 0 -> 1 (b fast path) -> 0 (slow buf catches up): 1 glitch.
         assert_eq!(wave.transition_count(y), 2);
-        assert_eq!(wave.glitches_in_window(y, 0, u64::MAX), 1);
     }
 
     #[test]

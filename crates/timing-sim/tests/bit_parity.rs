@@ -5,14 +5,16 @@
 //! sequences, and over real adder streams dealt in lane segments. This is
 //! the contract that pins the production path to the scalar oracle.
 
-use isa_core::batch::{segment_len, LaneBatch, LANES};
+use isa_core::batch::LANES;
 use isa_netlist::builders::{build_exact, isa, AdderTopology};
 use isa_netlist::cell::{CellKind, CellLibrary};
 use isa_netlist::graph::{Netlist, NetlistBuilder};
 use isa_netlist::sta::StaReport;
 use isa_netlist::tape::InstructionTape;
 use isa_netlist::timing::{DelayAnnotation, VariationModel};
-use isa_timing_sim::{run_clocked_batch_timed, ClockedSim, TimedTape, TimedTapeCore};
+use isa_timing_sim::{
+    run_clocked_batch_timed, scalar_segments, ClockedSim, TimedTape, TimedTapeCore,
+};
 use proptest::prelude::*;
 
 /// Recipe for one random cell: kind selector plus input selectors.
@@ -163,23 +165,14 @@ proptest! {
         let tape = InstructionTape::compile(adder.netlist());
         let program = TimedTape::new(adder.netlist(), &tape, &ann);
         let sampled = run_clocked_batch_timed(&adder, &program, &tape, period, &inputs);
-        let seg = segment_len(n);
-        for l in 0..LANES {
-            let start = l * seg;
-            if start >= n {
-                break;
-            }
-            let end = (start + seg).min(n);
-            let mut scalar = ClockedSim::new(adder.netlist(), &ann, period);
-            for (off, &(a, b)) in inputs[start..end].iter().enumerate() {
-                let expect = scalar.step(&adder.input_values(a, b));
-                prop_assert_eq!(
-                    sampled[start + off], expect,
-                    "lane {} cycle {} at {:.2}x crit", l, off, overclock
-                );
-                if overclock > 1.0 {
-                    prop_assert_eq!(expect, (a + b) & (mask << 1 | 1));
-                }
+        prop_assert_eq!(
+            &sampled,
+            &scalar_segments(&adder, &ann, period, &inputs),
+            "at {:.2}x crit", overclock
+        );
+        if overclock > 1.0 {
+            for (&(a, b), &y) in inputs.iter().zip(&sampled) {
+                prop_assert_eq!(y, (a + b) & (mask << 1 | 1));
             }
         }
     }
@@ -202,6 +195,4 @@ fn batch_packing_round_trip_through_adder_planes() {
     for (i, &(a, b)) in inputs.iter().enumerate() {
         assert_eq!(sampled[i], a + b, "cycle {i}");
     }
-    let batch = LaneBatch::pack(16, &inputs[..LANES]);
-    assert_eq!(batch.len(), LANES);
 }

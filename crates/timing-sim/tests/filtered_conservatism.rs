@@ -10,7 +10,7 @@
 //! replay of the whole stream, which `tests/bit_parity.rs` pins lane by
 //! lane to the scalar clocked simulator.
 
-use isa_core::batch::{pack_planes_into, segment_len, LANES};
+use isa_core::batch::{pack_pairs, LaneSchedule, LANES};
 use isa_core::IsaConfig;
 use isa_netlist::builders::{build_exact, isa, AdderNetlist, AdderTopology};
 use isa_netlist::cell::CellLibrary;
@@ -28,28 +28,17 @@ fn classify_stream(
     period_ps: f64,
     inputs: &[(u64, u64)],
 ) -> Vec<bool> {
-    let n = inputs.len();
-    let seg = segment_len(n);
+    let schedule = LaneSchedule::new(inputs.len());
     let mut stream = classifier.stream_classifier(period_ps);
     let mut lane_pairs = [(0u64, 0u64); LANES];
-    let mut a_planes = Vec::new();
-    let mut b_planes = Vec::new();
-    let mut verdicts = vec![false; n];
-    for t in 0..seg {
-        for (l, lane) in lane_pairs.iter_mut().enumerate() {
-            let idx = l * seg + t;
-            if idx < n {
-                *lane = inputs[idx];
-            }
-        }
-        pack_planes_into(width, &lane_pairs, &mut a_planes, &mut b_planes);
-        let safe = stream.step(&a_planes, &b_planes);
-        for l in 0..LANES {
-            let idx = l * seg + t;
-            if idx < n {
-                verdicts[idx] = safe >> l & 1 == 1;
-            }
-        }
+    let mut planes = vec![0u64; 2 * width as usize];
+    let mut verdicts = vec![false; inputs.len()];
+    for t in 0..schedule.steps() {
+        schedule.gather(inputs, t, &mut lane_pairs);
+        pack_pairs(width, &lane_pairs, &mut planes);
+        let (a_planes, b_planes) = planes.split_at(width as usize);
+        let safe = stream.step(a_planes, b_planes);
+        schedule.scatter(t, &[true; LANES], safe, &mut verdicts);
     }
     verdicts
 }
