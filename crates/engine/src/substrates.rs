@@ -104,7 +104,6 @@ pub struct PredictedSubstrate {
     config: ExperimentConfig,
     train_cycles: usize,
     train_seed: u64,
-    predictor_config: PredictorConfig,
     models: Mutex<HashMap<PredictorKey, Arc<OnceLock<Arc<TimingErrorPredictor>>>>>,
 }
 
@@ -132,7 +131,6 @@ impl PredictedSubstrate {
             config,
             train_cycles,
             train_seed,
-            predictor_config: PredictorConfig::default(),
             models: Mutex::new(HashMap::new()),
         }
     }
@@ -188,7 +186,7 @@ impl PredictedSubstrate {
         TimingErrorPredictor::train(
             &cycles_with_segment_resets(&raw),
             design.width(),
-            &self.predictor_config,
+            &PredictorConfig::default(),
         )
     }
 }

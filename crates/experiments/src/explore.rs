@@ -64,19 +64,22 @@ pub struct ExploreSettings {
 
 impl Default for ExploreSettings {
     fn default() -> Self {
+        let search = SearchSettings::default();
+        let eval = EvalSettings::default();
+        let evolution = EvolutionSettings::default();
         Self {
             space: "paper".to_owned(),
             strategy: "auto".to_owned(),
-            seed: 0x5EA2C4,
-            budget: 256,
+            seed: search.seed,
+            budget: search.budget,
             cycles: 10_000,
             workload: "uniform".to_owned(),
             kernel: None,
             scale: 1,
-            prefilter: true,
-            energy_cycles: 512,
-            population: 48,
-            generations: 24,
+            prefilter: eval.prefilter,
+            energy_cycles: eval.energy_cycles,
+            population: evolution.population,
+            generations: evolution.generations,
             min_quality_db: None,
             max_clock_ps: None,
         }
@@ -114,6 +117,23 @@ impl ExploreSettings {
                 generations: self.generations,
             }),
             other => panic!("unknown --strategy {other:?} ({})", STRATEGIES.join("|")),
+        }
+    }
+
+    /// The tier-A/B evaluation settings.
+    fn eval_settings(&self) -> EvalSettings {
+        EvalSettings {
+            prefilter: self.prefilter,
+            energy_cycles: self.energy_cycles,
+        }
+    }
+
+    /// The search settings.
+    fn search_settings(&self) -> SearchSettings {
+        SearchSettings {
+            strategy: self.strategy_choice(),
+            seed: self.seed,
+            budget: self.budget,
         }
     }
 
@@ -169,15 +189,8 @@ pub fn run_on(
         config.clone(),
         &settings.space_spec(),
         settings.eval_mode(config),
-        EvalSettings {
-            prefilter: settings.prefilter,
-            energy_cycles: settings.energy_cycles,
-        },
-        SearchSettings {
-            strategy: settings.strategy_choice(),
-            seed: settings.seed,
-            budget: settings.budget,
-        },
+        settings.eval_settings(),
+        settings.search_settings(),
     );
     ExploreReport {
         outcome,
@@ -363,6 +376,21 @@ mod tests {
             energy_cycles: 128,
             ..ExploreSettings::default()
         }
+    }
+
+    #[test]
+    fn defaults_are_the_library_defaults() {
+        let settings = ExploreSettings::default();
+        assert_eq!(settings.eval_settings(), EvalSettings::default());
+        assert_eq!(settings.search_settings(), SearchSettings::default());
+        let evolutionary = ExploreSettings {
+            strategy: "evolutionary".to_owned(),
+            ..settings
+        };
+        assert_eq!(
+            evolutionary.strategy_choice(),
+            Strategy::Evolutionary(EvolutionSettings::default())
+        );
     }
 
     #[test]

@@ -4,41 +4,24 @@
 //! yRTL_n[t-1], yRTL_n[t]}`), so samples are stored as packed `u64` words:
 //! compact, cache-friendly, and branch-free to test during tree descent.
 //!
-//! Every dataset keeps one row-major feature store (a sample's packed
-//! words, as [`Dataset::sample`] returns them), its column-major mirror
-//! (one bit-plane per feature over samples, which tree growth counts
-//! splits on with popcounts), and one label store, the label bit-plane.
-//! [`Dataset::push`] fills all three sample by sample;
-//! [`Dataset::from_planes`] takes the planes and label plane and derives
-//! the rows 64 samples at a time with the workspace's one 64×64 bit
-//! transpose ([`isa_core::transpose64`], from the batch layer). The per-bit
-//! predictor builds one dataset per training call and swaps each output
-//! bit's two features and labels in place, rows included. Tree growth
-//! gathers a fragmented node's member rows from the row store and turns
-//! them back into dense planes the same way (see [`crate::tree`]).
+//! Every dataset keeps one row-major feature store (each sample's packed
+//! words), its column-major mirror (one bit-plane per feature over
+//! samples, which tree growth counts splits on with popcounts), and one
+//! label store, the label bit-plane. [`Dataset::from_planes`] takes the
+//! planes and label plane and derives the rows 64 samples at a time with
+//! the workspace's one 64×64 bit transpose ([`isa_core::transpose64`],
+//! from the batch layer). The per-bit predictor builds one dataset per
+//! training call and swaps each output bit's two features and labels in
+//! place, rows included. Tree growth gathers a fragmented node's member
+//! rows from the row store and turns them back into dense planes the same
+//! way (see [`crate::tree`]). Tests also build datasets sample by sample
+//! (`Dataset::push`), the reference the plane-built ones must equal.
 
 use isa_core::batch::transpose64;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
-/// A growable set of binary-feature samples with boolean labels.
-///
-/// # Examples
-///
-/// ```
-/// use isa_learn::Dataset;
-///
-/// let mut d = Dataset::new(3);
-/// d.push(&[true, false, true], true);
-/// d.push(&[false, false, true], false);
-/// assert_eq!(d.len(), 2);
-/// assert!(d.feature(0, 0));
-/// assert!(!d.feature(1, 0));
-/// assert!(d.label(0));
-/// ```
+/// A set of binary-feature samples with boolean labels.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dataset {
+pub(crate) struct Dataset {
     num_features: usize,
     words_per_sample: usize,
     len: usize,
@@ -60,8 +43,8 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if `num_features` is zero.
-    #[must_use]
-    pub fn new(num_features: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(num_features: usize) -> Self {
         assert!(num_features > 0, "datasets need at least one feature");
         Self {
             num_features,
@@ -74,20 +57,12 @@ impl Dataset {
     }
 
     /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// True if no sample was added.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Number of features per sample.
-    #[must_use]
-    pub fn num_features(&self) -> usize {
+    pub(crate) fn num_features(&self) -> usize {
         self.num_features
     }
 
@@ -96,7 +71,8 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if `features.len()` differs from [`Self::num_features`].
-    pub fn push(&mut self, features: &[bool], label: bool) {
+    #[cfg(test)]
+    pub(crate) fn push(&mut self, features: &[bool], label: bool) {
         assert_eq!(
             features.len(),
             self.num_features,
@@ -139,8 +115,11 @@ impl Dataset {
     ///
     /// Panics if `planes` is empty, `len` is zero, or any plane (or the
     /// label plane) has the wrong word count.
-    #[must_use]
-    pub fn from_planes(mut planes: Vec<Vec<u64>>, mut label_plane: Vec<u64>, len: usize) -> Self {
+    pub(crate) fn from_planes(
+        mut planes: Vec<Vec<u64>>,
+        mut label_plane: Vec<u64>,
+        len: usize,
+    ) -> Self {
         assert!(!planes.is_empty(), "datasets need at least one feature");
         assert!(len > 0, "datasets need at least one sample");
         let words = len.div_ceil(64);
@@ -178,14 +157,12 @@ impl Dataset {
 
     /// The bit-plane of feature `f` over all samples (bit `i % 64` of word
     /// `i / 64` is the feature in sample `i`).
-    #[must_use]
-    pub fn feature_plane(&self, f: usize) -> &[u64] {
+    pub(crate) fn feature_plane(&self, f: usize) -> &[u64] {
         &self.planes[f]
     }
 
     /// The labels as a bit-plane over all samples.
-    #[must_use]
-    pub fn label_plane(&self) -> &[u64] {
+    pub(crate) fn label_plane(&self) -> &[u64] {
         &self.label_plane
     }
 
@@ -229,7 +206,8 @@ impl Dataset {
         self.label_plane = label_plane;
     }
 
-    /// The row-major store: [`Self::sample`] of every sample, in order.
+    /// The row-major store: every sample's packed feature words (bit
+    /// `f % 64` of word `f / 64` is feature `f`), in order.
     pub(crate) fn rows(&self) -> &[u64] {
         &self.rows
     }
@@ -240,55 +218,16 @@ impl Dataset {
     }
 
     /// The packed feature words of sample `i`.
-    #[must_use]
-    pub fn sample(&self, i: usize) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn sample(&self, i: usize) -> &[u64] {
         let base = i * self.words_per_sample;
         &self.rows[base..base + self.words_per_sample]
     }
 
-    /// Value of feature `f` in sample `i`.
-    #[must_use]
-    pub fn feature(&self, i: usize, f: usize) -> bool {
-        debug_assert!(f < self.num_features);
-        packed_feature(self.sample(i), f)
-    }
-
     /// Label of sample `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not below [`Self::len`].
-    #[must_use]
-    pub fn label(&self, i: usize) -> bool {
-        assert!(i < self.len, "sample {i} out of range");
+    #[cfg(test)]
+    pub(crate) fn label(&self, i: usize) -> bool {
         (self.label_plane[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Number of positive labels.
-    #[must_use]
-    pub fn positives(&self) -> usize {
-        self.label_plane
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// Splits sample indices into a shuffled (train, test) partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `train_fraction` is not within `(0, 1]`.
-    #[must_use]
-    pub fn split_indices(&self, train_fraction: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
-        assert!(
-            train_fraction > 0.0 && train_fraction <= 1.0,
-            "train fraction must be in (0, 1]"
-        );
-        let mut indices: Vec<usize> = (0..self.len()).collect();
-        indices.shuffle(&mut StdRng::seed_from_u64(seed));
-        let cut = ((self.len() as f64) * train_fraction).round() as usize;
-        let test = indices.split_off(cut.min(self.len()));
-        (indices, test)
     }
 }
 
@@ -317,8 +256,7 @@ mod tests {
         let features: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
         d.push(&features, true);
         for (i, &f) in features.iter().enumerate() {
-            assert_eq!(d.feature(0, i), f, "feature {i}");
-            assert_eq!(packed_feature(d.sample(0), i), f);
+            assert_eq!(packed_feature(d.sample(0), i), f, "feature {i}");
         }
     }
 
@@ -369,9 +307,7 @@ mod tests {
             let built = Dataset::from_planes(planes, label_plane, len);
             let case = format!("{len} samples, {features} features");
             assert_eq!(built.len(), pushed.len(), "{case}");
-            assert_eq!(built.is_empty(), pushed.is_empty(), "{case}");
             assert_eq!(built.num_features(), pushed.num_features(), "{case}");
-            assert_eq!(built.positives(), pushed.positives(), "{case}");
             assert_eq!(built.label_plane(), pushed.label_plane(), "{case}");
             assert_eq!(built.rows(), pushed.rows(), "{case}");
             for f in 0..features {
@@ -382,15 +318,18 @@ mod tests {
                 assert_eq!(built.label(i), *label, "{case}, sample {i}");
                 assert_eq!(pushed.label(i), *label, "{case}, sample {i}");
                 for (f, &value) in row.iter().enumerate() {
-                    assert_eq!(built.feature(i, f), value, "{case}, sample {i}");
-                    assert_eq!(pushed.feature(i, f), value, "{case}, sample {i}");
+                    assert_eq!(
+                        packed_feature(built.sample(i), f),
+                        value,
+                        "{case}, sample {i}"
+                    );
+                    assert_eq!(
+                        packed_feature(pushed.sample(i), f),
+                        value,
+                        "{case}, sample {i}"
+                    );
                 }
             }
-            assert_eq!(
-                built.split_indices(0.7, 3),
-                pushed.split_indices(0.7, 3),
-                "{case}"
-            );
             assert_eq!(built, pushed, "{case}");
         }
     }
@@ -431,32 +370,8 @@ mod tests {
         d.push(&[true, true], true);
         d.push(&[false, true], false);
         d.push(&[true, false], true);
-        assert_eq!(d.positives(), 2);
+        assert_eq!(d.label_plane(), [0b101]);
         assert!(d.label(0) && !d.label(1));
-    }
-
-    #[test]
-    fn split_partitions_all_indices() {
-        let mut d = Dataset::new(1);
-        for i in 0..100 {
-            d.push(&[i % 2 == 0], false);
-        }
-        let (train, test) = d.split_indices(0.7, 9);
-        assert_eq!(train.len(), 70);
-        assert_eq!(test.len(), 30);
-        let mut all: Vec<usize> = train.iter().chain(&test).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn split_is_deterministic() {
-        let mut d = Dataset::new(1);
-        for _ in 0..50 {
-            d.push(&[true], true);
-        }
-        assert_eq!(d.split_indices(0.5, 3), d.split_indices(0.5, 3));
-        assert_ne!(d.split_indices(0.5, 3).0, d.split_indices(0.5, 4).0);
     }
 
     #[test]

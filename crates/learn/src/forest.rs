@@ -1,73 +1,26 @@
-//! Random Forest classification (bagging + feature subsampling +
-//! majority vote).
+//! Random Forest classification: the forest the per-bit predictor fits.
 //!
 //! "RFC alleviates overfitting issue by developing more than one decision
 //! tree and use their average result as final prediction" — Section III.A
 //! of the paper.
+//!
+//! A forest has [`N_TREES`] trees and votes by strict majority. Each tree
+//! trains on a bag of `⌈0.632·n⌉` of the `n` samples drawn **without
+//! replacement** — the expected distinct-sample fraction of a classic
+//! bootstrap bag (`1 - 1/e`). Duplicate-free bags are what let tree growth
+//! count node membership with bitmask popcounts instead of per-index scans
+//! (the same bit-sliced idea as the 64-lane simulator). One RNG, seeded
+//! per forest, draws every tree's bag and then its split candidates.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dataset::Dataset;
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::serialize::ParseModelError;
+use crate::tree::DecisionTree;
 
-/// How many features each split examines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FeatureSubsample {
-    /// `sqrt(F)` features per split — the scikit-learn classification
-    /// default.
-    #[default]
-    Sqrt,
-    /// All features at every split (single-tree CART behaviour).
-    All,
-    /// A fixed number of features per split.
-    Fixed(usize),
-}
-
-impl FeatureSubsample {
-    /// Resolves to a concrete per-split candidate count for `num_features`.
-    #[must_use]
-    pub fn resolve(self, num_features: usize) -> Option<usize> {
-        match self {
-            FeatureSubsample::Sqrt => Some(((num_features as f64).sqrt().ceil() as usize).max(1)),
-            FeatureSubsample::All => None,
-            FeatureSubsample::Fixed(k) => Some(k.max(1)),
-        }
-    }
-}
-
-/// Forest training configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ForestConfig {
-    /// Number of trees.
-    pub n_trees: usize,
-    /// Per-tree growth limits (its `feature_subsample` field is overridden
-    /// by [`Self::features`]).
-    pub tree: TreeConfig,
-    /// Per-split feature subsampling policy.
-    pub features: FeatureSubsample,
-    /// Bag the training set per tree: each tree trains on a random
-    /// ~63.2% subsample drawn **without replacement** — the expected
-    /// distinct-sample fraction of a classic bootstrap bag (`1 - 1/e`).
-    /// Duplicate-free bags are what let tree growth count node membership
-    /// with bitmask popcounts instead of per-index scans (the same
-    /// bit-sliced idea as the 64-lane simulator).
-    pub bootstrap: bool,
-    /// RNG seed controlling bagging and feature subsampling.
-    pub seed: u64,
-}
-
-impl Default for ForestConfig {
-    fn default() -> Self {
-        Self {
-            n_trees: 10,
-            tree: TreeConfig::default(),
-            features: FeatureSubsample::default(),
-            bootstrap: true,
-            seed: 0x5EED_F07E,
-        }
-    }
-}
+/// Trees per forest.
+const N_TREES: usize = 10;
 
 /// A trained random forest binary classifier.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,42 +29,26 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fits a forest on the given sample indices.
+    /// Fits a forest on every sample of the dataset, drawing bags and
+    /// split candidates from one RNG seeded with `seed`.
     ///
     /// # Panics
     ///
-    /// Panics if `indices` is empty or the config requests zero trees.
-    #[must_use]
-    pub fn fit(dataset: &Dataset, indices: &[usize], config: &ForestConfig) -> Self {
-        assert!(!indices.is_empty(), "cannot fit a forest on zero samples");
-        assert!(config.n_trees > 0, "forest needs at least one tree");
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let tree_config = TreeConfig {
-            feature_subsample: config.features.resolve(dataset.num_features()),
-            ..config.tree
-        };
-        let keep = ((indices.len() as f64 * 0.632).ceil() as usize).max(1);
-        let trees = (0..config.n_trees)
+    /// Panics if the dataset is empty.
+    pub(crate) fn fit(dataset: &Dataset, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keep = (dataset.len() as f64 * 0.632).ceil() as usize;
+        let trees = (0..N_TREES)
             .map(|_| {
-                let bag = if config.bootstrap {
-                    bag_members(indices, keep, &mut rng)
-                } else {
-                    indices.to_vec()
-                };
-                DecisionTree::fit(dataset, &bag, &tree_config, &mut rng)
+                let bag = bag_members(dataset.len(), keep, &mut rng);
+                DecisionTree::fit(dataset, &bag, &mut rng)
             })
             .collect();
         Self { trees }
     }
 
-    /// Mean positive-class probability across trees.
-    #[must_use]
-    pub fn predict_prob(&self, sample: &[u64]) -> f64 {
-        let sum: f64 = self.trees.iter().map(|t| t.predict_prob(sample)).sum();
-        sum / self.trees.len() as f64
-    }
-
-    /// Majority-vote classification.
+    /// Majority-vote classification of one packed feature sample (bit
+    /// `f % 64` of word `f / 64` is feature `f`).
     #[must_use]
     pub fn predict(&self, sample: &[u64]) -> bool {
         let votes = self.trees.iter().filter(|t| t.predict(sample)).count();
@@ -139,22 +76,9 @@ impl RandomForest {
             .fold(0u64, |mask, (lane, _)| mask | 1 << lane)
     }
 
-    /// Number of trees.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Always false: a fitted forest has at least one tree.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
-    }
-
     /// Serializes the forest: a `forest trees=<N>` header followed by each
     /// tree's text block.
-    #[must_use]
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut out = format!("forest trees={}\n", self.trees.len());
         for tree in &self.trees {
             out.push_str(&tree.to_text());
@@ -162,16 +86,17 @@ impl RandomForest {
         out
     }
 
-    /// Parses a forest serialized by [`Self::to_text`] from a line
-    /// iterator.
+    /// Parses one forest block of a model serialized by
+    /// [`TimingErrorPredictor::to_text`](crate::TimingErrorPredictor::to_text)
+    /// from a line iterator: the `forest trees=<N>` header and its `N`
+    /// trees.
     ///
     /// # Errors
     ///
-    /// Returns a [`crate::serialize::ParseModelError`] on malformed input.
+    /// Returns a [`ParseModelError`] on malformed input.
     pub fn from_lines<'a>(
         lines: &mut std::iter::Peekable<impl Iterator<Item = (usize, &'a str)>>,
-    ) -> Result<Self, crate::serialize::ParseModelError> {
-        use crate::serialize::ParseModelError;
+    ) -> Result<Self, ParseModelError> {
         let (line_no, header) = lines
             .next()
             .ok_or_else(|| ParseModelError::new(0, "missing forest header"))?;
@@ -187,37 +112,17 @@ impl RandomForest {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self { trees })
     }
-
-    /// Mean-decrease-in-impurity feature importances averaged over trees,
-    /// normalized to sum to 1 (all zeros when no tree ever split).
-    #[must_use]
-    pub fn feature_importances(&self) -> Vec<f64> {
-        let n_features = self.trees.first().map_or(0, DecisionTree::num_features);
-        let mut total = vec![0.0f64; n_features];
-        for tree in &self.trees {
-            for (slot, &v) in total.iter_mut().zip(tree.feature_importances()) {
-                *slot += v;
-            }
-        }
-        let sum: f64 = total.iter().sum();
-        if sum > 0.0 {
-            for v in &mut total {
-                *v /= sum;
-            }
-        }
-        total
-    }
 }
 
-/// One tree's bag: the first `keep` entries of `indices` after a
+/// One tree's bag over samples `0..len`: the first `keep` entries after a
 /// Fisher–Yates [`shuffle`](rand::seq::SliceRandom::shuffle), as a set
 /// (in another order), with the same draws. A draw at `i < keep` only
 /// permutes the kept prefix, so it moves nothing; a draw at `i >= keep`
 /// only has to move the entry at `i` into slot `j`, because slot `i` is
 /// never read again.
-fn bag_members(indices: &[usize], keep: usize, rng: &mut StdRng) -> Vec<usize> {
-    let mut bag = indices.to_vec();
-    for i in (1..bag.len()).rev() {
+fn bag_members(len: usize, keep: usize, rng: &mut StdRng) -> Vec<usize> {
+    let mut bag: Vec<usize> = (0..len).collect();
+    for i in (1..len).rev() {
         let draw = rng.next_u64();
         if i >= keep {
             bag[(draw % (i as u64 + 1)) as usize] = bag[i];
@@ -232,6 +137,7 @@ mod tests {
     use rand::seq::SliceRandom;
 
     use super::*;
+    use crate::predictor::FOREST_SEED;
 
     #[test]
     fn bag_members_equal_a_truncated_shuffle() {
@@ -245,11 +151,10 @@ mod tests {
             (8_000, 5_056),
         ] {
             for seed in 0..4u64 {
-                let indices: Vec<usize> = (0..len).map(|i| i * 3 + 1).collect();
                 let mut rng = StdRng::seed_from_u64(seed);
-                let mut bag = bag_members(&indices, keep, &mut rng);
+                let mut bag = bag_members(len, keep, &mut rng);
                 let mut shuffled_rng = StdRng::seed_from_u64(seed);
-                let mut shuffled = indices.clone();
+                let mut shuffled: Vec<usize> = (0..len).collect();
                 shuffled.shuffle(&mut shuffled_rng);
                 shuffled.truncate(keep);
                 bag.sort_unstable();
@@ -260,17 +165,26 @@ mod tests {
         }
     }
 
-    fn noisy_dataset(n: usize, noise_every: usize) -> Dataset {
-        // Label = f3 AND f7, with some label noise.
-        let mut d = Dataset::new(16);
+    /// Samples whose label is f3 AND f7, with every `noise_every`-th label
+    /// flipped.
+    fn noisy_samples(n: usize, noise_every: usize) -> Vec<(Vec<bool>, bool)> {
         let mut state = 5u64;
-        for i in 0..n {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(13);
-            let features: Vec<bool> = (0..16).map(|b| (state >> b) & 1 == 1).collect();
-            let mut label = features[3] && features[7];
-            if noise_every > 0 && i % noise_every == 0 {
-                label = !label;
-            }
+        (0..n)
+            .map(|i| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(13);
+                let features: Vec<bool> = (0..16).map(|b| (state >> b) & 1 == 1).collect();
+                let mut label = features[3] && features[7];
+                if noise_every > 0 && i % noise_every == 0 {
+                    label = !label;
+                }
+                (features, label)
+            })
+            .collect()
+    }
+
+    fn noisy_dataset(n: usize, noise_every: usize) -> Dataset {
+        let mut d = Dataset::new(16);
+        for (features, label) in noisy_samples(n, noise_every) {
             d.push(&features, label);
         }
         d
@@ -288,9 +202,7 @@ mod tests {
 
     #[test]
     fn forest_learns_conjunction_under_noise() {
-        let d = noisy_dataset(1500, 20);
-        let idx: Vec<usize> = (0..d.len()).collect();
-        let forest = RandomForest::fit(&d, &idx, &ForestConfig::default());
+        let forest = RandomForest::fit(&noisy_dataset(1500, 20), FOREST_SEED);
         let mut f = vec![false; 16];
         f[3] = true;
         f[7] = true;
@@ -300,88 +212,39 @@ mod tests {
     }
 
     #[test]
-    fn forest_probability_is_mean_of_trees() {
-        let d = noisy_dataset(400, 0);
-        let idx: Vec<usize> = (0..d.len()).collect();
-        let forest = RandomForest::fit(&d, &idx, &ForestConfig::default());
-        let sample = pack(&[true; 16]);
-        let mean: f64 = forest
-            .trees
-            .iter()
-            .map(|t| t.predict_prob(&sample))
-            .sum::<f64>()
-            / forest.len() as f64;
-        assert!((forest.predict_prob(&sample) - mean).abs() < 1e-12);
-    }
-
-    #[test]
     fn deterministic_under_seed() {
         let d = noisy_dataset(300, 10);
-        let idx: Vec<usize> = (0..d.len()).collect();
-        let f1 = RandomForest::fit(&d, &idx, &ForestConfig::default());
-        let f2 = RandomForest::fit(&d, &idx, &ForestConfig::default());
-        assert_eq!(f1, f2);
+        assert_eq!(
+            RandomForest::fit(&d, FOREST_SEED),
+            RandomForest::fit(&d, FOREST_SEED)
+        );
     }
 
     #[test]
     fn different_seeds_build_different_forests() {
         let d = noisy_dataset(300, 10);
-        let idx: Vec<usize> = (0..d.len()).collect();
-        let f1 = RandomForest::fit(&d, &idx, &ForestConfig::default());
-        let f2 = RandomForest::fit(
-            &d,
-            &idx,
-            &ForestConfig {
-                seed: 999,
-                ..ForestConfig::default()
-            },
+        assert_ne!(
+            RandomForest::fit(&d, FOREST_SEED),
+            RandomForest::fit(&d, 999)
         );
-        assert_ne!(f1, f2);
     }
 
     #[test]
     fn forest_generalizes_better_than_its_overfit_trees() {
         // With label noise, the bagged majority should be at least as good
         // on held-out data as the average single tree.
-        let d = noisy_dataset(2000, 7);
-        let (train, test) = d.split_indices(0.7, 42);
-        let forest = RandomForest::fit(&d, &train, &ForestConfig::default());
+        let samples = noisy_samples(2000, 7);
+        let (train, test) = samples.split_at(1400);
+        let mut d = Dataset::new(16);
+        for (features, label) in train {
+            d.push(features, *label);
+        }
+        let forest = RandomForest::fit(&d, FOREST_SEED);
         let forest_acc = test
             .iter()
-            .filter(|&&i| forest.predict(d.sample(i)) == d.label(i))
+            .filter(|(features, label)| forest.predict(&pack(features)) == *label)
             .count() as f64
             / test.len() as f64;
         assert!(forest_acc > 0.8, "forest accuracy {forest_acc}");
-    }
-
-    #[test]
-    fn single_tree_forest_works() {
-        let d = noisy_dataset(200, 0);
-        let idx: Vec<usize> = (0..d.len()).collect();
-        let forest = RandomForest::fit(
-            &d,
-            &idx,
-            &ForestConfig {
-                n_trees: 1,
-                bootstrap: false,
-                ..ForestConfig::default()
-            },
-        );
-        assert_eq!(forest.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one tree")]
-    fn zero_trees_rejected() {
-        let d = noisy_dataset(10, 0);
-        let idx: Vec<usize> = (0..d.len()).collect();
-        let _ = RandomForest::fit(
-            &d,
-            &idx,
-            &ForestConfig {
-                n_trees: 0,
-                ..ForestConfig::default()
-            },
-        );
     }
 }

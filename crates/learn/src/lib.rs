@@ -1,12 +1,13 @@
 //! # isa-learn
 //!
-//! From-scratch supervised learning for the paper's bit-level timing-error
-//! prediction model (Section III): bit-packed binary-feature datasets, CART
-//! decision trees (Gini), bagged random forests with feature subsampling
-//! (the scikit-learn RFC substitute), and the per-output-bit
-//! [`TimingErrorPredictor`] that learns the mapping from
-//! `{x[t], x[t-1], yRTL_n[t-1], yRTL_n[t]}` to each bit's timing class and
-//! deduces predicted overclocked outputs.
+//! The paper's bit-level timing-error prediction model (Section III), from
+//! scratch: the per-output-bit [`TimingErrorPredictor`] learns the mapping
+//! from `{x[t], x[t-1], yRTL_n[t-1], yRTL_n[t]}` to each bit's timing class
+//! with one bagged [`RandomForest`] of CART trees (Gini) per bit — the
+//! scikit-learn RFC substitute, grown over bit-packed binary features at
+//! fixed settings — and deduces predicted overclocked outputs.
+//! [`ConfusionMatrix`] scores the predictions; [`serialize`] holds the
+//! text format's parse error.
 //!
 //! # Example
 //!
@@ -23,15 +24,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dataset;
-pub mod eval;
-pub mod forest;
-pub mod predictor;
+mod dataset;
+mod eval;
+mod forest;
+mod predictor;
 pub mod serialize;
-pub mod tree;
+mod tree;
 
-pub use dataset::Dataset;
 pub use eval::ConfusionMatrix;
-pub use forest::{FeatureSubsample, ForestConfig, RandomForest};
+pub use forest::RandomForest;
 pub use predictor::{CyclePair, PredictorConfig, TimingErrorPredictor};
-pub use tree::{DecisionTree, TreeConfig};

@@ -12,6 +12,9 @@
 //! ygold": `ysilver = ygold ^ flips`, which the engine's predicted
 //! substrate applies to whole streams.
 //!
+//! Every trained bit fits the one forest of [`crate::forest`], seeded with
+//! [`FOREST_SEED`] xored with `n << 32` for output bit `n`.
+//!
 //! Training and inference both turn 64 cycles of each field into bit
 //! planes with the batch layer's 64×64 transpose
 //! ([`isa_core::transpose64`]); inference turns the predicted flip planes
@@ -20,7 +23,11 @@
 use isa_core::batch::transpose64;
 
 use crate::dataset::Dataset;
-use crate::forest::{ForestConfig, RandomForest};
+use crate::forest::RandomForest;
+use crate::serialize::ParseModelError;
+
+/// Base seed of every bit's forest.
+pub(crate) const FOREST_SEED: u64 = 0x5EED_F07E;
 
 /// One training/inference cycle of an overclocked adder stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,12 +83,11 @@ enum BitModel {
     Forest(RandomForest),
 }
 
-/// Configuration of the full per-bit predictor.
+/// Options for [`TimingErrorPredictor::train`]. It has no settings: every
+/// trained bit fits the same forest (ten trees of depth at most 12, bagged
+/// without replacement, `⌈√F⌉` candidate features per split).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PredictorConfig {
-    /// Forest settings shared by every bit position.
-    pub forest: ForestConfig,
-}
+pub struct PredictorConfig {}
 
 /// The trained bit-level timing-error prediction model for one (design,
 /// clock period) pair.
@@ -122,7 +128,7 @@ impl TimingErrorPredictor {
     ///
     /// Panics if `cycles` is empty or `width` is not in `1..=63`.
     #[must_use]
-    pub fn train(cycles: &[CyclePair], width: u32, config: &PredictorConfig) -> Self {
+    pub fn train(cycles: &[CyclePair], width: u32, _config: &PredictorConfig) -> Self {
         assert!(!cycles.is_empty(), "cannot train on an empty stream");
         assert!(width > 0 && width <= 63, "width must be in 1..=63");
         let _span = isa_obs::span("learn.train");
@@ -164,7 +170,6 @@ impl TimingErrorPredictor {
         // planes, and each later one swaps in its own two planes and
         // labels.
         let mut dataset: Option<Dataset> = None;
-        let indices: Vec<usize> = (0..n).collect();
         let mut models = Vec::with_capacity(out_bits as usize);
         let per_bit = label_planes
             .into_iter()
@@ -190,15 +195,8 @@ impl TimingErrorPredictor {
                     dataset.insert(Dataset::from_planes(planes, label_plane, n))
                 }
             };
-            let forest_config = ForestConfig {
-                seed: config.forest.seed ^ ((n_bit as u64) << 32),
-                ..config.forest
-            };
-            models.push(BitModel::Forest(RandomForest::fit(
-                dataset,
-                &indices,
-                &forest_config,
-            )));
+            let seed = FOREST_SEED ^ ((n_bit as u64) << 32);
+            models.push(BitModel::Forest(RandomForest::fit(dataset, seed)));
         }
         Self {
             width,
@@ -317,9 +315,8 @@ impl TimingErrorPredictor {
     ///
     /// # Errors
     ///
-    /// Returns a [`crate::serialize::ParseModelError`] on malformed input.
-    pub fn from_text(text: &str) -> Result<Self, crate::serialize::ParseModelError> {
-        use crate::serialize::ParseModelError;
+    /// Returns a [`ParseModelError`] on malformed input.
+    pub fn from_text(text: &str) -> Result<Self, ParseModelError> {
         let mut lines = text
             .lines()
             .enumerate()
@@ -430,18 +427,11 @@ mod tests {
 
     #[test]
     fn learns_pattern_dependent_bit_errors() {
-        use crate::forest::{FeatureSubsample, ForestConfig};
-        let cycles = synthetic_stream(4000, 16);
-        let (train, test) = cycles.split_at(3000);
-        // Examine all features per split: the unit-scale signal is a sparse
-        // conjunction the sqrt-subsample needs far more trees to find.
-        let config = PredictorConfig {
-            forest: ForestConfig {
-                features: FeatureSubsample::All,
-                ..ForestConfig::default()
-            },
-        };
-        let predictor = TimingErrorPredictor::train(train, 16, &config);
+        // The figures' training size: the signal is a sparse conjunction
+        // that `⌈√F⌉` candidates per split find only with enough samples.
+        let cycles = synthetic_stream(9000, 16);
+        let (train, test) = cycles.split_at(8000);
+        let predictor = TimingErrorPredictor::train(train, 16, &PredictorConfig::default());
         assert_eq!(predictor.trained_bits(), 1, "only bit 8 misbehaves");
         let mut correct = 0usize;
         let mut errors_seen = 0usize;

@@ -2,10 +2,10 @@
 //!
 //! A trained [`crate::TimingErrorPredictor`] is a per-(design, clock)
 //! artifact the paper's flow would train offline and deploy online; this
-//! module defines the shared error type for the line-oriented text format
-//! implemented by [`crate::DecisionTree::to_text`],
-//! [`crate::RandomForest::to_text`] and
-//! [`crate::TimingErrorPredictor::to_text`]. The format is
+//! module defines the error type of the line-oriented text format that
+//! [`crate::TimingErrorPredictor::to_text`] writes and
+//! [`crate::TimingErrorPredictor::from_text`] and
+//! [`crate::RandomForest::from_lines`] read. The format is
 //! human-inspectable and dependency-free (a deliberate choice to avoid a
 //! serde dependency).
 
@@ -21,8 +21,7 @@ pub struct ParseModelError {
 
 impl ParseModelError {
     /// Creates an error at a 1-based line number.
-    #[must_use]
-    pub fn new(line: usize, message: impl Into<String>) -> Self {
+    pub(crate) fn new(line: usize, message: impl Into<String>) -> Self {
         Self {
             line,
             message: message.into(),

@@ -1,4 +1,7 @@
-//! CART decision trees over binary features (Gini impurity).
+//! CART decision trees over binary features (Gini impurity), grown at the
+//! predictor's fixed limits: depth at most [`MAX_DEPTH`], no split below
+//! [`MIN_SAMPLES_SPLIT`] members, and `⌈√F⌉` random candidate features
+//! per split (scikit-learn's classification default).
 //!
 //! "DT considers the joint effects of different bit positions but could
 //! incur overfitting problem" — the forest in [`crate::forest`] addresses
@@ -24,8 +27,8 @@
 //! frame, which maps its samples back to the dataset's so that a deeper
 //! node can re-pack again. Re-packing changes only where members sit,
 //! never what a scan counts, so random draws, candidate order, split
-//! choice, leaf probabilities and importances are those of growth without
-//! it; `tree/reference.rs` keeps that grower as the test oracle.
+//! choice and leaf probabilities are those of growth without it;
+//! `tree/reference.rs` keeps that grower as the test oracle.
 
 use std::ops::Range;
 
@@ -52,25 +55,15 @@ const REPACK_FACTOR: usize = 8;
 /// same as 128 at factor 8).
 const REPACK_MIN_MEMBERS: usize = 128;
 
-/// Tree growth limits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TreeConfig {
-    /// Maximum tree depth (root = depth 0).
-    pub max_depth: u32,
-    /// Minimum samples required to attempt a split.
-    pub min_samples_split: usize,
-    /// Number of features examined per split; `None` examines all.
-    pub feature_subsample: Option<usize>,
-}
+/// Maximum tree depth (the root is depth 0).
+const MAX_DEPTH: u32 = 12;
 
-impl Default for TreeConfig {
-    fn default() -> Self {
-        Self {
-            max_depth: 12,
-            min_samples_split: 8,
-            feature_subsample: None,
-        }
-    }
+/// Nodes with fewer members are leaves.
+const MIN_SAMPLES_SPLIT: usize = 8;
+
+/// Candidate features per split over `num_features` features: `⌈√F⌉`.
+fn candidate_count(num_features: usize) -> usize {
+    (num_features as f64).sqrt().ceil() as usize
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,11 +82,9 @@ enum Node {
 
 /// A trained binary-feature decision tree.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DecisionTree {
+pub(crate) struct DecisionTree {
     nodes: Vec<Node>,
     num_features: usize,
-    importances: Vec<f64>,
-    root_size: usize,
 }
 
 /// Gini impurity of a (positives, total) split side.
@@ -207,11 +198,8 @@ impl Packed {
 
 /// Whether a node of `total` members, `positives` of them positive, at
 /// `depth` is a leaf (pure, too deep or too small to split).
-fn is_leaf(config: &TreeConfig, total: usize, positives: usize, depth: u32) -> bool {
-    positives == 0
-        || positives == total
-        || depth >= config.max_depth
-        || total < config.min_samples_split
+fn is_leaf(total: usize, positives: usize, depth: u32) -> bool {
+    positives == 0 || positives == total || depth >= MAX_DEPTH || total < MIN_SAMPLES_SPLIT
 }
 
 /// Leaves in `items` what [`shuffle`](rand::seq::SliceRandom::shuffle) followed by
@@ -234,7 +222,6 @@ fn shuffle_prefix(items: &mut Vec<u32>, keep: usize, rng: &mut StdRng) {
 /// node's span indexes into, and the reused candidate-feature buffer.
 struct Growth<'a> {
     dataset: &'a Dataset,
-    config: &'a TreeConfig,
     rng: &'a mut StdRng,
     words: Vec<MaskWord>,
     candidates: Vec<u32>,
@@ -251,20 +238,13 @@ impl DecisionTree {
     /// its mask, and a fragmented node is re-packed densely (see the
     /// module docs), so deep nodes cost about their member count rather
     /// than the dataset length. Duplicate indices collapse into the
-    /// membership mask (callers bag without replacement; see
-    /// [`ForestConfig::bootstrap`](crate::ForestConfig)).
+    /// membership mask (the forest bags without replacement).
     ///
     /// # Panics
     ///
     /// Panics if `indices` is empty or holds an index not below
     /// `dataset.len()`, or if the dataset has more than `u32::MAX` samples.
-    #[must_use]
-    pub fn fit(
-        dataset: &Dataset,
-        indices: &[usize],
-        config: &TreeConfig,
-        rng: &mut StdRng,
-    ) -> Self {
+    pub(crate) fn fit(dataset: &Dataset, indices: &[usize], rng: &mut StdRng) -> Self {
         assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
         // Re-packed frames name their samples with `u32`s.
         assert!(
@@ -293,8 +273,6 @@ impl DecisionTree {
         let mut tree = Self {
             nodes: Vec::new(),
             num_features,
-            importances: vec![0.0; num_features],
-            root_size: total,
         };
         let frame = Frame {
             planes: (0..num_features)
@@ -305,7 +283,6 @@ impl DecisionTree {
         let root_words = words.len();
         let mut growth = Growth {
             dataset,
-            config,
             rng,
             words,
             candidates: Vec::with_capacity(num_features),
@@ -327,7 +304,7 @@ impl DecisionTree {
         positives: usize,
         depth: u32,
     ) -> u32 {
-        if is_leaf(growth.config, total, positives, depth) {
+        if is_leaf(total, positives, depth) {
             return self.push_leaf(positives as f64 / total as f64);
         }
         if total >= REPACK_MIN_MEMBERS && span.len() > REPACK_FACTOR * total.div_ceil(64) {
@@ -357,15 +334,14 @@ impl DecisionTree {
         positives: usize,
         depth: u32,
     ) -> u32 {
-        // Candidate features: all, or a random subset (random-forest
-        // style). The buffer restarts from `0..F` at every node, so the
-        // shuffle draws and permutes exactly as on a fresh list.
+        // Candidate features: a random subset (random-forest style). The
+        // buffer restarts from `0..F` at every node, so the shuffle draws
+        // and permutes exactly as on a fresh list.
         let candidates = &mut growth.candidates;
+        let num_features = growth.dataset.num_features();
         candidates.clear();
-        candidates.extend(0..growth.dataset.num_features() as u32);
-        if let Some(k) = growth.config.feature_subsample {
-            shuffle_prefix(candidates, k.max(1), growth.rng);
-        }
+        candidates.extend(0..num_features as u32);
+        shuffle_prefix(candidates, candidate_count(num_features), growth.rng);
 
         let members = &growth.words[span.clone()];
         let parent_gini = gini(positives as f64, total as f64);
@@ -404,11 +380,9 @@ impl DecisionTree {
             }
         }
 
-        let Some((gain, feature, high_total, high_pos)) = best else {
+        let Some((_, feature, high_total, high_pos)) = best else {
             return self.push_leaf(positives as f64 / total as f64);
         };
-        // Mean-decrease-in-impurity importance, weighted by node size.
-        self.importances[feature as usize] += gain.max(0.0) * total as f64 / self.root_size as f64;
 
         // Partition: one bitwise AND per side against the chosen feature's
         // plane, keeping each side's non-zero words (low side first). A
@@ -419,7 +393,7 @@ impl DecisionTree {
         let mut ends = [low_start; 2];
         let sides = [(u64::MAX, low_total, low_pos), (0, high_total, high_pos)];
         for (end, (invert, side_total, side_pos)) in ends.iter_mut().zip(sides) {
-            if !is_leaf(growth.config, side_total, side_pos, depth + 1) {
+            if !is_leaf(side_total, side_pos, depth + 1) {
                 for i in span.clone() {
                     let m = growth.words[i];
                     let side = plane[m.word as usize] ^ invert;
@@ -468,8 +442,7 @@ impl DecisionTree {
     /// # Panics
     ///
     /// Panics in debug builds if the sample has too few words.
-    #[must_use]
-    pub fn predict_prob(&self, sample: &[u64]) -> f64 {
+    pub(crate) fn predict_prob(&self, sample: &[u64]) -> f64 {
         let mut node = 0usize;
         loop {
             match self.nodes[node] {
@@ -486,8 +459,7 @@ impl DecisionTree {
     }
 
     /// Hard classification at threshold 0.5.
-    #[must_use]
-    pub fn predict(&self, sample: &[u64]) -> bool {
+    pub(crate) fn predict(&self, sample: &[u64]) -> bool {
         self.predict_prob(sample) > 0.5
     }
 
@@ -529,32 +501,10 @@ impl DecisionTree {
         positive
     }
 
-    /// Number of nodes in the tree.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of features the tree was trained over.
-    #[must_use]
-    pub fn num_features(&self) -> usize {
-        self.num_features
-    }
-
-    /// Mean-decrease-in-impurity feature importances (unnormalized; zero
-    /// for features never split on).
-    #[must_use]
-    pub fn feature_importances(&self) -> &[f64] {
-        &self.importances
-    }
-
     /// Serializes the tree as a line-oriented text block:
     /// `tree features=<F> nodes=<N>` followed by one `leaf <p>` or
     /// `split <feature> <low> <high>` line per node.
-    ///
-    /// Importances are not persisted (they are a training-time analysis).
-    #[must_use]
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
@@ -582,7 +532,7 @@ impl DecisionTree {
     /// # Errors
     ///
     /// Returns a [`ParseModelError`] on any malformed or truncated input.
-    pub fn from_lines<'a>(
+    pub(crate) fn from_lines<'a>(
         lines: &mut std::iter::Peekable<impl Iterator<Item = (usize, &'a str)>>,
     ) -> Result<Self, ParseModelError> {
         let (line_no, header) = lines
@@ -650,8 +600,6 @@ impl DecisionTree {
         Ok(Self {
             nodes,
             num_features,
-            importances: vec![0.0; num_features],
-            root_size: 0,
         })
     }
 }
@@ -686,19 +634,33 @@ mod tests {
         words
     }
 
+    /// Depth of the deepest leaf (the root is depth 0).
+    fn depth(tree: &DecisionTree) -> u32 {
+        let mut deepest = 0;
+        let mut stack = vec![(0u32, 0u32)];
+        while let Some((node, d)) = stack.pop() {
+            deepest = deepest.max(d);
+            if let Node::Split { low, high, .. } = tree.nodes[node as usize] {
+                stack.extend([(low, d + 1), (high, d + 1)]);
+            }
+        }
+        deepest
+    }
+
     #[test]
     fn learns_single_feature_rule() {
-        let mut d = Dataset::new(4);
+        // Two features, so every split examines both (`⌈√2⌉ = 2`).
+        let mut d = Dataset::new(2);
         for i in 0..200usize {
-            let f2 = i % 2 == 0;
-            d.push(&[i % 3 == 0, i % 5 == 0, f2, i % 7 == 0], f2);
+            let f1 = i % 2 == 0;
+            d.push(&[i % 3 == 0, f1], f1);
         }
         let idx: Vec<usize> = (0..d.len()).collect();
-        let tree = DecisionTree::fit(&d, &idx, &TreeConfig::default(), &mut rng());
-        assert!(tree.predict(&pack(&[false, false, true, false])));
-        assert!(!tree.predict(&pack(&[true, true, false, true])));
+        let tree = DecisionTree::fit(&d, &idx, &mut rng());
+        assert!(tree.predict(&pack(&[false, true])));
+        assert!(!tree.predict(&pack(&[true, false])));
         // A single split suffices: root + two leaves.
-        assert_eq!(tree.node_count(), 3);
+        assert_eq!(tree.nodes.len(), 3);
     }
 
     #[test]
@@ -710,7 +672,7 @@ mod tests {
             d.push(&[a, b], a ^ b);
         }
         let idx: Vec<usize> = (0..d.len()).collect();
-        let tree = DecisionTree::fit(&d, &idx, &TreeConfig::default(), &mut rng());
+        let tree = DecisionTree::fit(&d, &idx, &mut rng());
         for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
             assert_eq!(tree.predict(&pack(&[a, b])), a ^ b, "a={a} b={b}");
         }
@@ -723,8 +685,8 @@ mod tests {
             d.push(&[true, false, true], true);
         }
         let idx: Vec<usize> = (0..d.len()).collect();
-        let tree = DecisionTree::fit(&d, &idx, &TreeConfig::default(), &mut rng());
-        assert_eq!(tree.node_count(), 1);
+        let tree = DecisionTree::fit(&d, &idx, &mut rng());
+        assert_eq!(tree.nodes.len(), 1);
         assert!(tree.predict(&pack(&[false, false, false])));
     }
 
@@ -733,19 +695,14 @@ mod tests {
         // Random labels force deep growth unless limited.
         let mut d = Dataset::new(16);
         let mut state = 1u64;
-        for _ in 0..500 {
+        for _ in 0..20_000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(11);
             let features: Vec<bool> = (0..16).map(|b| (state >> b) & 1 == 1).collect();
             d.push(&features, (state >> 60) & 1 == 1);
         }
         let idx: Vec<usize> = (0..d.len()).collect();
-        let cfg = TreeConfig {
-            max_depth: 2,
-            ..TreeConfig::default()
-        };
-        let tree = DecisionTree::fit(&d, &idx, &cfg, &mut rng());
-        // Depth 2 means at most 1 + 2 + 4 = 7 nodes.
-        assert!(tree.node_count() <= 7, "{} nodes", tree.node_count());
+        let tree = DecisionTree::fit(&d, &idx, &mut rng());
+        assert_eq!(depth(&tree), MAX_DEPTH);
     }
 
     #[test]
@@ -756,13 +713,14 @@ mod tests {
             d.push(&[false], i % 4 != 0);
         }
         let idx: Vec<usize> = (0..d.len()).collect();
-        let tree = DecisionTree::fit(&d, &idx, &TreeConfig::default(), &mut rng());
+        let tree = DecisionTree::fit(&d, &idx, &mut rng());
         let p = tree.predict_prob(&pack(&[false]));
         assert!((p - 0.75).abs() < 1e-9, "{p}");
     }
 
     #[test]
     fn feature_subsampling_still_learns_strong_signal() {
+        // 32 features: 6 candidates per split.
         let mut d = Dataset::new(32);
         let mut state = 99u64;
         for _ in 0..600 {
@@ -772,11 +730,7 @@ mod tests {
             d.push(&features, label);
         }
         let idx: Vec<usize> = (0..d.len()).collect();
-        let cfg = TreeConfig {
-            feature_subsample: Some(6),
-            ..TreeConfig::default()
-        };
-        let tree = DecisionTree::fit(&d, &idx, &cfg, &mut rng());
+        let tree = DecisionTree::fit(&d, &idx, &mut rng());
         // With depth available, even subsampled trees find the feature
         // eventually; check training accuracy instead of structure.
         let correct = (0..d.len())
@@ -789,7 +743,7 @@ mod tests {
     #[should_panic(expected = "zero samples")]
     fn empty_fit_panics() {
         let d = Dataset::new(1);
-        let _ = DecisionTree::fit(&d, &[], &TreeConfig::default(), &mut rng());
+        let _ = DecisionTree::fit(&d, &[], &mut rng());
     }
 
     #[test]
@@ -847,17 +801,13 @@ mod tests {
     }
 
     /// Fits one case with production growth and with the reference grower
-    /// and asserts identical trees (node for node, importance for
-    /// importance) and identical RNG states afterwards.
-    #[allow(clippy::too_many_arguments)]
+    /// and asserts identical trees (node for node) and identical RNG
+    /// states afterwards.
     fn assert_growth_matches_reference(
         len: usize,
         features: usize,
         labels: u8,
         seed: u64,
-        max_depth: u32,
-        min_samples_split: usize,
-        subsample: usize,
         keep_per_mille: usize,
     ) {
         let dataset = random_dataset(len, features, labels, seed);
@@ -865,22 +815,14 @@ mod tests {
         let mut bag_rng = StdRng::seed_from_u64(seed ^ 0xBA6);
         indices.shuffle(&mut bag_rng);
         indices.truncate((len * keep_per_mille / 1000).max(1));
-        let config = TreeConfig {
-            max_depth,
-            min_samples_split,
-            // Beyond `features` means "examine all".
-            feature_subsample: (subsample <= features).then_some(subsample),
-        };
         let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
         let mut reference_rng = rng.clone();
-        let tree = DecisionTree::fit(&dataset, &indices, &config, &mut rng);
-        let want = reference::fit(&dataset, &indices, &config, &mut reference_rng);
+        let tree = DecisionTree::fit(&dataset, &indices, &mut rng);
+        let want = reference::fit(&dataset, &indices, &mut reference_rng);
         let case = format!(
-            "len {len}, features {features}, labels {labels}, seed {seed:#x}, config {config:?}, {} indices",
+            "len {len}, features {features}, labels {labels}, seed {seed:#x}, {} indices",
             indices.len()
         );
-        assert_eq!(tree.nodes, want.nodes, "{case}");
-        assert_eq!(tree.importances, want.importances, "{case}");
         assert_eq!(tree, want, "{case}");
         assert_eq!(rng, reference_rng, "{case}");
     }
@@ -897,14 +839,9 @@ mod tests {
             features in 1usize..=200,
             labels in 0u8..5,
             seed in any::<u64>(),
-            max_depth in 0u32..=14,
-            min_samples_split in 1usize..=12,
-            subsample in 1usize..=210,
             keep_per_mille in 1usize..=1_000,
         ) {
-            assert_growth_matches_reference(
-                len, features, labels, seed, max_depth, min_samples_split, subsample, keep_per_mille,
-            );
+            assert_growth_matches_reference(len, features, labels, seed, keep_per_mille);
         }
     }
 
@@ -919,17 +856,13 @@ mod tests {
             features in 16usize..=200,
             labels in 2u8..4,
             seed in any::<u64>(),
-            max_depth in 8u32..=14,
-            subsample in 1usize..=24,
             keep_per_mille in 500usize..=1_000,
         ) {
             let before = REPACKS.with(Cell::get);
-            assert_growth_matches_reference(
-                len, features, labels, seed, max_depth, 2, subsample, keep_per_mille,
-            );
+            assert_growth_matches_reference(len, features, labels, seed, keep_per_mille);
             prop_assert!(
                 REPACKS.with(Cell::get) > before,
-                "no re-pack at {len} samples, {features} features, depth {max_depth}, subsample {subsample}"
+                "no re-pack at {len} samples, {features} features"
             );
         }
     }

@@ -1,14 +1,14 @@
 //! The tree grower as it was before re-packed growth and inherited
-//! counts, kept verbatim as the oracle production growth is tested
-//! against: every node scans the dataset's own planes through its member
-//! words and recounts its labels.
+//! counts, kept verbatim (at production growth's limits) as the oracle
+//! production growth is tested against: every node scans the dataset's
+//! own planes through its member words and recounts its labels.
 
 use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
-use super::{gini, DecisionTree, Node, TreeConfig};
+use super::{candidate_count, gini, DecisionTree, Node, MAX_DEPTH, MIN_SAMPLES_SPLIT};
 use crate::dataset::Dataset;
 
 /// One non-zero word of a node's membership mask.
@@ -24,19 +24,13 @@ struct MaskWord {
 /// node's span indexes into, and the reused candidate-feature buffer.
 struct Growth<'a> {
     dataset: &'a Dataset,
-    config: &'a TreeConfig,
     rng: &'a mut StdRng,
     words: Vec<MaskWord>,
     candidates: Vec<u32>,
 }
 
 /// Fits a tree on the given sample indices of a dataset.
-pub(crate) fn fit(
-    dataset: &Dataset,
-    indices: &[usize],
-    config: &TreeConfig,
-    rng: &mut StdRng,
-) -> DecisionTree {
+pub(crate) fn fit(dataset: &Dataset, indices: &[usize], rng: &mut StdRng) -> DecisionTree {
     assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
     let mut mask = vec![0u64; dataset.len().div_ceil(64)];
     for &i in indices {
@@ -55,13 +49,10 @@ pub(crate) fn fit(
     let mut tree = DecisionTree {
         nodes: Vec::new(),
         num_features: dataset.num_features(),
-        importances: vec![0.0; dataset.num_features()],
-        root_size: total,
     };
     let root_words = words.len();
     let mut growth = Growth {
         dataset,
-        config,
         rng,
         words,
         candidates: Vec::with_capacity(dataset.num_features()),
@@ -82,31 +73,26 @@ fn grow(
     depth: u32,
 ) -> u32 {
     let dataset = growth.dataset;
-    let config = growth.config;
     let labels = dataset.label_plane();
     let members = &growth.words[span.clone()];
     let positives: usize = members
         .iter()
         .map(|m| (m.bits & labels[m.word as usize]).count_ones() as usize)
         .sum();
-    let make_leaf = positives == 0
-        || positives == total
-        || depth >= config.max_depth
-        || total < config.min_samples_split;
+    let make_leaf =
+        positives == 0 || positives == total || depth >= MAX_DEPTH || total < MIN_SAMPLES_SPLIT;
     if make_leaf {
         return tree.push_leaf(positives as f64 / total as f64);
     }
 
-    // Candidate features: all, or a random subset (random-forest
-    // style). The buffer restarts from `0..F` at every node, so the
-    // shuffle draws and permutes exactly as on a fresh list.
+    // Candidate features: a random subset (random-forest style). The
+    // buffer restarts from `0..F` at every node, so the shuffle draws and
+    // permutes exactly as on a fresh list.
     let candidates = &mut growth.candidates;
     candidates.clear();
     candidates.extend(0..dataset.num_features() as u32);
-    if let Some(k) = config.feature_subsample {
-        candidates.shuffle(growth.rng);
-        candidates.truncate(k.max(1));
-    }
+    candidates.shuffle(growth.rng);
+    candidates.truncate(candidate_count(dataset.num_features()));
 
     let parent_gini = gini(positives as f64, total as f64);
     let mut best: Option<(f64, u32)> = None;
@@ -143,11 +129,9 @@ fn grow(
         }
     }
 
-    let Some((gain, feature)) = best else {
+    let Some((_, feature)) = best else {
         return tree.push_leaf(positives as f64 / total as f64);
     };
-    // Mean-decrease-in-impurity importance, weighted by node size.
-    tree.importances[feature as usize] += gain.max(0.0) * total as f64 / tree.root_size as f64;
 
     // Partition: two bitwise ANDs against the chosen feature's plane,
     // keeping each side's non-zero words (low side first).

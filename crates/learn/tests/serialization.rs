@@ -32,6 +32,7 @@ fn roundtrip_preserves_every_prediction() {
     assert!(model.trained_bits() >= 2, "both planted bits should train");
     let text = model.to_text();
     let reloaded = TimingErrorPredictor::from_text(&text).expect("roundtrip");
+    assert_eq!(reloaded, model);
     assert_eq!(reloaded.width(), model.width());
     assert_eq!(reloaded.out_bits(), model.out_bits());
     assert_eq!(reloaded.trained_bits(), model.trained_bits());

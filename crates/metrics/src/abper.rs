@@ -28,7 +28,9 @@
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbperAccumulator {
-    mismatches: Vec<u64>,
+    /// The output positions counted (bits `0..bits`).
+    mask: u64,
+    mismatches: u64,
     cycles: u64,
 }
 
@@ -42,22 +44,17 @@ impl AbperAccumulator {
     pub fn new(bits: u32) -> Self {
         assert!(bits > 0 && bits <= 64, "bits must be in 1..=64");
         Self {
-            mismatches: vec![0; bits as usize],
+            mask: u64::MAX >> (64 - bits),
+            mismatches: 0,
             cycles: 0,
         }
     }
 
-    /// Records one cycle of predicted vs real timing-class masks.
+    /// Records one cycle of predicted vs real timing-class masks
+    /// (positions at or above `bits` are ignored).
     pub fn record(&mut self, predicted_errors: u64, real_errors: u64) {
         self.cycles += 1;
-        let mut diff = predicted_errors ^ real_errors;
-        while diff != 0 {
-            let pos = diff.trailing_zeros() as usize;
-            if pos < self.mismatches.len() {
-                self.mismatches[pos] += 1;
-            }
-            diff &= diff - 1;
-        }
+        self.mismatches += u64::from(((predicted_errors ^ real_errors) & self.mask).count_ones());
     }
 
     /// Number of recorded cycles.
@@ -66,26 +63,13 @@ impl AbperAccumulator {
         self.cycles
     }
 
-    /// Per-bit misprediction rate.
-    #[must_use]
-    pub fn per_bit_rates(&self) -> Vec<f64> {
-        if self.cycles == 0 {
-            return vec![0.0; self.mismatches.len()];
-        }
-        self.mismatches
-            .iter()
-            .map(|&m| m as f64 / self.cycles as f64)
-            .collect()
-    }
-
     /// The ABPER value (0 when no cycle was recorded).
     #[must_use]
     pub fn abper(&self) -> f64 {
         if self.cycles == 0 {
             return 0.0;
         }
-        let total: u64 = self.mismatches.iter().sum();
-        total as f64 / (self.cycles as f64 * self.mismatches.len() as f64)
+        self.mismatches as f64 / (self.cycles as f64 * f64::from(self.mask.count_ones()))
     }
 }
 
@@ -139,18 +123,6 @@ mod tests {
     fn empty_accumulator_reports_zero() {
         let acc = AbperAccumulator::new(8);
         assert_eq!(acc.abper(), 0.0);
-        assert_eq!(acc.per_bit_rates(), vec![0.0; 8]);
-    }
-
-    #[test]
-    fn per_bit_rates_localize_mispredictions() {
-        let mut acc = AbperAccumulator::new(4);
-        acc.record(0b0100, 0b0000);
-        acc.record(0b0100, 0b0000);
-        acc.record(0b0000, 0b0000);
-        let rates = acc.per_bit_rates();
-        assert!((rates[2] - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(rates[0], 0.0);
     }
 
     #[test]

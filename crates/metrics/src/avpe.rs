@@ -40,7 +40,6 @@ pub fn predicted_silver(gold: u64, predicted_flips: u64) -> u64 {
 pub struct AvpeAccumulator {
     sum: f64,
     cycles: u64,
-    exact_cycles: u64,
 }
 
 impl AvpeAccumulator {
@@ -54,7 +53,6 @@ impl AvpeAccumulator {
     pub fn record(&mut self, predicted: u64, real: u64) {
         self.cycles += 1;
         if predicted == real {
-            self.exact_cycles += 1;
             return;
         }
         let denom = if real == 0 { 1.0 } else { real as f64 };
@@ -65,16 +63,6 @@ impl AvpeAccumulator {
     #[must_use]
     pub fn cycles(&self) -> u64 {
         self.cycles
-    }
-
-    /// Fraction of cycles whose output value was predicted exactly.
-    #[must_use]
-    pub fn exact_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.exact_cycles as f64 / self.cycles as f64
-        }
     }
 
     /// The AVPE value (0 when no cycle was recorded).
@@ -149,15 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_fraction_tracks_perfect_cycles() {
-        let mut acc = AvpeAccumulator::new();
-        acc.record(5, 5);
-        acc.record(6, 5);
-        acc.record(5, 5);
-        assert!((acc.exact_fraction() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn predicted_silver_applies_flips() {
         assert_eq!(predicted_silver(0b1111, 0b0101), 0b1010);
         assert_eq!(predicted_silver(42, 0), 42);
@@ -166,6 +145,5 @@ mod tests {
     #[test]
     fn empty_accumulator_is_zero() {
         assert_eq!(AvpeAccumulator::new().avpe(), 0.0);
-        assert_eq!(AvpeAccumulator::new().exact_fraction(), 0.0);
     }
 }

@@ -1,12 +1,12 @@
 //! Static timing analysis.
 //!
 //! Computes worst-case arrival times over the netlist DAG (topological
-//! single pass), the critical path, and per-output arrivals. This is what
+//! single pass), the critical delay, and per-output arrivals. This is what
 //! the paper's synthesis constraint ("fitting the 0.3 ns timing
 //! constraints") is checked against, and what defines the safe clock period
 //! that overclocking reduces.
 
-use crate::graph::{CellId, NetDriver, NetId, Netlist};
+use crate::graph::{CellId, NetId, Netlist};
 use crate::timing::DelayAnnotation;
 
 /// Result of a static timing analysis.
@@ -14,7 +14,6 @@ use crate::timing::DelayAnnotation;
 pub struct StaReport {
     arrival_ps: Vec<f64>,
     critical_ps: f64,
-    critical_net: Option<NetId>,
 }
 
 impl StaReport {
@@ -45,21 +44,14 @@ impl StaReport {
                 .fold(0.0f64, f64::max);
             arrival_ps[cell.output.index()] = input_arrival + delays.delay_ps(id);
         }
-        let (critical_ps, critical_net) = netlist
+        let critical_ps = netlist
             .outputs()
             .iter()
-            .map(|&n| (arrival_ps[n.index()], n))
-            .fold((0.0f64, None), |(best, net), (t, n)| {
-                if t > best {
-                    (t, Some(n))
-                } else {
-                    (best, net)
-                }
-            });
+            .map(|n| arrival_ps[n.index()])
+            .fold(0.0f64, f64::max);
         Self {
             arrival_ps,
             critical_ps,
-            critical_net,
         }
     }
 
@@ -68,13 +60,6 @@ impl StaReport {
     #[must_use]
     pub fn critical_ps(&self) -> f64 {
         self.critical_ps
-    }
-
-    /// The primary output net with the worst arrival, if any cell delay is
-    /// non-trivial.
-    #[must_use]
-    pub fn critical_net(&self) -> Option<NetId> {
-        self.critical_net
     }
 
     /// Arrival time of one net.
@@ -130,41 +115,6 @@ impl StaReport {
     pub fn meets(&self, period_ps: f64) -> bool {
         self.critical_ps <= period_ps
     }
-
-    /// Extracts the critical path as a chain of cells from (near) a primary
-    /// input to the critical output. Empty if the design has no cells on the
-    /// critical output's cone.
-    #[must_use]
-    pub fn critical_path(&self, netlist: &Netlist, delays: &DelayAnnotation) -> Vec<CellId> {
-        let mut path = Vec::new();
-        let mut net = match self.critical_net {
-            Some(n) => n,
-            None => return path,
-        };
-        loop {
-            match netlist.driver(net) {
-                NetDriver::Input => break,
-                NetDriver::Cell(id) => {
-                    path.push(id);
-                    let cell = netlist.cell(id);
-                    // The input that determined this cell's arrival.
-                    let expected = self.arrival_ps[net.index()] - delays.delay_ps(id);
-                    let Some(&worst) = cell.inputs.iter().max_by(|a, b| {
-                        self.arrival_ps[a.index()].total_cmp(&self.arrival_ps[b.index()])
-                    }) else {
-                        break; // constant cell: path starts here
-                    };
-                    debug_assert!(
-                        (self.arrival_ps[worst.index()] - expected).abs() < 1e-6,
-                        "arrival bookkeeping mismatch"
-                    );
-                    net = worst;
-                }
-            }
-        }
-        path.reverse();
-        path
-    }
 }
 
 #[cfg(test)]
@@ -200,16 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_walks_the_long_branch() {
-        let (nl, d) = chain();
-        let sta = StaReport::analyze(&nl, &d);
-        let path = sta.critical_path(&nl, &d);
-        let kinds: Vec<_> = path.iter().map(|&c| nl.cell(c).kind).collect();
-        use crate::cell::CellKind::*;
-        assert_eq!(kinds, vec![And2, Xor2, Or2]);
-    }
-
-    #[test]
     fn zero_delay_netlist_has_zero_critical() {
         let mut b = NetlistBuilder::new("wire");
         let a = b.input("a");
@@ -217,10 +157,6 @@ mod tests {
         let nl = b.finish().unwrap();
         let sta = StaReport::analyze(&nl, &DelayAnnotation::from_delays(vec![]));
         assert_eq!(sta.critical_ps(), 0.0);
-        assert!(sta.critical_net().is_none());
-        assert!(sta
-            .critical_path(&nl, &DelayAnnotation::from_delays(vec![]))
-            .is_empty());
     }
 
     #[test]

@@ -20,44 +20,32 @@ use crate::cell::CellLibrary;
 use crate::sta::StaReport;
 use crate::timing::DelayAnnotation;
 
-/// Area-recovery behaviour after topology selection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DerateOptions {
-    /// Fraction of the clock period the recovered arrival times aim at
-    /// (e.g. 0.99 → 99 % of the constraint).
-    pub target_fraction: f64,
-    /// Maximum per-cell slow-down factor (minimum cell size / HVT-swap
-    /// limit).
-    pub max_factor: f64,
-}
+/// Fraction of the clock period area recovery aims the arrival times at
+/// (99 % of the constraint).
+const RECOVERY_TARGET_FRACTION: f64 = 0.99;
 
-impl Default for DerateOptions {
-    fn default() -> Self {
-        Self {
-            target_fraction: 0.99,
-            max_factor: 1.60,
-        }
-    }
-}
+/// Area recovery's maximum per-cell slow-down factor (the minimum cell
+/// size / HVT-swap limit).
+const RECOVERY_MAX_FACTOR: f64 = 1.60;
 
 /// Synthesis options.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SynthesisOptions {
-    /// Slack-based area recovery; `None` keeps nominal (fastest) cell
-    /// sizing, i.e. the design retains its natural slack.
-    pub derate: Option<DerateOptions>,
+    /// Slack-based area recovery (see [`area_recovery`]), aiming every
+    /// path at 99 % of the period with cells slowed by at most 1.6×;
+    /// `false` keeps nominal (fastest) cell sizing, i.e. the design
+    /// retains its natural slack.
+    pub recover_area: bool,
 }
 
 impl SynthesisOptions {
-    /// Area recovery enabled with default bounds — models a design
-    /// *constrained at* the clock period, which commercial flows downsize
-    /// until every endpoint sits at the slack wall. The paper's exact adder
-    /// ("also constrained at 0.3 ns") is synthesized this way.
+    /// Area recovery enabled — models a design *constrained at* the clock
+    /// period, which commercial flows downsize until every endpoint sits
+    /// at the slack wall. The paper's exact adder ("also constrained at
+    /// 0.3 ns") is synthesized this way.
     #[must_use]
     pub fn paper() -> Self {
-        Self {
-            derate: Some(DerateOptions::default()),
-        }
+        Self { recover_area: true }
     }
 }
 
@@ -221,19 +209,17 @@ fn pick(
         });
     };
 
-    let (annotation, critical_ps) = match options.derate {
-        None => (chosen.annotation, chosen.critical_ps),
-        Some(derate) => {
-            let target = derate.target_fraction * period_ps;
-            let recovered = area_recovery(
-                chosen.adder.netlist(),
-                &chosen.annotation,
-                target,
-                derate.max_factor,
-            );
-            let crit = StaReport::analyze(chosen.adder.netlist(), &recovered).critical_ps();
-            (recovered, crit)
-        }
+    let (annotation, critical_ps) = if options.recover_area {
+        let recovered = area_recovery(
+            chosen.adder.netlist(),
+            &chosen.annotation,
+            RECOVERY_TARGET_FRACTION * period_ps,
+            RECOVERY_MAX_FACTOR,
+        );
+        let crit = StaReport::analyze(chosen.adder.netlist(), &recovered).critical_ps();
+        (recovered, crit)
+    } else {
+        (chosen.annotation, chosen.critical_ps)
     };
     Ok(Synthesized {
         adder: chosen.adder,

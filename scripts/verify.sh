@@ -22,23 +22,26 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+# `--locked` on every workspace step: a stale Cargo.lock fails here
+# instead of being rewritten silently. The ledger step goes without it
+# until ledger/Cargo.lock is refreshed.
+echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
-echo "==> cargo build --release (tier-1)"
-cargo build --release
+echo "==> cargo build --locked --release (tier-1)"
+cargo build --locked --release
 
-echo "==> cargo test -q (tier-1)"
-cargo test -q
+echo "==> cargo test --locked -q (tier-1)"
+cargo test --locked -q
 
-echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+echo "==> cargo test --locked -q --workspace"
+cargo test --locked -q --workspace
 
 echo "==> layer-ledger self-tests (own Cargo package)"
 cargo test -q --manifest-path ledger/Cargo.toml
 
-echo "==> cargo doc --workspace --no-deps (deny warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+echo "==> cargo doc --locked --workspace --no-deps (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --locked -q --workspace --no-deps
 
 echo "==> netlint sweep (12 seeds + full width-32 quadruple grid)"
 # Same sweep as CI's netlint job: every feasible design through the full
