@@ -65,25 +65,6 @@ impl ConfusionMatrix {
         }
         self.true_positives as f64 / denom as f64
     }
-
-    /// Harmonic mean of precision and recall (0 when both are 0).
-    #[must_use]
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            return 0.0;
-        }
-        2.0 * p * r / (p + r)
-    }
-
-    /// Merges another matrix into this one.
-    pub fn merge(&mut self, other: &ConfusionMatrix) {
-        self.true_positives += other.true_positives;
-        self.false_positives += other.false_positives;
-        self.true_negatives += other.true_negatives;
-        self.false_negatives += other.false_negatives;
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +101,6 @@ mod tests {
         assert!((m.accuracy() - 0.8).abs() < 1e-12);
         assert!((m.precision() - 0.75).abs() < 1e-12);
         assert!((m.recall() - 0.75).abs() < 1e-12);
-        assert!((m.f1() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -133,15 +113,5 @@ mod tests {
         let mut all_negative = ConfusionMatrix::new();
         all_negative.record(false, false);
         assert_eq!(all_negative.accuracy(), 1.0);
-        assert_eq!(all_negative.f1(), 1.0);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = sample_matrix();
-        let b = sample_matrix();
-        a.merge(&b);
-        assert_eq!(a.total(), 20);
-        assert_eq!(a.true_positives, 6);
     }
 }

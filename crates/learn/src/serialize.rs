@@ -27,12 +27,6 @@ impl ParseModelError {
             message: message.into(),
         }
     }
-
-    /// 1-based line number of the offending input.
-    #[must_use]
-    pub fn line(&self) -> usize {
-        self.line
-    }
 }
 
 impl fmt::Display for ParseModelError {

@@ -18,7 +18,9 @@
 //!   from the netlist's one level schedule ([`Levelization`]) is proven
 //!   bit-identical to [`Netlist::evaluate_words`] by a replay over
 //!   pseudo-random 64-lane batteries, and the [`LintReport`] hands that
-//!   tape to its caller (the engine's word hot path runs it);
+//!   tape to its caller (the engine's word hot path runs it); the
+//!   functional stage in [`lint`] checks the behavioural golden model
+//!   against that same tape's sums, on corner and seeded random pairs;
 //! * [`timing`] — sanity of the timing graph: annotation coverage,
 //!   finite non-negative delays, arrival-time monotonicity along every
 //!   edge, and [`StaReport::downstream_ps`] re-verified as a longest-path

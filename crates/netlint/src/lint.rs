@@ -8,6 +8,11 @@
 //! each stage runs only when every prior stage reported no
 //! Error-severity finding. The returned [`LintReport`] always contains
 //! the findings of every stage that ran.
+//!
+//! Stage 1 compiles the instruction tape and replay-proves it against
+//! `evaluate_words`; the functional stage then checks the golden model
+//! against that same tape's sums, so a clean report vouches for the very
+//! tape it hands to the engine.
 
 use std::time::Instant;
 
@@ -104,10 +109,11 @@ fn lint_adder_inner(
         }
     }
 
-    // Stage 3: function — needs only a sound graph.
+    // Stage 3: function — needs only a sound graph, whose tape stage 1
+    // compiled and replay-proved; the sums come from that tape.
     if structurally_sound {
-        if let Some(gold) = gold {
-            check_functional(adder, gold, BATTERIES, &mut diagnostics);
+        if let (Some(tape), Some(gold)) = (&tape, gold) {
+            check_functional(adder, tape, gold, BATTERIES, &mut diagnostics);
         }
     }
 
@@ -137,10 +143,12 @@ fn lint_adder_inner(
 }
 
 /// Compares the netlist against the behavioural golden model on fixed
-/// corner vectors plus seeded random batteries (64 pairs per battery via
-/// the bit-sliced path, which also exercises `add_batch` itself).
+/// corner vectors plus seeded random batteries (64 pairs per battery),
+/// summed by [`AdderNetlist::add_batch_with_tape`] on the verified tape:
+/// the evaluator the engine runs.
 fn check_functional(
     adder: &AdderNetlist,
+    tape: &InstructionTape,
     gold: &dyn Adder,
     batteries: usize,
     diagnostics: &mut Vec<Diagnostic>,
@@ -176,7 +184,7 @@ fn check_functional(
             pairs.push((rng.next_u64() & mask, rng.next_u64() & mask));
         }
     }
-    let got = adder.add_batch(&pairs);
+    let got = adder.add_batch_with_tape(tape, &pairs);
     // The golden model side also goes through add_batch: behavioural
     // models with a bit-sliced evaluation (SpeculativeAdder) advance 64
     // pairs per pass there, which keeps this stage off the synthesis

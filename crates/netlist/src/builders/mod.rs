@@ -197,35 +197,19 @@ impl AdderNetlist {
         values
     }
 
-    /// Zero-delay functional addition (the netlist's settled output).
+    /// Zero-delay functional addition (the netlist's settled output): lane
+    /// 0 of [`Netlist::evaluate_words`], the scalar oracle of
+    /// [`Self::add_batch_with_tape`].
     #[must_use]
     pub fn add(&self, a: u64, b: u64) -> u64 {
         self.netlist.evaluate_outputs_u64(&self.input_values(a, b))
     }
 
-    /// Zero-delay functional addition of a whole operand stream, 64 lanes
-    /// per topological sweep. Bit-for-bit equal to mapping [`Self::add`]
-    /// over `pairs`, at roughly 1/64th of the gate evaluations. All plane
-    /// and net-value buffers are reused across the stream's chunks.
-    #[must_use]
-    pub fn add_batch(&self, pairs: &[(u64, u64)]) -> Vec<u64> {
-        let mut out = vec![0u64; pairs.len()];
-        let mut input_planes = vec![0u64; 2 * self.width as usize];
-        let mut values = Vec::new();
-        let mut planes = Vec::new();
-        for (chunk, sums) in pairs.chunks(LANES).zip(out.chunks_mut(LANES)) {
-            pack_pairs(self.width, chunk, &mut input_planes);
-            self.netlist
-                .evaluate_output_planes_into(&input_planes, &mut values, &mut planes);
-            unpack_lanes(&planes, sums);
-        }
-        out
-    }
-
-    /// [`Self::add_batch`] through a precompiled [`InstructionTape`]:
-    /// [`CHUNK`](crate::tape::CHUNK) 64-lane plane sets per topological
-    /// sweep instead of one, so the op loop runs on 256/512-bit vectors.
-    /// Bit-for-bit equal to [`Self::add_batch`].
+    /// Zero-delay functional addition of a whole operand stream through a
+    /// precompiled [`InstructionTape`]: [`CHUNK`](crate::tape::CHUNK)
+    /// 64-lane plane sets per topological sweep, so the op loop runs on
+    /// 256-bit vectors. Bit-for-bit equal to mapping [`Self::add`] over
+    /// `pairs`; this is the one batch adder production runs.
     ///
     /// # Panics
     ///

@@ -104,55 +104,12 @@ impl CellKind {
         }
     }
 
-    /// Evaluates the cell function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from [`Self::arity`].
-    #[must_use]
-    pub fn eval(self, inputs: &[bool]) -> bool {
-        assert_eq!(
-            inputs.len(),
-            self.arity(),
-            "{self} expects {} inputs, got {}",
-            self.arity(),
-            inputs.len()
-        );
-        match self {
-            CellKind::Const0 => false,
-            CellKind::Const1 => true,
-            CellKind::Buf => inputs[0],
-            CellKind::Inv => !inputs[0],
-            CellKind::And2 => inputs[0] & inputs[1],
-            CellKind::Or2 => inputs[0] | inputs[1],
-            CellKind::Nand2 => !(inputs[0] & inputs[1]),
-            CellKind::Nor2 => !(inputs[0] | inputs[1]),
-            CellKind::Xor2 => inputs[0] ^ inputs[1],
-            CellKind::Xnor2 => !(inputs[0] ^ inputs[1]),
-            CellKind::Mux2 => {
-                if inputs[2] {
-                    inputs[1]
-                } else {
-                    inputs[0]
-                }
-            }
-            CellKind::Ao21 => (inputs[0] & inputs[1]) | inputs[2],
-            CellKind::Oa21 => (inputs[0] | inputs[1]) & inputs[2],
-            CellKind::Aoi21 => !((inputs[0] & inputs[1]) | inputs[2]),
-            CellKind::Oai21 => !((inputs[0] | inputs[1]) & inputs[2]),
-            CellKind::Maj3 => {
-                (inputs[0] & inputs[1]) | (inputs[0] & inputs[2]) | (inputs[1] & inputs[2])
-            }
-            CellKind::And3 => inputs[0] & inputs[1] & inputs[2],
-            CellKind::Or3 => inputs[0] | inputs[1] | inputs[2],
-            CellKind::Xor3 => inputs[0] ^ inputs[1] ^ inputs[2],
-        }
-    }
-
     /// Evaluates the cell function over 64 independent lanes at once: bit
     /// `l` of every input word is lane `l`'s value, and bit `l` of the
-    /// result is lane `l`'s output — the bit-sliced
-    /// (SIMD-within-a-register) form of [`Self::eval`].
+    /// result is lane `l`'s output. This is the one cell truth table:
+    /// [`Netlist::evaluate_words`](crate::graph::Netlist::evaluate_words)
+    /// sweeps it, the scalar event queue reads its bit 0, and the
+    /// instruction tape's formulas are tested against it.
     ///
     /// # Panics
     ///
@@ -358,40 +315,27 @@ impl Default for CellLibrary {
 mod tests {
     use super::*;
 
+    /// `kind.eval_word` on every input combination at once: lane `l`
+    /// drives pin `p` with bit `p` of `l`; returns the first `2^arity`
+    /// lanes' outputs.
+    fn every_combination(kind: CellKind) -> Vec<bool> {
+        let combos = 1u64 << kind.arity();
+        let words: Vec<u64> = (0..kind.arity())
+            .map(|pin| {
+                (0..combos)
+                    .filter(|lane| lane >> pin & 1 == 1)
+                    .fold(0, |word, lane| word | 1 << lane)
+            })
+            .collect();
+        let out = kind.eval_word(&words);
+        (0..combos).map(|lane| out >> lane & 1 == 1).collect()
+    }
+
     #[test]
     fn arity_matches_eval_expectations() {
         for kind in ALL_CELL_KINDS {
-            let inputs = vec![false; kind.arity()];
-            let _ = kind.eval(&inputs); // must not panic
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "expects 2 inputs")]
-    fn eval_rejects_wrong_arity() {
-        let _ = CellKind::And2.eval(&[true]);
-    }
-
-    #[test]
-    fn eval_word_matches_eval_in_every_lane() {
-        // Exhaustive: every cell kind, every input combination, packed into
-        // distinct lanes of one word evaluation.
-        for kind in ALL_CELL_KINDS {
-            let arity = kind.arity();
-            let combos = 1usize << arity;
-            let mut words = vec![0u64; arity];
-            for lane in 0..combos {
-                for (pin, word) in words.iter_mut().enumerate() {
-                    if lane >> pin & 1 == 1 {
-                        *word |= 1 << lane;
-                    }
-                }
-            }
-            let out = kind.eval_word(&words);
-            for lane in 0..combos {
-                let pins: Vec<bool> = (0..arity).map(|p| lane >> p & 1 == 1).collect();
-                assert_eq!(out >> lane & 1 == 1, kind.eval(&pins), "{kind} lane {lane}");
-            }
+            let inputs = vec![0u64; kind.arity()];
+            let _ = kind.eval_word(&inputs); // must not panic
         }
     }
 
@@ -402,42 +346,57 @@ mod tests {
     }
 
     #[test]
+    fn truth_tables_one_input() {
+        use CellKind::*;
+        assert_eq!(every_combination(Buf), [false, true]);
+        assert_eq!(every_combination(Inv), [true, false]);
+    }
+
+    #[test]
     fn truth_tables_two_input() {
         use CellKind::*;
-        let cases = [(false, false), (false, true), (true, false), (true, true)];
-        for (a, b) in cases {
-            assert_eq!(And2.eval(&[a, b]), a & b);
-            assert_eq!(Or2.eval(&[a, b]), a | b);
-            assert_eq!(Nand2.eval(&[a, b]), !(a & b));
-            assert_eq!(Nor2.eval(&[a, b]), !(a | b));
-            assert_eq!(Xor2.eval(&[a, b]), a ^ b);
-            assert_eq!(Xnor2.eval(&[a, b]), !(a ^ b));
+        let lanes = [And2, Or2, Nand2, Nor2, Xor2, Xnor2].map(every_combination);
+        for (lane, (a, b)) in [(false, false), (true, false), (false, true), (true, true)]
+            .into_iter()
+            .enumerate()
+        {
+            let expected = [a & b, a | b, !(a & b), !(a | b), a ^ b, !(a ^ b)];
+            for (got, want) in lanes.iter().zip(expected) {
+                assert_eq!(got[lane], want, "lane {lane}");
+            }
         }
     }
 
     #[test]
     fn truth_tables_three_input() {
         use CellKind::*;
-        for i in 0..8u8 {
-            let a = i & 1 != 0;
-            let b = i & 2 != 0;
-            let c = i & 4 != 0;
-            assert_eq!(Mux2.eval(&[a, b, c]), if c { b } else { a });
-            assert_eq!(Ao21.eval(&[a, b, c]), (a & b) | c);
-            assert_eq!(Oa21.eval(&[a, b, c]), (a | b) & c);
-            assert_eq!(Aoi21.eval(&[a, b, c]), !((a & b) | c));
-            assert_eq!(Oai21.eval(&[a, b, c]), !((a | b) & c));
-            assert_eq!(Maj3.eval(&[a, b, c]), (a & b) | (a & c) | (b & c));
-            assert_eq!(And3.eval(&[a, b, c]), a & b & c);
-            assert_eq!(Or3.eval(&[a, b, c]), a | b | c);
-            assert_eq!(Xor3.eval(&[a, b, c]), a ^ b ^ c);
+        let kinds = [Mux2, Ao21, Oa21, Aoi21, Oai21, Maj3, And3, Or3, Xor3];
+        let lanes = kinds.map(every_combination);
+        for lane in 0..8usize {
+            let a = lane & 1 != 0;
+            let b = lane & 2 != 0;
+            let c = lane & 4 != 0;
+            let expected = [
+                if c { b } else { a },
+                (a & b) | c,
+                (a | b) & c,
+                !((a & b) | c),
+                !((a | b) & c),
+                (a & b) | (a & c) | (b & c),
+                a & b & c,
+                a | b | c,
+                a ^ b ^ c,
+            ];
+            for ((kind, got), want) in kinds.iter().zip(&lanes).zip(expected) {
+                assert_eq!(got[lane], want, "{kind} lane {lane}");
+            }
         }
     }
 
     #[test]
     fn constants_have_no_inputs() {
-        assert!(!CellKind::Const0.eval(&[]));
-        assert!(CellKind::Const1.eval(&[]));
+        assert_eq!(CellKind::Const0.eval_word(&[]), 0);
+        assert_eq!(CellKind::Const1.eval_word(&[]), u64::MAX);
     }
 
     #[test]

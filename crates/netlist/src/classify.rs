@@ -23,8 +23,8 @@
 //!    changed input — event chains follow topological paths. If the period
 //!    exceeds the critical delay, *no* lane can ever violate (tier-0).
 //! 2. **Per-pin exposure**: the longest path from each primary input pin
-//!    to any output ([`StaReport::downstream_ps`](crate::sta::StaReport::downstream_ps)
-//!    at the inputs). A lane's
+//!    to any output, summed in integer femtoseconds over the quantized
+//!    cell delays (a backward pass over the cell list). A lane's
 //!    activity from one edge dies within the worst exposure among its
 //!    *changed* pins, whatever the previous state — unchanged pins start
 //!    no chains.

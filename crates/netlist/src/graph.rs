@@ -5,6 +5,13 @@
 //! netlists are combinational-loop-free *by construction* and the cell
 //! creation order is a valid topological order; [`Netlist::validate`]
 //! re-checks these invariants for netlists obtained by other means.
+//!
+//! [`Netlist::evaluate_words`] is the one zero-delay interpreter: one
+//! sweep of the cell list in that order, 64 lanes per net word, through
+//! [`CellKind::eval_word`]. It is the oracle of the compiled
+//! [`InstructionTape`](crate::tape::InstructionTape), which is what
+//! production evaluates; scalar callers read its lane 0
+//! ([`Netlist::evaluate_outputs_u64`]).
 
 use std::error::Error;
 use std::fmt;
@@ -240,11 +247,10 @@ impl Netlist {
     /// may violate every invariant [`Self::validate`] checks (and more:
     /// combinational loops, multi-driven or floating nets, dead cones);
     /// run it through `isa-netlint` before evaluating or simulating it.
-    /// [`Self::evaluate`]-family methods on an unvalidated netlist are
-    /// well-defined memory-wise (any in-range indices) but may compute
-    /// garbage: they sweep the cells in list order, so a cell reading a
-    /// net that a later-listed cell drives sees a stale value, whatever
-    /// the net ids.
+    /// [`Self::evaluate_words`] on an unvalidated netlist is well-defined
+    /// memory-wise (any in-range indices) but may compute garbage: it
+    /// sweeps the cells in list order, so a cell reading a net that a
+    /// later-listed cell drives sees a stale value, whatever the net ids.
     ///
     /// # Panics
     ///
@@ -353,57 +359,28 @@ impl Netlist {
         Ok(())
     }
 
-    /// Zero-delay functional evaluation: returns the value of every net for
-    /// the given primary input assignment.
+    /// Zero-delay evaluation of lane 0, packing the primary outputs
+    /// LSB-first into a `u64`: each input value drives bit 0 of its
+    /// [`Self::evaluate_words`] word.
     ///
     /// # Panics
     ///
-    /// Panics if `input_values.len()` differs from the number of primary
-    /// inputs.
-    #[must_use]
-    pub fn evaluate(&self, input_values: &[bool]) -> Vec<bool> {
-        assert_eq!(
-            input_values.len(),
-            self.inputs.len(),
-            "expected {} input values, got {}",
-            self.inputs.len(),
-            input_values.len()
-        );
-        let mut values = vec![false; self.net_count()];
-        for (net, &v) in self.inputs.iter().zip(input_values) {
-            values[net.index()] = v;
-        }
-        let mut pins = Vec::with_capacity(3);
-        for cell in &self.cells {
-            pins.clear();
-            pins.extend(cell.inputs.iter().map(|n| values[n.index()]));
-            values[cell.output.index()] = cell.kind.eval(&pins);
-        }
-        values
-    }
-
-    /// Evaluates and packs the primary outputs, LSB-first, into a `u64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Self::evaluate`]; additionally if there are more than
-    /// 64 outputs.
+    /// Panics like [`Self::evaluate_words`]; additionally if there are more
+    /// than 64 outputs.
     #[must_use]
     pub fn evaluate_outputs_u64(&self, input_values: &[bool]) -> u64 {
         assert!(self.outputs.len() <= 64, "too many outputs for u64 packing");
-        let values = self.evaluate(input_values);
-        let mut out = 0u64;
-        for (i, net) in self.outputs.iter().enumerate() {
-            if values[net.index()] {
-                out |= 1 << i;
-            }
-        }
-        out
+        let words: Vec<u64> = input_values.iter().map(|&v| u64::from(v)).collect();
+        let values = self.evaluate_words(&words);
+        self.outputs
+            .iter()
+            .enumerate()
+            .fold(0, |out, (i, net)| out | ((values[net.index()] & 1) << i))
     }
 
-    /// Bit-sliced zero-delay evaluation: like [`Self::evaluate`], but each
-    /// net carries 64 independent lanes packed into a `u64` word (bit `l`
-    /// is lane `l`'s value). One topological sweep evaluates all 64 lanes.
+    /// Bit-sliced zero-delay evaluation: returns every net's value word
+    /// (bit `l` is lane `l`'s value) for 64 independent input lanes, in
+    /// one sweep of the cell list through [`CellKind::eval_word`].
     ///
     /// # Panics
     ///
@@ -411,19 +388,6 @@ impl Netlist {
     /// inputs.
     #[must_use]
     pub fn evaluate_words(&self, input_words: &[u64]) -> Vec<u64> {
-        let mut values = Vec::new();
-        self.evaluate_words_into(input_words, &mut values);
-        values
-    }
-
-    /// [`Self::evaluate_words`] into a reusable buffer (cleared and
-    /// resized to the net count, keeping its allocation) — the hot-loop
-    /// form for per-step functional evaluation in batched simulators.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Self::evaluate_words`].
-    pub fn evaluate_words_into(&self, input_words: &[u64], values: &mut Vec<u64>) {
         assert_eq!(
             input_words.len(),
             self.inputs.len(),
@@ -431,8 +395,7 @@ impl Netlist {
             self.inputs.len(),
             input_words.len()
         );
-        values.clear();
-        values.resize(self.net_count(), 0);
+        let mut values = vec![0u64; self.net_count()];
         for (net, &w) in self.inputs.iter().zip(input_words) {
             values[net.index()] = w;
         }
@@ -443,37 +406,7 @@ impl Netlist {
             }
             values[cell.output.index()] = cell.kind.eval_word(&pins[..cell.inputs.len()]);
         }
-    }
-
-    /// Bit-sliced evaluation of the primary outputs: returns one plane per
-    /// output net, in declaration order (bit `l` of plane `i` is output `i`
-    /// in lane `l`). The word-level counterpart of
-    /// [`Self::evaluate_outputs_u64`].
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Self::evaluate_words`].
-    #[must_use]
-    pub fn evaluate_output_planes(&self, input_words: &[u64]) -> Vec<u64> {
-        let values = self.evaluate_words(input_words);
-        self.outputs.iter().map(|n| values[n.index()]).collect()
-    }
-
-    /// [`Self::evaluate_output_planes`] with reusable buffers: `values`
-    /// is the all-nets scratch, `planes` receives one plane per output.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Self::evaluate_words`].
-    pub fn evaluate_output_planes_into(
-        &self,
-        input_words: &[u64],
-        values: &mut Vec<u64>,
-        planes: &mut Vec<u64>,
-    ) {
-        self.evaluate_words_into(input_words, values);
-        planes.clear();
-        planes.extend(self.outputs.iter().map(|n| values[n.index()]));
+        values
     }
 }
 
@@ -833,7 +766,10 @@ mod tests {
             })
         );
         // The list-order sweep reads the stale (zero) plane: y = !0, not a.
-        assert_eq!(nl.evaluate_output_planes(&[0x0F]), [u64::MAX]);
+        assert_eq!(
+            nl.evaluate_words(&[0x0F])[nl.outputs()[0].index()],
+            u64::MAX
+        );
     }
 
     #[test]
@@ -883,7 +819,7 @@ mod tests {
     #[test]
     fn evaluate_rejects_wrong_input_count() {
         let nl = full_adder_netlist();
-        let result = std::panic::catch_unwind(|| nl.evaluate(&[true]));
+        let result = std::panic::catch_unwind(|| nl.evaluate_words(&[1]));
         assert!(result.is_err());
     }
 }

@@ -207,7 +207,7 @@ mod tests {
     fn roundtrip_preserves_delays_to_milli_ps() {
         let nl = netlist();
         let lib = CellLibrary::industrial_65nm();
-        let ann = DelayAnnotation::with_variation(&nl, &lib, &VariationModel::new(0.04, 3));
+        let ann = DelayAnnotation::nominal(&nl, &lib).perturbed(&VariationModel::new(0.04, 3));
         let text = write(&nl, &ann);
         let back = read(&nl, &text).unwrap();
         for (a, b) in ann.as_slice().iter().zip(back.as_slice()) {

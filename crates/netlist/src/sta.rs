@@ -82,11 +82,10 @@ impl StaReport {
     /// cell delays) from the net to any primary output, indexed by net.
     ///
     /// This is the dual of the arrival times — `arrival + downstream` along
-    /// a net is the worst full path through it. It doubles as a sound bound
-    /// on how long after a net changes the circuit can still be switching
-    /// because of that change (every event chain follows a topological
-    /// path), which is what the lane classifier's per-pin exposure and the
-    /// area-recovery derating both consume.
+    /// a net is the worst full path through it. Area recovery reads it for
+    /// the worst path through each cell, and `isa-netlint`'s timing stage
+    /// re-verifies it as a longest-path labeling. (The lane classifier
+    /// keeps its own femtosecond exposures over quantized delays.)
     #[must_use]
     pub fn downstream_ps(netlist: &Netlist, delays: &DelayAnnotation) -> Vec<f64> {
         assert_eq!(

@@ -154,7 +154,7 @@ impl fmt::Display for SynthesisError {
 
 impl Error for SynthesisError {}
 
-/// One candidate evaluation.
+/// One synthesis candidate, characterized by area and critical delay.
 #[derive(Debug, Clone, PartialEq)]
 struct Candidate {
     adder: AdderNetlist,
@@ -164,7 +164,7 @@ struct Candidate {
     annotation: DelayAnnotation,
 }
 
-fn evaluate<F>(build: F, topology: AdderTopology, lib: &CellLibrary) -> Option<Candidate>
+fn characterize<F>(build: F, topology: AdderTopology, lib: &CellLibrary) -> Option<Candidate>
 where
     F: FnOnce(AdderTopology) -> Option<AdderNetlist>,
 {
@@ -246,7 +246,7 @@ pub fn synthesize_exact(
         .iter()
         .filter(|t| t.supports_width(width))
         .filter_map(|&t| {
-            evaluate(
+            characterize(
                 |topology| Some(builders::build_exact(width, topology)),
                 t,
                 lib,
@@ -273,7 +273,7 @@ pub fn synthesize_isa(
     let candidates: Vec<Candidate> = CANDIDATE_TOPOLOGIES
         .iter()
         .filter(|t| t.supports_width(cfg.block_size()))
-        .filter_map(|&t| evaluate(|topology| builders::isa::build(cfg, topology).ok(), t, lib))
+        .filter_map(|&t| characterize(|topology| builders::isa::build(cfg, topology).ok(), t, lib))
         .collect();
     pick(&format!("isa{cfg}"), candidates, period_ps, options)
 }

@@ -25,8 +25,12 @@
 //! [`Netlist::evaluate_words`] sweeps, which [`Netlist::validate`] checks).
 //! It is the netlist's one level schedule; `isa-netlint` compiles the tape
 //! from it on every `DesignContext` build, re-proves the tape
-//! bit-identical to [`Netlist::evaluate_words`] (its `tape.replay` rule)
-//! and hands that verified tape to the engine.
+//! bit-identical to [`Netlist::evaluate_words`] (its `tape.replay` rule),
+//! checks the golden model against the tape's own sums
+//! ([`add_batch_with_tape`](crate::AdderNetlist::add_batch_with_tape)) and
+//! hands that verified tape to the engine. The tape is the only zero-delay
+//! evaluator production runs; [`Netlist::evaluate_words`] is its test
+//! oracle.
 //!
 //! # Example
 //!

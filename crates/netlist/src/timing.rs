@@ -88,26 +88,6 @@ impl DelayAnnotation {
         Self { delays_ps }
     }
 
-    /// Annotation with per-instance Gaussian variation, clamped to ±3 sigma
-    /// (no negative or absurd delays).
-    #[must_use]
-    pub fn with_variation(
-        netlist: &Netlist,
-        lib: &CellLibrary,
-        variation: &VariationModel,
-    ) -> Self {
-        let mut annotation = Self::nominal(netlist, lib);
-        if variation.sigma == 0.0 {
-            return annotation;
-        }
-        let mut rng = StdRng::seed_from_u64(variation.seed);
-        for d in &mut annotation.delays_ps {
-            let z = standard_normal(&mut rng).clamp(-3.0, 3.0);
-            *d *= 1.0 + variation.sigma * z;
-        }
-        annotation
-    }
-
     /// Builds an annotation from raw per-cell delays.
     ///
     /// # Panics
@@ -154,15 +134,6 @@ impl DelayAnnotation {
     #[must_use]
     pub fn as_slice(&self) -> &[f64] {
         &self.delays_ps
-    }
-
-    /// Returns a uniformly scaled copy (used by synthesis "derating").
-    #[must_use]
-    pub fn scaled(&self, factor: f64) -> Self {
-        assert!(factor.is_finite() && factor > 0.0, "scale must be positive");
-        Self {
-            delays_ps: self.delays_ps.iter().map(|d| d * factor).collect(),
-        }
     }
 
     /// Returns a copy with per-instance Gaussian variation applied on top of
@@ -239,9 +210,9 @@ mod tests {
     fn variation_is_deterministic_per_seed() {
         let nl = small_netlist();
         let lib = CellLibrary::industrial_65nm();
-        let v1 = DelayAnnotation::with_variation(&nl, &lib, &VariationModel::new(0.05, 7));
-        let v2 = DelayAnnotation::with_variation(&nl, &lib, &VariationModel::new(0.05, 7));
-        let v3 = DelayAnnotation::with_variation(&nl, &lib, &VariationModel::new(0.05, 8));
+        let v1 = DelayAnnotation::nominal(&nl, &lib).perturbed(&VariationModel::new(0.05, 7));
+        let v2 = DelayAnnotation::nominal(&nl, &lib).perturbed(&VariationModel::new(0.05, 7));
+        let v3 = DelayAnnotation::nominal(&nl, &lib).perturbed(&VariationModel::new(0.05, 8));
         assert_eq!(v1, v2);
         assert_ne!(v1, v3);
     }
@@ -252,7 +223,7 @@ mod tests {
         let lib = CellLibrary::industrial_65nm();
         let nominal = DelayAnnotation::nominal(&nl, &lib);
         let sigma = 0.05;
-        let varied = DelayAnnotation::with_variation(&nl, &lib, &VariationModel::new(sigma, 99));
+        let varied = nominal.perturbed(&VariationModel::new(sigma, 99));
         for (v, n) in varied.as_slice().iter().zip(nominal.as_slice()) {
             assert!(*v >= n * (1.0 - 3.0 * sigma) - 1e-9);
             assert!(*v <= n * (1.0 + 3.0 * sigma) + 1e-9);
@@ -264,19 +235,8 @@ mod tests {
         let nl = small_netlist();
         let lib = CellLibrary::industrial_65nm();
         let nominal = DelayAnnotation::nominal(&nl, &lib);
-        let varied = DelayAnnotation::with_variation(&nl, &lib, &VariationModel::nominal());
+        let varied = nominal.perturbed(&VariationModel::nominal());
         assert_eq!(nominal, varied);
-    }
-
-    #[test]
-    fn scaling_multiplies_every_delay() {
-        let nl = small_netlist();
-        let lib = CellLibrary::industrial_65nm();
-        let ann = DelayAnnotation::nominal(&nl, &lib);
-        let scaled = ann.scaled(1.5);
-        for (s, n) in scaled.as_slice().iter().zip(ann.as_slice()) {
-            assert!((s - n * 1.5).abs() < 1e-12);
-        }
     }
 
     #[test]

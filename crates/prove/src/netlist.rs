@@ -3,8 +3,9 @@
 //! One topological sweep turns every net of a [`Netlist`] into a canonical
 //! BDD over the primary-input functions supplied by the caller — the
 //! symbolic counterpart of [`Netlist::evaluate_words`]. The per-kind
-//! formulas mirror [`CellKind::eval`] exactly; the `match` is exhaustive,
-//! so adding a cell kind without a symbolic semantics fails to compile.
+//! formulas mirror [`CellKind::eval_word`] exactly; the `match` is
+//! exhaustive, so adding a cell kind without a symbolic semantics fails
+//! to compile.
 
 use isa_netlist::{CellKind, NetDriver, Netlist};
 
@@ -155,10 +156,10 @@ mod tests {
             let vars: Vec<Ref> = (0..arity as u32).map(|v| bdd.var(v)).collect();
             let f = eval_cell(&mut bdd, kind, &vars);
             for bits in 0..1u32 << arity {
-                let ins: Vec<bool> = (0..arity).map(|i| bits >> i & 1 == 1).collect();
+                let ins: Vec<u64> = (0..arity).map(|i| u64::from(bits >> i & 1)).collect();
                 assert_eq!(
-                    bdd.eval(f, |v| ins[v as usize]),
-                    kind.eval(&ins),
+                    bdd.eval(f, |v| ins[v as usize] == 1),
+                    kind.eval_word(&ins) & 1 == 1,
                     "{kind:?} ins={ins:?}"
                 );
             }

@@ -291,12 +291,12 @@ mod tests {
                 NetDriver::Cell(c) => {
                     let cell = nl.cell(c);
                     let d = delays[c.index()] as i64;
-                    let ins: Vec<bool> = cell
+                    let ins: Vec<u64> = cell
                         .inputs
                         .iter()
-                        .map(|n| value(nl, delays, old, new, n.index(), t - d))
+                        .map(|n| u64::from(value(nl, delays, old, new, n.index(), t - d)))
                         .collect();
-                    cell.kind.eval(&ins)
+                    cell.kind.eval_word(&ins) & 1 == 1
                 }
             }
         }

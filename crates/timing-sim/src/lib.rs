@@ -40,7 +40,7 @@ pub use clocked::{
     run_adder_trace, scalar_segment_commits, scalar_segments, ClockedSim, CycleRecord,
 };
 pub use filtered::{run_filtered_batch_tape, run_filtered_batch_with_stats_tape, FilterStats};
-pub use power::{measure as measure_energy, measure_activity, measure_clocked_batch, EnergyReport};
+pub use power::{measure_activity, measure_clocked_batch, EnergyReport};
 pub use razor::{run_razor_trace, RazorConfig, RazorCycle, RazorReport};
 pub use sim::{ps_to_fs, GateLevelSim, SettleError, FS_PER_PS};
 pub use timedtape::{run_clocked_batch_timed, TimedTape, TimedTapeCore};

@@ -15,10 +15,10 @@
 //! [`LaneSchedule`] and packed by [`pack_pairs`] into one reused buffer,
 //! exactly like the timed replay; the counts are pinned to the one scalar
 //! energy oracle, [`scalar_segment_commits`](crate::scalar_segment_commits).
-//! The timed tape keeps change-only waveforms; the
-//! sweep keeps a per-net **commit list** holding every commit the scalar
-//! event queue ([`GateLevelSim`]) makes, because energy bills the
-//! same-instant repeat commits (zero-width glitches) that change-only
+//! The timed tape keeps change-only waveforms; the sweep keeps a per-net
+//! **commit list** holding every commit the scalar event queue
+//! ([`GateLevelSim`](crate::GateLevelSim)) makes, because energy bills
+//! the same-instant repeat commits (zero-width glitches) that change-only
 //! waveforms merge. A cell evaluates after each of its fanin commits,
 //! taken in the queue's exact `(time, seq)` order, and commits one
 //! transport delay later whenever its output word changes. At one
@@ -51,7 +51,7 @@ use isa_netlist::cell::{CellKind, CellLibrary};
 use isa_netlist::graph::{CellId, NetDriver, NetId, Netlist};
 use isa_netlist::timing::DelayAnnotation;
 
-use crate::sim::{ps_to_fs, GateLevelSim};
+use crate::sim::ps_to_fs;
 
 /// Leakage power per NAND2-equivalent area unit, in nanowatts (65 nm-class
 /// general-purpose magnitude).
@@ -87,17 +87,6 @@ impl EnergyReport {
         assert!(operations > 0, "at least one operation required");
         self.total_fj() / operations as f64
     }
-}
-
-/// Estimates the energy of everything simulated so far on `sim`.
-///
-/// Dynamic energy: each committed transition of a cell-driven net costs the
-/// driving cell's per-switch energy. Primary-input transitions are charged
-/// like buffers (the register driving them switches too). Leakage: area x
-/// time x [`LEAKAGE_NW_PER_AREA`].
-#[must_use]
-pub fn measure(sim: &GateLevelSim<'_>, netlist: &Netlist, lib: &CellLibrary) -> EnergyReport {
-    measure_activity(sim.net_commit_counts(), sim.now_fs(), netlist, lib)
 }
 
 /// Characterizes an adder's switching energy over an input stream: runs
@@ -165,11 +154,18 @@ fn clocked_batch_commits(
 /// Estimates energy from an explicit activity profile: per-net committed
 /// transition counts plus the wall-clock span to charge leakage over.
 ///
-/// This is the common core behind [`measure`] and
-/// [`measure_clocked_batch`], whose 64-lane counts already sum
-/// transitions over lanes; pass the *sequential-equivalent* span
-/// (`ops x period`) so leakage stays comparable with a scalar run of the
-/// same operation count on one circuit.
+/// Dynamic energy: each committed transition of a cell-driven net costs the
+/// driving cell's per-switch energy. Primary-input transitions are charged
+/// like buffers (the register driving them switches too). Leakage: area x
+/// time x [`LEAKAGE_NW_PER_AREA`].
+///
+/// A scalar run passes its simulator's
+/// [`net_commit_counts`](crate::GateLevelSim::net_commit_counts) and
+/// [`now_fs`](crate::GateLevelSim::now_fs). [`measure_clocked_batch`]'s
+/// 64-lane counts already sum transitions over lanes; it passes the
+/// *sequential-equivalent* span (`ops x period`) so leakage stays
+/// comparable with a scalar run of the same operation count on one
+/// circuit.
 #[must_use]
 pub fn measure_activity(
     counts: &[u64],
@@ -579,6 +575,7 @@ impl Emit {
 mod tests {
     use super::*;
     use crate::clocked::scalar_segment_commits;
+    use crate::sim::GateLevelSim;
     use isa_netlist::builders::{build_exact, AdderTopology};
     use isa_netlist::graph::NetlistBuilder;
     use isa_netlist::sta::StaReport;
@@ -597,7 +594,7 @@ mod tests {
             let t = sim.now_fs();
             sim.run_until(t + 300_000);
         }
-        measure(&sim, adder.netlist(), &lib)
+        measure_activity(sim.net_commit_counts(), sim.now_fs(), adder.netlist(), &lib)
     }
 
     fn pairs(n: usize) -> Vec<(u64, u64)> {
@@ -619,7 +616,7 @@ mod tests {
         let ann = DelayAnnotation::nominal(adder.netlist(), &lib);
         let mut sim = GateLevelSim::new(adder.netlist(), &ann);
         sim.run_until(1_000_000);
-        let report = measure(&sim, adder.netlist(), &lib);
+        let report = measure_activity(sim.net_commit_counts(), sim.now_fs(), adder.netlist(), &lib);
         assert_eq!(report.dynamic_fj, 0.0);
         assert_eq!(report.transitions, 0);
         assert!(report.leakage_fj > 0.0);
@@ -727,7 +724,7 @@ mod tests {
             let adder = build_exact(16, topology);
             let netlist = adder.netlist();
             let die =
-                DelayAnnotation::with_variation(netlist, &lib, &VariationModel::new(0.05, 11));
+                DelayAnnotation::nominal(netlist, &lib).perturbed(&VariationModel::new(0.05, 11));
             for (label, ann) in [
                 ("nominal", DelayAnnotation::nominal(netlist, &lib)),
                 ("die", die),

@@ -51,7 +51,7 @@ struct Event {
 /// counters.
 #[derive(Debug, Clone)]
 pub struct GateLevelSim<'a> {
-    pub(crate) netlist: &'a Netlist,
+    netlist: &'a Netlist,
     delays_fs: Vec<u64>,
     values: Vec<bool>,
     queue: BinaryHeap<Reverse<Event>>,
@@ -79,7 +79,11 @@ impl<'a> GateLevelSim<'a> {
             netlist.cell_count()
         );
         let delays_fs = annotation.as_slice().iter().map(|&d| ps_to_fs(d)).collect();
-        let values = netlist.evaluate(&vec![false; netlist.inputs().len()]);
+        let values = netlist
+            .evaluate_words(&vec![0; netlist.inputs().len()])
+            .iter()
+            .map(|&w| w & 1 == 1)
+            .collect();
         let net_commits = vec![0; netlist.net_count()];
         Self {
             netlist,
@@ -154,11 +158,11 @@ impl<'a> GateLevelSim<'a> {
     fn schedule_fanout(&mut self, net: NetId) {
         for &cell_id in self.netlist.fanout(net) {
             let cell = self.netlist.cell(cell_id);
-            let mut pins = [false; 3];
+            let mut pins = [0u64; 3];
             for (slot, n) in pins.iter_mut().zip(&cell.inputs) {
-                *slot = self.values[n.index()];
+                *slot = u64::from(self.values[n.index()]);
             }
-            let new_value = cell.kind.eval(&pins[..cell.inputs.len()]);
+            let new_value = cell.kind.eval_word(&pins[..cell.inputs.len()]) & 1 == 1;
             let when = self.now_fs + self.delays_fs[cell_id.index()];
             self.seq += 1;
             self.queue.push(Reverse(Event {

@@ -63,8 +63,8 @@ fn assert_conservative(adder: &AdderNetlist, annotation: &DelayAnnotation, fract
     let classifier = LaneClassifier::build(adder, annotation);
     let crit = StaReport::analyze(adder.netlist(), annotation).critical_ps();
     let inputs = exhaustive_pairs();
-    let settled = adder.add_batch(&inputs);
     let tape = InstructionTape::compile(adder.netlist());
+    let settled = adder.add_batch_with_tape(&tape, &inputs);
     let program = TimedTape::new(adder.netlist(), &tape, annotation);
     for &fraction in fractions {
         let period = crit * fraction;
@@ -106,8 +106,8 @@ fn ripple_8bit_with_process_variation_is_conservative() {
     // A perturbed die exercises the integer-femtosecond rounding margins.
     let adder = build_exact(8, AdderTopology::Ripple);
     let lib = CellLibrary::industrial_65nm();
-    let ann =
-        DelayAnnotation::with_variation(adder.netlist(), &lib, &VariationModel::new(0.05, 0xD1E));
+    let ann = DelayAnnotation::nominal(adder.netlist(), &lib)
+        .perturbed(&VariationModel::new(0.05, 0xD1E));
     assert_conservative(&adder, &ann, &[0.7, 0.9]);
 }
 

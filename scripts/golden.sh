@@ -18,11 +18,15 @@
 #   OUTDIR=path scripts/golden.sh  # also keep the produced CSVs (4-thread
 #                                  # copies under path/threads-4/,
 #                                  # all_figures under path/all_figures/)
+# Without OUTDIR the CSVs go to a temporary directory, removed on exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GOLDEN_DIR=tests/golden
-OUTDIR="${OUTDIR:-$(mktemp -d)}"
+if [[ -z "${OUTDIR:-}" ]]; then
+  OUTDIR="$(mktemp -d)"
+  trap 'rm -rf "$OUTDIR"' EXIT
+fi
 mkdir -p "$OUTDIR/threads-4"
 
 echo "==> building release binaries"

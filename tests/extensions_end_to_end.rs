@@ -13,7 +13,7 @@ use overclocked_isa::metrics::abper;
 use overclocked_isa::netlist::cell::CellLibrary;
 use overclocked_isa::netlist::{sdf, verilog};
 use overclocked_isa::timing_sim::razor::{run_razor_trace, RazorConfig};
-use overclocked_isa::timing_sim::{measure_energy, GateLevelSim};
+use overclocked_isa::timing_sim::{measure_activity, GateLevelSim};
 use overclocked_isa::workloads::{take_pairs, UniformWorkload};
 
 #[test]
@@ -68,7 +68,8 @@ fn energy_model_tracks_clock_independent_activity() {
         }
         // Drain residual activity so both runs count every transition.
         sim.run_to_quiescence(10_000_000).unwrap();
-        dynamic.push(measure_energy(&sim, netlist, &lib).dynamic_fj);
+        let report = measure_activity(sim.net_commit_counts(), sim.now_fs(), netlist, &lib);
+        dynamic.push(report.dynamic_fj);
     }
     let ratio = dynamic[0] / dynamic[1];
     assert!(
