@@ -1,47 +1,41 @@
 //! Design-space explorer: Pareto search over the combined structural ×
 //! timing × workload space (extension).
 //!
-//! `--stats-json PATH` writes a one-run `isa-explore-run/v1` summary
-//! (space size, pruned/simulated counts, assumption-1 violations and the
-//! smallest simulated error minus bound, front size, wall time) — the
-//! BENCH_PR8.json full-space record. `--no-prefilter` simulates every
-//! feasible candidate; its Pareto front must equal the pre-filtered
-//! one (CI diffs the `on_front` rows of both CSVs). An unknown space,
-//! strategy, workload or kernel name exits with status 2 before any
-//! work.
+//! Every run evaluates every point of the chosen space. `--stats-json
+//! PATH` writes a one-run `isa-explore-run/v2` summary (space size,
+//! pruned/simulated counts, assumption-1 violations and the smallest
+//! simulated error minus bound, front size, wall time). `--no-prefilter`
+//! simulates every feasible candidate; its Pareto front must equal the
+//! pre-filtered one (CI diffs the `on_front` rows of both CSVs). An
+//! unknown space, workload or kernel name, and a zero count, exit with
+//! status 2 before any work.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use isa_apps::kernels::KERNEL_NAMES;
 use isa_engine::GATE_BACKEND_LABEL;
-use isa_experiments::explore::{run_on, ExploreSettings, SPACES, STRATEGIES};
+use isa_experiments::explore::{run_on, ExploreSettings, SPACES};
 use isa_experiments::{
     arg_value, cli_args, cli_error, count_arg, engine_from_args, write_output, ExperimentConfig,
 };
 use isa_workloads::STREAM_NAMES;
 
-const USAGE: &str = "explore [--space paper|compact|full] \
-    [--strategy auto|exhaustive|evolutionary] [--seed N] [--budget N] [--cycles N] \
+const USAGE: &str = "explore [--space paper|compact|full] [--cycles N] \
     [--workload uniform|walk|sine|accumulate] [--kernel NAME --scale N] [--min-quality DB] \
-    [--max-clock PS] [--no-prefilter] [--energy-cycles N] [--population N] [--generations N] \
-    [--csv PATH] [--threads N] [--stats-json PATH]";
+    [--max-clock PS] [--no-prefilter] [--energy-cycles N] [--csv PATH] [--threads N] \
+    [--stats-json PATH]";
 
 fn settings_from_args(args: &[String]) -> ExploreSettings {
     let defaults = ExploreSettings::default();
     ExploreSettings {
         space: arg_value(args, "space").unwrap_or(defaults.space),
-        strategy: arg_value(args, "strategy").unwrap_or(defaults.strategy),
-        seed: arg_value(args, "seed").unwrap_or(defaults.seed),
-        budget: arg_value(args, "budget").unwrap_or(defaults.budget),
         cycles: count_arg(args, "cycles").unwrap_or(defaults.cycles),
         workload: arg_value(args, "workload").unwrap_or(defaults.workload),
         kernel: arg_value(args, "kernel"),
         scale: count_arg(args, "scale").unwrap_or(defaults.scale),
         prefilter: !args.iter().any(|a| a == "--no-prefilter"),
-        energy_cycles: arg_value(args, "energy-cycles").unwrap_or(defaults.energy_cycles),
-        population: arg_value(args, "population").unwrap_or(defaults.population),
-        generations: arg_value(args, "generations").unwrap_or(defaults.generations),
+        energy_cycles: count_arg(args, "energy-cycles").unwrap_or(defaults.energy_cycles),
         min_quality_db: arg_value(args, "min-quality"),
         max_clock_ps: arg_value(args, "max-clock"),
     }
@@ -62,7 +56,6 @@ fn main() {
     let args = cli_args(USAGE);
     let settings = settings_from_args(&args);
     check_choice("space", &settings.space, &SPACES);
-    check_choice("strategy", &settings.strategy, &STRATEGIES);
     check_choice("workload", &settings.workload, &STREAM_NAMES);
     if let Some(kernel) = &settings.kernel {
         check_choice("kernel", kernel, &KERNEL_NAMES);
@@ -83,13 +76,11 @@ fn main() {
     if let Some(path) = arg_value::<String>(&args, "stats-json") {
         let stats = &report.outcome.stats;
         let mut json = String::from("{\n");
-        let _ = writeln!(json, "  \"schema\": \"isa-explore-run/v1\",");
+        let _ = writeln!(json, "  \"schema\": \"isa-explore-run/v2\",");
         let _ = writeln!(json, "  \"backend\": \"{GATE_BACKEND_LABEL}\",");
         let _ = writeln!(json, "  \"space\": \"{}\",", settings.space);
         let _ = writeln!(json, "  \"space_points\": {},", stats.space_points);
-        let _ = writeln!(json, "  \"strategy\": \"{}\",", stats.strategy);
         let _ = writeln!(json, "  \"workload\": \"{}\",", report.outcome.workload);
-        let _ = writeln!(json, "  \"seed\": {},", settings.seed);
         let _ = writeln!(json, "  \"cycles\": {},", settings.cycles);
         let _ = writeln!(json, "  \"candidates\": {},", stats.considered);
         let _ = writeln!(json, "  \"pruned\": {},", stats.pruned);

@@ -41,7 +41,7 @@ struct Linted {
 
 fn main() {
     let args = cli_args("netlint [--seeds-only] [--width N] [--threads N] [--json PATH]");
-    let width: u32 = arg_value(&args, "width").unwrap_or(32);
+    let width = sweep::width_arg(&args, 32);
     let seeds_only = args.iter().any(|a| a == "--seeds-only");
     let engine = engine_from_args(&args);
     let designs = sweep::designs(width, seeds_only);

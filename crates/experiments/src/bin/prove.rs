@@ -191,7 +191,7 @@ fn energy_mismatch(ctx: &DesignContext, inputs: &[(u64, u64)], period_ps: f64) -
 
 fn main() {
     let args = cli_args("prove [--seeds-only] [--width N] [--threads N] [--json PATH]");
-    let width: u32 = arg_value(&args, "width").unwrap_or(16);
+    let width = sweep::width_arg(&args, 16);
     let seeds_only = args.iter().any(|a| a == "--seeds-only");
     let engine = engine_from_args(&args);
     let designs = sweep::designs(width, seeds_only);

@@ -14,8 +14,7 @@ use std::sync::Arc;
 use isa_apps::kernel_by_name;
 use isa_engine::{Engine, ExperimentConfig, GATE_BACKEND_LABEL};
 use isa_explore::{
-    explore, CandidateEval, EvalMode, EvalSettings, EvolutionSettings, Query, SearchOutcome,
-    SearchSettings, SpaceSpec, Strategy,
+    explore, CandidateEval, EvalMode, EvalSettings, Query, SearchOutcome, SearchSettings, SpaceSpec,
 };
 use isa_workloads::{named_stream, STREAM_NAMES};
 
@@ -24,20 +23,11 @@ use crate::report::Table;
 /// The space presets [`ExploreSettings::space_spec`] resolves.
 pub const SPACES: [&str; 3] = ["paper", "compact", "full"];
 
-/// The strategies [`ExploreSettings::strategy_choice`] resolves.
-pub const STRATEGIES: [&str; 3] = ["auto", "exhaustive", "evolutionary"];
-
 /// Everything one exploration run needs (the `explore` bin's flag set).
 #[derive(Debug, Clone)]
 pub struct ExploreSettings {
     /// Space preset, one of [`SPACES`].
     pub space: String,
-    /// Strategy, one of [`STRATEGIES`].
-    pub strategy: String,
-    /// RNG seed (same seed → byte-identical CSV).
-    pub seed: u64,
-    /// Candidate budget for non-exhaustive strategies.
-    pub budget: usize,
     /// Stream workload length in cycles.
     pub cycles: usize,
     /// Stream workload name (one of [`STREAM_NAMES`]) — ignored when a
@@ -52,10 +42,6 @@ pub struct ExploreSettings {
     pub prefilter: bool,
     /// Cycles of the per-design energy characterization.
     pub energy_cycles: usize,
-    /// Evolutionary population size.
-    pub population: usize,
-    /// Evolutionary generation cap.
-    pub generations: usize,
     /// Optional quality-constrained query: minimum quality in dB.
     pub min_quality_db: Option<f64>,
     /// Optional query clock cap in picoseconds.
@@ -64,22 +50,15 @@ pub struct ExploreSettings {
 
 impl Default for ExploreSettings {
     fn default() -> Self {
-        let search = SearchSettings::default();
         let eval = EvalSettings::default();
-        let evolution = EvolutionSettings::default();
         Self {
             space: "paper".to_owned(),
-            strategy: "auto".to_owned(),
-            seed: search.seed,
-            budget: search.budget,
             cycles: 10_000,
             workload: "uniform".to_owned(),
             kernel: None,
             scale: 1,
             prefilter: eval.prefilter,
             energy_cycles: eval.energy_cycles,
-            population: evolution.population,
-            generations: evolution.generations,
             min_quality_db: None,
             max_clock_ps: None,
         }
@@ -102,38 +81,11 @@ impl ExploreSettings {
         }
     }
 
-    /// Resolves the strategy choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on an unknown strategy.
-    #[must_use]
-    pub fn strategy_choice(&self) -> Strategy {
-        match self.strategy.as_str() {
-            "auto" => Strategy::Auto,
-            "exhaustive" => Strategy::Exhaustive,
-            "evolutionary" => Strategy::Evolutionary(EvolutionSettings {
-                population: self.population,
-                generations: self.generations,
-            }),
-            other => panic!("unknown --strategy {other:?} ({})", STRATEGIES.join("|")),
-        }
-    }
-
     /// The tier-A/B evaluation settings.
     fn eval_settings(&self) -> EvalSettings {
         EvalSettings {
             prefilter: self.prefilter,
             energy_cycles: self.energy_cycles,
-        }
-    }
-
-    /// The search settings.
-    fn search_settings(&self) -> SearchSettings {
-        SearchSettings {
-            strategy: self.strategy_choice(),
-            seed: self.seed,
-            budget: self.budget,
         }
     }
 
@@ -190,7 +142,7 @@ pub fn run_on(
         &settings.space_spec(),
         settings.eval_mode(config),
         settings.eval_settings(),
-        settings.search_settings(),
+        SearchSettings::default(),
     );
     ExploreReport {
         outcome,
@@ -219,15 +171,13 @@ impl ExploreReport {
     pub fn render(&self) -> String {
         let stats = &self.outcome.stats;
         let mut out = format!(
-            "Design-space exploration: {} space ({} points), {} strategy, \
-             workload {}, seed {} ({GATE_BACKEND_LABEL} backend)\n\
+            "Design-space exploration: {} space ({} points), workload {} \
+             ({GATE_BACKEND_LABEL} backend)\n\
              candidates {} | pruned by a certain or measured reference {} | simulated {} | \
              infeasible {} | assumption-1 violations {} (min error - bound {})\n",
             self.settings.space,
             stats.space_points,
-            stats.strategy,
             self.outcome.workload,
-            self.settings.seed,
             stats.considered,
             stats.pruned,
             stats.simulated,
@@ -310,8 +260,7 @@ impl ExploreReport {
         out
     }
 
-    /// CSV export: one row per characterized candidate, in deterministic
-    /// first-consideration order.
+    /// CSV export: one row per characterized candidate, in space order.
     #[must_use]
     pub fn to_csv(&self) -> String {
         let mut table = Table::new(vec![
@@ -382,15 +331,6 @@ mod tests {
     fn defaults_are_the_library_defaults() {
         let settings = ExploreSettings::default();
         assert_eq!(settings.eval_settings(), EvalSettings::default());
-        assert_eq!(settings.search_settings(), SearchSettings::default());
-        let evolutionary = ExploreSettings {
-            strategy: "evolutionary".to_owned(),
-            ..settings
-        };
-        assert_eq!(
-            evolutionary.strategy_choice(),
-            Strategy::Evolutionary(EvolutionSettings::default())
-        );
     }
 
     #[test]
@@ -399,7 +339,7 @@ mod tests {
         let config = ExperimentConfig::default();
         let a = run_on(&engine, &config, &small_settings());
         let b = run_on(&engine, &config, &small_settings());
-        assert_eq!(a.to_csv(), b.to_csv(), "same seed, same bytes");
+        assert_eq!(a.to_csv(), b.to_csv(), "same settings, same bytes");
         // 48 candidates characterized (12 designs × 4 clocks).
         assert_eq!(a.outcome.stats.considered, 48);
         assert_eq!(a.to_csv().lines().count(), 1 + 48);

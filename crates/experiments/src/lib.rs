@@ -141,9 +141,9 @@ where
 }
 
 /// [`arg_value`] for a count that must be at least 1 (`--cycles`,
-/// `--samples`, `--train`, `--test`, `--scale`): zero exits through
-/// [`cli_error`] too, instead of a panic deep in a pipeline or a table of
-/// zeros.
+/// `--samples`, `--train`, `--test`, `--scale`, `--energy-cycles`,
+/// `--threads`): zero exits through [`cli_error`] too, instead of a panic
+/// deep in a pipeline, a table of zeros or a quietly substituted 1.
 #[must_use]
 pub fn count_arg(args: &[String], name: &str) -> Option<usize> {
     let count = arg_value::<usize>(args, name)?;
@@ -175,10 +175,10 @@ pub fn write_output(path: &str, contents: &str) {
 }
 
 /// Builds the experiment engine every binary shares: machine-sized worker
-/// pool, overridable with `--threads N`.
+/// pool, overridable with `--threads N` (at least 1).
 #[must_use]
 pub fn engine_from_args(args: &[String]) -> Engine {
-    arg_value::<usize>(args, "threads").map_or_else(Engine::new, Engine::with_threads)
+    count_arg(args, "threads").map_or_else(Engine::new, Engine::with_threads)
 }
 
 #[cfg(test)]

@@ -1,11 +1,29 @@
-//! The design list and worker pool shared by the `netlint` and `prove`
-//! sweep binaries.
+//! The `--width` check, design list and worker pool shared by the
+//! `netlint` and `prove` sweep binaries.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use isa_core::{enumerate_quadruples, paper_designs, Design};
+use isa_core::{enumerate_quadruples, paper_designs, Design, IsaConfig};
 use isa_engine::{Engine, ExperimentConfig, WorkloadSpec};
+
+use crate::{arg_value, cli_error};
+
+/// The grid width a sweep covers: `--width W`, or `default` without the
+/// flag. A width outside `1..=IsaConfig::MAX_WIDTH` has no grid, so it
+/// exits through [`cli_error`] before any work instead of sweeping the
+/// seeds alone.
+#[must_use]
+pub fn width_arg(args: &[String], default: u32) -> u32 {
+    let width = arg_value(args, "width").unwrap_or(default);
+    if !(1..=IsaConfig::MAX_WIDTH).contains(&width) {
+        cli_error(format_args!(
+            "--width: must be in 1..={}, got {width}",
+            IsaConfig::MAX_WIDTH
+        ));
+    }
+    width
+}
 
 /// The designs a sweep covers: the twelve paper designs at their native
 /// 32 bits, then, unless `seeds_only`, every non-overlapping quadruple at

@@ -21,7 +21,7 @@ fn assert_usage_error(bin: &str, args: &[&str], flag: &str) {
 
 #[test]
 fn unknown_names_are_usage_errors() {
-    for flag in ["--space", "--strategy", "--workload", "--kernel"] {
+    for flag in ["--space", "--workload", "--kernel"] {
         assert_usage_error(env!("CARGO_BIN_EXE_explore"), &[flag, "bogus"], flag);
     }
 }
@@ -33,10 +33,43 @@ fn unknown_flags_and_out_of_range_values_are_usage_errors() {
         &["--cycles", "10", "--thread", "2"],
         "--thread",
     );
+    // The explorer evaluates every point: an old command line naming a
+    // search strategy or its knobs fails before any work.
+    for (flag, value) in [
+        ("--strategy", "exhaustive"),
+        ("--seed", "7"),
+        ("--budget", "400"),
+        ("--population", "48"),
+        ("--generations", "24"),
+    ] {
+        assert_usage_error(
+            env!("CARGO_BIN_EXE_explore"),
+            &[flag, value],
+            &format!("{flag}: unknown flag"),
+        );
+    }
     assert_usage_error(
         env!("CARGO_BIN_EXE_guardband"),
         &["--cycles", "0"],
         "--cycles",
     );
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_explore"),
+        &["--energy-cycles", "0"],
+        "--energy-cycles",
+    );
+    for bin in [
+        env!("CARGO_BIN_EXE_fig9"),
+        env!("CARGO_BIN_EXE_explore"),
+        env!("CARGO_BIN_EXE_netlint"),
+    ] {
+        assert_usage_error(bin, &["--threads", "0"], "--threads");
+    }
+    // No quadruple grid exists at these widths.
+    for bin in [env!("CARGO_BIN_EXE_netlint"), env!("CARGO_BIN_EXE_prove")] {
+        for width in ["0", "64", "65"] {
+            assert_usage_error(bin, &["--width", width], "--width");
+        }
+    }
     assert_usage_error(env!("CARGO_BIN_EXE_workloads"), &["--cpr", "100"], "--cpr");
 }

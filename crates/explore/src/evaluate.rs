@@ -29,7 +29,7 @@
 //! its bound vector (structural error, exact delay, exact energy).
 //!
 //! * **References** are exact objective vectors, kept as one
-//!   [`ParetoFront`] index across `evaluate` calls: the bound of every
+//!   [`ParetoFront`] index for the evaluation: the bound of every
 //!   *certain* candidate (clock period above the die's critical delay, so
 //!   no timing error can occur and its measured vector will equal its
 //!   bound), entered at tier A, and the measured vector of every simulated
@@ -68,13 +68,13 @@
 //! side rests on assumption 1, and [`SearchStats`](crate::SearchStats)
 //! counts its violations among simulated candidates. It is empirical, not
 //! a theorem: compensating timing errors can nudge the RMS below the
-//! bound. In the compact space at 5,000 cycles (seed 7), `(8,1,0,0)` at
-//! 5 % CPR measures 1.1e-6 percentage points below its bound when
-//! simulated; it is pruned either way, and other designs dominate it by
-//! far more than that. Soundness is pinned by tests (every pruned
-//! candidate is dominated by a simulated one), and CI reruns an
-//! exhaustive search without the pre-filter (`explore --no-prefilter`)
-//! and fails on any on-front row that differs.
+//! bound. In the compact space at 5,000 cycles, `(8,1,0,0)` at 5 % CPR
+//! measures 1.1e-6 percentage points below its bound when simulated; it
+//! is pruned either way, and other designs dominate it by far more than
+//! that. Soundness is pinned by tests (every pruned candidate is
+//! dominated by a simulated one), and CI reruns the compact-space search
+//! without the pre-filter (`explore --no-prefilter`) and fails on any
+//! on-front row that differs.
 //!
 //! Baseline configurations (anything at the safe clock, and the exact
 //! adder at every clock) are exempt from pruning so quality queries and
@@ -218,10 +218,8 @@ impl CandidateEval {
     }
 
     /// The optimistic objective vector every candidate has (structural
-    /// error bound, exact delay and energy) — what tier-A pruning
-    /// compares, and what the evolutionary search ranks pruned candidates
-    /// by. The bound is exact on the workload for every design, so it
-    /// ranks faithfully.
+    /// error bound, exact delay and energy): what tier-A pruning compares,
+    /// and the order in which it visits candidates one at a time.
     #[must_use]
     pub fn bound_objectives(&self) -> ObjectiveVector {
         ObjectiveVector::new(self.model_error, self.clock_ps, self.energy_fj)
@@ -242,271 +240,219 @@ impl CandidateEval {
     }
 }
 
-/// The two-tier evaluator (see the module docs).
-pub struct Evaluator<'e> {
-    engine: &'e Engine,
-    config: ExperimentConfig,
-    mode: EvalMode,
-    settings: EvalSettings,
-    /// Per-design tier-A info; `Err` records an infeasible design (cannot
-    /// meet the synthesis constraint).
-    design_info: HashMap<Design, Result<DesignInfo, String>>,
-    /// Kernel mode: the exact reference output and its PSNR peak.
-    kernel_reference: Option<(KernelRun, u64)>,
-    /// Pruning references: certain bounds and measured objectives, kept
-    /// as a front (strict dominance is transitive, so a dominated
-    /// reference prunes nothing its dominator would not).
-    refs: ParetoFront<()>,
-    /// Labels of designs that cannot meet the timing constraint.
-    pub infeasible: Vec<String>,
-    /// Candidates pruned by tier A so far.
-    pub pruned_count: usize,
-    /// Candidates simulated by tier B so far.
-    pub simulated_count: usize,
+/// Two-tier evaluation of `points` (see the module docs): tier-A
+/// characterization of every design, then tier-B simulation of the
+/// baselines in parallel on the engine's worker pool, then pruning or
+/// simulation of the rest in bound order. Returns the candidates in input
+/// order, without the points whose design cannot meet the timing
+/// constraint, and the number of such designs.
+pub(crate) fn evaluate(
+    engine: &Engine,
+    config: &ExperimentConfig,
+    mode: &EvalMode,
+    settings: &EvalSettings,
+    points: &[DesignPoint],
+) -> (Vec<CandidateEval>, usize) {
+    // Kernel mode: the exact reference output and its PSNR peak.
+    let kernel_reference = match mode {
+        EvalMode::Kernel { kernel } => {
+            let reference = run_exact(kernel.as_ref());
+            let peak = reference.output.iter().copied().max().unwrap_or(1).max(1);
+            Some((reference, peak))
+        }
+        EvalMode::Stream { .. } => None,
+    };
+
+    // Tier A: per-design characterization, once per design in first-use
+    // order; `None` marks a design that cannot meet the synthesis
+    // constraint.
+    let mut design_info: HashMap<Design, Option<DesignInfo>> = HashMap::new();
+    for p in points {
+        design_info.entry(p.design).or_insert_with(|| {
+            characterize(
+                engine,
+                config,
+                mode,
+                kernel_reference.as_ref(),
+                settings.energy_cycles,
+                &p.design,
+            )
+        });
+    }
+    let infeasible = design_info.values().filter(|info| info.is_none()).count();
+
+    // Optimistic candidate records.
+    let mut evals: Vec<CandidateEval> = Vec::with_capacity(points.len());
+    for p in points {
+        let Some(Some(info)) = design_info.get(&p.design) else {
+            continue;
+        };
+        let clock_ps = config.clock_ps(p.cpr);
+        // Mirror the filtered backend's tier-0 rule: strictly longer
+        // than the die's critical delay means no event can cross the
+        // sampling edge.
+        let timing_safe = clock_ps > info.die_critical_ps;
+        evals.push(CandidateEval {
+            point: *p,
+            clock_ps,
+            area: info.area,
+            die_critical_ps: info.die_critical_ps,
+            timing_safe,
+            energy_fj: info.dyn_fj_per_op + info.leak_fj_per_op_safe * (1.0 - p.cpr),
+            model_error: info.model_error,
+            exact_struct_rms: info.exact_struct_rms,
+            pruned: false,
+            error: None,
+            quality_db: None,
+        });
+    }
+
+    // Pruning references: certain bounds and measured objectives, kept
+    // as a front (strict dominance is transitive, so a dominated
+    // reference prunes nothing its dominator would not). Certain
+    // candidates are references from the start: their measured
+    // objectives will equal their bounds.
+    let mut refs = ParetoFront::new();
+    for e in evals.iter().filter(|e| e.timing_safe) {
+        add_reference(&mut refs, e.bound_objectives());
+    }
+
+    // Visiting order (module docs): the baselines (without the
+    // pre-filter, every candidate) in one batch, then the rest one at a
+    // time in ascending bound order (a stable sort keeps ties in input
+    // order), so the best references are measured before the candidates
+    // they can prune.
+    let prefilter = settings.prefilter;
+    let (batch, mut rest): (Vec<usize>, Vec<usize>) =
+        (0..evals.len()).partition(|&i| !prefilter || !evals[i].point.is_combined());
+    rest.sort_by(|&a, &b| {
+        evals[a]
+            .bound_objectives()
+            .lex_cmp(&evals[b].bound_objectives())
+    });
+
+    // Tier B: simulate the survivors on the filtered backend.
+    let gate = GateLevelSubstrate::new(engine.cache(), config.clone());
+    let workload = match mode {
+        EvalMode::Stream { name, inputs } => WorkloadSpec {
+            name: name.clone(),
+            inputs: Arc::clone(inputs),
+        },
+        EvalMode::Kernel { kernel } => WorkloadSpec {
+            name: kernel.name().to_owned(),
+            inputs: Arc::new(Vec::new()),
+        },
+    };
+    let simulate = |unit: RunUnit<'_>| match mode {
+        EvalMode::Stream { .. } => {
+            let silvers = gate.run_batch(&unit.design, unit.clock_ps, unit.inputs);
+            let golds = unit.context().gold.add_batch(unit.inputs);
+            let stats = combine_errors(unit.design.width(), unit.inputs, &golds, &silvers);
+            let (_, _, joint_pct) = stats.rms_re_percent();
+            (joint_pct, snr_db_of_rms_pct(joint_pct))
+        }
+        EvalMode::Kernel { kernel } => {
+            let (reference, peak) = kernel_reference
+                .as_ref()
+                .expect("kernel mode has a reference");
+            let run = run_on_substrate(kernel.as_ref(), &gate, &unit.design, unit.clock_ps);
+            let psnr = score(reference, &run).psnr_db(*peak);
+            (-psnr, psnr)
+        }
+    };
+    let steps = std::iter::once(batch.as_slice()).chain(rest.iter().map(std::slice::from_ref));
+    for step in steps {
+        let mut survivors: Vec<usize> = Vec::with_capacity(step.len());
+        for &i in step {
+            let e = &mut evals[i];
+            if prefilter && e.point.is_combined() && refs.dominates(&e.bound_objectives()) {
+                e.pruned = true;
+            } else {
+                survivors.push(i);
+            }
+        }
+        let sparse: Vec<(Design, f64)> = survivors
+            .iter()
+            .map(|&i| (evals[i].point.design, evals[i].point.cpr))
+            .collect();
+        let scored = engine.map_points(config, &sparse, &workload, simulate);
+        for (&i, (error, quality)) in survivors.iter().zip(scored) {
+            evals[i].error = Some(error);
+            evals[i].quality_db = Some(quality);
+            add_reference(
+                &mut refs,
+                ObjectiveVector::new(error, evals[i].clock_ps, evals[i].energy_fj),
+            );
+        }
+    }
+    (evals, infeasible)
 }
 
-impl<'e> Evaluator<'e> {
-    /// Creates an evaluator over one workload context.
-    #[must_use]
-    pub fn new(
-        engine: &'e Engine,
-        config: ExperimentConfig,
-        mode: EvalMode,
-        settings: EvalSettings,
-    ) -> Self {
-        let kernel_reference = match &mode {
-            EvalMode::Kernel { kernel } => {
-                let reference = run_exact(kernel.as_ref());
-                let peak = reference.output.iter().copied().max().unwrap_or(1).max(1);
-                Some((reference, peak))
-            }
-            EvalMode::Stream { .. } => None,
-        };
-        Self {
-            engine,
-            config,
-            mode,
-            settings,
-            design_info: HashMap::new(),
-            kernel_reference,
-            refs: ParetoFront::new(),
-            infeasible: Vec::new(),
-            pruned_count: 0,
-            simulated_count: 0,
+/// Enters an exact objective vector as a pruning reference.
+fn add_reference(refs: &mut ParetoFront<()>, objectives: ObjectiveVector) {
+    refs.insert(FrontEntry {
+        objectives,
+        key: String::new(),
+        payload: (),
+    });
+}
+
+/// Tier-A characterization: synthesis feasibility, die STA, energy per op
+/// at the safe clock, and the exact structural error bounds. `None` when
+/// the design cannot meet the synthesis constraint.
+fn characterize(
+    engine: &Engine,
+    config: &ExperimentConfig,
+    mode: &EvalMode,
+    kernel_reference: Option<&(KernelRun, u64)>,
+    energy_cycles: usize,
+    design: &Design,
+) -> Option<DesignInfo> {
+    // Fallible cache entry: arbitrary grid points (unlike the paper's
+    // twelve) may miss the timing constraint, and the infallible
+    // `Engine::context` would panic on them. Feasible designs synthesize
+    // exactly once, straight into the shared cache.
+    let ctx = engine.try_context(design, config).ok()?;
+    let lib = CellLibrary::industrial_65nm();
+
+    // Energy per addition from a short activity run at the safe clock.
+    let cycles = energy_cycles.max(1);
+    let inputs = take_pairs(
+        UniformWorkload::new(design.width(), config.workload_seed ^ 0xEC0),
+        cycles,
+    );
+    let report = measure_clocked_batch(
+        &ctx.synthesized.adder,
+        &ctx.annotation,
+        config.period_ps,
+        &inputs,
+        &lib,
+    );
+    let n = cycles as f64;
+
+    let model_error = match mode {
+        // The behavioural model over the actual stream, silver = gold:
+        // the exact structural side of the joint RMS relative error — the
+        // very objective tier B measures, minus timing errors.
+        EvalMode::Stream { inputs, .. } => {
+            structural_errors(ctx.gold.as_ref(), inputs.iter().copied())
+                .rms_re_percent()
+                .2
         }
-    }
-
-    /// The experiment configuration candidates run under.
-    #[must_use]
-    pub fn config(&self) -> &ExperimentConfig {
-        &self.config
-    }
-
-    /// The workload context.
-    #[must_use]
-    pub fn mode(&self) -> &EvalMode {
-        &self.mode
-    }
-
-    /// Evaluates a batch of candidate points: tier-A characterization for
-    /// all, then tier-B simulation of the baselines in parallel on the
-    /// engine's worker pool, then pruning or simulation of the rest in
-    /// bound order (see the module docs).
-    /// Results come back in input order; points whose design cannot meet
-    /// the timing constraint are dropped (recorded in
-    /// [`Evaluator::infeasible`]).
-    pub fn evaluate(&mut self, points: &[DesignPoint]) -> Vec<CandidateEval> {
-        // Tier A: per-design characterization, in first-use order.
-        for p in points {
-            self.ensure_design_info(&p.design);
+        EvalMode::Kernel { kernel } => {
+            let (reference, peak) = kernel_reference.expect("kernel mode has a reference");
+            let run = run_behavioural(kernel.as_ref(), design);
+            -score(reference, &run).psnr_db(*peak)
         }
-
-        // Optimistic candidate records.
-        let mut evals: Vec<CandidateEval> = Vec::with_capacity(points.len());
-        for p in points {
-            let Some(Ok(info)) = self.design_info.get(&p.design) else {
-                continue;
-            };
-            let clock_ps = self.config.clock_ps(p.cpr);
-            // Mirror the filtered backend's tier-0 rule: strictly longer
-            // than the die's critical delay means no event can cross the
-            // sampling edge.
-            let timing_safe = clock_ps > info.die_critical_ps;
-            evals.push(CandidateEval {
-                point: *p,
-                clock_ps,
-                area: info.area,
-                die_critical_ps: info.die_critical_ps,
-                timing_safe,
-                energy_fj: info.dyn_fj_per_op + info.leak_fj_per_op_safe * (1.0 - p.cpr),
-                model_error: info.model_error,
-                exact_struct_rms: info.exact_struct_rms,
-                pruned: false,
-                error: None,
-                quality_db: None,
-            });
-        }
-
-        // Certain candidates are references from the start: their
-        // measured objectives will equal their bounds.
-        for e in evals.iter().filter(|e| e.timing_safe) {
-            self.add_reference(e.bound_objectives());
-        }
-
-        // Visiting order (module docs): the baselines (without the
-        // pre-filter, every candidate) in one batch, then the rest one at
-        // a time in ascending bound order (a stable sort keeps ties in
-        // input order), so the best references are measured before the
-        // candidates they can prune.
-        let prefilter = self.settings.prefilter;
-        let (batch, mut rest): (Vec<usize>, Vec<usize>) =
-            (0..evals.len()).partition(|&i| !prefilter || !evals[i].point.is_combined());
-        rest.sort_by(|&a, &b| {
-            evals[a]
-                .bound_objectives()
-                .lex_cmp(&evals[b].bound_objectives())
-        });
-
-        // Tier B: simulate the survivors on the filtered backend.
-        let gate = GateLevelSubstrate::new(self.engine.cache(), self.config.clone());
-        let workload = match &self.mode {
-            EvalMode::Stream { name, inputs } => WorkloadSpec {
-                name: name.clone(),
-                inputs: Arc::clone(inputs),
-            },
-            EvalMode::Kernel { kernel } => WorkloadSpec {
-                name: kernel.name().to_owned(),
-                inputs: Arc::new(Vec::new()),
-            },
-        };
-        let mode = self.mode.clone();
-        let reference = self.kernel_reference.clone();
-        let simulate = |unit: RunUnit<'_>| match &mode {
-            EvalMode::Stream { .. } => {
-                let silvers = gate.run_batch(&unit.design, unit.clock_ps, unit.inputs);
-                let golds = unit.context().gold.add_batch(unit.inputs);
-                let stats = combine_errors(unit.design.width(), unit.inputs, &golds, &silvers);
-                let (_, _, joint_pct) = stats.rms_re_percent();
-                (joint_pct, snr_db_of_rms_pct(joint_pct))
-            }
-            EvalMode::Kernel { kernel } => {
-                let (reference, peak) = reference.as_ref().expect("kernel mode has a reference");
-                let run = run_on_substrate(kernel.as_ref(), &gate, &unit.design, unit.clock_ps);
-                let psnr = score(reference, &run).psnr_db(*peak);
-                (-psnr, psnr)
-            }
-        };
-        let steps = std::iter::once(batch.as_slice()).chain(rest.iter().map(std::slice::from_ref));
-        for step in steps {
-            let mut survivors: Vec<usize> = Vec::with_capacity(step.len());
-            for &i in step {
-                let e = &mut evals[i];
-                if prefilter && e.point.is_combined() && self.refs.dominates(&e.bound_objectives())
-                {
-                    e.pruned = true;
-                    self.pruned_count += 1;
-                } else {
-                    survivors.push(i);
-                }
-            }
-            let sparse: Vec<(Design, f64)> = survivors
-                .iter()
-                .map(|&i| (evals[i].point.design, evals[i].point.cpr))
-                .collect();
-            let scored = self
-                .engine
-                .map_points(&self.config, &sparse, &workload, simulate);
-            for (&i, (error, quality)) in survivors.iter().zip(scored) {
-                evals[i].error = Some(error);
-                evals[i].quality_db = Some(quality);
-                self.add_reference(ObjectiveVector::new(
-                    error,
-                    evals[i].clock_ps,
-                    evals[i].energy_fj,
-                ));
-            }
-            self.simulated_count += survivors.len();
-        }
-        evals
-    }
-
-    /// Enters an exact objective vector as a pruning reference.
-    fn add_reference(&mut self, objectives: ObjectiveVector) {
-        self.refs.insert(FrontEntry {
-            objectives,
-            key: String::new(),
-            payload: (),
-        });
-    }
-
-    /// Builds (once) the tier-A characterization of a design.
-    fn ensure_design_info(&mut self, design: &Design) {
-        if self.design_info.contains_key(design) {
-            return;
-        }
-        let info = self.characterize(design);
-        if let Err(reason) = &info {
-            self.infeasible.push(format!("{design}: {reason}"));
-        }
-        self.design_info.insert(*design, info);
-    }
-
-    /// Tier-A characterization: synthesis feasibility, die STA, energy per
-    /// op at the safe clock, and the exact structural error bounds.
-    fn characterize(&self, design: &Design) -> Result<DesignInfo, String> {
-        // Fallible cache entry: arbitrary grid points (unlike the paper's
-        // twelve) may miss the timing constraint, and the infallible
-        // `Engine::context` would panic on them. Feasible designs
-        // synthesize exactly once, straight into the shared cache.
-        let ctx = self
-            .engine
-            .try_context(design, &self.config)
-            .map_err(|e| e.to_string())?;
-        let lib = CellLibrary::industrial_65nm();
-
-        // Energy per addition from a short activity run at the safe clock.
-        let cycles = self.settings.energy_cycles.max(1);
-        let inputs = take_pairs(
-            UniformWorkload::new(design.width(), self.config.workload_seed ^ 0xEC0),
-            cycles,
-        );
-        let report = measure_clocked_batch(
-            &ctx.synthesized.adder,
-            &ctx.annotation,
-            self.config.period_ps,
-            &inputs,
-            &lib,
-        );
-        let n = cycles as f64;
-
-        let model_error = match &self.mode {
-            // The behavioural model over the actual stream, silver = gold:
-            // the exact structural side of the joint RMS relative error —
-            // the very objective tier B measures, minus timing errors.
-            EvalMode::Stream { inputs, .. } => {
-                structural_errors(ctx.gold.as_ref(), inputs.iter().copied())
-                    .rms_re_percent()
-                    .2
-            }
-            EvalMode::Kernel { kernel } => {
-                let (reference, peak) = self
-                    .kernel_reference
-                    .as_ref()
-                    .expect("kernel mode has a reference");
-                let run = run_behavioural(kernel.as_ref(), design);
-                -score(reference, &run).psnr_db(*peak)
-            }
-        };
-        let exact_struct_rms = DesignAnalysis::analyze(design).rms_error();
-        Ok(DesignInfo {
-            area: ctx.synthesized.area,
-            die_critical_ps: ctx.die_critical_ps(),
-            dyn_fj_per_op: report.dynamic_fj / n,
-            leak_fj_per_op_safe: report.leakage_fj / n,
-            model_error,
-            exact_struct_rms,
-        })
-    }
+    };
+    Some(DesignInfo {
+        area: ctx.synthesized.area,
+        die_critical_ps: ctx.die_critical_ps(),
+        dyn_fj_per_op: report.dynamic_fj / n,
+        leak_fj_per_op_safe: report.leakage_fj / n,
+        model_error,
+        exact_struct_rms: DesignAnalysis::analyze(design).rms_error(),
+    })
 }
 
 #[cfg(test)]
@@ -521,18 +467,37 @@ mod tests {
         }
     }
 
-    fn stream_evaluator(engine: &Engine, cycles: usize) -> Evaluator<'_> {
+    /// One evaluation of `points` on a uniform stream of `cycles` pairs,
+    /// on a fresh engine of `threads` workers.
+    fn evaluate_on(
+        threads: usize,
+        cycles: usize,
+        prefilter: bool,
+        points: &[DesignPoint],
+    ) -> Vec<CandidateEval> {
+        let engine = Engine::with_threads(threads);
         let config = ExperimentConfig::default();
         let mode = EvalMode::uniform_stream(32, cycles, config.workload_seed);
-        Evaluator::new(engine, config, mode, EvalSettings::default())
+        let settings = EvalSettings {
+            prefilter,
+            ..EvalSettings::default()
+        };
+        evaluate(&engine, &config, &mode, &settings, points).0
+    }
+
+    fn pruned_count(evals: &[CandidateEval]) -> usize {
+        evals.iter().filter(|e| e.pruned).count()
     }
 
     #[test]
     fn safe_points_have_zero_timing_excess_and_exact_structural_error() {
-        let engine = Engine::with_threads(1);
-        let mut eval = stream_evaluator(&engine, 1500);
         // (8,0,0,0) die crit 251 ps: safe at 0 % and 15 % CPR alike.
-        let evals = eval.evaluate(&[point((8, 0, 0, 0), 0.0), point((8, 0, 0, 0), 0.15)]);
+        let evals = evaluate_on(
+            1,
+            1500,
+            true,
+            &[point((8, 0, 0, 0), 0.0), point((8, 0, 0, 0), 0.15)],
+        );
         assert_eq!(evals.len(), 2);
         assert!(evals[0].timing_safe && evals[1].timing_safe);
         // Safe at both clocks: identical measured error, cheaper energy
@@ -557,18 +522,23 @@ mod tests {
             ..ExperimentConfig::default()
         };
         let mode = EvalMode::uniform_stream(32, 64, config.workload_seed);
-        let mut eval = Evaluator::new(&engine, config, mode, EvalSettings::default());
-        let evals = eval.evaluate(&[
-            point((8, 0, 0, 0), 0.0),
-            DesignPoint {
-                design: Design::Exact { width: 32 },
-                cpr: 0.0,
-            },
-        ]);
+        let (evals, infeasible) = evaluate(
+            &engine,
+            &config,
+            &mode,
+            &EvalSettings::default(),
+            &[
+                point((8, 0, 0, 0), 0.0),
+                point((8, 0, 0, 0), 0.05),
+                DesignPoint {
+                    design: Design::Exact { width: 32 },
+                    cpr: 0.0,
+                },
+            ],
+        );
         assert!(evals.is_empty());
-        assert_eq!(eval.infeasible.len(), 2);
-        assert!(eval.infeasible[0].contains("(8,0,0,0)"));
-        assert!(eval.infeasible[1].contains("exact"));
+        // Counted per design, not per point.
+        assert_eq!(infeasible, 2);
     }
 
     #[test]
@@ -577,13 +547,13 @@ mod tests {
         let config = ExperimentConfig::default();
         let kernel: Arc<dyn Kernel> =
             Arc::from(isa_apps::kernel_by_name("conv2d-sobel", 1, config.workload_seed).unwrap());
-        let mut eval = Evaluator::new(
+        let (evals, _) = evaluate(
             &engine,
-            config,
-            EvalMode::Kernel { kernel },
-            EvalSettings::default(),
+            &config,
+            &EvalMode::Kernel { kernel },
+            &EvalSettings::default(),
+            &[point((8, 0, 0, 4), 0.0), point((8, 0, 0, 4), 0.15)],
         );
-        let evals = eval.evaluate(&[point((8, 0, 0, 4), 0.0), point((8, 0, 0, 4), 0.15)]);
         // Safe-clock PSNR equals the structural ceiling; overclocked PSNR
         // cannot exceed it.
         let ceiling = -evals[0].model_error;
@@ -599,8 +569,6 @@ mod tests {
         // bounds too: the stream bound is the behavioural model on the
         // actual workload and the full-space RMS is the exact moment
         // program (`DesignAnalysis`), both exact for *every* design.
-        let engine = Engine::with_threads(1);
-        let mut eval = stream_evaluator(&engine, 600);
         let guess_one = DesignPoint {
             design: Design::Isa(IsaConfig::with_guess(32, 8, 0, 0, 0, SpecGuess::One).unwrap()),
             cpr: 0.0,
@@ -615,7 +583,7 @@ mod tests {
             design: Design::Exact { width: 32 },
             cpr: 0.0,
         };
-        let evals = eval.evaluate(&[guess_one, overlapping, exact]);
+        let evals = evaluate_on(1, 600, true, &[guess_one, overlapping, exact]);
         assert_eq!(evals.len(), 3);
         for e in &evals[..2] {
             assert!(
@@ -634,8 +602,6 @@ mod tests {
 
     #[test]
     fn inaccurate_certain_reference_cannot_prune_accurate_candidates() {
-        let engine = Engine::with_threads(1);
-        let mut eval = stream_evaluator(&engine, 800);
         // Speculate-at-1 (8,0,0,0) was the pre-PR8 poison case: outside
         // the analytical model's domain, its bound fell back to 0, and
         // only a `model_trusted` flag kept it from pruning everything
@@ -648,11 +614,16 @@ mod tests {
             // Die crit 257.3 ps: certain at 10 % CPR (270 ps).
             cpr: 0.10,
         };
-        let evals = eval.evaluate(&[
-            inaccurate,
-            point((16, 7, 0, 8), 0.10),
-            point((16, 2, 1, 6), 0.05),
-        ]);
+        let evals = evaluate_on(
+            1,
+            800,
+            true,
+            &[
+                inaccurate,
+                point((16, 7, 0, 8), 0.10),
+                point((16, 2, 1, 6), 0.05),
+            ],
+        );
         assert_eq!(evals.len(), 3);
         assert!(
             evals[0].timing_safe,
@@ -679,25 +650,6 @@ mod tests {
         crate::SpaceSpec::paper().enumerate()
     }
 
-    /// One evaluation of `points` on a fresh evaluator.
-    fn evaluate_on(
-        threads: usize,
-        cycles: usize,
-        prefilter: bool,
-        points: &[DesignPoint],
-    ) -> (Vec<CandidateEval>, usize) {
-        let engine = Engine::with_threads(threads);
-        let config = ExperimentConfig::default();
-        let mode = EvalMode::uniform_stream(32, cycles, config.workload_seed);
-        let settings = EvalSettings {
-            prefilter,
-            ..EvalSettings::default()
-        };
-        let mut eval = Evaluator::new(&engine, config, mode, settings);
-        let evals = eval.evaluate(points);
-        (evals, eval.pruned_count)
-    }
-
     #[test]
     fn pruned_candidates_are_dominated_and_unpruned_errors_unchanged() {
         // The bound needs no margin: everything the pre-filter prunes is
@@ -707,10 +659,13 @@ mod tests {
         // Over a space with overclocked points, so measured references
         // prune too.
         let points = paper_points();
-        let (pruned, pruned_count) = evaluate_on(1, 400, true, &points);
-        let (unpruned, zero) = evaluate_on(1, 400, false, &points);
-        assert_eq!(zero, 0);
-        assert!(pruned_count > 0, "the pre-filter must prune something");
+        let pruned = evaluate_on(1, 400, true, &points);
+        let unpruned = evaluate_on(1, 400, false, &points);
+        assert_eq!(pruned_count(&unpruned), 0);
+        assert!(
+            pruned_count(&pruned) > 0,
+            "the pre-filter must prune something"
+        );
 
         for (p, u) in pruned.iter().zip(&unpruned) {
             assert_eq!(p.point.label(), u.point.label());
@@ -744,24 +699,17 @@ mod tests {
         // point; no certain reference does.
         let fast = point((16, 7, 0, 8), 0.15);
         let slow = point((16, 7, 0, 8), 0.10);
-        let engine = Engine::with_threads(1);
         // Listed slow first: bound order still simulates 15 % first.
-        let mut eval = stream_evaluator(&engine, 400);
-        let both = eval.evaluate(&[slow, fast]);
+        let both = evaluate_on(1, 400, true, &[slow, fast]);
         assert!(!both[1].timing_safe, "premise: 15 % is not certain");
         assert_eq!(both[1].bound_margin(), Some(0.0), "premise: error-free");
         assert!(both[0].timing_safe);
         assert!(both[0].pruned, "the measured 15 % point must prune 10 %");
-        assert_eq!(eval.pruned_count, 1);
-
-        // References persist across calls (evolutionary generations).
-        let mut eval = stream_evaluator(&engine, 400);
-        eval.evaluate(&[fast]);
-        assert!(eval.evaluate(&[slow])[0].pruned);
+        assert_eq!(pruned_count(&both), 1);
 
         // Without the pre-filter both are simulated, and the measured
         // 15 % vector strictly dominates the measured 10 % one.
-        let (all, _) = evaluate_on(1, 400, false, &[fast, slow]);
+        let all = evaluate_on(1, 400, false, &[fast, slow]);
         let (fast, slow) = (all[0].objectives().unwrap(), all[1].objectives().unwrap());
         assert!(fast.dominates(&slow));
     }
@@ -771,8 +719,8 @@ mod tests {
         // Only the baseline batch runs on the pool; each pruning decision
         // sees the same references at any worker count.
         let points = paper_points();
-        let (one, _) = evaluate_on(1, 400, true, &points);
-        let (three, _) = evaluate_on(3, 400, true, &points);
+        let one = evaluate_on(1, 400, true, &points);
+        let three = evaluate_on(3, 400, true, &points);
         assert_eq!(one.len(), three.len());
         for (a, b) in one.iter().zip(&three) {
             assert_eq!(a.point.label(), b.point.label());

@@ -6,13 +6,12 @@
 //! The paper samples that space at twelve hand-picked designs and three
 //! clock-period reductions; this crate *searches* it. A
 //! [`SpaceSpec`] materializes the candidate space (structural quadruples ×
-//! clock reductions), a two-tier [`Evaluator`] scores candidates — exact
-//! structural-error bounds and femtosecond STA prune provably-dominated
-//! configurations before the engine simulates the survivors on the
-//! filtered gate-level backend — and a search
-//! [`Strategy`] (exhaustive for small spaces, seeded NSGA-II-style
-//! evolutionary for large ones) assembles a deterministic
-//! [`ParetoFront`] over (error, delay, energy) [`ObjectiveVector`]s.
+//! clock reductions), and [`explore`] scores every point of it with a
+//! two-tier evaluation (see [`mod@evaluate`]) — exact structural-error
+//! bounds and femtosecond STA prune provably-dominated configurations
+//! before the engine simulates the survivors on the filtered gate-level
+//! backend — and assembles a deterministic [`ParetoFront`] over (error,
+//! delay, energy) [`ObjectiveVector`]s.
 //!
 //! Quality-constrained queries ("the cheapest design meeting ≥ 30 dB PSNR
 //! on Sobel at clock X") run against the outcome via
@@ -24,9 +23,7 @@
 //!
 //! ```no_run
 //! use isa_engine::{Engine, ExperimentConfig};
-//! use isa_explore::{
-//!     explore, EvalMode, EvalSettings, SearchSettings, SpaceSpec, Strategy,
-//! };
+//! use isa_explore::{explore, EvalMode, EvalSettings, SearchSettings, SpaceSpec};
 //!
 //! let engine = Engine::new();
 //! let config = ExperimentConfig::default();
@@ -37,10 +34,7 @@
 //!     &SpaceSpec::paper(),
 //!     mode,
 //!     EvalSettings::default(),
-//!     SearchSettings {
-//!         strategy: Strategy::Exhaustive,
-//!         ..SearchSettings::default()
-//!     },
+//!     SearchSettings::default(),
 //! );
 //! for entry in outcome.front.entries() {
 //!     println!("{}: {:?}", entry.key, entry.objectives);
@@ -55,11 +49,10 @@ pub mod pareto;
 pub mod search;
 pub mod space;
 
-pub use evaluate::{CandidateEval, EvalMode, EvalSettings, Evaluator};
+pub use evaluate::{CandidateEval, EvalMode, EvalSettings};
 pub use isa_metrics::{snr_db_of_rms_pct, ObjectiveVector};
 pub use pareto::{FrontEntry, ParetoFront};
 pub use search::{
-    explore, EvolutionSettings, Query, SearchOutcome, SearchSettings, SearchStats, Strategy,
-    ThesisWitness,
+    explore, Query, SearchOutcome, SearchSettings, SearchStats, Strategy, ThesisWitness,
 };
 pub use space::{DesignPoint, SpaceSpec, DEFAULT_CPRS};

@@ -91,15 +91,6 @@ impl<T> ParetoFront<T> {
         true
     }
 
-    /// Merges another front into this one. The result is the front of the
-    /// union of both entry sets, so merging is commutative and
-    /// associative up to the (deterministic) emission order.
-    pub fn merge(&mut self, other: ParetoFront<T>) {
-        for entry in other.entries {
-            self.insert(entry);
-        }
-    }
-
     /// The entries in deterministic order (lexicographic objectives, then
     /// key).
     #[must_use]
@@ -186,19 +177,6 @@ mod tests {
         // Exact duplicate (same key and objectives): idempotent.
         assert!(!front.insert(entry("x", 1.0, 2.0, 3.0)));
         assert_eq!(front.len(), 2);
-    }
-
-    #[test]
-    fn merge_unions_the_fronts() {
-        let mut a = ParetoFront::new();
-        a.insert(entry("a", 1.0, 2.0, 3.0));
-        a.insert(entry("b", 2.0, 1.0, 3.0));
-        let mut b = ParetoFront::new();
-        b.insert(entry("c", 0.5, 3.0, 3.0));
-        b.insert(entry("d", 0.9, 1.9, 2.9)); // dominates "a"
-        a.merge(b);
-        let keys: Vec<&str> = a.entries().iter().map(|e| e.key.as_str()).collect();
-        assert_eq!(keys, vec!["c", "d", "b"]);
     }
 
     #[test]

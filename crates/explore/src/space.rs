@@ -36,12 +36,6 @@ impl DesignPoint {
         format!("{}@{}", self.design, self.cpr)
     }
 
-    /// Stable sort/dedup key (design label plus the cpr bit pattern).
-    #[must_use]
-    pub(crate) fn key(&self) -> (String, u64) {
-        (self.design.to_string(), self.cpr.to_bits())
-    }
-
     /// True for a *pure-structural* configuration: an inexact design at
     /// the safe clock (approximation without overclocking).
     #[must_use]
@@ -67,10 +61,9 @@ impl DesignPoint {
 /// A materialized design space: the cross product `designs × cprs`.
 ///
 /// Construction is deterministic; [`SpaceSpec::enumerate`] lists points
-/// designs-outermost in the stored order, which search strategies rely on
-/// (evolutionary mutation moves through *adjacent* designs, and the grids
-/// are lexicographic in `(B, S, C, R)` so adjacency is structural
-/// locality).
+/// designs-outermost in the stored order (the grids are lexicographic in
+/// `(B, S, C, R)`), which is the order of the explorer's candidate list
+/// and CSV.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpaceSpec {
     /// Operand width of every design in the space.
@@ -87,7 +80,7 @@ pub const DEFAULT_CPRS: [f64; 4] = [0.0, 0.05, 0.10, 0.15];
 
 impl SpaceSpec {
     /// The paper's twelve designs (eleven ISAs + exact) over the default
-    /// clock axis: 48 points, small enough for exhaustive search.
+    /// clock axis: 48 points.
     #[must_use]
     pub fn paper() -> Self {
         Self {
@@ -100,8 +93,8 @@ impl SpaceSpec {
     /// A compact 32-bit grid around the paper's designs: blocks {8, 16},
     /// SPEC {0, 1, 2, 4, 7}, correction {0, 1}, reduction
     /// {0, 2, 4, 6, 8}, plus the exact baseline — 96 designs × 4 clocks =
-    /// 384 points. Large enough that the analytical pre-filter matters,
-    /// small enough to enumerate when asked.
+    /// 384 points. Large enough that the pre-filter matters, small
+    /// enough for a sub-second search.
     #[must_use]
     pub fn compact() -> Self {
         Self::from_grid(
@@ -116,8 +109,8 @@ impl SpaceSpec {
     /// The full valid non-overlapping structural space for `width` (every
     /// block size dividing the width, every SPEC window, every
     /// `C + R <= B` compensation pair) over the default clock axis. For
-    /// 32-bit adders this is several thousand designs — evolutionary
-    /// territory.
+    /// 32-bit adders this is 21,619 designs and 86,476 points, explored
+    /// exhaustively like the smaller spaces.
     #[must_use]
     pub fn full(width: u32) -> Self {
         let designs: Vec<Design> = isa_core::enumerate_quadruples(width)
@@ -177,15 +170,6 @@ impl SpaceSpec {
         }
         out
     }
-
-    /// The point at grid coordinates (design index, cpr index), if valid.
-    #[must_use]
-    pub fn point(&self, design_idx: usize, cpr_idx: usize) -> Option<DesignPoint> {
-        Some(DesignPoint {
-            design: *self.designs.get(design_idx)?,
-            cpr: *self.cprs.get(cpr_idx)?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -238,15 +222,5 @@ mod tests {
             cpr: 0.10,
         };
         assert_eq!(p.label(), "(8,0,0,4)@10%");
-    }
-
-    #[test]
-    fn grid_coordinates_roundtrip() {
-        let space = SpaceSpec::paper();
-        let p = space.point(1, 2).unwrap();
-        assert_eq!(p.design, space.designs[1]);
-        assert_eq!(p.cpr, space.cprs[2]);
-        assert!(space.point(99, 0).is_none());
-        assert!(space.point(0, 99).is_none());
     }
 }

@@ -1,7 +1,6 @@
 //! Property tests of the Pareto-front container and its dominance order:
 //! dominance is a strict partial order (irreflexive, antisymmetric,
-//! transitive), merge is commutative, and the emitted front is invariant
-//! under insertion order.
+//! transitive), and the emitted front is invariant under insertion order.
 
 use isa_explore::{FrontEntry, ParetoFront};
 use isa_metrics::ObjectiveVector;
@@ -87,38 +86,6 @@ proptest! {
         }
         prop_assert_eq!(render(&forward), render(&reversed));
         prop_assert_eq!(render(&forward), render(&rotated));
-    }
-
-    /// merge(A, B) == merge(B, A), and both equal the front of the union.
-    #[test]
-    fn merge_commutativity(
-        left in prop::collection::vec(any::<(u8, u8, u8)>(), 0..12),
-        right in prop::collection::vec(any::<(u8, u8, u8)>(), 0..12),
-    ) {
-        // Distinct key namespaces so the two sides never collide.
-        let mut a = ParetoFront::new();
-        for (i, &s) in left.iter().enumerate() {
-            a.insert(FrontEntry { objectives: vector_from(s), key: format!("l{i}"), payload: i });
-        }
-        let mut b = ParetoFront::new();
-        for (i, &s) in right.iter().enumerate() {
-            b.insert(FrontEntry { objectives: vector_from(s), key: format!("r{i}"), payload: i });
-        }
-        let mut ab = a.clone();
-        ab.merge(b.clone());
-        let mut ba = b.clone();
-        ba.merge(a.clone());
-        prop_assert_eq!(render(&ab), render(&ba));
-
-        // And both equal the front built from all entries directly.
-        let mut union = ParetoFront::new();
-        for (i, &s) in left.iter().enumerate() {
-            union.insert(FrontEntry { objectives: vector_from(s), key: format!("l{i}"), payload: i });
-        }
-        for (i, &s) in right.iter().enumerate() {
-            union.insert(FrontEntry { objectives: vector_from(s), key: format!("r{i}"), payload: i });
-        }
-        prop_assert_eq!(render(&ab), render(&union));
     }
 
     /// Front invariant: entries are mutually non-dominated, and every

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Explorer pre-filter front identity. Pruning (against certain bounds and
 # measured candidates) must never change the Pareto front: the same
-# exhaustive compact-space exploration with and without the pre-filter
+# compact-space exploration with and without the pre-filter
 # must list byte-identical on-front rows (the CSV's last column is
 # on_front). Each pruning decision sees the same references at any
 # worker count, so the pre-filtered CSV must also be byte-identical on 1
@@ -20,16 +20,16 @@ trap 'rm -rf "$front_dir"' EXIT
 for mode in prefilter no-prefilter; do
   flag=""
   [ "$mode" = no-prefilter ] && flag="--no-prefilter"
-  ./target/release/explore --space compact --strategy exhaustive \
-    --cycles 5000 --seed 7 --threads 1 $flag \
+  ./target/release/explore --space compact \
+    --cycles 5000 --threads 1 $flag \
     --csv "$front_dir/$mode.csv" \
     --stats-json "$front_dir/$mode.json" >/dev/null
   grep ',true$' "$front_dir/$mode.csv" > "$front_dir/front-$mode.csv"
 done
 test -s "$front_dir/front-prefilter.csv"
 diff "$front_dir/front-prefilter.csv" "$front_dir/front-no-prefilter.csv"
-./target/release/explore --space compact --strategy exhaustive \
-  --cycles 5000 --seed 7 --threads 4 \
+./target/release/explore --space compact \
+  --cycles 5000 --threads 4 \
   --csv "$front_dir/prefilter-4.csv" >/dev/null
 cmp "$front_dir/prefilter.csv" "$front_dir/prefilter-4.csv"
 # The no-prefilter run has one known violation: (8,1,0,0) at 5 % CPR,

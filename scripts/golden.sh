@@ -51,7 +51,7 @@ run energy ./target/release/energy_table --cycles 300
 run guardband ./target/release/guardband --cycles 400
 run workloads ./target/release/workloads --cycles 400
 run apps ./target/release/apps --scale 1
-run explore ./target/release/explore --space paper --strategy exhaustive --cycles 400 --seed 7
+run explore ./target/release/explore --space paper --cycles 400
 
 if [[ "${1:-}" == "--update" ]]; then
   mkdir -p "$GOLDEN_DIR"

@@ -27,9 +27,8 @@
 //!   [`Engine`](engine::Engine) with memoized synthesis artifacts and
 //!   multi-threaded gate-level runs, identical at every thread count;
 //! * [`explore`] — multi-objective design-space exploration:
-//!   Pareto search over (error, delay, energy) with a two-tier
-//!   analytical + gate-level evaluator and exhaustive or NSGA-II-style
-//!   evolutionary strategies;
+//!   Pareto search over (error, delay, energy) that scores every point of
+//!   a space with a two-tier analytical + gate-level evaluation;
 //! * [`experiments`] — the per-figure reproduction
 //!   pipelines, all driving the engine;
 //! * [`serve`] — the resident query service: a line-delimited JSON

@@ -11,7 +11,6 @@ fn settings() -> ExploreSettings {
     ExploreSettings {
         cycles: 1_500,
         energy_cycles: 256,
-        seed: 7,
         ..ExploreSettings::default()
     }
 }
