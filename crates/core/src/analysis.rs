@@ -6,7 +6,7 @@
 //! error `e = ygold - ydiamond`, the sum `Σe` and the sum of squares
 //! `Σe²`, as exact integers and without enumerating the pairs. The error
 //! rate, mean and RMS follow from those three integers. Every design is
-//! covered: both SPEC guesses, overlapping compensation (`C + R > B`) and
+//! covered: any SPEC window, overlapping compensation (`C + R > B`) and
 //! the exact adder.
 //!
 //! # The program
@@ -18,24 +18,27 @@
 //! current bit still depend on:
 //!
 //! * the exact carry and the carry of the current block's ADD;
-//! * the generate/propagate of the SPEC window over the top `S` bits of
-//!   each block below the last;
-//! * over a block's low `C` bits, the fault its correction group is
-//!   absorbing and whether the increment/decrement still ripples;
-//! * over the top `R` bits of each block below the last, the sign the
-//!   next boundary's reduction forces onto them;
+//! * the generate of the SPEC window over the top `S` bits of each block
+//!   below the last;
+//! * over a block's low `C` bits, whether its correction group is
+//!   absorbing a fault and whether the increment still ripples;
+//! * over the top `R` bits of each block below the last, whether the
+//!   next boundary's reduction forces them to ones;
 //! * whether every output bit so far equals the exact sum's: both are
 //!   binary numbers, so `e = 0` exactly when all bits agree.
 //!
-//! Two outcomes resolve above the bits they act on: whether a fault is
-//! corrected (known after the group's last bit) and the reduction sign
-//! (known at the next boundary). The program guesses each when it is
-//! first needed and checks the guess when it resolves; a wrong guess
-//! drops its branch, so every operand pair is counted in exactly one
-//! branch. Each state carries the count, `Σe` and `Σe²` of the pairs that
-//! reach it. With `e = Σ 2^i (f_i - x_i)` over output bits `f` and exact
-//! bits `x`, adding bit `i`'s difference `d = ±2^i` updates
-//! `Σe² += 2d·Σe + d²·count`, then `Σe += d·count`.
+//! Speculation is at 0, so the SPEC carry is the window generate and
+//! never exceeds the ADD carry-out it is compared with: a fault is a
+//! missed carry, which correction increments away and reduction answers
+//! by forcing ones. Two outcomes resolve above the bits they act on:
+//! whether a fault is corrected (known after the group's last bit) and
+//! whether the reduction fires (known at the next boundary). The program
+//! guesses each when it is first needed and checks the guess when it
+//! resolves; a wrong guess drops its branch, so every operand pair is
+//! counted in exactly one branch. Each state carries the count, `Σe` and
+//! `Σe²` of the pairs that reach it. With `e = Σ 2^i (f_i - x_i)` over
+//! output bits `f` and exact bits `x`, adding bit `i`'s difference
+//! `d = ±2^i` updates `Σe² += 2d·Σe + d²·count`, then `Σe += d·count`.
 //!
 //! This is the block recursion of arXiv:1703.03522, widened to speculation
 //! windows and to correction/reduction as in the general inaccurate-adder
@@ -44,7 +47,6 @@
 
 use std::mem;
 
-use crate::config::SpecGuess;
 use crate::designs::Design;
 
 /// A 256-bit two's-complement integer with wrapping arithmetic: wide
@@ -121,22 +123,29 @@ pub struct DesignAnalysis {
 }
 
 impl DesignAnalysis {
+    /// The widest design [`Self::analyze`] counts: `Σe²` over its
+    /// `2^(2W)` pairs must fit an [`I256`], and the pair count a `u128`.
+    pub const MAX_WIDTH: u32 = 32;
+
     /// Counts the design's zero errors, `Σe` and `Σe²` over all
     /// `2^(2W)` operand pairs with the per-bit program of the module docs.
     ///
     /// # Panics
     ///
-    /// Panics if the design is wider than 32 bits.
+    /// Panics if the design is wider than [`Self::MAX_WIDTH`].
     #[must_use]
     pub fn analyze(design: &Design) -> Self {
         let width = design.width();
-        assert!(width <= 32, "exact moments are limited to 32-bit designs");
+        assert!(
+            width <= Self::MAX_WIDTH,
+            "exact moments are limited to {}-bit designs",
+            Self::MAX_WIDTH
+        );
         let Some(cfg) = design.isa_config() else {
             return Self::from_counts(width, 1u128 << (2 * width), 0, I256::ZERO);
         };
         let (b, s, c, r) = cfg.quadruple();
         let paths = cfg.num_paths();
-        let guess_one = cfg.guess() == SpecGuess::One;
 
         let mut cur = Layer::new();
         let mut next = Layer::new();
@@ -148,17 +157,14 @@ impl DesignAnalysis {
             let inner = k + 1 < paths;
             if k > 0 && j == 0 {
                 for &(st, m) in &cur.states {
-                    st.cross_boundary(guess_one, c, r, |n| next.push(n, m));
+                    st.cross_boundary(c, r, |n| next.push(n, m));
                 }
                 cur.swap_clear(&mut next);
             }
             if inner && r > 0 && j == b - r {
-                // A guess-0 SPEC can only miss a carry (+1) and a guess-1
-                // SPEC only invent one (-1), so that is the one nonzero
-                // sign the boundary above can force.
-                let forced = if guess_one { -1 } else { 1 };
+                // Guess whether the boundary above forces ones here.
                 for &(st, m) in &cur.states {
-                    for reduce in [0, forced] {
+                    for reduce in [false, true] {
                         next.push(State { reduce, ..st }, m);
                     }
                 }
@@ -278,18 +284,16 @@ struct State {
     exact_carry: bool,
     local_carry: bool,
     window_g: bool,
-    window_p: bool,
-    /// Sign of the fault the correction group in progress is absorbing
-    /// (or, uncorrected, cannot absorb); 0 when no group is in progress.
-    fault: i8,
+    /// The correction group in progress is absorbing (or, uncorrected,
+    /// cannot absorb) a missed carry.
+    fault: bool,
     /// Guess: the group absorbs the fault.
     corrected: bool,
-    /// The group bits so far are all ones (+1 fault) or all zeros (-1),
-    /// so the increment/decrement still ripples.
+    /// The group bits so far are all ones, so the increment still
+    /// ripples.
     ripple: bool,
-    /// Guess: the sign the next boundary forces onto this block's top
-    /// `R` bits (+1 ones, -1 zeros, 0 none).
-    reduce: i8,
+    /// Guess: the next boundary forces this block's top `R` bits to ones.
+    reduce: bool,
     /// Every output bit so far equals the exact sum's.
     clean: bool,
 }
@@ -299,11 +303,10 @@ impl State {
         exact_carry: false,
         local_carry: false,
         window_g: false,
-        window_p: true,
-        fault: 0,
+        fault: false,
         corrected: false,
         ripple: true,
-        reduce: 0,
+        reduce: false,
         clean: true,
     };
 
@@ -312,38 +315,35 @@ impl State {
         usize::from(self.exact_carry)
             | usize::from(self.local_carry) << 1
             | usize::from(self.window_g) << 2
-            | usize::from(self.window_p) << 3
-            | ((self.fault + 1) as usize) << 4
-            | usize::from(self.corrected) << 6
-            | usize::from(self.ripple) << 7
-            | ((self.reduce + 1) as usize) << 8
-            | usize::from(self.clean) << 10
+            | usize::from(self.fault) << 3
+            | usize::from(self.corrected) << 4
+            | usize::from(self.ripple) << 5
+            | usize::from(self.reduce) << 6
+            | usize::from(self.clean) << 7
     }
 
-    /// Enters the next block: its SPEC carry replaces the local carry,
-    /// the fault (ADD carry-out minus SPEC carry) is detected, and the
-    /// reduction guess made below is checked against what the fault
-    /// leaves after correction. Emits one state per surviving
-    /// correction guess.
-    fn cross_boundary(self, guess_one: bool, c: u32, r: u32, mut emit: impl FnMut(Self)) {
-        let spec = self.window_g || (guess_one && self.window_p);
-        let fault = i8::from(self.local_carry) - i8::from(spec);
+    /// Enters the next block: its SPEC carry (the window generate)
+    /// replaces the local carry, the fault (an ADD carry-out the SPEC
+    /// carry missed) is detected, and the reduction guess made below is
+    /// checked against what the fault leaves after correction. Emits one
+    /// state per surviving correction guess.
+    fn cross_boundary(self, c: u32, r: u32, mut emit: impl FnMut(Self)) {
+        let spec = self.window_g;
+        let fault = self.local_carry && !spec;
         for corrected in [false, true] {
-            if corrected && (fault == 0 || c == 0) {
+            if corrected && (!fault || c == 0) {
                 continue;
             }
-            let residual = if corrected { 0 } else { fault };
-            if r > 0 && self.reduce != residual {
+            if r > 0 && self.reduce != (fault && !corrected) {
                 continue;
             }
             emit(Self {
                 local_carry: spec,
                 window_g: false,
-                window_p: true,
-                fault: if c > 0 { fault } else { 0 },
+                fault: c > 0 && fault,
                 corrected,
                 ripple: true,
-                reduce: 0,
+                reduce: false,
                 ..self
             });
         }
@@ -360,29 +360,28 @@ impl State {
         n.local_carry = g || (p && self.local_carry);
         if role.window {
             n.window_g = g || (p && self.window_g);
-            n.window_p = self.window_p && p;
         }
         let mut out = raw;
-        if role.group && self.fault != 0 {
+        if role.group && self.fault {
             if self.corrected {
                 out ^= self.ripple;
             }
-            n.ripple = self.ripple && raw == (self.fault > 0);
+            n.ripple = self.ripple && raw;
             if role.group_end {
-                // Fig. 2: the group absorbs the fault iff the
-                // increment/decrement does not ripple out of it.
+                // Fig. 2: the group absorbs the fault iff the increment
+                // does not ripple out of it.
                 if self.corrected == n.ripple {
                     return None;
                 }
-                n.fault = 0;
+                n.fault = false;
                 n.corrected = false;
                 n.ripple = true;
             } else if !self.corrected && !n.ripple {
                 return None;
             }
         }
-        if role.reduce && self.reduce != 0 {
-            out = self.reduce > 0;
+        if role.reduce && self.reduce {
+            out = true;
         }
         n.clean = self.clean && out == exact;
         Some((n, i8::from(out) - i8::from(exact)))
@@ -447,7 +446,7 @@ impl Layer {
     fn new() -> Self {
         Self {
             states: Vec::new(),
-            slots: vec![0; 1 << 11],
+            slots: vec![0; 1 << 8],
         }
     }
 

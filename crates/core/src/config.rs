@@ -3,43 +3,14 @@
 //! The paper denotes every ISA design by a quadruple of bit-widths
 //! `(block size, SPEC size, correction, reduction)`; all the paper's designs
 //! are 32-bit adders with uniformly sized blocks. [`IsaConfig`] captures that
-//! quadruple plus the adder width and the speculation guess value.
+//! quadruple plus the adder width. Every design speculates a carry of 0
+//! where its lookahead window cannot determine one (cf. Fig. 2: "2-bit
+//! carry chains speculated at 0"), so every speculation fault is a missed
+//! carry.
 
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
-
-/// Carry value guessed by a SPEC block when its lookahead window cannot
-/// determine the carry (i.e. the window is a full propagate chain).
-///
-/// The paper's designs all speculate at 0 (cf. Fig. 2: "2-bit carry chains
-/// speculated at 0"); [`SpecGuess::One`] is provided for completeness of the
-/// dual-direction compensation mechanism described in the ISA architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SpecGuess {
-    /// Guess a 0 carry: faults are always missed carries (`+1` compensation).
-    #[default]
-    Zero,
-    /// Guess a 1 carry: faults are always spurious carries (`-1` compensation).
-    One,
-}
-
-impl SpecGuess {
-    /// The guessed carry as a bit value.
-    #[must_use]
-    pub fn bit(self) -> u64 {
-        match self {
-            SpecGuess::Zero => 0,
-            SpecGuess::One => 1,
-        }
-    }
-}
-
-impl fmt::Display for SpecGuess {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.bit())
-    }
-}
 
 /// Error validating an [`IsaConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,7 +162,6 @@ pub struct IsaConfig {
     spec_size: u32,
     correction: u32,
     reduction: u32,
-    guess: SpecGuess,
 }
 
 impl IsaConfig {
@@ -202,8 +172,7 @@ impl IsaConfig {
     /// so widths are limited to 63 to keep results in a `u64`.
     pub const MAX_WIDTH: u32 = 63;
 
-    /// Creates a validated configuration speculating at 0 (the paper's
-    /// setting).
+    /// Creates a validated configuration.
     ///
     /// # Errors
     ///
@@ -217,29 +186,6 @@ impl IsaConfig {
         spec_size: u32,
         correction: u32,
         reduction: u32,
-    ) -> Result<Self, ConfigError> {
-        Self::with_guess(
-            width,
-            block_size,
-            spec_size,
-            correction,
-            reduction,
-            SpecGuess::Zero,
-        )
-    }
-
-    /// Creates a validated configuration with an explicit speculation guess.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::new`].
-    pub fn with_guess(
-        width: u32,
-        block_size: u32,
-        spec_size: u32,
-        correction: u32,
-        reduction: u32,
-        guess: SpecGuess,
     ) -> Result<Self, ConfigError> {
         if width == 0 {
             return Err(ConfigError::WidthZero);
@@ -277,38 +223,7 @@ impl IsaConfig {
             spec_size,
             correction,
             reduction,
-            guess,
         })
-    }
-
-    /// Parses a paper-style quadruple such as `(8,0,1,4)` for a given adder
-    /// width.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseQuadrupleError`] if the string is not a
-    /// parenthesized, comma-separated quadruple of integers or the resulting
-    /// design is invalid.
-    pub fn parse_quadruple(s: &str, width: u32) -> Result<Self, ParseQuadrupleError> {
-        let err = |reason| ParseQuadrupleError {
-            input: s.to_owned(),
-            reason,
-        };
-        let trimmed = s.trim();
-        let inner = trimmed
-            .strip_prefix('(')
-            .and_then(|rest| rest.strip_suffix(')'))
-            .ok_or_else(|| err(ParseQuadrupleReason::Shape))?;
-        let fields: Vec<&str> = inner.split(',').map(str::trim).collect();
-        if fields.len() != 4 {
-            return Err(err(ParseQuadrupleReason::Shape));
-        }
-        let mut values = [0u32; 4];
-        for (slot, field) in values.iter_mut().zip(&fields) {
-            *slot = field.parse().map_err(|_| err(ParseQuadrupleReason::Int))?;
-        }
-        Self::new(width, values[0], values[1], values[2], values[3])
-            .map_err(|e| err(ParseQuadrupleReason::Config(e)))
     }
 
     /// Total adder width in bits (operand width).
@@ -325,7 +240,7 @@ impl IsaConfig {
 
     /// Number of operand bits inspected by each SPEC block (`S`).
     ///
-    /// A SPEC size of 0 means the carry is always the guess value.
+    /// A SPEC size of 0 means the speculated carry is always 0.
     #[must_use]
     pub fn spec_size(&self) -> u32 {
         self.spec_size
@@ -342,13 +257,6 @@ impl IsaConfig {
     #[must_use]
     pub fn reduction(&self) -> u32 {
         self.reduction
-    }
-
-    /// The carry guessed when the speculation window is a full propagate
-    /// chain.
-    #[must_use]
-    pub fn guess(&self) -> SpecGuess {
-        self.guess
     }
 
     /// Number of parallel speculative paths (`width / block size`).
@@ -379,12 +287,33 @@ impl fmt::Display for IsaConfig {
     }
 }
 
-/// Parses a quadruple assuming the paper's 32-bit adder width.
+/// Parses a paper-style quadruple such as `(8,0,1,4)` at the paper's
+/// 32-bit adder width. A string that is not a parenthesized,
+/// comma-separated quadruple of integers, or that names an invalid design,
+/// is a [`ParseQuadrupleError`].
 impl FromStr for IsaConfig {
     type Err = ParseQuadrupleError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse_quadruple(s, 32)
+        let err = |reason| ParseQuadrupleError {
+            input: s.to_owned(),
+            reason,
+        };
+        let inner = s
+            .trim()
+            .strip_prefix('(')
+            .and_then(|rest| rest.strip_suffix(')'))
+            .ok_or_else(|| err(ParseQuadrupleReason::Shape))?;
+        let fields: Vec<&str> = inner.split(',').map(str::trim).collect();
+        if fields.len() != 4 {
+            return Err(err(ParseQuadrupleReason::Shape));
+        }
+        let mut values = [0u32; 4];
+        for (slot, field) in values.iter_mut().zip(&fields) {
+            *slot = field.parse().map_err(|_| err(ParseQuadrupleReason::Int))?;
+        }
+        Self::new(32, values[0], values[1], values[2], values[3])
+            .map_err(|e| err(ParseQuadrupleReason::Config(e)))
     }
 }
 
@@ -410,7 +339,6 @@ mod tests {
         assert_eq!(cfg.reduction(), 4);
         assert_eq!(cfg.num_paths(), 4);
         assert_eq!(cfg.quadruple(), (8, 0, 1, 4));
-        assert_eq!(cfg.guess(), SpecGuess::Zero);
     }
 
     #[test]
@@ -495,13 +423,6 @@ mod tests {
     fn parse_accepts_whitespace() {
         let cfg: IsaConfig = " ( 16 , 7 , 0 , 8 ) ".parse().unwrap();
         assert_eq!(cfg.quadruple(), (16, 7, 0, 8));
-    }
-
-    #[test]
-    fn guess_bit_values() {
-        assert_eq!(SpecGuess::Zero.bit(), 0);
-        assert_eq!(SpecGuess::One.bit(), 1);
-        assert_eq!(SpecGuess::default(), SpecGuess::Zero);
     }
 
     #[test]

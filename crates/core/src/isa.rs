@@ -4,23 +4,30 @@
 //! concurrent speculative paths (Fig. 1 of the paper). Each path consists of:
 //!
 //! * **SPEC** — a carry speculator computing a partial carry from the `S`
-//!   operand bits immediately below the path, using carry look-ahead. When
-//!   the window is a full propagate chain the carry cannot be determined and
-//!   is guessed (the paper's designs guess 0).
+//!   operand bits immediately below the path, using carry look-ahead: the
+//!   window's carry-out with carry-in 0. A window that only propagates
+//!   cannot determine the carry and speculates 0, as in all the paper's
+//!   designs (Fig. 2).
 //! * **ADD** — a regular sub-adder computing the local sum from the
 //!   speculated carry.
 //! * **COMP** — an error compensation block that detects speculation faults
 //!   by comparing the SPEC carry against the carry-out of the previous ADD,
-//!   then either *corrects* the `C` LSBs of the local sum (impossible when
-//!   the group would internally overflow) or *reduces/balances* the error by
-//!   forcing the `R` MSBs of the preceding sum (Fig. 2).
+//!   then either *corrects* the `C` LSBs of the local sum by incrementing
+//!   them (impossible when the group would internally overflow) or
+//!   *reduces/balances* the error by forcing the `R` MSBs of the preceding
+//!   sum to ones (Fig. 2).
+//!
+//! The SPEC window is the top `S <= B` bits of the previous block, and the
+//! carry recurrence is monotone in its carry-in, so the SPEC carry never
+//! exceeds the previous ADD's carry-out: every fault is a missed carry
+//! (`+1` at the boundary), never a spurious one.
 //!
 //! This model is the paper's "golden" (`ygold`) level: it contains the
 //! deterministic structural errors and no timing errors.
 
 use crate::adder::{mask, Adder};
 use crate::batch::{pack_pairs, unpack_lanes, LANES};
-use crate::config::{IsaConfig, SpecGuess};
+use crate::config::IsaConfig;
 use crate::plane::{PlaneAlgebra, WordPlanes};
 
 /// Compensation outcome for one speculative path (Fig. 2's arithmetic).
@@ -28,11 +35,11 @@ use crate::plane::{PlaneAlgebra, WordPlanes};
 pub enum Compensation {
     /// No fault was detected at this path's boundary.
     NotNeeded,
-    /// The fault was fully absorbed by incrementing/decrementing the `C`-bit
-    /// LSB group of the local sum.
+    /// The fault was fully absorbed by incrementing the `C`-bit LSB group of
+    /// the local sum.
     Corrected,
     /// Correction was impossible (or `C = 0`); the `R` MSBs of the preceding
-    /// block's sum were forced to bound the relative error.
+    /// block's sum were forced to ones to bound the relative error.
     Reduced,
     /// Neither correction nor reduction was available (`C = R = 0`); the
     /// speculation error stands.
@@ -50,11 +57,9 @@ pub struct PathOutcome {
     /// Carry-out of the path's ADD (raw, as used for fault detection by the
     /// next path's COMP).
     pub carry_out: u64,
-    /// Whether this path's COMP detected a speculation fault.
+    /// Whether this path's COMP detected a speculation fault: a missed
+    /// carry, the SPEC carry 0 where the previous ADD carried out.
     pub fault: bool,
-    /// Signed carry correction this path's boundary needed: `+1` for a
-    /// missed carry, `-1` for a spurious one, `0` when no fault.
-    pub needed: i8,
     /// How the fault (if any) was compensated.
     pub compensation: Compensation,
     /// The path's sum after local correction (but before any reduction
@@ -116,35 +121,17 @@ impl SpeculativeAdder {
         &self.config
     }
 
-    /// Group generate/propagate of the `len`-bit operand window starting at
-    /// bit `lo`: `generate` is the window's carry-out assuming carry-in 0,
-    /// `propagate` is true iff a carry-in would ripple through the whole
-    /// window.
-    fn window_gp(a: u64, b: u64, lo: u32, len: u32) -> (bool, bool) {
-        let mut generate = false;
-        let mut propagate = true;
-        for i in lo..lo + len {
-            let ai = (a >> i) & 1;
-            let bi = (b >> i) & 1;
-            let g = ai & bi == 1;
-            let p = ai ^ bi == 1;
-            // Carry look-ahead recurrence over the window, LSB first.
-            generate = g || (p && generate);
-            propagate = propagate && p;
-        }
-        (generate, propagate)
-    }
-
     /// The SPEC block for the path starting at bit `lo`: the speculated
-    /// carry into that path.
+    /// carry into that path, the group generate of the `S` operand bits
+    /// below it (their carry-out with carry-in 0).
     fn speculate(&self, a: u64, b: u64, lo: u32) -> u64 {
-        let s = self.config.spec_size();
-        let (generate, propagate) = Self::window_gp(a, b, lo - s, s);
-        let guessed = match self.config.guess() {
-            SpecGuess::Zero => false,
-            SpecGuess::One => propagate,
-        };
-        u64::from(generate || guessed)
+        let mut generate = 0;
+        for i in lo - self.config.spec_size()..lo {
+            let (ai, bi) = ((a >> i) & 1, (b >> i) & 1);
+            // Carry look-ahead recurrence over the window, LSB first.
+            generate = (ai & bi) | ((ai ^ bi) & generate);
+        }
+        generate
     }
 
     /// Performs the addition and returns per-path diagnostics.
@@ -172,7 +159,6 @@ impl SpeculativeAdder {
                 raw_sum: raw & bm,
                 carry_out: raw >> bsz,
                 fault: false,
-                needed: 0,
                 compensation: Compensation::NotNeeded,
                 corrected_sum: raw & bm,
                 final_sum: raw & bm,
@@ -181,34 +167,25 @@ impl SpeculativeAdder {
 
         // Phase 2: COMP for every boundary k (between path k-1 and path k).
         // Fault detection compares this path's SPEC carry with the raw
-        // carry-out of the previous path's ADD.
+        // carry-out of the previous path's ADD; the SPEC carry never
+        // exceeds it, so a fault is a missed carry.
         let c = cfg.correction();
         let r = cfg.reduction();
         for k in 1..paths {
             let prev_cout = outcomes[k - 1].carry_out;
             let spec = outcomes[k].carry_in;
+            debug_assert!(spec <= prev_cout, "SPEC at 0 cannot invent a carry");
             if spec == prev_cout {
                 continue;
             }
-            let needed: i8 = if prev_cout > spec { 1 } else { -1 };
             outcomes[k].fault = true;
-            outcomes[k].needed = needed;
 
             let local = outcomes[k].corrected_sum;
-            let correctable = c > 0
-                && if needed > 0 {
-                    // Incrementing the C-bit LSB group stays inside the group
-                    // iff the group is not all ones (otherwise the carry
-                    // would overflow internally; Fig. 2's uncorrectable
-                    // case).
-                    local & mask(c) != mask(c)
-                } else {
-                    // Decrementing stays inside the group iff it is not all
-                    // zeros.
-                    local & mask(c) != 0
-                };
-            if correctable {
-                let fixed = if needed > 0 { local + 1 } else { local - 1 };
+            // Incrementing the C-bit LSB group stays inside the group iff
+            // the group is not all ones (otherwise the carry would overflow
+            // internally; Fig. 2's uncorrectable case).
+            if c > 0 && local & mask(c) != mask(c) {
+                let fixed = local + 1;
                 debug_assert_eq!(fixed & !bm, 0, "correction must stay in block");
                 outcomes[k].corrected_sum = fixed;
                 outcomes[k].compensation = Compensation::Corrected;
@@ -220,21 +197,14 @@ impl SpeculativeAdder {
         }
 
         // Phase 3: apply final sums. Reduction triggered by path k's COMP
-        // forces the R MSBs of the *preceding* block's sum: all-ones for a
-        // missed carry (+1) and all-zeros for a spurious one (-1), bounding
-        // the relative error of the uncorrected result.
+        // forces the R MSBs of the *preceding* block's sum to ones, bounding
+        // the relative error of the uncorrected missed carry.
         for outcome in &mut outcomes {
             outcome.final_sum = outcome.corrected_sum;
         }
         for k in 1..paths {
-            if outcomes[k].compensation != Compensation::Reduced {
-                continue;
-            }
-            let top = mask(r) << (bsz - r);
-            if outcomes[k].needed > 0 {
-                outcomes[k - 1].final_sum |= top;
-            } else {
-                outcomes[k - 1].final_sum &= !top;
+            if outcomes[k].compensation == Compensation::Reduced {
+                outcomes[k - 1].final_sum |= mask(r) << (bsz - r);
             }
         }
 
@@ -306,32 +276,19 @@ impl SpeculativeAdder {
 
         // Phase 1: SPEC + ADD per path (plane ripple per block; the carry
         // recurrence c' = g | (p & c) is the plane form of MAJ3).
-        let zero = alg.zero();
-        let mut sum = vec![zero.clone(); n + 1];
+        let mut sum = vec![alg.zero(); n + 1];
         let mut spec_in = Vec::with_capacity(paths);
         let mut cout = Vec::with_capacity(paths);
         for k in 0..paths {
             let lo = k * bsz;
-            let cin = if k == 0 {
-                alg.zero()
-            } else if s == 0 {
-                match cfg.guess() {
-                    SpecGuess::Zero => alg.zero(),
-                    SpecGuess::One => alg.one(),
-                }
-            } else {
-                let mut generate = alg.zero();
-                let mut propagate = alg.one();
+            // SPEC: the window's group generate (0 for path 0 and S = 0).
+            let mut cin = alg.zero();
+            if k > 0 {
                 for i in lo - s..lo {
-                    let t = alg.and(&p[i], &generate);
-                    generate = alg.or(&g[i], &t);
-                    propagate = alg.and(&propagate, &p[i]);
+                    let t = alg.and(&p[i], &cin);
+                    cin = alg.or(&g[i], &t);
                 }
-                match cfg.guess() {
-                    SpecGuess::Zero => generate,
-                    SpecGuess::One => alg.or(&generate, &propagate),
-                }
-            };
+            }
             let mut carry = cin.clone();
             for i in lo..lo + bsz {
                 sum[i] = alg.xor(&p[i], &carry);
@@ -342,59 +299,35 @@ impl SpeculativeAdder {
             cout.push(carry);
         }
 
-        // Phase 2: COMP fault detection + C-bit LSB correction per
-        // boundary (each boundary k touches only block k's low bits, so
-        // boundaries are independent).
-        let mut red_pos = vec![zero.clone(); paths];
-        let mut red_neg = vec![zero.clone(); paths];
+        // Phase 2: COMP per boundary k. The SPEC carry never exceeds the
+        // previous carry-out, so a fault is a missed carry (+1): the C-bit
+        // LSB correction increments block k, and where the fault stands
+        // the reduction forces ones onto the R MSBs of block k-1, which
+        // boundary k-1 has already corrected.
         for k in 1..paths {
-            let needed_pos = alg.andn(&cout[k - 1], &spec_in[k]); // missed carry: +1
-            let needed_neg = alg.andn(&spec_in[k], &cout[k - 1]); // spurious carry: -1
-            let (rem_pos, rem_neg) = if c > 0 {
-                let lo = k * bsz;
+            let lo = k * bsz;
+            let missed = alg.andn(&cout[k - 1], &spec_in[k]);
+            let residual = if c > 0 {
                 let mut group_and = alg.one();
-                let mut group_or = alg.zero();
                 for slot in &sum[lo..lo + c] {
                     group_and = alg.and(&group_and, slot);
-                    group_or = alg.or(&group_or, slot);
                 }
-                // Increment absorbs iff the group is not all ones,
-                // decrement iff not all zeros (Fig. 2's internal-overflow
-                // rule).
-                let corr_pos = alg.andn(&needed_pos, &group_and);
-                let corr_neg = alg.and(&needed_neg, &group_or);
-                let mut inc = corr_pos.clone();
-                let mut dec = corr_neg.clone();
+                // The increment absorbs the fault iff the group is not all
+                // ones (Fig. 2's internal-overflow rule).
+                let corrected = alg.andn(&missed, &group_and);
+                let mut inc = corrected.clone();
                 for slot in &mut sum[lo..lo + c] {
                     let bit = slot.clone();
-                    let flip = alg.or(&inc, &dec);
-                    *slot = alg.xor(&bit, &flip);
+                    *slot = alg.xor(&bit, &inc);
                     inc = alg.and(&inc, &bit);
-                    dec = alg.andn(&dec, &bit);
                 }
                 alg.debug_assert_false(&inc);
-                alg.debug_assert_false(&dec);
-                let rem_pos = alg.andn(&needed_pos, &corr_pos);
-                let rem_neg = alg.andn(&needed_neg, &corr_neg);
-                (rem_pos, rem_neg)
+                alg.andn(&missed, &corrected)
             } else {
-                (needed_pos, needed_neg)
+                missed
             };
-            if r > 0 {
-                red_pos[k] = rem_pos;
-                red_neg[k] = rem_neg;
-            }
-        }
-
-        // Phase 3: reduction forced by boundary k onto the R MSBs of the
-        // *preceding* block's (already corrected) sum.
-        if r > 0 {
-            for k in 1..paths {
-                let lo = (k - 1) * bsz;
-                for slot in &mut sum[lo + bsz - r..lo + bsz] {
-                    let t = alg.or(slot, &red_pos[k]);
-                    *slot = alg.andn(&t, &red_neg[k]);
-                }
+            for slot in &mut sum[lo - r..lo] {
+                *slot = alg.or(slot, &residual);
             }
         }
 
@@ -469,7 +402,8 @@ mod tests {
         let trace = adder.add_traced(0x0000_00FF, 0x0000_0001);
         assert_eq!(trace.fault_count(), 1);
         assert!(trace.paths[1].fault);
-        assert_eq!(trace.paths[1].needed, 1);
+        // A missed carry: block 0 carried out, SPEC speculated 0.
+        assert_eq!((trace.paths[0].carry_out, trace.paths[1].carry_in), (1, 0));
         assert_eq!(trace.paths[1].compensation, Compensation::Unresolved);
         assert!(!trace.paths[0].fault);
     }
@@ -635,44 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn guess_one_produces_spurious_carry_faults() {
-        let cfg = IsaConfig::with_guess(32, 8, 0, 0, 0, SpecGuess::One).unwrap();
-        let adder = SpeculativeAdder::new(cfg);
-        // No carries anywhere, but every SPEC guesses 1: sums are too big.
-        let trace = adder.add_traced(0, 0);
-        assert_eq!(trace.fault_count(), 3);
-        for p in &trace.paths[1..] {
-            assert_eq!(p.needed, -1);
-        }
-        assert_eq!(trace.sum, 0x0101_0100);
-    }
-
-    #[test]
-    fn guess_one_decrement_correction() {
-        let cfg = IsaConfig::with_guess(32, 8, 0, 1, 0, SpecGuess::One).unwrap();
-        let adder = SpeculativeAdder::new(cfg);
-        // Block sums odd after the spurious +1 => decrement possible.
-        let trace = adder.add_traced(0, 0);
-        for p in &trace.paths[1..] {
-            assert_eq!(p.compensation, Compensation::Corrected);
-        }
-        assert_eq!(trace.sum, 0);
-    }
-
-    #[test]
-    fn guess_one_reduction_forces_zeros() {
-        let cfg = IsaConfig::with_guess(32, 8, 0, 0, 2, SpecGuess::One).unwrap();
-        let adder = SpeculativeAdder::new(cfg);
-        // a block sums = 0xC0: spurious carry makes each non-LSB block 0xC1;
-        // reduction forces the *preceding* block's top 2 bits to zero.
-        let a = 0xC0C0_C0C0;
-        let trace = adder.add_traced(a, 0);
-        assert_eq!(trace.paths[1].compensation, Compensation::Reduced);
-        // Preceding block 0xC0 with top 2 bits cleared = 0x00.
-        assert_eq!(trace.paths[0].final_sum, 0x00);
-    }
-
-    #[test]
     fn wide_operands_are_masked() {
         let adder = isa(16, 8, 0, 0, 0);
         assert_eq!(adder.add(0xF_0003, 0xA_0004), 7);
@@ -684,22 +580,38 @@ mod tests {
     }
 
     #[test]
-    fn add_planes_exhaustive_8bit_both_guesses() {
+    fn add_planes_exhaustive_8bit() {
         // Every (block, spec, corr, red) shape class over all 65536 operand
         // pairs: plane evaluation must be bit-for-bit the scalar model.
         let shapes = [(4, 0, 0, 0), (4, 2, 1, 2), (4, 4, 0, 2), (2, 1, 1, 1)];
         let pairs: Vec<(u64, u64)> = (0..1u64 << 16).map(|v| (v & 0xFF, v >> 8)).collect();
         for &(b, s, c, r) in &shapes {
-            for guess in [SpecGuess::Zero, SpecGuess::One] {
-                let cfg = IsaConfig::with_guess(8, b, s, c, r, guess).unwrap();
-                let adder = SpeculativeAdder::new(cfg);
-                let batched = adder.add_batch(&pairs);
-                for (&(a, x), &got) in pairs.iter().zip(&batched) {
-                    assert_eq!(
-                        got,
-                        adder.add(a, x),
-                        "({b},{s},{c},{r}) guess {guess:?} a={a:#x} b={x:#x}"
-                    );
+            let adder = isa(8, b, s, c, r);
+            let batched = adder.add_batch(&pairs);
+            for (&(a, x), &got) in pairs.iter().zip(&batched) {
+                assert_eq!(got, adder.add(a, x), "({b},{s},{c},{r}) a={a:#x} b={x:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_fault_is_a_missed_carry() {
+        // The invariant the single +1 compensation rests on: the SPEC
+        // carry never exceeds the previous ADD's carry-out, at every
+        // boundary of every (B, S) shape over all 65536 8-bit operand
+        // pairs. Compensation touches neither carry, so C = R = 0.
+        for b in [1u32, 2, 4, 8] {
+            for s in 0..=b {
+                let adder = isa(8, b, s, 0, 0);
+                for v in 0..1u64 << 16 {
+                    let (a, x) = (v & 0xFF, v >> 8);
+                    let paths = adder.add_traced(a, x).paths;
+                    for k in 1..paths.len() {
+                        assert!(
+                            paths[k].carry_in <= paths[k - 1].carry_out,
+                            "({b},{s},0,0) boundary {k} a={a:#x} b={x:#x}"
+                        );
+                    }
                 }
             }
         }

@@ -63,7 +63,7 @@ pub use batch::{
 };
 pub use bitdist::BitErrorDistribution;
 pub use combine::{combine_errors, structural_errors, CombinedErrorStats};
-pub use config::{ConfigError, IsaConfig, ParseQuadrupleError, SpecGuess};
+pub use config::{ConfigError, IsaConfig, ParseQuadrupleError};
 pub use designs::{
     enumerate_quadruples, paper_designs, paper_isa_configs, quadruple_grid, Design,
     PAPER_QUADRUPLES, PAPER_WIDTH,

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use crate::adder::{mask, Adder, ExactAdder};
+use crate::adder::{mask, Adder};
 use crate::config::{ConfigError, IsaConfig};
 use crate::isa::SpeculativeAdder;
 
@@ -122,14 +122,6 @@ impl SpeculativeMultiplier {
     pub fn accumulator(&self) -> &IsaConfig {
         self.adder.config()
     }
-
-    /// Multiply-accumulate: `acc + a * b`, the MAC kernel of DSP loops,
-    /// with the accumulation also running through the ISA adder.
-    #[must_use]
-    pub fn mac(&self, acc: u64, a: u64, b: u64) -> u64 {
-        let product = self.multiply(a, b);
-        self.adder.add(acc, product) & mask(self.adder.config().width())
-    }
 }
 
 impl Multiplier for SpeculativeMultiplier {
@@ -157,23 +149,6 @@ impl Multiplier for SpeculativeMultiplier {
     }
 }
 
-/// Convenience: the exact product through the same shift-and-add chain,
-/// for validating the accumulation structure itself.
-#[must_use]
-pub fn shift_and_add_exact(width: u32, a: u64, b: u64) -> u64 {
-    let exact = ExactAdder::new(2 * width);
-    let a = a & mask(width);
-    let b = b & mask(width);
-    let value_mask = mask(2 * width);
-    let mut acc = 0u64;
-    for i in 0..width {
-        if (b >> i) & 1 == 1 {
-            acc = exact.add(acc, a << i) & value_mask;
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,20 +159,6 @@ mod tests {
         assert_eq!(m.multiply(12, 10), 120);
         assert_eq!(m.multiply(255, 255), 65025);
         assert_eq!(m.multiply(0, 99), 0);
-    }
-
-    #[test]
-    fn shift_and_add_matches_native_product() {
-        for width in [4u32, 8, 16] {
-            let mask = (1u64 << width) - 1;
-            let mut seed = 3u64;
-            for _ in 0..500 {
-                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(9);
-                let a = seed & mask;
-                let b = (seed >> 20) & mask;
-                assert_eq!(shift_and_add_exact(width, a, b), a * b, "w={width}");
-            }
-        }
     }
 
     #[test]
@@ -250,23 +211,6 @@ mod tests {
             strong_err * 10 < weak_err,
             "strong {strong_err} vs weak {weak_err}"
         );
-    }
-
-    #[test]
-    fn mac_chains_through_the_isa_adder() {
-        let cfg = IsaConfig::new(32, 16, 2, 1, 6).unwrap();
-        let mul = SpeculativeMultiplier::new(8, cfg).unwrap();
-        // Accumulate a dot product; with a high-accuracy accumulator the
-        // result stays close to exact.
-        let xs = [12u64, 200, 33, 91, 255, 7];
-        let ws = [3u64, 17, 99, 2, 140, 255];
-        let exact: u64 = xs.iter().zip(&ws).map(|(&x, &w)| x * w).sum();
-        let mut acc = 0u64;
-        for (&x, &w) in xs.iter().zip(&ws) {
-            acc = mul.mac(acc, x, w);
-        }
-        assert!(acc <= exact);
-        assert!(exact - acc < exact / 100, "acc {acc} vs exact {exact}");
     }
 
     #[test]

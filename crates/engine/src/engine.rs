@@ -365,15 +365,17 @@ impl RunUnit<'_> {
     }
 }
 
-/// Renders a panic payload as a message, the way the default panic hook
-/// does for `&str` and `String` payloads.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Renders a `catch_unwind` payload as a message, the way the default
+/// panic hook does for `&str` and `String` payloads (anything else gets a
+/// fixed description).
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "evaluation panicked (non-string payload)".to_owned()
+        "non-string panic payload".to_owned()
     }
 }
 

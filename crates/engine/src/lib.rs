@@ -61,7 +61,7 @@ pub mod substrates;
 
 pub use cache::ArtifactCache;
 pub use context::{BuildError, DesignContext, ExperimentConfig};
-pub use engine::{Engine, RunResult, RunUnit};
+pub use engine::{panic_message, Engine, RunResult, RunUnit};
 pub use plan::{ExperimentPlan, WorkloadSpec};
 pub use substrates::{
     cycles_with_segment_resets, GateLevelSubstrate, PredictedSubstrate, GATE_BACKEND_LABEL,

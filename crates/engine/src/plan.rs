@@ -12,7 +12,7 @@
 //!     .designs([Design::Isa(IsaConfig::new(32, 8, 0, 0, 4).unwrap())])
 //!     .cprs([0.10])
 //!     .cycles(1_000);
-//! assert_eq!(plan.unit_count(), 1);
+//! assert_eq!((plan.design_list().len(), plan.cpr_list().len()), (1, 1));
 //! ```
 
 use std::sync::Arc;
@@ -113,12 +113,6 @@ impl ExperimentPlan {
         }
     }
 
-    /// Number of independent (design × cpr × workload) runs.
-    #[must_use]
-    pub fn unit_count(&self) -> usize {
-        self.designs.len() * self.cprs.len() * self.workloads.len().max(1)
-    }
-
     /// The design list.
     #[must_use]
     pub fn design_list(&self) -> &[Design] {
@@ -140,7 +134,8 @@ mod tests {
     #[test]
     fn defaults_cover_the_paper_matrix() {
         let plan = ExperimentPlan::new(ExperimentConfig::default());
-        assert_eq!(plan.unit_count(), 12 * 3);
+        assert_eq!(plan.design_list().len(), 12);
+        assert_eq!(plan.cpr_list().len(), 3);
         let workloads = plan.resolved_workloads();
         assert_eq!(workloads.len(), 1);
         assert_eq!(workloads[0].name, "uniform");
@@ -154,8 +149,11 @@ mod tests {
             .cprs([0.15])
             .workload("walk", vec![(1, 2), (3, 4)])
             .workload("ones", vec![(u64::MAX, 1)]);
-        assert_eq!(plan.unit_count(), 2);
-        assert_eq!(plan.resolved_workloads()[1].name, "ones");
+        assert_eq!(plan.design_list().len(), 1);
+        assert_eq!(plan.cpr_list(), &[0.15]);
+        let workloads = plan.resolved_workloads();
+        assert_eq!(workloads.len(), 2);
+        assert_eq!(workloads[1].name, "ones");
     }
 
     #[test]

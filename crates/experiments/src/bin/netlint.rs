@@ -26,6 +26,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use isa_core::IsaConfig;
 use isa_engine::{BuildError, DesignContext, ExperimentConfig};
 use isa_experiments::{arg_value, cli_args, engine_from_args, sweep, write_output};
 use isa_obs::Json;
@@ -41,7 +42,7 @@ struct Linted {
 
 fn main() {
     let args = cli_args("netlint [--seeds-only] [--width N] [--threads N] [--json PATH]");
-    let width = sweep::width_arg(&args, 32);
+    let width = sweep::width_arg(&args, 32, IsaConfig::MAX_WIDTH);
     let seeds_only = args.iter().any(|a| a == "--seeds-only");
     let engine = engine_from_args(&args);
     let designs = sweep::designs(width, seeds_only);

@@ -191,7 +191,8 @@ fn energy_mismatch(ctx: &DesignContext, inputs: &[(u64, u64)], period_ps: f64) -
 
 fn main() {
     let args = cli_args("prove [--seeds-only] [--width N] [--threads N] [--json PATH]");
-    let width = sweep::width_arg(&args, 16);
+    // The moment cross-check counts at most 32-bit designs.
+    let width = sweep::width_arg(&args, 16, DesignAnalysis::MAX_WIDTH);
     let seeds_only = args.iter().any(|a| a == "--seeds-only");
     let engine = engine_from_args(&args);
     let designs = sweep::designs(width, seeds_only);

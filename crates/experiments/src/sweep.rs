@@ -4,23 +4,20 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use isa_core::{enumerate_quadruples, paper_designs, Design, IsaConfig};
+use isa_core::{enumerate_quadruples, paper_designs, Design};
 use isa_engine::{Engine, ExperimentConfig, WorkloadSpec};
 
 use crate::{arg_value, cli_error};
 
 /// The grid width a sweep covers: `--width W`, or `default` without the
-/// flag. A width outside `1..=IsaConfig::MAX_WIDTH` has no grid, so it
-/// exits through [`cli_error`] before any work instead of sweeping the
-/// seeds alone.
+/// flag. A width outside `1..=max` (the widest design the sweep can
+/// check) exits through [`cli_error`] before any work instead of failing
+/// on every design.
 #[must_use]
-pub fn width_arg(args: &[String], default: u32) -> u32 {
+pub fn width_arg(args: &[String], default: u32, max: u32) -> u32 {
     let width = arg_value(args, "width").unwrap_or(default);
-    if !(1..=IsaConfig::MAX_WIDTH).contains(&width) {
-        cli_error(format_args!(
-            "--width: must be in 1..={}, got {width}",
-            IsaConfig::MAX_WIDTH
-        ));
+    if !(1..=max).contains(&width) {
+        cli_error(format_args!("--width: must be in 1..={max}, got {width}"));
     }
     width
 }

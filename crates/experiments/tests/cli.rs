@@ -71,5 +71,13 @@ fn unknown_flags_and_out_of_range_values_are_usage_errors() {
             assert_usage_error(bin, &["--width", width], "--width");
         }
     }
+    // The exact moments `prove` cross-checks stop at 32 bits.
+    for width in ["33", "63"] {
+        assert_usage_error(
+            env!("CARGO_BIN_EXE_prove"),
+            &["--width", width],
+            &format!("--width: must be in 1..=32, got {width}"),
+        );
+    }
     assert_usage_error(env!("CARGO_BIN_EXE_workloads"), &["--cpr", "100"], "--cpr");
 }

@@ -13,8 +13,8 @@
 //! exact structural PSNR ceiling. The exact full-input-space error RMS
 //! over all `2^(2W)` operand pairs ([`isa_core::DesignAnalysis`], a
 //! per-bit dynamic program of a few microseconds per design) is recorded
-//! alongside for reports; it covers every design, speculate-at-1 and
-//! overlapping compensation included. A candidate whose structural bound
+//! alongside for reports; it covers every design, overlapping
+//! compensation included. A candidate whose structural bound
 //! is already strictly dominated by a *reference* — a certain
 //! configuration's bound or a simulated candidate's measured objectives —
 //! is pruned without ever simulating it.
@@ -164,8 +164,7 @@ struct DesignInfo {
     /// run over the actual workload (stream: joint RMS relative-error
     /// percent with zero timing error; kernel: negated structural PSNR
     /// dB). This *is* the candidate's objective when no timing errors
-    /// occur, for every design — guess-One and overlapping compensation
-    /// included.
+    /// occur, for every design — overlapping compensation included.
     model_error: f64,
     /// Exact full-input-space structural error RMS over all `2^(2W)`
     /// operand pairs ([`DesignAnalysis`]) — the workload-independent
@@ -458,7 +457,7 @@ fn characterize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isa_core::{IsaConfig, SpecGuess};
+    use isa_core::IsaConfig;
 
     fn point(quad: (u32, u32, u32, u32), cpr: f64) -> DesignPoint {
         DesignPoint {
@@ -565,14 +564,10 @@ mod tests {
 
     #[test]
     fn bounds_are_exact_for_every_design_including_former_model_gaps() {
-        // Speculate-at-1 and overlapping-compensation designs get real
-        // bounds too: the stream bound is the behavioural model on the
-        // actual workload and the full-space RMS is the exact moment
-        // program (`DesignAnalysis`), both exact for *every* design.
-        let guess_one = DesignPoint {
-            design: Design::Isa(IsaConfig::with_guess(32, 8, 0, 0, 0, SpecGuess::One).unwrap()),
-            cpr: 0.0,
-        };
+        // Overlapping-compensation designs get real bounds too: the
+        // stream bound is the behavioural model on the actual workload and
+        // the full-space RMS is the exact moment program
+        // (`DesignAnalysis`), both exact for *every* design.
         let overlapping = DesignPoint {
             // C + R = 9 > B = 8: overlapping compensation, feasible at
             // the default 300 ps constraint.
@@ -583,43 +578,38 @@ mod tests {
             design: Design::Exact { width: 32 },
             cpr: 0.0,
         };
-        let evals = evaluate_on(1, 600, true, &[guess_one, overlapping, exact]);
-        assert_eq!(evals.len(), 3);
-        for e in &evals[..2] {
-            assert!(
-                e.model_error > 0.0 && e.exact_struct_rms > 0.0,
-                "{}: formerly out-of-domain design must get a real bound",
-                e.point.label()
-            );
-            // Timing-safe at the safe clock: the measured error IS the
-            // structural bound.
-            assert!(e.timing_safe);
-            assert!((e.error.unwrap() - e.model_error).abs() < 1e-9);
-        }
-        assert_eq!(evals[2].model_error, 0.0);
-        assert_eq!(evals[2].exact_struct_rms, 0.0);
+        let evals = evaluate_on(1, 600, true, &[overlapping, exact]);
+        assert_eq!(evals.len(), 2);
+        let e = &evals[0];
+        assert!(
+            e.model_error > 0.0 && e.exact_struct_rms > 0.0,
+            "{}: formerly out-of-domain design must get a real bound",
+            e.point.label()
+        );
+        // Timing-safe at the safe clock: the measured error IS the
+        // structural bound.
+        assert!(e.timing_safe);
+        assert!((e.error.unwrap() - e.model_error).abs() < 1e-9);
+        assert_eq!(evals[1].model_error, 0.0);
+        assert_eq!(evals[1].exact_struct_rms, 0.0);
     }
 
     #[test]
     fn inaccurate_certain_reference_cannot_prune_accurate_candidates() {
-        // Speculate-at-1 (8,0,0,0) was the pre-PR8 poison case: outside
-        // the analytical model's domain, its bound fell back to 0, and
-        // only a `model_trusted` flag kept it from pruning everything
-        // behind it. Its bound is now its *exact* on-stream error — which
-        // is enormous (every block boundary guesses a spurious carry) —
-        // so the cross-design rule rejects it arithmetically, no flag
-        // needed. It is cheap, timing-safe and evaluated FIRST.
-        let inaccurate = DesignPoint {
-            design: Design::Isa(IsaConfig::with_guess(32, 8, 0, 0, 0, SpecGuess::One).unwrap()),
-            // Die crit 257.3 ps: certain at 10 % CPR (270 ps).
-            cpr: 0.10,
-        };
+        // (8,0,0,0) is the cheapest paper design and the least accurate
+        // (0.88 % structural RMS). At 10 % CPR (270 ps) its period still
+        // exceeds its critical delay (248.5 ps nominal in the design
+        // table), so it is certain: its bound joins the references before
+        // any candidate is visited, and it is as fast as or faster than
+        // both candidates below. Its bound is its *exact* on-stream
+        // error, so the dominance rule rejects it on the error axis
+        // alone: no flag or trust level is needed.
         let evals = evaluate_on(
             1,
             800,
             true,
             &[
-                inaccurate,
+                point((8, 0, 0, 0), 0.10),
                 point((16, 7, 0, 8), 0.10),
                 point((16, 2, 1, 6), 0.05),
             ],

@@ -13,23 +13,7 @@
 //! The model "does not directly generate arithmetic values, it only
 //! generates timing-class vectors, which are arrays of bit-flip positions,
 //! and deduces the corresponding ysilver compared to the expected output
-//! ygold" — see [`predicted_silver`].
-
-/// Deduces the predicted overclocked output from the golden output and a
-/// predicted timing-class (bit-flip) mask, as the paper's model does.
-///
-/// # Examples
-///
-/// ```
-/// use isa_metrics::avpe::predicted_silver;
-///
-/// // Predicting a flip on bit 2 of a golden 0b0110 yields 0b0010.
-/// assert_eq!(predicted_silver(0b0110, 0b0100), 0b0010);
-/// ```
-#[must_use]
-pub fn predicted_silver(gold: u64, predicted_flips: u64) -> u64 {
-    gold ^ predicted_flips
-}
+//! ygold": the predicted `ysilver` is `ygold` XOR the predicted flip mask.
 
 /// Streaming AVPE accumulator.
 ///
@@ -134,12 +118,6 @@ mod tests {
     fn zero_real_value_uses_unit_denominator() {
         assert_eq!(avpe(&[3], &[0]), 3.0);
         assert_eq!(avpe(&[0], &[0]), 0.0);
-    }
-
-    #[test]
-    fn predicted_silver_applies_flips() {
-        assert_eq!(predicted_silver(0b1111, 0b0101), 0b1010);
-        assert_eq!(predicted_silver(42, 0), 42);
     }
 
     #[test]

@@ -3,25 +3,23 @@
 //! Each speculative path instantiates:
 //!
 //! * a **SPEC** carry speculator: a balanced carry-lookahead tree over the
-//!   `S` operand bits below the path (group generate, plus the group
-//!   propagate term when speculating at 1);
+//!   `S` operand bits below the path, whose group generate is the carry
+//!   speculated at 0;
 //! * a **sub-ADD**: any of the adder topologies from this crate, taking the
 //!   speculated carry as carry-in;
-//! * a **COMP** block implementing the ISA's dual-direction compensation:
-//!   fault detection (`SPEC` vs previous sub-ADD carry-out), a `C`-bit LSB
-//!   increment (speculate-at-0) or decrement (speculate-at-1) chain with
-//!   internal-overflow detection, and an `R`-bit reduction forcing the
-//!   preceding sum's MSBs to ones (missed carry) or zeros (spurious carry).
+//! * a **COMP** block: fault detection (`SPEC` vs previous sub-ADD
+//!   carry-out; a fault is always a missed carry), a `C`-bit LSB increment
+//!   chain with internal-overflow detection, and an `R`-bit reduction
+//!   forcing the preceding sum's MSBs to ones.
 //!
 //! The produced netlist is bit-equivalent to
-//! [`isa_core::SpeculativeAdder`] for **both** speculation guesses — an
-//! invariant enforced by this module's tests and the cross-crate
-//! integration suite.
+//! [`isa_core::SpeculativeAdder`] — an invariant enforced by this module's
+//! tests, the cross-crate integration suite and the `prove` sweep.
 
 use std::error::Error;
 use std::fmt;
 
-use isa_core::{IsaConfig, SpecGuess};
+use isa_core::IsaConfig;
 
 use crate::graph::{NetId, NetlistBuilder};
 
@@ -71,25 +69,18 @@ fn gp_tree(b: &mut NetlistBuilder, g: &[NetId], p: &[NetId]) -> (NetId, NetId) {
 }
 
 /// Builds the SPEC block: the speculated carry into the path starting at
-/// `boundary`, looking at the `s` bits below it.
-///
-/// Speculating at 0 the output is the window's group generate `G`; at 1 it
-/// is `G | P` (an undetermined full-propagate window guesses a carry).
-/// Returns `None` when the carry is the constant implied by the guess
-/// (`s = 0`), letting the sub-adder drop its carry-in logic for guess 0.
+/// `boundary`, the group generate `G` of the `s` bits below it (a window
+/// that only propagates speculates 0). Returns `None` for `s = 0`, where
+/// the carry is constant 0, letting the sub-adder drop its carry-in logic.
 fn build_spec(
     b: &mut NetlistBuilder,
     a_bits: &[NetId],
     b_bits: &[NetId],
     boundary: usize,
     s: usize,
-    guess: SpecGuess,
 ) -> Option<NetId> {
     if s == 0 {
-        return match guess {
-            SpecGuess::Zero => None,
-            SpecGuess::One => Some(b.const1()),
-        };
+        return None;
     }
     let window = boundary - s..boundary;
     let g: Vec<NetId> = window
@@ -97,16 +88,11 @@ fn build_spec(
         .map(|i| b.and2(a_bits[i], b_bits[i]))
         .collect();
     let p: Vec<NetId> = window.map(|i| b.xor2(a_bits[i], b_bits[i])).collect();
-    let (gen, prop) = gp_tree(b, &g, &p);
-    Some(match guess {
-        SpecGuess::Zero => gen,
-        SpecGuess::One => b.or2(gen, prop),
-    })
+    Some(gp_tree(b, &g, &p).0)
 }
 
 /// Builds the gate-level ISA for a configuration, using `topology` for
-/// every sub-ADD block. Supports both speculation guesses (the ISA's
-/// dual-direction compensation).
+/// every sub-ADD block.
 ///
 /// # Errors
 ///
@@ -121,19 +107,20 @@ pub fn build(cfg: &IsaConfig, topology: AdderTopology) -> Result<AdderNetlist, I
         });
     }
     let width = cfg.width();
-    let guess = cfg.guess();
     let paths = cfg.num_paths() as usize;
     let bsz = bsz as usize;
     let c = cfg.correction() as usize;
     let r = cfg.reduction() as usize;
 
+    // The `_g0` segment names the speculated carry. Every design
+    // speculates at 0, but the name reaches netlint reports and exported
+    // Verilog and SDF files, so it keeps the segment.
     let mut b = NetlistBuilder::new(format!(
-        "isa_{}_{}_{}_{}_g{}_w{width}_{}",
+        "isa_{}_{}_{}_{}_g0_w{width}_{}",
         cfg.block_size(),
         cfg.spec_size(),
         cfg.correction(),
         cfg.reduction(),
-        guess,
         topology.name()
     ));
     let a_bits = b.input_bus("a", width);
@@ -148,14 +135,7 @@ pub fn build(cfg: &IsaConfig, topology: AdderTopology) -> Result<AdderNetlist, I
         let cin = if k == 0 {
             None
         } else {
-            build_spec(
-                &mut b,
-                &a_bits,
-                &b_bits,
-                lo,
-                cfg.spec_size() as usize,
-                guess,
-            )
+            build_spec(&mut b, &a_bits, &b_bits, lo, cfg.spec_size() as usize)
         };
         spec.push(cin);
         let (sums, cout) =
@@ -164,14 +144,14 @@ pub fn build(cfg: &IsaConfig, topology: AdderTopology) -> Result<AdderNetlist, I
         couts.push(cout);
     }
 
-    // Phase 2: COMP per boundary — fault detect + C-bit correction. With
-    // speculate-at-0 every fault is a missed carry (+1, increment); with
-    // speculate-at-1 every fault is a spurious carry (-1, decrement).
+    // Phase 2: COMP per boundary — fault detect + C-bit correction. The
+    // SPEC carry never exceeds the previous carry-out, so every fault is a
+    // missed carry (+1, increment).
     let mut final_sums = raw_sums.clone();
     let mut forces: Vec<Option<NetId>> = vec![None; paths];
     for k in 1..paths {
         let prev_cout = couts[k - 1];
-        // fault = spec XOR prev_cout (spec absent = constant-0 guess).
+        // fault = spec XOR prev_cout (spec absent = constant 0).
         let fault = match spec[k] {
             None => prev_cout,
             Some(s) => b.xor2(s, prev_cout),
@@ -179,30 +159,17 @@ pub fn build(cfg: &IsaConfig, topology: AdderTopology) -> Result<AdderNetlist, I
         if c > 0 {
             let group: Vec<NetId> = raw_sums[k][..c].to_vec();
             // Internal-overflow detection: incrementing is impossible iff
-            // the group is all ones; decrementing iff it is all zeros.
-            let blocked = match guess {
-                SpecGuess::Zero => b.reduce_tree(&group, |bb, l, r| bb.and2(l, r)),
-                SpecGuess::One => {
-                    let any = b.reduce_tree(&group, |bb, l, r| bb.or2(l, r));
-                    b.inv(any)
-                }
-            };
+            // the group is all ones.
+            let blocked = b.reduce_tree(&group, |bb, l, r| bb.and2(l, r));
             let not_blocked = b.inv(blocked);
             let enable = b.and2(fault, not_blocked);
             // Increment chain: t propagates while the bit was 1.
-            // Decrement chain: borrow propagates while the bit was 0.
             let mut t = enable;
             for i in 0..c {
                 let raw = raw_sums[k][i];
                 final_sums[k][i] = b.xor2(raw, t);
                 if i + 1 < c {
-                    t = match guess {
-                        SpecGuess::Zero => b.and2(t, raw),
-                        SpecGuess::One => {
-                            let raw_n = b.inv(raw);
-                            b.and2(t, raw_n)
-                        }
-                    };
+                    t = b.and2(t, raw);
                 }
             }
             if r > 0 {
@@ -214,22 +181,12 @@ pub fn build(cfg: &IsaConfig, topology: AdderTopology) -> Result<AdderNetlist, I
         // c == 0 && r == 0: the error stands, no hardware.
     }
 
-    // Phase 3: R-bit reduction forces the preceding sum's MSBs: to ones for
-    // a missed carry (guess 0), to zeros for a spurious one (guess 1).
+    // Phase 3: R-bit reduction forces the preceding sum's MSBs to ones
+    // where the missed carry stands.
     for k in 1..paths {
         if let Some(force) = forces[k] {
-            match guess {
-                SpecGuess::Zero => {
-                    for slot in final_sums[k - 1][bsz - r..].iter_mut() {
-                        *slot = b.or2(*slot, force);
-                    }
-                }
-                SpecGuess::One => {
-                    let keep = b.inv(force);
-                    for slot in final_sums[k - 1][bsz - r..].iter_mut() {
-                        *slot = b.and2(*slot, keep);
-                    }
-                }
+            for slot in final_sums[k - 1][bsz - r..].iter_mut() {
+                *slot = b.or2(*slot, force);
             }
         }
     }
@@ -327,42 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn speculate_at_one_matches_behavioural() {
-        // Dual-direction compensation: decrement correction + force-to-zero
-        // reduction, across several (C, R) combinations.
-        for (c, r) in [(0u32, 0u32), (0, 2), (0, 4), (1, 4), (2, 6), (8, 8)] {
-            let cfg = IsaConfig::with_guess(32, 8, 0, c, r, SpecGuess::One).unwrap();
-            let behavioural = SpeculativeAdder::new(cfg);
-            let gate = build(&cfg, AdderTopology::Ripple).unwrap();
-            for &(a, b) in &random_pairs(400, 32) {
-                assert_eq!(
-                    gate.add(a, b),
-                    behavioural.add(a, b),
-                    "cfg {cfg} guess 1 a={a:#x} b={b:#x}"
-                );
-            }
-            // Directed: all-zero operands maximize spurious carries.
-            assert_eq!(gate.add(0, 0), behavioural.add(0, 0), "cfg {cfg}");
-        }
-    }
-
-    #[test]
-    fn speculate_at_one_with_window_matches_behavioural() {
-        for s in [1u32, 2, 4, 7] {
-            let cfg = IsaConfig::with_guess(32, 8, s, 1, 4, SpecGuess::One).unwrap();
-            let behavioural = SpeculativeAdder::new(cfg);
-            let gate = build(&cfg, AdderTopology::Cla4).unwrap();
-            for &(a, b) in &random_pairs(300, 32) {
-                assert_eq!(
-                    gate.add(a, b),
-                    behavioural.add(a, b),
-                    "cfg {cfg} S={s} a={a:#x} b={b:#x}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn incompatible_topology_is_rejected() {
         // Brent-Kung requires power-of-two blocks; 12-bit blocks are not.
         let cfg = IsaConfig::new(48, 12, 0, 0, 0).unwrap();
@@ -383,12 +304,9 @@ mod tests {
     }
 
     #[test]
-    fn netlist_name_encodes_design_and_guess() {
+    fn netlist_name_encodes_design() {
         let cfg = IsaConfig::new(32, 8, 0, 0, 4).unwrap();
         let gate = build(&cfg, AdderTopology::Ripple).unwrap();
-        assert!(gate.netlist().name().contains("isa_8_0_0_4_g0"));
-        let cfg1 = IsaConfig::with_guess(32, 8, 0, 0, 4, SpecGuess::One).unwrap();
-        let gate1 = build(&cfg1, AdderTopology::Ripple).unwrap();
-        assert!(gate1.netlist().name().contains("g1"));
+        assert_eq!(gate.netlist().name(), "isa_8_0_0_4_g0_w32_ripple");
     }
 }

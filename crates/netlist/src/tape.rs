@@ -398,12 +398,6 @@ impl InstructionTape {
         &self.runs
     }
 
-    /// Number of kind-major dispatch runs.
-    #[must_use]
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
     /// Arena size in plane slots (equals the netlist's net count).
     #[must_use]
     pub fn slot_count(&self) -> usize {
@@ -699,7 +693,7 @@ mod tests {
                 // Prefix levels are wide and kind-uniform: dispatch runs
                 // must batch many cells each.
                 assert!(
-                    tape.run_count() * 2 < tape.op_count(),
+                    tape.runs().len() * 2 < tape.op_count(),
                     "kind-major merging should batch dispatches"
                 );
             }

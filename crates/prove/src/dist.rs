@@ -293,13 +293,8 @@ mod tests {
 
     #[test]
     fn matches_exhaustive_enumeration_exactly() {
-        for (b, s, c, r, guess) in [
-            (4, 0, 0, 0, isa_core::SpecGuess::Zero),
-            (4, 2, 1, 2, isa_core::SpecGuess::Zero),
-            (2, 1, 1, 1, isa_core::SpecGuess::One),
-            (4, 4, 0, 2, isa_core::SpecGuess::One),
-        ] {
-            let cfg = IsaConfig::with_guess(8, b, s, c, r, guess).unwrap();
+        for (b, s, c, r) in [(4, 0, 0, 0), (4, 2, 1, 2), (2, 1, 1, 1), (4, 4, 0, 2)] {
+            let cfg = IsaConfig::new(8, b, s, c, r).unwrap();
             let design = Design::Isa(cfg);
             let dist = ErrorDistribution::analyze(&design);
             let (zeros, sum, sum2, max_e, min_e) = exhaustive(&design);
@@ -334,12 +329,9 @@ mod tests {
     #[test]
     fn matches_the_moment_program_exactly() {
         // The per-bit program in isa-core counts the same integers at 16
-        // bits, for both guesses and with overlapping compensation.
-        for (c, r, guess) in [
-            (1, 2, isa_core::SpecGuess::Zero),
-            (3, 2, isa_core::SpecGuess::One),
-        ] {
-            let design = Design::Isa(IsaConfig::with_guess(16, 4, 2, c, r, guess).unwrap());
+        // bits, with and without overlapping compensation.
+        for (c, r) in [(1, 2), (3, 2)] {
+            let design = Design::Isa(IsaConfig::new(16, 4, 2, c, r).unwrap());
             let dist = ErrorDistribution::analyze(&design);
             assert_eq!(
                 *dist.moments(),

@@ -139,9 +139,6 @@ mod tests {
             let cfg = IsaConfig::new(6, quad.0, quad.1, quad.2, quad.3).unwrap();
             check_against_scalar(&Design::Isa(cfg));
         }
-        // Guess-One speculation takes a different SPEC branch; cover it too.
-        let one = IsaConfig::with_guess(6, 3, 2, 1, 1, isa_core::SpecGuess::One).unwrap();
-        check_against_scalar(&Design::Isa(one));
     }
 
     #[test]

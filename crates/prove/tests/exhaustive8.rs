@@ -7,12 +7,12 @@
 //! integer-equal to exhaustive enumeration and the RMS is
 //! **bitwise**-equal to the float computed from the enumerated sum of
 //! squares. The moment program must then equal the model counts on every
-//! valid 8-bit design under both guesses and on the paper's 32-bit
-//! designs, where enumeration cannot reach.
+//! valid 8-bit design and on the paper's 32-bit designs, where
+//! enumeration cannot reach.
 
 use isa_core::{
-    paper_isa_configs, Adder, Design, DesignAnalysis, ExactAdder, IsaConfig, SpecGuess,
-    SpeculativeAdder, PAPER_QUADRUPLES,
+    paper_isa_configs, Adder, Design, DesignAnalysis, ExactAdder, IsaConfig, SpeculativeAdder,
+    PAPER_QUADRUPLES,
 };
 use isa_prove::ErrorDistribution;
 
@@ -99,34 +99,27 @@ fn miniature_rule_matches_the_core_harness() {
 fn assert_program_matches_bdd(design: &Design) {
     let bdd = *ErrorDistribution::analyze_with_pmf_cap(design, 0).moments();
     let program = DesignAnalysis::analyze(design);
-    assert_eq!(
-        program,
-        bdd,
-        "{design} guess {:?}",
-        design.isa_config().map(IsaConfig::guess)
-    );
+    assert_eq!(program, bdd, "{design}");
     assert_eq!(program.rms_error().to_bits(), bdd.rms_error().to_bits());
 }
 
 #[test]
 fn moment_program_matches_bdd_on_every_8bit_design() {
     // Every block size, window, correction and reduction, overlapping
-    // compensation included, under both guesses.
+    // compensation included.
     let mut checked = 0;
     for b in [1u32, 2, 4, 8] {
         for s in 0..=b {
             for c in 0..=b {
                 for r in 0..=b {
-                    for guess in [SpecGuess::Zero, SpecGuess::One] {
-                        let cfg = IsaConfig::with_guess(8, b, s, c, r, guess).unwrap();
-                        assert_program_matches_bdd(&Design::Isa(cfg));
-                        checked += 1;
-                    }
+                    let cfg = IsaConfig::new(8, b, s, c, r).unwrap();
+                    assert_program_matches_bdd(&Design::Isa(cfg));
+                    checked += 1;
                 }
             }
         }
     }
-    assert_eq!(checked, 1778);
+    assert_eq!(checked, 889);
 }
 
 #[test]

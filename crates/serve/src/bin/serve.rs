@@ -16,6 +16,8 @@
 //!
 //! * `--store DIR` — content-addressed on-disk result store (off by
 //!   default; strongly recommended for repeated traffic);
+//! * `--threads N` — worker threads for intra-request fan-out (default:
+//!   the available parallelism);
 //! * `--workers N` — concurrent request evaluations (default 2);
 //! * `--queue-cap N` — admission bound; overflow is shed with a
 //!   retriable error (default 64);
@@ -30,6 +32,9 @@
 //! * `--trace PATH` — append structured JSONL span events (fold with
 //!   `trace-summary PATH`).
 //!
+//! A count (`--threads`, `--workers`, `--queue-cap`, `--artifact-cap`,
+//! `--metrics-period-ms`) of 0 is a usage error (exit 2), not a 1.
+//!
 //! Observability is strictly out-of-band: response bytes are identical
 //! with or without `--metrics-file`/`--trace` (the chaos battery pins
 //! this).
@@ -39,6 +44,7 @@
 
 use std::io;
 use std::process::exit;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use isa_engine::ExperimentConfig;
@@ -54,7 +60,7 @@ fn usage() -> ! {
 }
 
 /// `--name value` lookup; exits with usage on a malformed value.
-fn arg<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+fn arg<T: FromStr>(args: &[String], name: &str) -> Option<T> {
     let i = args.iter().position(|a| a == name)?;
     let Some(raw) = args.get(i + 1) else {
         eprintln!("error: {name} needs a value");
@@ -67,6 +73,17 @@ fn arg<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
             usage();
         }
     }
+}
+
+/// A count flag, `default` without it; exits with usage on 0, which the
+/// service would otherwise run as 1.
+fn count_arg<T: FromStr + From<u8> + PartialEq>(args: &[String], name: &str, default: T) -> T {
+    let value = arg(args, name).unwrap_or(default);
+    if value == T::from(0) {
+        eprintln!("error: {name}: must be at least 1, got 0");
+        usage();
+    }
+    value
 }
 
 fn main() {
@@ -94,6 +111,16 @@ fn main() {
         }
     }
 
+    let threads = count_arg(
+        &args,
+        "--threads",
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+    );
+    let artifact_cap = count_arg(&args, "--artifact-cap", 64);
+    let workers: usize = count_arg(&args, "--workers", 2);
+    let queue_cap: usize = count_arg(&args, "--queue-cap", 64);
+    let metrics_period_ms: u64 = count_arg(&args, "--metrics-period-ms", 2000);
+
     let quiet = args.iter().any(|a| a == "--quiet");
     let logger = isa_obs::Logger::new("isa-serve").quiet(quiet);
 
@@ -111,21 +138,16 @@ fn main() {
     };
 
     let cfg = ServeConfig {
-        threads: arg(&args, "--threads").unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        }),
-        artifact_cap: arg(&args, "--artifact-cap").unwrap_or(64),
+        threads,
+        artifact_cap,
         sim_budget: arg(&args, "--sim-budget"),
         store_dir: arg::<String>(&args, "--store").map(Into::into),
         config: ExperimentConfig::default(),
         faults,
         quiet,
     };
-    let workers: usize = arg(&args, "--workers").unwrap_or(2);
-    let queue_cap: usize = arg(&args, "--queue-cap").unwrap_or(64);
     let socket: Option<String> = arg(&args, "--socket");
     let metrics_file: Option<String> = arg(&args, "--metrics-file");
-    let metrics_period_ms: u64 = arg(&args, "--metrics-period-ms").unwrap_or(2000);
     let trace_file: Option<String> = arg(&args, "--trace");
 
     if let Some(path) = &trace_file {
@@ -149,7 +171,7 @@ fn main() {
         let producer = Arc::clone(&service);
         isa_obs::export::Flusher::spawn(
             std::path::PathBuf::from(path),
-            std::time::Duration::from_millis(metrics_period_ms.max(1)),
+            std::time::Duration::from_millis(metrics_period_ms),
             move || {
                 let merged = producer
                     .registry()

@@ -51,16 +51,3 @@ pub use store::{ResultStore, StoreGet};
 
 #[cfg(unix)]
 pub use service::serve_unix;
-
-/// Renders a `catch_unwind` payload as text (panics carry `&str` or
-/// `String` in practice; anything else gets a fixed description).
-#[must_use]
-pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}

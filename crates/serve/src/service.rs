@@ -449,7 +449,7 @@ impl Service {
             Ok(Err(msg)) => Err((false, msg)),
             Err(payload) => {
                 self.counters.eval_panics.inc();
-                let msg = crate::panic_text(payload.as_ref());
+                let msg = isa_engine::panic_message(payload.as_ref());
                 self.log(&format!("evaluation panicked (isolated): {msg}"));
                 Err((true, format!("evaluation panicked: {msg}")))
             }

@@ -61,12 +61,6 @@ impl Waveform {
         &self.transitions
     }
 
-    /// Recording start time in femtoseconds.
-    #[must_use]
-    pub fn start_fs(&self) -> u64 {
-        self.start_fs
-    }
-
     /// Number of transitions on one net.
     #[must_use]
     pub fn transition_count(&self, net: NetId) -> usize {
