@@ -158,9 +158,7 @@ pub fn run_exact(kernel: &dyn Kernel) -> KernelRun {
 pub fn run_behavioural(kernel: &dyn Kernel, design: &Design) -> KernelRun {
     assert_eq!(design.width(), kernel.width(), "design/kernel width");
     let gold = design.behavioural();
-    run_with(kernel, &mut |ops| {
-        ops.iter().map(|&(a, b)| gold.add(a, b)).collect()
-    })
+    run_with(kernel, &mut |ops| gold.add_batch(ops))
 }
 
 /// Runs a kernel on a substrate: every breadth-first pass is one

@@ -71,6 +71,6 @@ pub use designs::{
 pub use error::OutputTriple;
 pub use isa::{Compensation, IsaAddition, PathOutcome, SpeculativeAdder};
 pub use multiplier::{ExactMultiplier, Multiplier, SpeculativeMultiplier};
-pub use plane::{ripple_add_planes_in, PlaneAlgebra, WordPlanes};
+pub use plane::{ripple_add_planes_in, ChunkPlanes, PlaneAlgebra, WordPlanes};
 pub use stats::ErrorStats;
 pub use substrate::Substrate;

@@ -1,19 +1,22 @@
-//! The plane algebra abstraction behind the bit-sliced behavioural model.
+//! The plane algebra: one bitwise interface for every evaluator.
 //!
-//! [`SpeculativeAdder::add_planes`](crate::SpeculativeAdder::add_planes)
-//! evaluates the ISA as pure bitwise recurrences over *planes* — one value
-//! per operand bit position. Nothing in that algorithm depends on a plane
-//! being a `u64` of 64 parallel lanes; it only needs the Boolean operations.
-//! [`PlaneAlgebra`] captures exactly that interface, so one implementation of
-//! the ISA recurrences serves two instantiations:
+//! The ISA spec ([`SpeculativeAdder::add_planes_in`](crate::SpeculativeAdder::add_planes_in))
+//! and the cell truth table (`isa_netlist::CellKind::eval_in`) are written
+//! once as bitwise recurrences over *planes*: one value per signal. Neither
+//! depends on what a plane is; they only need the Boolean operations that
+//! [`PlaneAlgebra`] names. Three instances serve the whole stack:
 //!
-//! * [`WordPlanes`] (`Plane = u64`) — the SIMD-within-a-register hot path
-//!   used by [`Adder::add_batch`](crate::Adder::add_batch). Monomorphisation
-//!   makes this identical to hand-written bitwise code.
-//! * A BDD manager (`Plane =` BDD node, in `isa-prove`) — the *symbolic*
-//!   instantiation, which turns the very same spec code into canonical
-//!   decision diagrams covering all `2^(2W)` operand pairs at once. Formal
-//!   equivalence checks then compare synthesized netlists against the actual
+//! * [`WordPlanes`] (`Plane = u64`): 64 parallel lanes per plane. It runs
+//!   [`Adder::add_batch`](crate::Adder::add_batch), the netlist
+//!   interpreter and the timed-tape seeding. Monomorphisation makes this
+//!   identical to hand-written bitwise code.
+//! * [`ChunkPlanes`] (`Plane = [u64; C]`): `C` words of 64 lanes in
+//!   lockstep. The instruction tape's production sweeps run on it, and
+//!   each operation compiles to one 256-bit vector op at `C = 4`.
+//! * A BDD manager (`Plane =` BDD node, in `isa-prove`): the *symbolic*
+//!   instance. The same spec and cell code yield canonical decision
+//!   diagrams covering all `2^(2W)` operand pairs at once, so formal
+//!   equivalence checks compare synthesized netlists against the actual
 //!   behavioural algorithm, not a re-implementation of it.
 
 /// Boolean algebra over bit planes.
@@ -45,6 +48,14 @@ pub trait PlaneAlgebra {
     fn andn(&mut self, x: &Self::Plane, y: &Self::Plane) -> Self::Plane {
         let ny = self.not(y);
         self.and(x, &ny)
+    }
+
+    /// Multiplexer `sel ? t : f`; the default computes
+    /// `(t & sel) | (f & !sel)`.
+    fn mux(&mut self, sel: &Self::Plane, t: &Self::Plane, f: &Self::Plane) -> Self::Plane {
+        let hi = self.and(t, sel);
+        let lo = self.andn(f, sel);
+        self.or(&hi, &lo)
     }
 
     /// Debug hook asserting a plane is provably false. The concrete word
@@ -95,6 +106,40 @@ impl PlaneAlgebra for WordPlanes {
     }
 }
 
+/// The chunked word algebra: each `[u64; C]` plane carries `C`
+/// independent 64-lane words, combined element by element.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChunkPlanes<const C: usize>;
+
+impl<const C: usize> PlaneAlgebra for ChunkPlanes<C> {
+    type Plane = [u64; C];
+
+    #[inline(always)]
+    fn zero(&mut self) -> [u64; C] {
+        [0; C]
+    }
+    #[inline(always)]
+    fn one(&mut self) -> [u64; C] {
+        [u64::MAX; C]
+    }
+    #[inline(always)]
+    fn not(&mut self, x: &[u64; C]) -> [u64; C] {
+        x.map(|w| !w)
+    }
+    #[inline(always)]
+    fn and(&mut self, x: &[u64; C], y: &[u64; C]) -> [u64; C] {
+        std::array::from_fn(|i| x[i] & y[i])
+    }
+    #[inline(always)]
+    fn or(&mut self, x: &[u64; C], y: &[u64; C]) -> [u64; C] {
+        std::array::from_fn(|i| x[i] | y[i])
+    }
+    #[inline(always)]
+    fn xor(&mut self, x: &[u64; C], y: &[u64; C]) -> [u64; C] {
+        std::array::from_fn(|i| x[i] ^ y[i])
+    }
+}
+
 /// Exact ripple-carry addition over planes: `width + 1` result planes
 /// (carry-out last) from `width` operand planes each.
 ///
@@ -138,6 +183,7 @@ mod tests {
         assert_eq!(w.or(&x, &y), 0b1110);
         assert_eq!(w.xor(&x, &y), 0b0110);
         assert_eq!(w.andn(&x, &y), 0b0100);
+        assert_eq!(w.mux(&x, &y, &0b0110), 0b1010);
         assert_eq!(w.not(&0), u64::MAX);
         assert_eq!(w.zero(), 0);
         assert_eq!(w.one(), u64::MAX);

@@ -7,8 +7,10 @@
 //! simulated error minus bound, front size, wall time). `--no-prefilter`
 //! simulates every feasible candidate; its Pareto front must equal the
 //! pre-filtered one (CI diffs the `on_front` rows of both CSVs). An
-//! unknown space, workload or kernel name, and a zero count, exit with
-//! status 2 before any work.
+//! unknown space, workload or kernel name, a zero count, a non-finite
+//! `--min-quality`, and a `--max-clock` that is not a finite positive
+//! period or comes without `--min-quality`, exit with status 2 before any
+//! work.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -52,6 +54,27 @@ fn check_choice(flag: &str, value: &str, choices: &[&str]) {
     }
 }
 
+/// Exits with a usage error unless the query flags form a query the
+/// report can answer: a finite quality floor, and a clock cap only beside
+/// one, as a finite positive period.
+fn check_query(settings: &ExploreSettings) {
+    if let Some(db) = settings.min_quality_db {
+        if !db.is_finite() {
+            cli_error(format_args!("--min-quality: must be finite, got {db}"));
+        }
+    }
+    if let Some(ps) = settings.max_clock_ps {
+        if !(ps.is_finite() && ps > 0.0) {
+            cli_error(format_args!(
+                "--max-clock: must be a finite period above 0, got {ps}"
+            ));
+        }
+        if settings.min_quality_db.is_none() {
+            cli_error("--max-clock: caps a query, so it needs --min-quality");
+        }
+    }
+}
+
 fn main() {
     let args = cli_args(USAGE);
     let settings = settings_from_args(&args);
@@ -60,6 +83,7 @@ fn main() {
     if let Some(kernel) = &settings.kernel {
         check_choice("kernel", kernel, &KERNEL_NAMES);
     }
+    check_query(&settings);
     let config = ExperimentConfig::default();
     let engine = engine_from_args(&args);
     let started = Instant::now();

@@ -93,8 +93,9 @@ pub fn run_on(
         .workload("uniform-test", test_inputs);
     let points = engine.map(&plan, |unit| {
         let predictor = predicted.predictor(&unit.design, unit.clock_ps);
-        let gold = unit.design.behavioural();
-        // Ground truth for the whole held-out stream in one batched call.
+        // Golds and ground truth for the whole held-out stream, one
+        // batched call each.
+        let golds = unit.design.behavioural().add_batch(unit.inputs);
         let real_silvers = gate.run_batch(&unit.design, unit.clock_ps, unit.inputs);
         // The circuit restarts from reset at every lane-segment seam; the
         // model's x[t-1] features must follow the *physical* predecessor,
@@ -102,11 +103,9 @@ pub fn run_on(
         let raw: Vec<(u64, u64, u64, u64)> = unit
             .inputs
             .iter()
+            .zip(&golds)
             .zip(&real_silvers)
-            .map(|(&(a, b), &real_silver)| {
-                let gold_y = gold.add(a, b);
-                (a, b, gold_y, real_silver ^ gold_y)
-            })
+            .map(|((&(a, b), &gold_y), &real_silver)| (a, b, gold_y, real_silver ^ gold_y))
             .collect();
         let cycles = cycles_with_segment_resets(&raw);
         let predicted = predictor.predict_flips_batch(&cycles);

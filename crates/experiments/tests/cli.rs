@@ -80,4 +80,12 @@ fn unknown_flags_and_out_of_range_values_are_usage_errors() {
         );
     }
     assert_usage_error(env!("CARGO_BIN_EXE_workloads"), &["--cpr", "100"], "--cpr");
+    // A query the explorer cannot answer fails before any work.
+    let explore = env!("CARGO_BIN_EXE_explore");
+    assert_usage_error(explore, &["--min-quality", "nan"], "--min-quality");
+    for clock in ["-5", "nan"] {
+        let args = ["--min-quality", "30", "--max-clock", clock];
+        assert_usage_error(explore, &args, "--max-clock");
+    }
+    assert_usage_error(explore, &["--max-clock", "280"], "--max-clock");
 }

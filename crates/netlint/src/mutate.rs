@@ -12,7 +12,7 @@
 //! graph (the builder API makes these states unconstructible).
 
 use isa_netlist::timing::DelayAnnotation;
-use isa_netlist::{AdderNetlist, CellKind, NetDriver, NetId, Netlist};
+use isa_netlist::{AdderNetlist, CellKind, Netlist};
 
 use crate::diag::Rule;
 use crate::Splitmix;
@@ -133,24 +133,7 @@ pub fn apply_mutation(
             // output). Synthesized designs carry dead logic, and retyping
             // a dead cell changes no observable sum, so nothing could
             // catch it.
-            let mut live = vec![false; netlist.net_count()];
-            let mut work: Vec<NetId> = Vec::new();
-            for &n in netlist.outputs() {
-                if !live[n.index()] {
-                    live[n.index()] = true;
-                    work.push(n);
-                }
-            }
-            while let Some(net) = work.pop() {
-                if let NetDriver::Cell(id) = netlist.driver(net) {
-                    for &input in &netlist.cell(id).inputs {
-                        if !live[input.index()] {
-                            live[input.index()] = true;
-                            work.push(input);
-                        }
-                    }
-                }
-            }
+            let live = netlist.live_nets();
             let mut pin_of_net = vec![usize::MAX; netlist.net_count()];
             for (i, n) in netlist.inputs().iter().enumerate() {
                 pin_of_net[n.index()] = i;

@@ -301,27 +301,7 @@ fn check_cone_of_influence(netlist: &Netlist, out: &mut Vec<Diagnostic>) {
     if netlist.outputs().is_empty() {
         return; // NoOutputs already fired; everything would be "dead".
     }
-    let mut live_net = vec![false; netlist.net_count()];
-    let mut worklist: Vec<NetId> = Vec::new();
-    for &n in netlist.outputs() {
-        if !live_net[n.index()] {
-            live_net[n.index()] = true;
-            worklist.push(n);
-        }
-    }
-    while let Some(net) = worklist.pop() {
-        if let NetDriver::Cell(id) = netlist.driver(net) {
-            if id.index() >= netlist.cell_count() {
-                continue; // dangling driver: FloatingNet already fired
-            }
-            for &input in &netlist.cell(id).inputs {
-                if !live_net[input.index()] {
-                    live_net[input.index()] = true;
-                    worklist.push(input);
-                }
-            }
-        }
-    }
+    let live_net = netlist.live_nets();
     // Dead cells are routine for speculative synthesis (truncated lanes
     // leave orphaned logic), so a design gets ONE aggregated warning per
     // rule rather than one per cell — cheaper to produce and far easier

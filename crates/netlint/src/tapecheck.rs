@@ -15,6 +15,7 @@
 //!   executor must reproduce `Netlist::evaluate_words` on every net.
 //!   Divergence is reported with the first offending net.
 
+use isa_core::{ChunkPlanes, WordPlanes};
 use isa_netlist::tape::{InstructionTape, CHUNK};
 use isa_netlist::{NetId, Netlist};
 
@@ -74,7 +75,7 @@ fn check_replay(netlist: &Netlist, tape: &InstructionTape, batteries: usize) -> 
         // element (both are net-indexed).
         let planes: Vec<u64> = (0..pins).map(|_| rng.next_u64()).collect();
         let expected = netlist.evaluate_words(&planes);
-        tape.execute_into(&planes, &mut arena);
+        tape.execute_into(&mut WordPlanes, &planes, &mut arena);
         if let Some(net) = (0..expected.len()).find(|&i| arena[i] != expected[i]) {
             diagnostics.push(Diagnostic::new(
                 Rule::TapeReplay,
@@ -96,7 +97,7 @@ fn check_replay(netlist: &Netlist, tape: &InstructionTape, batteries: usize) -> 
         let chunks: Vec<[u64; CHUNK]> = (0..pins)
             .map(|i| std::array::from_fn(|j| sets[j][i]))
             .collect();
-        tape.execute_into(&chunks, &mut chunk_arena);
+        tape.execute_into(&mut ChunkPlanes::<CHUNK>, &chunks, &mut chunk_arena);
         for (j, set) in sets.iter().enumerate() {
             let expected = netlist.evaluate_words(set);
             if let Some(net) = (0..expected.len()).find(|&i| chunk_arena[i][j] != expected[i]) {

@@ -13,6 +13,7 @@ pub mod prefix;
 pub mod ripple;
 
 use isa_core::batch::{pack_pairs, unpack_lanes, LANES};
+use isa_core::ChunkPlanes;
 
 use crate::graph::{NetId, Netlist, NetlistBuilder};
 use crate::tape::InstructionTape;
@@ -236,7 +237,7 @@ impl AdderNetlist {
                     lanes[j] = plane;
                 }
             }
-            tape.execute_into(&chunk_in, &mut arena);
+            tape.execute_into(&mut ChunkPlanes::<CHUNK>, &chunk_in, &mut arena);
             for (j, sums) in sums.chunks_mut(LANES).enumerate() {
                 planes.clear();
                 planes.extend(tape.output_slots().iter().map(|&s| arena[s as usize][j]));

@@ -10,6 +10,8 @@
 
 use std::fmt;
 
+use isa_core::{PlaneAlgebra, WordPlanes};
+
 /// Combinational standard-cell function.
 ///
 /// Input ordering conventions are documented per variant; they matter for
@@ -104,12 +106,90 @@ impl CellKind {
         }
     }
 
-    /// Evaluates the cell function over 64 independent lanes at once: bit
-    /// `l` of every input word is lane `l`'s value, and bit `l` of the
-    /// result is lane `l`'s output. This is the one cell truth table:
-    /// [`Netlist::evaluate_words`](crate::graph::Netlist::evaluate_words)
-    /// sweeps it, the scalar event queue reads its bit 0, and the
-    /// instruction tape's formulas are tested against it.
+    /// Evaluates the cell function in any [`PlaneAlgebra`]: `a`, `b` and
+    /// `c` are the planes on input pins 0, 1 and 2 (in the pin order
+    /// documented on each variant). Operands past the kind's arity are
+    /// ignored, so callers may alias them to any plane.
+    ///
+    /// This is the one cell truth table. The instruction tape sweeps it
+    /// over [`ChunkPlanes`](isa_core::ChunkPlanes) and
+    /// [`WordPlanes`], [`Netlist::evaluate_in`](crate::graph::Netlist::evaluate_in)
+    /// interprets the cell list through it, [`Self::eval_word`] is its
+    /// word instance, and `isa-prove` runs it over BDD nodes.
+    #[inline(always)]
+    #[must_use]
+    pub fn eval_in<A: PlaneAlgebra>(
+        self,
+        alg: &mut A,
+        a: &A::Plane,
+        b: &A::Plane,
+        c: &A::Plane,
+    ) -> A::Plane {
+        match self {
+            CellKind::Const0 => alg.zero(),
+            CellKind::Const1 => alg.one(),
+            CellKind::Buf => a.clone(),
+            CellKind::Inv => alg.not(a),
+            CellKind::And2 => alg.and(a, b),
+            CellKind::Or2 => alg.or(a, b),
+            CellKind::Nand2 => {
+                let t = alg.and(a, b);
+                alg.not(&t)
+            }
+            CellKind::Nor2 => {
+                let t = alg.or(a, b);
+                alg.not(&t)
+            }
+            CellKind::Xor2 => alg.xor(a, b),
+            CellKind::Xnor2 => {
+                let t = alg.xor(a, b);
+                alg.not(&t)
+            }
+            CellKind::Mux2 => alg.mux(c, b, a),
+            CellKind::Ao21 => {
+                let t = alg.and(a, b);
+                alg.or(&t, c)
+            }
+            CellKind::Oa21 => {
+                let t = alg.or(a, b);
+                alg.and(&t, c)
+            }
+            CellKind::Aoi21 => {
+                let t = alg.and(a, b);
+                let u = alg.or(&t, c);
+                alg.not(&u)
+            }
+            CellKind::Oai21 => {
+                let t = alg.or(a, b);
+                let u = alg.and(&t, c);
+                alg.not(&u)
+            }
+            CellKind::Maj3 => {
+                let ab = alg.and(a, b);
+                let ac = alg.and(a, c);
+                let bc = alg.and(b, c);
+                let t = alg.or(&ab, &ac);
+                alg.or(&t, &bc)
+            }
+            CellKind::And3 => {
+                let t = alg.and(a, b);
+                alg.and(&t, c)
+            }
+            CellKind::Or3 => {
+                let t = alg.or(a, b);
+                alg.or(&t, c)
+            }
+            CellKind::Xor3 => {
+                let t = alg.xor(a, b);
+                alg.xor(&t, c)
+            }
+        }
+    }
+
+    /// [`Self::eval_in`] over 64 independent lanes ([`WordPlanes`]), for
+    /// callers holding an arity-sized pin slice: bit `l` of every input
+    /// word is lane `l`'s value, and bit `l` of the result is lane `l`'s
+    /// output.
     ///
     /// # Panics
     ///
@@ -123,29 +203,8 @@ impl CellKind {
             self.arity(),
             inputs.len()
         );
-        match self {
-            CellKind::Const0 => 0,
-            CellKind::Const1 => u64::MAX,
-            CellKind::Buf => inputs[0],
-            CellKind::Inv => !inputs[0],
-            CellKind::And2 => inputs[0] & inputs[1],
-            CellKind::Or2 => inputs[0] | inputs[1],
-            CellKind::Nand2 => !(inputs[0] & inputs[1]),
-            CellKind::Nor2 => !(inputs[0] | inputs[1]),
-            CellKind::Xor2 => inputs[0] ^ inputs[1],
-            CellKind::Xnor2 => !(inputs[0] ^ inputs[1]),
-            CellKind::Mux2 => (inputs[1] & inputs[2]) | (inputs[0] & !inputs[2]),
-            CellKind::Ao21 => (inputs[0] & inputs[1]) | inputs[2],
-            CellKind::Oa21 => (inputs[0] | inputs[1]) & inputs[2],
-            CellKind::Aoi21 => !((inputs[0] & inputs[1]) | inputs[2]),
-            CellKind::Oai21 => !((inputs[0] | inputs[1]) & inputs[2]),
-            CellKind::Maj3 => {
-                (inputs[0] & inputs[1]) | (inputs[0] & inputs[2]) | (inputs[1] & inputs[2])
-            }
-            CellKind::And3 => inputs[0] & inputs[1] & inputs[2],
-            CellKind::Or3 => inputs[0] | inputs[1] | inputs[2],
-            CellKind::Xor3 => inputs[0] ^ inputs[1] ^ inputs[2],
-        }
+        let pin = |i: usize| inputs.get(i).copied().unwrap_or(0);
+        self.eval_in(&mut WordPlanes, &pin(0), &pin(1), &pin(2))
     }
 
     /// Library cell name (as emitted into SDF files).
@@ -389,6 +448,29 @@ mod tests {
             ];
             for ((kind, got), want) in kinds.iter().zip(&lanes).zip(expected) {
                 assert_eq!(got[lane], want, "{kind} lane {lane}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_instance_matches_word_instance_elementwise() {
+        use isa_core::ChunkPlanes;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xCE11);
+        for kind in ALL_CELL_KINDS {
+            for _ in 0..4 {
+                let pins: [[u64; 4]; 3] =
+                    std::array::from_fn(|_| std::array::from_fn(|_| rng.gen()));
+                let chunk = kind.eval_in(&mut ChunkPlanes::<4>, &pins[0], &pins[1], &pins[2]);
+                for (j, &got) in chunk.iter().enumerate() {
+                    let words = [pins[0][j], pins[1][j], pins[2][j]];
+                    assert_eq!(
+                        got,
+                        kind.eval_word(&words[..kind.arity()]),
+                        "{kind} element {j}"
+                    );
+                }
             }
         }
     }

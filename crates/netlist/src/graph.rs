@@ -6,15 +6,19 @@
 //! creation order is a valid topological order; [`Netlist::validate`]
 //! re-checks these invariants for netlists obtained by other means.
 //!
-//! [`Netlist::evaluate_words`] is the one zero-delay interpreter: one
-//! sweep of the cell list in that order, 64 lanes per net word, through
-//! [`CellKind::eval_word`]. It is the oracle of the compiled
+//! [`Netlist::evaluate_in`] is the one zero-delay interpreter: one sweep
+//! of the cell list in that order through [`CellKind::eval_in`], in any
+//! plane algebra. Its 64-lane word instance [`Netlist::evaluate_words`] is
+//! the oracle of the compiled
 //! [`InstructionTape`](crate::tape::InstructionTape), which is what
 //! production evaluates; scalar callers read its lane 0
-//! ([`Netlist::evaluate_outputs_u64`]).
+//! ([`Netlist::evaluate_outputs_u64`]), and `isa-prove` runs it over BDD
+//! nodes.
 
 use std::error::Error;
 use std::fmt;
+
+use isa_core::{PlaneAlgebra, WordPlanes};
 
 use crate::cell::{CellKind, CellLibrary};
 
@@ -85,6 +89,16 @@ pub struct Cell {
     pub inputs: Vec<NetId>,
     /// The net driven by this cell.
     pub output: NetId,
+}
+
+impl Cell {
+    /// The three operand nets [`CellKind::eval_in`] reads, in pin order.
+    /// Operands past the pin count alias the first pin (the output net
+    /// for a constant), so each one names a valid net.
+    pub(crate) fn operands(&self) -> [NetId; 3] {
+        let first = self.inputs.first().copied().unwrap_or(self.output);
+        std::array::from_fn(|i| self.inputs.get(i).copied().unwrap_or(first))
+    }
 }
 
 /// What drives a net.
@@ -379,34 +393,80 @@ impl Netlist {
     }
 
     /// Bit-sliced zero-delay evaluation: returns every net's value word
-    /// (bit `l` is lane `l`'s value) for 64 independent input lanes, in
-    /// one sweep of the cell list through [`CellKind::eval_word`].
+    /// (bit `l` is lane `l`'s value) for 64 independent input lanes — the
+    /// [`WordPlanes`] instance of [`Self::evaluate_in`], and the oracle of
+    /// the instruction tape.
     ///
     /// # Panics
     ///
-    /// Panics if `input_words.len()` differs from the number of primary
-    /// inputs.
+    /// Panics like [`Self::evaluate_in`].
     #[must_use]
     pub fn evaluate_words(&self, input_words: &[u64]) -> Vec<u64> {
+        self.evaluate_in(&mut WordPlanes, input_words)
+    }
+
+    /// Zero-delay evaluation in any [`PlaneAlgebra`]: returns every net's
+    /// plane, indexed by net, after one sweep of the cell list in list
+    /// order through [`CellKind::eval_in`]. Nets no input or earlier cell
+    /// has driven read as [`PlaneAlgebra::zero`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_planes.len()` differs from the number of primary
+    /// inputs, or a cell's pin count differs from its kind's arity.
+    #[must_use]
+    pub fn evaluate_in<A: PlaneAlgebra>(
+        &self,
+        alg: &mut A,
+        input_planes: &[A::Plane],
+    ) -> Vec<A::Plane> {
         assert_eq!(
-            input_words.len(),
+            input_planes.len(),
             self.inputs.len(),
-            "expected {} input words, got {}",
+            "expected {} input planes, got {}",
             self.inputs.len(),
-            input_words.len()
+            input_planes.len()
         );
-        let mut values = vec![0u64; self.net_count()];
-        for (net, &w) in self.inputs.iter().zip(input_words) {
-            values[net.index()] = w;
+        let mut values = vec![alg.zero(); self.net_count()];
+        for (net, plane) in self.inputs.iter().zip(input_planes) {
+            values[net.index()] = plane.clone();
         }
-        let mut pins = [0u64; 3];
         for cell in &self.cells {
-            for (slot, n) in pins.iter_mut().zip(&cell.inputs) {
-                *slot = values[n.index()];
-            }
-            values[cell.output.index()] = cell.kind.eval_word(&pins[..cell.inputs.len()]);
+            assert_eq!(
+                cell.inputs.len(),
+                cell.kind.arity(),
+                "{} expects {} inputs, got {}",
+                cell.kind,
+                cell.kind.arity(),
+                cell.inputs.len()
+            );
+            let [a, b, c] = cell.operands().map(NetId::index);
+            let y = cell.kind.eval_in(alg, &values[a], &values[b], &values[c]);
+            values[cell.output.index()] = y;
         }
         values
+    }
+
+    /// The nets in the transitive fanin of the primary outputs (the live
+    /// cone), as a mask by net index. Logic outside it can never
+    /// influence an output. A driver entry naming a cell past the end of
+    /// the list (a malformed [`Self::from_raw_parts`] netlist) ends the
+    /// walk at that net.
+    #[must_use]
+    pub fn live_nets(&self) -> Vec<bool> {
+        let mut live = vec![false; self.net_count()];
+        let mut stack = self.outputs.clone();
+        while let Some(net) = stack.pop() {
+            if std::mem::replace(&mut live[net.index()], true) {
+                continue;
+            }
+            if let NetDriver::Cell(id) = self.drivers[net.index()] {
+                if let Some(cell) = self.cells.get(id.index()) {
+                    stack.extend(&cell.inputs);
+                }
+            }
+        }
+        live
     }
 }
 
@@ -814,6 +874,44 @@ mod tests {
         let nl = b.finish().unwrap();
         assert_eq!(nl.net_name(bits[1]), Some("a[1]"));
         assert_eq!(nl.output_name(0), "y");
+    }
+
+    #[test]
+    fn live_cone_covers_everything_in_a_pure_adder() {
+        use crate::builders::{build_exact, AdderTopology};
+        let adder = build_exact(8, AdderTopology::Ripple);
+        let nl = adder.netlist();
+        let live = nl.live_nets();
+        // A ripple adder has no dead logic: every net feeds the outputs.
+        assert!(nl
+            .inputs()
+            .iter()
+            .chain(nl.outputs())
+            .all(|n| live[n.index()]));
+    }
+
+    #[test]
+    fn live_cone_skips_dead_cells_and_dangling_drivers() {
+        let mut b = NetlistBuilder::new("fa_dead");
+        let a = b.input("a");
+        let x = b.input("b");
+        let c = b.input("cin");
+        let dead = b.and2(a, x);
+        let sum = b.xor3(a, x, c);
+        let cout = b.maj3(a, x, c);
+        b.mark_output(sum, "sum");
+        b.mark_output(cout, "cout");
+        let nl = b.finish().unwrap();
+        let live = nl.live_nets();
+        assert!(!live[dead.index()]);
+        assert!([a, x, c, sum, cout].iter().all(|n| live[n.index()]));
+        // Drop the last cell: the driver table still names it as cout's
+        // driver, past the end of the list. The walk stops there.
+        let (name, drivers, names, mut cells, inputs, outputs, onames) = nl.into_raw_parts();
+        cells.pop();
+        let nl = Netlist::from_raw_parts(name, drivers, names, cells, inputs, outputs, onames);
+        let live = nl.live_nets();
+        assert!(live[sum.index()] && live[cout.index()] && !live[dead.index()]);
     }
 
     #[test]

@@ -45,5 +45,5 @@ pub use classify::{LaneClassifier, StreamClassifier};
 pub use graph::{Cell, CellId, NetDriver, NetId, Netlist, NetlistBuilder, NetlistError};
 pub use sta::StaReport;
 pub use synth::{synthesize_exact, synthesize_isa, SynthesisError, SynthesisOptions, Synthesized};
-pub use tape::{InstructionTape, Levelization, Plane, CHUNK};
+pub use tape::{InstructionTape, Levelization, CHUNK};
 pub use timing::{DelayAnnotation, VariationModel};

@@ -1,6 +1,6 @@
 //! Levelized instruction-tape compiler for the word-parallel hot path.
 //!
-//! [`Netlist::evaluate_words`] interprets the graph cell-by-cell on every
+//! [`Netlist::evaluate_in`] interprets the graph cell-by-cell on every
 //! plane pass: each cell gathers its pins through a per-cell `Vec<NetId>`,
 //! dispatches on [`CellKind`] and writes one net — per evaluation, per cell.
 //! This module compiles a netlist **once** into an [`InstructionTape`]: a
@@ -15,10 +15,13 @@
 //!   inner loop;
 //! - **no per-eval allocation** — callers pass reusable arena buffers.
 //!
-//! The datapath is generic over [`Plane`]: a `u64` carries the classic 64
-//! simulation lanes, while `[u64; 4]` / `[u64; 8]` chunks evaluate 4 or 8
-//! independent plane sets per sweep and compile to 256/512-bit vector
-//! operations. [`CHUNK`] is the width production sweeps use (4).
+//! The datapath is generic over [`PlaneAlgebra`] and computes each op with
+//! [`CellKind::eval_in`], the one cell truth table. In
+//! [`WordPlanes`](isa_core::WordPlanes) a plane is a `u64` of 64
+//! simulation lanes; in [`ChunkPlanes`](isa_core::ChunkPlanes) it is a
+//! `[u64; C]` chunk of `C` independent plane sets per sweep, which
+//! compiles to 256/512-bit vector operations. [`CHUNK`] is the width
+//! production sweeps use (4).
 //!
 //! The schedule is a [`Levelization`]: one forward pass over the cell list,
 //! valid exactly when that list is in topological order (the order
@@ -38,7 +41,7 @@
 //! the tape:
 //!
 //! ```
-//! use isa_core::{pack_pairs, unpack_lanes};
+//! use isa_core::{pack_pairs, unpack_lanes, WordPlanes};
 //! use isa_netlist::{build_exact, AdderTopology, InstructionTape};
 //!
 //! let adder = build_exact(8, AdderTopology::Ripple);
@@ -48,7 +51,7 @@
 //! let mut inputs = [0u64; 16];
 //! pack_pairs(8, &[(11, 7)], &mut inputs);
 //! let mut arena = Vec::new();
-//! tape.execute_into(&inputs, &mut arena);
+//! tape.execute_into(&mut WordPlanes, &inputs, &mut arena);
 //!
 //! let sum_planes: Vec<u64> = tape.output_slots().iter().map(|&s| arena[s as usize]).collect();
 //! let mut sums = [0u64; 1];
@@ -60,6 +63,8 @@
 //! assert_eq!(arena, adder.netlist().evaluate_words(&inputs));
 //! ```
 
+use isa_core::PlaneAlgebra;
+
 use crate::cell::CellKind;
 use crate::graph::{CellId, Netlist};
 
@@ -67,88 +72,6 @@ use crate::graph::{CellId, Netlist};
 /// tape sweep evaluates. 4 chunks auto-vectorize to 256-bit ops on
 /// AVX2-class hardware.
 pub const CHUNK: usize = 4;
-
-/// A word-parallel value plane the tape can evaluate: one or more 64-lane
-/// bit planes combined in lockstep with bitwise ops.
-///
-/// Implemented for `u64` (the scalar plane [`Netlist::evaluate_words`]
-/// uses) and for `[u64; C]` chunks of any width.
-pub trait Plane: Copy {
-    /// All lanes 0.
-    const ZERO: Self;
-    /// All lanes 1.
-    const ONES: Self;
-    /// Lane-wise AND.
-    #[must_use]
-    fn and(self, rhs: Self) -> Self;
-    /// Lane-wise OR.
-    #[must_use]
-    fn or(self, rhs: Self) -> Self;
-    /// Lane-wise XOR.
-    #[must_use]
-    fn xor(self, rhs: Self) -> Self;
-    /// Lane-wise NOT.
-    #[must_use]
-    fn not(self) -> Self;
-}
-
-impl Plane for u64 {
-    const ZERO: Self = 0;
-    const ONES: Self = u64::MAX;
-    #[inline(always)]
-    fn and(self, rhs: Self) -> Self {
-        self & rhs
-    }
-    #[inline(always)]
-    fn or(self, rhs: Self) -> Self {
-        self | rhs
-    }
-    #[inline(always)]
-    fn xor(self, rhs: Self) -> Self {
-        self ^ rhs
-    }
-    #[inline(always)]
-    fn not(self) -> Self {
-        !self
-    }
-}
-
-impl<const C: usize> Plane for [u64; C] {
-    const ZERO: Self = [0; C];
-    const ONES: Self = [u64::MAX; C];
-    #[inline(always)]
-    fn and(self, rhs: Self) -> Self {
-        let mut out = self;
-        for (o, r) in out.iter_mut().zip(rhs) {
-            *o &= r;
-        }
-        out
-    }
-    #[inline(always)]
-    fn or(self, rhs: Self) -> Self {
-        let mut out = self;
-        for (o, r) in out.iter_mut().zip(rhs) {
-            *o |= r;
-        }
-        out
-    }
-    #[inline(always)]
-    fn xor(self, rhs: Self) -> Self {
-        let mut out = self;
-        for (o, r) in out.iter_mut().zip(rhs) {
-            *o ^= r;
-        }
-        out
-    }
-    #[inline(always)]
-    fn not(self) -> Self {
-        let mut out = self;
-        for o in &mut out {
-            *o = !*o;
-        }
-        out
-    }
-}
 
 /// One compiled cell: up to three operand arena slots and one output slot.
 ///
@@ -329,26 +252,17 @@ impl InstructionTape {
                 );
                 scheduled[id.index()] = true;
                 let cell = netlist.cell(id);
-                let out = cell.output.index() as u32;
-                let mut pins = [out; 3];
-                for (slot, pin) in pins.iter_mut().zip(&cell.inputs) {
-                    assert!(
-                        defined[pin.index()],
-                        "level schedule violates def-before-use at cell {}",
-                        id.index()
-                    );
-                    *slot = pin.index() as u32;
-                }
-                // Unused operands alias the first one: always in-range.
-                let alias = pins[0];
-                for slot in pins.iter_mut().skip(cell.inputs.len().max(1)) {
-                    *slot = alias;
-                }
+                assert!(
+                    cell.inputs.iter().all(|pin| defined[pin.index()]),
+                    "level schedule violates def-before-use at cell {}",
+                    id.index()
+                );
+                let [a, b, c] = cell.operands().map(|net| net.index() as u32);
                 let op = TapeOp {
-                    a: pins[0],
-                    b: pins[1],
-                    c: pins[2],
-                    out,
+                    a,
+                    b,
+                    c,
+                    out: cell.output.index() as u32,
                 };
                 match runs.last_mut() {
                     Some(run) if run.kind == cell.kind => run.len += 1,
@@ -416,19 +330,26 @@ impl InstructionTape {
         &self.outputs
     }
 
-    /// Evaluates the tape: scatters `input_planes` (one [`Plane`] per
-    /// primary input, declaration order) into a zeroed arena, then sweeps
-    /// the op runs in schedule order.
+    /// Evaluates the tape in a [`PlaneAlgebra`]: scatters `input_planes`
+    /// (one plane per primary input, declaration order) into a zeroed
+    /// arena, then sweeps the op runs in schedule order.
     ///
-    /// On return `arena[i]` holds net `i`'s settled plane — for `P = u64`
-    /// the arena is element-for-element identical to
-    /// [`Netlist::evaluate_words`]. The arena vector is recycled across
-    /// calls without reallocating.
+    /// On return `arena[i]` holds net `i`'s settled plane: in
+    /// [`WordPlanes`](isa_core::WordPlanes) the arena is element-for-element
+    /// identical to [`Netlist::evaluate_words`]. The arena vector is
+    /// recycled across calls without reallocating.
     ///
     /// # Panics
     ///
     /// Panics if `input_planes.len()` differs from the input count.
-    pub fn execute_into<P: Plane>(&self, input_planes: &[P], arena: &mut Vec<P>) {
+    pub fn execute_into<A: PlaneAlgebra>(
+        &self,
+        alg: &mut A,
+        input_planes: &[A::Plane],
+        arena: &mut Vec<A::Plane>,
+    ) {
+        use CellKind as K;
+
         assert_eq!(
             input_planes.len(),
             self.inputs.len(),
@@ -437,79 +358,34 @@ impl InstructionTape {
             input_planes.len()
         );
         arena.clear();
-        arena.resize(self.slots, P::ZERO);
-        for (&slot, &plane) in self.inputs.iter().zip(input_planes) {
-            arena[slot as usize] = plane;
+        arena.resize(self.slots, alg.zero());
+        for (&slot, plane) in self.inputs.iter().zip(input_planes) {
+            arena[slot as usize] = plane.clone();
         }
-        self.sweep(arena);
-    }
-
-    /// The straight-line op loop: one `CellKind` dispatch per run, one
-    /// load/combine/store per op. Generic over the plane type so the same
-    /// body serves the scalar `u64` path and the `[u64; C]` chunked path
-    /// (where each bitwise op vectorizes over the chunk).
-    fn sweep<P: Plane>(&self, arena: &mut [P]) {
-        use CellKind as K;
-
-        // Two/three-operand helpers keep each match arm a tight loop the
-        // compiler can unroll and vectorize.
-        #[inline(always)]
-        fn unary<P: Plane>(arena: &mut [P], ops: &[TapeOp], f: impl Fn(P) -> P) {
-            for op in ops {
-                arena[op.out as usize] = f(arena[op.a as usize]);
-            }
-        }
-        #[inline(always)]
-        fn binary<P: Plane>(arena: &mut [P], ops: &[TapeOp], f: impl Fn(P, P) -> P) {
-            for op in ops {
-                arena[op.out as usize] = f(arena[op.a as usize], arena[op.b as usize]);
-            }
-        }
-        #[inline(always)]
-        fn ternary<P: Plane>(arena: &mut [P], ops: &[TapeOp], f: impl Fn(P, P, P) -> P) {
-            for op in ops {
-                arena[op.out as usize] = f(
-                    arena[op.a as usize],
-                    arena[op.b as usize],
-                    arena[op.c as usize],
-                );
-            }
-        }
-
         for run in &self.runs {
             let ops = &self.ops[run.start as usize..(run.start + run.len) as usize];
-            // Formulas mirror `CellKind::eval_word` exactly (proven by the
-            // per-kind test below and netlint's tape.replay rule).
+            // One dispatch per run: each arm hands its constant kind to the
+            // op loop, so the cell formula is resolved outside the loop.
             match run.kind {
-                K::Const0 => {
-                    for op in ops {
-                        arena[op.out as usize] = P::ZERO;
-                    }
-                }
-                K::Const1 => {
-                    for op in ops {
-                        arena[op.out as usize] = P::ONES;
-                    }
-                }
-                K::Buf => unary(arena, ops, |a| a),
-                K::Inv => unary(arena, ops, Plane::not),
-                K::And2 => binary(arena, ops, Plane::and),
-                K::Or2 => binary(arena, ops, Plane::or),
-                K::Nand2 => binary(arena, ops, |a, b| a.and(b).not()),
-                K::Nor2 => binary(arena, ops, |a, b| a.or(b).not()),
-                K::Xor2 => binary(arena, ops, Plane::xor),
-                K::Xnor2 => binary(arena, ops, |a, b| a.xor(b).not()),
-                K::Mux2 => ternary(arena, ops, |d0, d1, sel| d1.and(sel).or(d0.and(sel.not()))),
-                K::Ao21 => ternary(arena, ops, |a, b, c| a.and(b).or(c)),
-                K::Oa21 => ternary(arena, ops, |a, b, c| a.or(b).and(c)),
-                K::Aoi21 => ternary(arena, ops, |a, b, c| a.and(b).or(c).not()),
-                K::Oai21 => ternary(arena, ops, |a, b, c| a.or(b).and(c).not()),
-                K::Maj3 => {
-                    ternary(arena, ops, |a, b, c| a.and(b).or(a.and(c)).or(b.and(c)));
-                }
-                K::And3 => ternary(arena, ops, |a, b, c| a.and(b).and(c)),
-                K::Or3 => ternary(arena, ops, |a, b, c| a.or(b).or(c)),
-                K::Xor3 => ternary(arena, ops, |a, b, c| a.xor(b).xor(c)),
+                K::Const0 => sweep_run(K::Const0, alg, arena, ops),
+                K::Const1 => sweep_run(K::Const1, alg, arena, ops),
+                K::Buf => sweep_run(K::Buf, alg, arena, ops),
+                K::Inv => sweep_run(K::Inv, alg, arena, ops),
+                K::And2 => sweep_run(K::And2, alg, arena, ops),
+                K::Or2 => sweep_run(K::Or2, alg, arena, ops),
+                K::Nand2 => sweep_run(K::Nand2, alg, arena, ops),
+                K::Nor2 => sweep_run(K::Nor2, alg, arena, ops),
+                K::Xor2 => sweep_run(K::Xor2, alg, arena, ops),
+                K::Xnor2 => sweep_run(K::Xnor2, alg, arena, ops),
+                K::Mux2 => sweep_run(K::Mux2, alg, arena, ops),
+                K::Ao21 => sweep_run(K::Ao21, alg, arena, ops),
+                K::Oa21 => sweep_run(K::Oa21, alg, arena, ops),
+                K::Aoi21 => sweep_run(K::Aoi21, alg, arena, ops),
+                K::Oai21 => sweep_run(K::Oai21, alg, arena, ops),
+                K::Maj3 => sweep_run(K::Maj3, alg, arena, ops),
+                K::And3 => sweep_run(K::And3, alg, arena, ops),
+                K::Or3 => sweep_run(K::Or3, alg, arena, ops),
+                K::Xor3 => sweep_run(K::Xor3, alg, arena, ops),
             }
         }
     }
@@ -566,12 +442,28 @@ impl InstructionTape {
     }
 }
 
+/// The straight-line op loop of one run: one load/combine/store per op
+/// through [`CellKind::eval_in`]. Inlined into each dispatch arm with a
+/// constant `kind`, so the formula and the arity are fixed for the whole
+/// loop, and operands past the arity cost no load.
+#[inline(always)]
+fn sweep_run<A: PlaneAlgebra>(kind: CellKind, alg: &mut A, arena: &mut [A::Plane], ops: &[TapeOp]) {
+    let arity = kind.arity();
+    for op in ops {
+        let a = &arena[op.a as usize];
+        let b = if arity > 1 { &arena[op.b as usize] } else { a };
+        let c = if arity > 2 { &arena[op.c as usize] } else { a };
+        let y = kind.eval_in(alg, a, b, c);
+        arena[op.out as usize] = y;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builders::{build_exact, AdderTopology};
-    use crate::cell::ALL_CELL_KINDS;
     use crate::graph::{NetDriver, NetlistBuilder};
+    use isa_core::{ChunkPlanes, WordPlanes};
 
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -654,33 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn every_kind_matches_eval_word() {
-        // One single-cell netlist per kind: the tape formula must agree
-        // with `CellKind::eval_word` on random planes.
-        let mut seed = 0x7A50_0001u64;
-        for kind in ALL_CELL_KINDS {
-            let mut builder = NetlistBuilder::new(format!("tape_{kind}"));
-            let pins: Vec<_> = (0..kind.arity())
-                .map(|i| builder.input(format!("i{i}")))
-                .collect();
-            let y = builder.cell(kind, &pins);
-            builder.mark_output(y, "y");
-            let netlist = builder.finish().unwrap();
-            let tape = InstructionTape::compile(&netlist);
-            for _ in 0..8 {
-                let words: Vec<u64> = (0..kind.arity()).map(|_| splitmix(&mut seed)).collect();
-                let mut arena = Vec::new();
-                tape.execute_into(&words, &mut arena);
-                assert_eq!(
-                    arena[y.index()],
-                    kind.eval_word(&words),
-                    "{kind} formula drifted from eval_word"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn tape_arena_matches_evaluate_words_on_adders() {
         let mut seed = 0x7A50_0002u64;
         for topology in [AdderTopology::Ripple, AdderTopology::KoggeStone] {
@@ -700,7 +565,7 @@ mod tests {
             for _ in 0..16 {
                 let inputs: Vec<u64> = (0..32).map(|_| splitmix(&mut seed)).collect();
                 let mut arena = Vec::new();
-                tape.execute_into(&inputs, &mut arena);
+                tape.execute_into(&mut WordPlanes, &inputs, &mut arena);
                 assert_eq!(arena, netlist.evaluate_words(&inputs));
             }
         }
@@ -726,7 +591,7 @@ mod tests {
                 .map(|i| std::array::from_fn(|j| scalar_sets[j][i]))
                 .collect();
             let mut arena = Vec::new();
-            tape.execute_into(&chunks, &mut arena);
+            tape.execute_into(&mut ChunkPlanes::<C>, &chunks, &mut arena);
             for (j, set) in scalar_sets.iter().enumerate() {
                 let expected = netlist.evaluate_words(set);
                 for (slot, chunk) in arena.iter().enumerate() {

@@ -5,6 +5,7 @@
 //! `[u64; 8]` — the executor is generic over the chunk width).
 
 use isa_core::designs::enumerate_quadruples;
+use isa_core::{ChunkPlanes, WordPlanes};
 use isa_netlist::builders::{build_exact, isa, AdderTopology};
 use isa_netlist::graph::Netlist;
 use isa_netlist::tape::InstructionTape;
@@ -26,7 +27,7 @@ fn check_tape_parity(netlist: &Netlist, seed: &mut u64, batteries: usize) {
         let expected = netlist.evaluate_words(&planes);
 
         let mut arena = Vec::new();
-        tape.execute_into(&planes, &mut arena);
+        tape.execute_into(&mut WordPlanes, &planes, &mut arena);
         assert_eq!(arena, expected, "{}: scalar tape diverged", netlist.name());
 
         check_chunked::<4>(netlist, &tape, seed);
@@ -43,7 +44,7 @@ fn check_chunked<const C: usize>(netlist: &Netlist, tape: &InstructionTape, seed
         .map(|i| std::array::from_fn(|j| sets[j][i]))
         .collect();
     let mut arena = Vec::new();
-    tape.execute_into(&chunks, &mut arena);
+    tape.execute_into(&mut ChunkPlanes::<C>, &chunks, &mut arena);
     for (j, set) in sets.iter().enumerate() {
         let expected = netlist.evaluate_words(set);
         for (slot, (chunk, want)) in arena.iter().zip(&expected).enumerate() {

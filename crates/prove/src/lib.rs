@@ -21,7 +21,11 @@
 //!
 //! The [`bdd`], [`spec`] and [`netlist`] modules provide the shared
 //! engine, spec construction, and symbolic netlist evaluation these three
-//! analyses are built from.
+//! analyses are built from. None of them re-implements a semantics: the
+//! [`Bdd`] is one more [`isa_core::PlaneAlgebra`] instance, so the spec is
+//! the behavioural model's own plane code, and a netlist's functions come
+//! from its own interpreter (`Netlist::evaluate_in`) and cell truth table
+//! (`CellKind::eval_in`), the ones the tape and the simulators run.
 //!
 //! # Where this sits
 //!
@@ -45,6 +49,6 @@ pub mod sta;
 pub use bdd::{Bdd, Op, Ref};
 pub use dist::{ErrorDistribution, DEFAULT_PMF_CAP};
 pub use equiv::{check_equivalence, EquivReport};
-pub use netlist::{eval_cell, live_nets, net_functions, output_functions};
+pub use netlist::output_functions;
 pub use spec::{spec_outputs, OperandVars};
 pub use sta::{analyze_settle, StaOptions, SymbolicSta};

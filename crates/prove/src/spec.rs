@@ -1,7 +1,8 @@
 //! The behavioural spec as Boolean functions.
 //!
-//! [`Bdd`] implements [`PlaneAlgebra`], so the *actual* behavioural
-//! algorithm — [`SpeculativeAdder::add_planes_in`] for ISA designs,
+//! [`Bdd`] implements [`PlaneAlgebra`] (with [`Bdd::ite`] as its
+//! multiplexer), so the *actual* behavioural algorithm —
+//! [`SpeculativeAdder::add_planes_in`] for ISA designs,
 //! [`ripple_add_planes_in`] for the exact reference — runs unchanged over
 //! BDD nodes and yields one canonical function per output bit, covering all
 //! `2^(2W)` operand pairs at once. Nothing here re-implements the spec; an
@@ -40,6 +41,9 @@ impl PlaneAlgebra for Bdd {
     }
     fn xor(&mut self, x: &Ref, y: &Ref) -> Ref {
         self.apply(Op::Xor, *x, *y)
+    }
+    fn mux(&mut self, sel: &Ref, t: &Ref, f: &Ref) -> Ref {
+        self.ite(*sel, *t, *f)
     }
     fn debug_assert_false(&self, x: &Ref) {
         // Canonicity makes the check exact: only the 0-terminal is false.

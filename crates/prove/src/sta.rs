@@ -28,7 +28,6 @@ use isa_netlist::timing::ps_to_fs;
 use isa_netlist::{DelayAnnotation, NetDriver, Netlist};
 
 use crate::bdd::{Bdd, Ref};
-use crate::netlist::{eval_cell, live_nets, net_functions};
 
 /// Budget knobs for the symbolic simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,7 +127,7 @@ pub fn analyze_settle(
     let delays_fs: Vec<u64> = (0..netlist.cell_count())
         .map(|c| ps_to_fs(annotation.delay_ps(isa_netlist::CellId::from_index(c))))
         .collect();
-    let live = live_nets(netlist);
+    let live = netlist.live_nets();
 
     // Topological arrivals over live nets in the same quantisation.
     let mut arrival = vec![0u64; netlist.net_count()];
@@ -183,7 +182,9 @@ pub fn analyze_settle(
     }
 
     let mut times: Vec<u64> = Vec::new();
-    let mut ins: Vec<Ref> = Vec::new();
+    // Pin values of the cell at hand; pins past its arity keep a stale
+    // value, which `eval_in` ignores.
+    let mut ins = [bdd.zero(); 3];
     for (c, cell) in netlist.cells().iter().enumerate() {
         if bdd.num_nodes() > options.max_nodes {
             return fallback(true);
@@ -196,14 +197,16 @@ pub fn analyze_settle(
         times.sort_unstable();
         times.dedup();
 
-        ins.clear();
-        ins.extend(cell.inputs.iter().map(|n| waves[n.index()].initial));
-        let initial = eval_cell(&mut bdd, cell.kind, &ins);
+        for (pin, n) in ins.iter_mut().zip(&cell.inputs) {
+            *pin = waves[n.index()].initial;
+        }
+        let initial = cell.kind.eval_in(&mut bdd, &ins[0], &ins[1], &ins[2]);
         let mut wave = Wave::constant(initial);
         for &t in &times {
-            ins.clear();
-            ins.extend(cell.inputs.iter().map(|n| waves[n.index()].value_at(t - d)));
-            let f = eval_cell(&mut bdd, cell.kind, &ins);
+            for (pin, n) in ins.iter_mut().zip(&cell.inputs) {
+                *pin = waves[n.index()].value_at(t - d);
+            }
+            let f = cell.kind.eval_in(&mut bdd, &ins[0], &ins[1], &ins[2]);
             if f != wave.last_value() {
                 wave.events.push((t, f));
             }
@@ -223,8 +226,8 @@ pub fn analyze_settle(
     // Re-proof: initial segments must be the old-input functions, final
     // segments the new-input functions — ties the waveform algebra back to
     // the plain functional semantics.
-    let old_fns = net_functions(&mut bdd, netlist, &old_vars);
-    let new_fns = net_functions(&mut bdd, netlist, &new_vars);
+    let old_fns = netlist.evaluate_in(&mut bdd, &old_vars);
+    let new_fns = netlist.evaluate_in(&mut bdd, &new_vars);
     let functions_verified = (0..netlist.net_count())
         .filter(|&i| {
             live[i]
@@ -348,7 +351,7 @@ mod tests {
         let delays_fs: Vec<u64> = (0..nl.cell_count())
             .map(|c| ps_to_fs(ann.delay_ps(isa_netlist::CellId::from_index(c))))
             .collect();
-        let live = live_nets(nl);
+        let live = nl.live_nets();
         // The symbolic bound must dominate the true settle time of every
         // concrete transition pair (soundness, checked by brute force).
         let mut worst = 0u64;

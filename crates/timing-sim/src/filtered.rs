@@ -44,6 +44,7 @@
 use std::sync::OnceLock;
 
 use isa_core::batch::{pack_pairs, unpack_lanes, LaneSchedule, LANES};
+use isa_core::ChunkPlanes;
 use isa_netlist::builders::AdderNetlist;
 use isa_netlist::classify::LaneClassifier;
 use isa_netlist::tape::{InstructionTape, CHUNK};
@@ -230,7 +231,7 @@ pub fn run_filtered_batch_with_stats_tape(
                 lanes[j] = plane;
             }
         }
-        tape.execute_into(&chunk_in, &mut arena);
+        tape.execute_into(&mut ChunkPlanes::<CHUNK>, &chunk_in, &mut arena);
         for (j, &t) in group.iter().enumerate() {
             settled.clear();
             settled.extend(tape.output_slots().iter().map(|&s| arena[s as usize][j]));

@@ -52,6 +52,7 @@
 //! also reads the waveforms between edges, for its shadow latch.
 
 use isa_core::batch::{pack_pairs, unpack_lanes, LaneSchedule, LANES};
+use isa_core::WordPlanes;
 use isa_netlist::builders::AdderNetlist;
 use isa_netlist::tape::InstructionTape;
 use isa_netlist::timing::{ps_to_fs, DelayAnnotation};
@@ -292,7 +293,7 @@ impl TimedTapeCore {
             "period must be positive"
         );
         let mut values = Vec::new();
-        tape.execute_into(input_planes, &mut values);
+        tape.execute_into(&mut WordPlanes, input_planes, &mut values);
         Self {
             waves: values
                 .into_iter()
